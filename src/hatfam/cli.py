@@ -23,6 +23,7 @@ from .configfile import ConfigError, load_text
 from .exactnum import QSqrt3, parse_scalar, render_scalar
 from .geometry import (
     GeometryError,
+    Placement,
     disjoint_cells,
     hat_kite_cells,
     is_simple,
@@ -198,7 +199,14 @@ def cmd_build(args) -> int:
             results.append(("disjoint", True,
                             "skipped: needs hat proportions"))
         else:
-            ok, clash = disjoint_cells((q for q, _ in placed), tile.cells)
+            # Tile(a, sqrt(3)*a) is the hat scaled by a, and the assembly
+            # is linear in (a, b): the kite check runs on the a = 1 patch
+            unit = (q for q, _ in placed)
+            if p.a != 1:
+                inv_a = 1 / p.a
+                unit = (Placement(q.rotation_k, q.reflected,
+                                  q.translation * inv_a) for q in unit)
+            ok, clash = disjoint_cells(unit, tile.cells)
             detail = (f"{8 * len(placed)} kite cells, no overlap" if ok else
                       f"hats {clash[0]} and {clash[1]} share kite {clash[2]}")
             results.append(("disjoint", ok, detail))

@@ -1,22 +1,28 @@
 """Exact arithmetic over Q(sqrt(3)) and exact 2-vectors.
 
 Every coordinate in this package is an element of the quadratic field
-Q(sqrt(3)), stored as r + s*sqrt(3) with arbitrary-precision rationals
-r and s.  Nothing here ever rounds; floats only appear on explicit
-conversion at the edges (angle evaluation, SVG emission).
+Q(sqrt(3)).  A QSqrt3 holds three Python ints, (a + b*sqrt(3))/d with
+d > 0 and gcd(a, b, d) = 1, so each value has exactly one stored form.
+At hat scale d is 1 or 2: sums of equal denominators skip the
+cross-multiplication, products skip the gcd when d = 1, and signs compare
+a^2 with 3 b^2 on ints.  The rational parts r = a/d and s = b/d are
+Fractions, made on request for the parse and render edges.  Nothing here
+ever rounds; floats only appear on explicit conversion at the edges
+(angle evaluation, SVG emission).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
-
-Rational = Fraction
 
 _RationalLike = Union[int, Fraction]
 _ScalarLike = Union[int, Fraction, "QSqrt3"]
+
+_new = object.__new__
+_SQRT3_FLOAT = 3.0 ** 0.5
 
 
 class ScalarParseError(ValueError):
@@ -28,130 +34,201 @@ class ScalarParseError(ValueError):
         super().__init__(f"{message} at position {pos} in {text!r}")
 
 
-@dataclass(frozen=True)
-class QSqrt3:
-    """r + s*sqrt(3) with rational r, s.  Immutable and hashable."""
+def _reduced(a: int, b: int, d: int) -> "QSqrt3":
+    """(a + b*sqrt(3))/d for d > 0, with gcd(a, b, d) divided out."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    x = _new(QSqrt3)
+    x.a = a
+    x.b = b
+    x.d = d
+    return x
 
-    r: Fraction = Fraction(0)
-    s: Fraction = Fraction(0)
+
+def _sign(a: int, b: int) -> int:
+    """Sign of a + b*sqrt(3) for integers a, b."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if a == 0 or (a > 0) == (b > 0):
+        return sb
+    # a and b*sqrt(3) pull in opposite directions: compare a^2 with 3 b^2.
+    # They cannot be equal for nonzero integers (sqrt(3) is irrational).
+    return -sb if a * a > 3 * b * b else sb
+
+
+def _coerce(value: _ScalarLike) -> "QSqrt3":
+    if isinstance(value, QSqrt3):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return _reduced(value.numerator, 0, value.denominator)
+    return NotImplemented  # type: ignore[return-value]
+
+
+class QSqrt3:
+    """r + s*sqrt(3) with rational r, s, stored as (a + b*sqrt(3))/d.
+
+    Values are immutable by contract: a, b and d are never reassigned
+    after construction, so instances hash and serve as dict keys.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, r: _RationalLike = 0, s: _RationalLike = 0) -> None:
+        if not isinstance(r, (int, Fraction)):
+            r = Fraction(r)
+        if not isinstance(s, (int, Fraction)):
+            s = Fraction(s)
+        # r and s are in lowest terms, so over d = lcm of their
+        # denominators gcd(a, b, d) is already 1
+        rd, sd = r.denominator, s.denominator
+        d = rd * sd // gcd(rd, sd)
+        self.a = r.numerator * (d // rd)
+        self.b = s.numerator * (d // sd)
+        self.d = d
 
     @staticmethod
     def of(r: _RationalLike = 0, s: _RationalLike = 0) -> "QSqrt3":
-        return QSqrt3(Fraction(r), Fraction(s))
+        return QSqrt3(r, s)
 
-    @staticmethod
-    def _coerce(value: _ScalarLike) -> "QSqrt3":
-        if isinstance(value, QSqrt3):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QSqrt3(Fraction(value), Fraction(0))
-        return NotImplemented  # type: ignore[return-value]
+    @property
+    def r(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def s(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other: _ScalarLike) -> "QSqrt3":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QSqrt3(self.r + other.r, self.s + other.s)
+        if other.__class__ is not QSqrt3:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, od = self.d, other.d
+        if d == od:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * od + other.a * d, self.b * od + other.b * d,
+                        d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other: _ScalarLike) -> "QSqrt3":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QSqrt3(self.r - other.r, self.s - other.s)
+        if other.__class__ is not QSqrt3:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, od = self.d, other.d
+        if d == od:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * od - other.a * d, self.b * od - other.b * d,
+                        d * od)
 
     def __rsub__(self, other: _ScalarLike) -> "QSqrt3":
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __mul__(self, other: _ScalarLike) -> "QSqrt3":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QSqrt3(
-            self.r * other.r + 3 * self.s * other.s,
-            self.r * other.s + self.s * other.r,
-        )
+        if other.__class__ is not QSqrt3:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, oa, ob = self.a, self.b, other.a, other.b
+        return _reduced(a * oa + 3 * b * ob, a * ob + b * oa,
+                        self.d * other.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QSqrt3":
-        # (r + s*sqrt3)^-1 = (r - s*sqrt3) / (r^2 - 3 s^2); the norm is zero
-        # only for r = s = 0 because sqrt(3) is irrational.
-        norm = self.r * self.r - 3 * self.s * self.s
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt(3))")
-        return QSqrt3(self.r / norm, -self.s / norm)
+        return ONE / self
 
     def __truediv__(self, other: _ScalarLike) -> "QSqrt3":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        if other.__class__ is not QSqrt3:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # the norm oa^2 - 3 ob^2 is zero only for oa = ob = 0 because sqrt(3)
+        # is irrational
+        a, b, oa, ob, od = self.a, self.b, other.a, other.b, other.d
+        if ob == 0:
+            if oa == 0:
+                raise ZeroDivisionError("inverse of zero in Q(sqrt(3))")
+            num_a, num_b, den = a * od, b * od, self.d * oa
+        else:
+            # multiply through by the conjugate oa - ob*sqrt3
+            num_a = (a * oa - 3 * b * ob) * od
+            num_b = (b * oa - a * ob) * od
+            den = self.d * (oa * oa - 3 * ob * ob)
+        if den < 0:
+            return _reduced(-num_a, -num_b, -den)
+        return _reduced(num_a, num_b, den)
 
     def __rtruediv__(self, other: _ScalarLike) -> "QSqrt3":
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other * self.inverse()
+        return other / self
 
     def __neg__(self) -> "QSqrt3":
-        return QSqrt3(-self.r, -self.s)
+        return _reduced(-self.a, -self.b, self.d)
 
     def __bool__(self) -> bool:
-        return bool(self.r) or bool(self.s)
+        return self.a != 0 or self.b != 0
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1, decided without floating point."""
-        sr = (self.r > 0) - (self.r < 0)
-        ss = (self.s > 0) - (self.s < 0)
-        if ss == 0:
-            return sr
-        if sr == 0 or sr == ss:
-            return ss
-        # r and s*sqrt(3) pull in opposite directions: compare r^2 with 3 s^2.
-        # They cannot be equal for nonzero rationals (sqrt(3) is irrational).
-        return sr if self.r * self.r > 3 * self.s * self.s else ss
+        return _sign(self.a, self.b)
+
+    def _cmp(self, other: _ScalarLike) -> int:
+        """Sign of self - other; NotImplemented for foreign types."""
+        if other.__class__ is not QSqrt3:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, od = self.d, other.d
+        if d == od:
+            return _sign(self.a - other.a, self.b - other.b)
+        return _sign(self.a * od - other.a * d, self.b * od - other.b * d)
 
     def __lt__(self, other: _ScalarLike) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() < 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c < 0
 
     def __le__(self, other: _ScalarLike) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() <= 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c <= 0
 
     def __gt__(self, other: _ScalarLike) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() > 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c > 0
 
     def __ge__(self, other: _ScalarLike) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() >= 0
+        c = self._cmp(other)
+        return c if c is NotImplemented else c >= 0
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QSqrt3.of(other)
-        if not isinstance(other, QSqrt3):
-            return NotImplemented
-        return self.r == other.r and self.s == other.s
+        if other.__class__ is not QSqrt3:
+            other = _coerce(other)  # type: ignore[arg-type]
+            if other is NotImplemented:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self) -> int:
-        return hash((self.r, self.s))
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        # a rational value hashes as the equal int or Fraction does
+        return hash(self.a) if self.d == 1 else hash(Fraction(self.a, self.d))
 
     def __float__(self) -> float:
-        return float(self.r) + float(self.s) * 3.0 ** 0.5
+        # int / int is correctly rounded, as float(Fraction) is, so this
+        # equals float(r) + float(s) * sqrt(3) bit for bit
+        d = self.d
+        return self.a / d + self.b / d * _SQRT3_FLOAT
 
     def __repr__(self) -> str:
         return f"QSqrt3({render_scalar(self)!r})"
@@ -160,11 +237,10 @@ class QSqrt3:
 ZERO = QSqrt3.of(0)
 ONE = QSqrt3.of(1)
 SQRT3 = QSqrt3.of(0, 1)
-HALF = QSqrt3.of(Fraction(1, 2))
 
 
 def qs3(r: _RationalLike = 0, s: _RationalLike = 0) -> QSqrt3:
-    return QSqrt3.of(r, s)
+    return QSqrt3(r, s)
 
 
 _RAT_RE = re.compile(r"-?\d+(?:/\d+)?")
@@ -255,47 +331,45 @@ def render_scalar(value: QSqrt3) -> str:
     return "".join(parts)
 
 
-# cos/sin of 60*k degrees, k = 0..5
-_COS60 = [ONE, HALF, -HALF, -ONE, -HALF, HALF]
-_SIN60 = [
-    ZERO,
-    QSqrt3.of(0, Fraction(1, 2)),
-    QSqrt3.of(0, Fraction(1, 2)),
-    ZERO,
-    QSqrt3.of(0, Fraction(-1, 2)),
-    QSqrt3.of(0, Fraction(-1, 2)),
-]
-
-
-@dataclass(frozen=True)
 class VecE:
-    """Exact 2-vector over Q(sqrt(3))."""
+    """Exact 2-vector over Q(sqrt(3)); immutable by contract like QSqrt3."""
 
-    x: QSqrt3 = ZERO
-    y: QSqrt3 = ZERO
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: QSqrt3 = ZERO, y: QSqrt3 = ZERO) -> None:
+        self.x = x
+        self.y = y
 
     @staticmethod
     def of(x: _ScalarLike = 0, y: _ScalarLike = 0) -> "VecE":
         cx = x if isinstance(x, QSqrt3) else QSqrt3.of(x)
         cy = y if isinstance(y, QSqrt3) else QSqrt3.of(y)
-        return VecE(cx, cy)
+        return _vec(cx, cy)
 
     def __add__(self, other: "VecE") -> "VecE":
-        return VecE(self.x + other.x, self.y + other.y)
+        return _vec(self.x + other.x, self.y + other.y)
 
     def __sub__(self, other: "VecE") -> "VecE":
-        return VecE(self.x - other.x, self.y - other.y)
+        return _vec(self.x - other.x, self.y - other.y)
 
     def __neg__(self) -> "VecE":
-        return VecE(-self.x, -self.y)
+        return _vec(-self.x, -self.y)
 
     def __mul__(self, k: _ScalarLike) -> "VecE":
-        return VecE(self.x * k, self.y * k)
+        return _vec(self.x * k, self.y * k)
 
     __rmul__ = __mul__
 
     def __bool__(self) -> bool:
         return bool(self.x) or bool(self.y)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not VecE:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
 
     def dot(self, other: "VecE") -> QSqrt3:
         return self.x * other.x + self.y * other.y
@@ -313,16 +387,41 @@ class VecE:
         return f"VecE({render_scalar(self.x)}, {render_scalar(self.y)})"
 
 
+def _vec(x: QSqrt3, y: QSqrt3) -> VecE:
+    v = _new(VecE)
+    v.x = x
+    v.y = y
+    return v
+
+
 VEC_ZERO = VecE(ZERO, ZERO)
+
+# signs (c, s) of cos = c/2 and sin = s*sqrt(3)/2 at 60*k degrees, k = 1, 2,
+# 4, 5; k = 0 and k = 3 are the identity and the negation
+_ROT60_SIGNS = {1: (1, 1), 2: (-1, 1), 4: (-1, -1), 5: (1, -1)}
 
 
 def rotate60(v: VecE, k: int) -> VecE:
     """Rotate v counterclockwise by k steps of 60 degrees (k may be negative)."""
     k %= 6
-    c, s = _COS60[k], _SIN60[k]
-    return VecE(c * v.x - s * v.y, s * v.x + c * v.y)
+    if k == 0:
+        return v
+    if k == 3:
+        return -v
+    x, y = v.x, v.y
+    c, s = _ROT60_SIGNS[k]
+    # x' = (c*x - s*sqrt3*y)/2 and y' = (s*sqrt3*x + c*y)/2, with
+    # sqrt3*(a + b*sqrt3) = 3b + a*sqrt3, over one common denominator
+    xa, xb, xd, ya, yb, yd = x.a, x.b, x.d, y.a, y.b, y.d
+    if xd == yd:
+        d = 2 * xd
+    else:
+        xa, xb, ya, yb = xa * yd, xb * yd, ya * xd, yb * xd
+        d = 2 * xd * yd
+    return _vec(_reduced(c * xa - 3 * s * yb, c * xb - s * ya, d),
+                _reduced(3 * s * xb + c * ya, s * xa + c * yb, d))
 
 
 def reflect_y_axis(v: VecE) -> VecE:
     """Mirror across the y axis: (x, y) -> (-x, y)."""
-    return VecE(-v.x, v.y)
+    return _vec(-v.x, v.y)

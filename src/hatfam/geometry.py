@@ -304,28 +304,50 @@ def cells_connected(cells) -> bool:
 
 def lattice_decompose(v: VecE) -> tuple[int, int]:
     """Solve v = m*U1 + n*U2 over the integers, or raise LatticeError."""
-    if v.x.s != 0 or v.y.r != 0:
+    # v = (3m, (m + 2n)*sqrt3): x is an integer multiple of 3 and y an
+    # integer multiple of sqrt3 whose coefficient has the parity of m
+    x, y = v.x, v.y
+    if x.b or x.d != 1 or x.a % 3 or y.a or y.d != 1 \
+            or (y.b - x.a // 3) % 2:
         raise LatticeError(f"{v!r} is not on the hexagon lattice")
-    m3 = v.x.r
-    if m3.denominator != 1 or m3.numerator % 3:
-        raise LatticeError(f"{v!r} is not on the hexagon lattice")
-    m = m3.numerator // 3
-    n2 = v.y.s - m
-    if n2.denominator != 1 or n2.numerator % 2:
-        raise LatticeError(f"{v!r} is not on the hexagon lattice")
-    return m, int(n2) // 2
+    m = x.a // 3
+    return m, (y.b - m) // 2
+
+
+def _orientation(rotation_k: int, reflected: bool):
+    """(qq, qr, rq, rr, corner_step, corner_shift): the cell map of a
+    placement's linear part, (q, r, k) -> (qq*q + qr*r, rq*q + rr*r,
+    corner_step*k + corner_shift mod 6), read off the images of four
+    cells."""
+    def image(q, r, k):
+        cell = KiteCell(q, r, k)
+        if reflected:
+            cell = cell_reflect(cell)
+        for _ in range(rotation_k):
+            cell = cell_rotate60(cell)
+        return cell
+    e_q, e_r, k0, k1 = image(1, 0, 0), image(0, 1, 0), image(0, 0, 0), \
+        image(0, 0, 1)
+    return (e_q.hex_q, e_r.hex_q, e_q.hex_r, e_r.hex_r,
+            (k1.corner_k - k0.corner_k) % 6, k0.corner_k)
+
+
+# indexed [rotation_k][reflected]
+_ORIENTATIONS = tuple((_orientation(k, False), _orientation(k, True))
+                      for k in range(6))
+# builds a KiteCell from a (q, r, k) tuple without the NamedTuple
+# constructor's Python-level call
+_new_cell = tuple.__new__
 
 
 def transform_cells(cells, q: Placement) -> frozenset:
     """Apply a placement with lattice translation to a cell set."""
     m, n = lattice_decompose(q.translation)
-    out = []
-    for cell in cells:
-        c = cell_reflect(cell) if q.reflected else cell
-        for _ in range(q.rotation_k):
-            c = cell_rotate60(c)
-        out.append(cell_translate(c, m, n))
-    return frozenset(out)
+    qq, qr, rq, rr, step, shift = _ORIENTATIONS[q.rotation_k][q.reflected]
+    return frozenset([
+        _new_cell(KiteCell, (qq * hq + qr * hr + m, rq * hq + rr * hr + n,
+                             (step * k + shift) % 6))
+        for hq, hr, k in cells])
 
 
 def hat_kite_cells(q: Placement, base_cells) -> frozenset:

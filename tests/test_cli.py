@@ -120,6 +120,13 @@ def test_build_json(capsys):
     assert [c["pass"] for c in doc["checks"]] == [True, True, True]
 
 
+@pytest.mark.parametrize("a,b", [("1/2", "1/2*r3"), ("2+r3", "3+2*r3")])
+def test_build_disjoint_at_any_hat_scale(capsys, a, b):
+    assert main(["build", "hat", "3", "-a", a, "-b", b]) == 0
+    assert "PASS disjoint: 440 kite cells, no overlap" in \
+        capsys.readouterr().out
+
+
 def test_build_skips_disjoint_off_proportion(capsys):
     assert main(["build", "hat", "2", "-a", "2", "-b", "3"]) == 0
     assert "skipped: needs hat proportions" in capsys.readouterr().out

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatfam.exactnum import (
     ONE,
@@ -131,3 +133,105 @@ def test_vector_arithmetic():
     assert -a + a == VEC_ZERO
     assert a.cross(a) == qs3(0)
     assert VecE.of(1, 0).cross(VecE.of(0, 1)) == qs3(1)
+
+
+# ------------------------------------------- properties against a reference
+#
+# The reference keeps a scalar as the pair (r, s) of Fractions, r + s*sqrt3,
+# and does the field arithmetic on them directly.
+
+_PROPERTY = settings(derandomize=True, database=None, max_examples=150,
+                     deadline=None)
+# the shapes scale (small denominators) and the g-sequence scale (~1e60)
+_SMALL = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 12))
+_BIG = st.builds(Fraction, st.integers(-10 ** 60, 10 ** 60),
+                 st.integers(1, 10 ** 60))
+_PAIRS = st.tuples(st.one_of(_SMALL, _BIG), st.one_of(_SMALL, _BIG))
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] + 3 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_sign(x):
+    r, s = x
+    sr, ss = (r > 0) - (r < 0), (s > 0) - (s < 0)
+    if ss == 0:
+        return sr
+    if sr in (0, ss):
+        return ss
+    return sr if r * r > 3 * s * s else ss
+
+
+def _of(pair):
+    return QSqrt3(*pair)
+
+
+@_PROPERTY
+@given(_PAIRS, _PAIRS)
+def test_arithmetic_matches_reference(x, y):
+    qx, qy = _of(x), _of(y)
+    assert (qx.r, qx.s) == x
+    assert qx + qy == _of((x[0] + y[0], x[1] + y[1]))
+    assert qx - qy == _of((x[0] - y[0], x[1] - y[1]))
+    assert qx * qy == _of(_ref_mul(x, y))
+    assert -qx == _of((-x[0], -x[1]))
+    if y != (0, 0):
+        norm = y[0] * y[0] - 3 * y[1] * y[1]
+        assert qx / qy == _of(_ref_mul(x, (y[0] / norm, -y[1] / norm)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            qx / qy
+
+
+@_PROPERTY
+@given(_PAIRS, _PAIRS)
+def test_sign_and_order_match_reference(x, y):
+    qx, qy = _of(x), _of(y)
+    assert qx.sign() == _ref_sign(x)
+    diff = _ref_sign((x[0] - y[0], x[1] - y[1]))
+    assert (qx < qy) == (diff < 0)
+    assert (qx <= qy) == (diff <= 0)
+    assert (qx > qy) == (diff > 0)
+    assert (qx >= qy) == (diff >= 0)
+    assert (qx == qy) == (diff == 0)
+
+
+@_PROPERTY
+@given(_PAIRS, _PAIRS, st.integers(1, 10 ** 20))
+def test_equal_values_built_differently_hash_equal(x, y, k):
+    qx = _of(x)
+    routes = [qs3(x[0] * k) / k + qs3(0, x[1] * k) / k,
+              parse_scalar(render_scalar(qx)),
+              qx + _of(y) - _of(y)]
+    if y != (0, 0):
+        routes.append(qx * _of(y) / _of(y))
+    for other in routes:
+        assert other == qx and hash(other) == hash(qx)
+    assert qs3(Fraction(2, 4)) == qs3(1) / 2
+    assert hash(qs3(Fraction(2, 4))) == hash(qs3(1) / 2)
+    # rational values equal, and hash as, the plain number
+    assert qs3(x[0]) == x[0] and hash(qs3(x[0])) == hash(x[0])
+    assert qs3(k) == k and hash(qs3(k)) == hash(k)
+
+
+@_PROPERTY
+@given(_PAIRS)
+def test_float_is_bit_identical_to_fraction_parts(x):
+    qx = _of(x)
+    want = float(qx.r) + float(qx.s) * 3.0 ** 0.5
+    assert float(qx).hex() == want.hex()
+
+
+@_PROPERTY
+@given(_PAIRS, _PAIRS, st.integers(-7, 7))
+def test_rotate60_matches_reference(x, y, k):
+    half = Fraction(1, 2)
+    cos = (1, half, -half, -1, -half, half)[k % 6]
+    sin_r3 = (0, half, half, 0, -half, -half)[k % 6]  # sin = sin_r3*sqrt3
+    c, s = (cos, 0), (0, sin_r3)
+    cx, sy = _ref_mul(c, x), _ref_mul(s, y)
+    sx, cy = _ref_mul(s, x), _ref_mul(c, y)
+    want = VecE(_of((cx[0] - sy[0], cx[1] - sy[1])),
+                _of((sx[0] + cy[0], sx[1] + cy[1])))
+    assert rotate60(VecE(_of(x), _of(y)), k) == want

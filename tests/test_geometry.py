@@ -264,8 +264,9 @@ def test_lattice_decompose_rejects(v):
 
 def test_transform_cells_matches_centroid_action(tile):
     rng = random.Random(12)
-    for _ in range(30):
-        q = _random_placement(rng)
+    every_orientation = [Placement(k, refl, U1 * (k - 2) + U2 * int(refl))
+                         for k in range(6) for refl in (False, True)]
+    for q in every_orientation + [_random_placement(rng) for _ in range(30)]:
         moved = transform_cells(tile.cells, q)
         assert {kite_centroid(c) for c in moved} == \
             {q.apply(kite_centroid(c)) for c in tile.cells}
