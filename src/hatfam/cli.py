@@ -23,7 +23,6 @@ from .configfile import ConfigError, load_text
 from .exactnum import QSqrt3, parse_scalar, render_scalar
 from .geometry import (
     GeometryError,
-    Placement,
     disjoint_cells,
     hat_kite_cells,
     is_simple,
@@ -204,8 +203,7 @@ def cmd_build(args) -> int:
             unit = (q for q, _ in placed)
             if p.a != 1:
                 inv_a = 1 / p.a
-                unit = (Placement(q.rotation_k, q.reflected,
-                                  q.translation * inv_a) for q in unit)
+                unit = (q.scaled(inv_a) for q in unit)
             ok, clash = disjoint_cells(unit, tile.cells)
             detail = (f"{8 * len(placed)} kite cells, no overlap" if ok else
                       f"hats {clash[0]} and {clash[1]} share kite {clash[2]}")
@@ -310,9 +308,13 @@ def _check_g_sequence(max_gen: int, env) -> str:
     _require(closed == listed, f"13-term table differs: {closed}")
     _require(g_recurrence(500) == [g_closed(i) for i in range(1, 501)],
              "closed form and recurrence disagree below n=500")
-    for n in range(1, 1001):
-        _require((8 * lucas(4 * n - 2) + 21) % 15 == 0,
-                 f"8*lucas({4 * n - 2}) + 21 not divisible by 15")
+    # one pass over the Lucas numbers: after step i, cur = lucas(i)
+    cur, nxt = lucas(0), lucas(1)
+    for i in range(1, 4 * 1000 - 1):
+        cur, nxt = nxt, cur + nxt
+        if i % 4 == 2:
+            _require((8 * cur + 21) % 15 == 0,
+                     f"8*lucas({i}) + 21 not divisible by 15")
     return "13 listed terms, recurrence to n=500, divisibility to n=1000"
 
 
@@ -492,8 +494,8 @@ def cmd_verify(args) -> int:
     all_ok = all(ok for _, ok, _, _ in items)
     if args.format == "json":
         doc = {"max_gen": args.max_gen,
-               "items": [{"name": n, "pass": ok, "detail": d}
-                         for n, ok, d, _ in items],
+               "items": [{"name": n, "pass": ok, "detail": d, "seconds": dt}
+                         for n, ok, d, dt in items],
                "pass": all_ok}
         _emit(json.dumps(doc, indent=2), args.out)
     else:

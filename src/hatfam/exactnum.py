@@ -425,3 +425,41 @@ def rotate60(v: VecE, k: int) -> VecE:
 def reflect_y_axis(v: VecE) -> VecE:
     """Mirror across the y axis: (x, y) -> (-x, y)."""
     return _vec(-v.x, v.y)
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta) coordinates, zeta = e^(i*pi/6)
+#
+# The plane Q(sqrt3)^2 is the field Q(zeta) with basis 1, zeta, zeta^2,
+# zeta^3: x + y*i = (c0 + c1*zeta + c2*zeta^2 + c3*zeta^3)/d gives
+# x = c0 + c2/2 + c1/2*sqrt3 and y = c1/2 + c3 + c2/2*sqrt3 (over d), and
+# conversely c1 = 2 x_b, c2 = 2 y_b, c0 = x_a - y_b, c3 = y_a - x_b for
+# x = x_a + x_b*sqrt3, y = y_a + y_b*sqrt3.  Hat-scale points, whose
+# coordinates are halves, have integer c and d = 1.
+
+def zeta_coords(v: VecE) -> tuple[tuple[int, int, int, int], int]:
+    """(c0, c1, c2, c3), d of v in the basis 1, zeta, zeta^2, zeta^3, with
+    d > 0 and gcd(c0, c1, c2, c3, d) = 1."""
+    x, y = v.x, v.y
+    xa, xb, xd, ya, yb, yd = x.a, x.b, x.d, y.a, y.b, y.d
+    if xd != yd:
+        xa, xb, ya, yb = xa * yd, xb * yd, ya * xd, yb * xd
+        xd *= yd
+    return reduced_coords(xa - yb, 2 * xb, 2 * yb, ya - xb, xd)
+
+
+def reduced_coords(c0: int, c1: int, c2: int, c3: int,
+                   d: int) -> tuple[tuple[int, int, int, int], int]:
+    """(c0, c1, c2, c3)/d for d > 0, with the common gcd divided out."""
+    if d != 1:
+        g = gcd(c0, c1, c2, c3, d)
+        if g != 1:
+            return (c0 // g, c1 // g, c2 // g, c3 // g), d // g
+    return (c0, c1, c2, c3), d
+
+
+def zeta_vector(c: tuple[int, int, int, int], d: int) -> VecE:
+    """The VecE of the Q(zeta) point c/d (inverse of zeta_coords)."""
+    c0, c1, c2, c3 = c
+    return _vec(_reduced(2 * c0 + c2, c1, 2 * d),
+                _reduced(c1 + 2 * c3, c2, 2 * d))

@@ -11,6 +11,7 @@ exactly 8 kites of the hexagon grid with edge 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -20,10 +21,15 @@ from .exactnum import (
     VEC_ZERO,
     VecE,
     qs3,
+    reduced_coords,
     reflect_y_axis,
     rotate60,
+    zeta_coords,
+    zeta_vector,
 )
 from .supervectors import TileParams
+
+_new = object.__new__
 
 
 class GeometryError(ValueError):
@@ -36,18 +42,67 @@ class LatticeError(GeometryError):
 
 # ---------------------------------------------------------------------------
 # placements
+#
+# A placement's linear part is one of 12 orientations o = rotation_k +
+# 6*reflected, and its translation is a Q(zeta) point (see exactnum), so
+# composing two placements is an integer 4x4 map plus four int adds.
 
-@dataclass(frozen=True)
+def _orientation_matrix(o: int) -> tuple[int, ...]:
+    """Row-major 4x4 integer matrix of orientation o on Q(zeta)
+    coordinates, read off the images of the basis 1, zeta, zeta^2, zeta^3."""
+    columns = []
+    for j in range(4):
+        v = zeta_vector(tuple(int(i == j) for i in range(4)), 1)
+        if o >= 6:
+            v = reflect_y_axis(v)
+        columns.append(zeta_coords(rotate60(v, o % 6))[0])
+    return tuple(columns[j][i] for i in range(4) for j in range(4))
+
+
+_MATRICES = tuple(_orientation_matrix(o) for o in range(12))
+# _PRODUCT[o][p]: the orientation of applying p first, then o
+_PRODUCT = tuple(
+    tuple((o % 6 + (-(p % 6) if o >= 6 else p % 6)) % 6
+          + 6 * ((o >= 6) != (p >= 6)) for p in range(12))
+    for o in range(12))
+
+
+def _placement(o: int, coords: tuple, den: int) -> "Placement":
+    q = _new(Placement)
+    q.orientation = o
+    q.coords = coords
+    q.den = den
+    return q
+
+
 class Placement:
     """Rigid motion applied as: reflect across the y axis (optional), then
-    rotate counterclockwise by 60*rotation_k degrees, then translate."""
+    rotate counterclockwise by 60*rotation_k degrees, then translate.
 
-    rotation_k: int = 0
-    reflected: bool = False
-    translation: VecE = VEC_ZERO
+    Stored as orientation = rotation_k + 6*reflected and the translation's
+    exact Q(zeta) coordinates `coords` (four ints) over `den` > 0, in lowest
+    terms, so equal motions have equal fields.  `translation` is the
+    VecE of the same point.  Immutable by contract, like QSqrt3.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rotation_k", self.rotation_k % 6)
+    __slots__ = ("orientation", "coords", "den")
+
+    def __init__(self, rotation_k: int = 0, reflected: bool = False,
+                 translation: VecE = VEC_ZERO):
+        self.orientation = rotation_k % 6 + 6 * bool(reflected)
+        self.coords, self.den = zeta_coords(translation)
+
+    @property
+    def rotation_k(self) -> int:
+        return self.orientation % 6
+
+    @property
+    def reflected(self) -> bool:
+        return self.orientation >= 6
+
+    @property
+    def translation(self) -> VecE:
+        return zeta_vector(self.coords, self.den)
 
     def apply(self, v: VecE) -> VecE:
         if self.reflected:
@@ -56,13 +111,50 @@ class Placement:
 
     def compose(self, inner: "Placement") -> "Placement":
         """The motion equal to applying `inner` first, then `self`."""
-        k = self.rotation_k - inner.rotation_k if self.reflected \
-            else self.rotation_k + inner.rotation_k
-        t = self.translation + rotate60(
-            reflect_y_axis(inner.translation) if self.reflected
-            else inner.translation,
-            self.rotation_k)
-        return Placement(k % 6, self.reflected != inner.reflected, t)
+        o = self.orientation
+        (m00, m01, m02, m03, m10, m11, m12, m13,
+         m20, m21, m22, m23, m30, m31, m32, m33) = _MATRICES[o]
+        c0, c1, c2, c3 = inner.coords
+        r0 = m00 * c0 + m01 * c1 + m02 * c2 + m03 * c3
+        r1 = m10 * c0 + m11 * c1 + m12 * c2 + m13 * c3
+        r2 = m20 * c0 + m21 * c1 + m22 * c2 + m23 * c3
+        r3 = m30 * c0 + m31 * c1 + m32 * c2 + m33 * c3
+        t0, t1, t2, t3 = self.coords
+        d, e = self.den, inner.den
+        o = _PRODUCT[o][inner.orientation]
+        if d == e:
+            if d == 1:
+                return _placement(o, (t0 + r0, t1 + r1, t2 + r2, t3 + r3), 1)
+            return _placement(o, *reduced_coords(
+                t0 + r0, t1 + r1, t2 + r2, t3 + r3, d))
+        return _placement(o, *reduced_coords(
+            t0 * e + r0 * d, t1 * e + r1 * d, t2 * e + r2 * d,
+            t3 * e + r3 * d, d * e))
+
+    def scaled(self, s: QSqrt3) -> "Placement":
+        """The same linear part with the translation multiplied by s."""
+        c0, c1, c2, c3 = self.coords
+        # multiplying by sqrt3 = 2 zeta - zeta^3 maps (c0, c1, c2, c3) to
+        # (c1 - c3, 2 c0 + c2, c1 + 2 c3, c2 - c0)
+        a, b = s.a, s.b
+        return _placement(self.orientation, *reduced_coords(
+            a * c0 + b * (c1 - c3), a * c1 + b * (2 * c0 + c2),
+            a * c2 + b * (c1 + 2 * c3), a * c3 + b * (c2 - c0),
+            s.d * self.den))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Placement:
+            return NotImplemented
+        return (self.orientation == other.orientation
+                and self.coords == other.coords and self.den == other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.orientation, self.coords, self.den))
+
+    def __repr__(self) -> str:
+        return (f"Placement(rotation_k={self.rotation_k}, "
+                f"reflected={self.reflected}, "
+                f"translation={self.translation!r})")
 
 
 IDENTITY = Placement()
@@ -302,28 +394,36 @@ def cells_connected(cells) -> bool:
     return not todo
 
 
+def _hex_shift(c: tuple[int, int, int, int], d: int) -> tuple[int, int]:
+    """(m, n) with c/d = m*U1 + n*U2 in Q(zeta) coordinates, or raise
+    LatticeError."""
+    # m*U1 + n*U2 = (3m, (m + 2n)*sqrt3) has c1 = c3 = 0, c2 = 2(m + 2n)
+    # and c0 = 2(m - n), so 2 c0 + c2 = 6m and c2/2 - m = 2n
+    c0, c1, c2, c3 = c
+    if d == 1 and not c1 and not c3 and not c2 % 2:
+        m, r = divmod(2 * c0 + c2, 6)
+        h = c2 // 2 - m
+        if not r and not h % 2:
+            return m, h // 2
+    raise LatticeError(
+        f"{zeta_vector(c, d)!r} is not on the hexagon lattice")
+
+
 def lattice_decompose(v: VecE) -> tuple[int, int]:
     """Solve v = m*U1 + n*U2 over the integers, or raise LatticeError."""
-    # v = (3m, (m + 2n)*sqrt3): x is an integer multiple of 3 and y an
-    # integer multiple of sqrt3 whose coefficient has the parity of m
-    x, y = v.x, v.y
-    if x.b or x.d != 1 or x.a % 3 or y.a or y.d != 1 \
-            or (y.b - x.a // 3) % 2:
-        raise LatticeError(f"{v!r} is not on the hexagon lattice")
-    m = x.a // 3
-    return m, (y.b - m) // 2
+    return _hex_shift(*zeta_coords(v))
 
 
-def _orientation(rotation_k: int, reflected: bool):
-    """(qq, qr, rq, rr, corner_step, corner_shift): the cell map of a
-    placement's linear part, (q, r, k) -> (qq*q + qr*r, rq*q + rr*r,
+def _orientation(o: int):
+    """(qq, qr, rq, rr, corner_step, corner_shift): the cell map of
+    orientation o, (q, r, k) -> (qq*q + qr*r, rq*q + rr*r,
     corner_step*k + corner_shift mod 6), read off the images of four
     cells."""
     def image(q, r, k):
         cell = KiteCell(q, r, k)
-        if reflected:
+        if o >= 6:
             cell = cell_reflect(cell)
-        for _ in range(rotation_k):
+        for _ in range(o % 6):
             cell = cell_rotate60(cell)
         return cell
     e_q, e_r, k0, k1 = image(1, 0, 0), image(0, 1, 0), image(0, 0, 0), \
@@ -332,22 +432,27 @@ def _orientation(rotation_k: int, reflected: bool):
             (k1.corner_k - k0.corner_k) % 6, k0.corner_k)
 
 
-# indexed [rotation_k][reflected]
-_ORIENTATIONS = tuple((_orientation(k, False), _orientation(k, True))
-                      for k in range(6))
-# builds a KiteCell from a (q, r, k) tuple without the NamedTuple
-# constructor's Python-level call
-_new_cell = tuple.__new__
+_ORIENTATIONS = tuple(_orientation(o) for o in range(12))
+
+
+@lru_cache(maxsize=8)
+def _oriented_cells(cells: frozenset) -> tuple[tuple, ...]:
+    """The cell set under each of the 12 orientations, before translation."""
+    return tuple(
+        tuple((qq * hq + qr * hr, rq * hq + rr * hr, (step * k + shift) % 6)
+              for hq, hr, k in cells)
+        for qq, qr, rq, rr, step, shift in _ORIENTATIONS)
 
 
 def transform_cells(cells, q: Placement) -> frozenset:
-    """Apply a placement with lattice translation to a cell set."""
-    m, n = lattice_decompose(q.translation)
-    qq, qr, rq, rr, step, shift = _ORIENTATIONS[q.rotation_k][q.reflected]
-    return frozenset([
-        _new_cell(KiteCell, (qq * hq + qr * hr + m, rq * hq + rr * hr + n,
-                             (step * k + shift) % 6))
-        for hq, hr, k in cells])
+    """Apply a placement with lattice translation to a cell set.
+
+    The cells come back as plain (hex_q, hex_r, corner_k) tuples, which
+    compare and hash as the equal KiteCells and cost half as much to make.
+    """
+    m, n = _hex_shift(q.coords, q.den)
+    return frozenset([(hq + m, hr + n, k) for hq, hr, k in
+                      _oriented_cells(frozenset(cells))[q.orientation]])
 
 
 def hat_kite_cells(q: Placement, base_cells) -> frozenset:
@@ -359,14 +464,17 @@ def disjoint_cells(placements, base_cells):
     """Check that placed hats cover pairwise distinct kites.
 
     Returns (True, None) or (False, (i, j, cell)) with the indices of the
-    first colliding pair in input order and the shared cell.
+    first colliding pair in input order and the first shared KiteCell of
+    hat j in sorted order.
     """
     seen = {}
-    for i, q in enumerate(placements):
-        for cell in sorted(hat_kite_cells(q, base_cells)):
-            if cell in seen:
-                return False, (seen[cell], i, cell)
-            seen[cell] = i
+    claim = seen.setdefault
+    for j, q in enumerate(placements):
+        cells = hat_kite_cells(q, base_cells)
+        for cell in cells:
+            if claim(cell, j) != j:
+                cell = min(c for c in cells if seen.get(c, j) != j)
+                return False, (seen[cell], j, KiteCell._make(cell))
     return True, None
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .configfile import load_text
-from .exactnum import VecE
+from .exactnum import VecE, zeta_coords
 from .geometry import (
     Placement,
     TileData,
@@ -63,10 +63,12 @@ class RenderOptions:
     def __post_init__(self):
         if self.scheme not in (SCHEME_ROTATION, SCHEME_PLAIN):
             raise RenderError(f"unknown color scheme {self.scheme!r}")
-        if not self.stroke_width > 0:
-            raise RenderError("stroke_width must be positive")
-        if self.margin < 0:
-            raise RenderError("margin must not be negative")
+        # nan fails every comparison and inf passes them, so both are
+        # excluded by name
+        if not (self.stroke_width > 0 and math.isfinite(self.stroke_width)):
+            raise RenderError("stroke_width must be positive and finite")
+        if not (self.margin >= 0 and math.isfinite(self.margin)):
+            raise RenderError("margin must be finite and not negative")
         if self.max_svg_nodes < 1:
             raise RenderError("max_svg_nodes must be positive")
         if self.show_supervectors < 0:
@@ -151,11 +153,39 @@ def _grid_lines(doc: _Doc, placed: list[Placement], p: TileParams,
     return lines
 
 
+def _oriented_outlines(outline) -> list[tuple[list[tuple], int]]:
+    """The outline under each of the 12 placement orientations, as Q(zeta)
+    vertex coordinates over one common denominator per orientation."""
+    out = []
+    for o in range(12):
+        verts = [zeta_coords(v) for v in
+                 apply_placement(outline, Placement(o % 6, o >= 6))]
+        den = math.lcm(*(d for _, d in verts))
+        out.append(([tuple(c * (den // d) for c in cs) for cs, d in verts],
+                    den))
+    return out
+
+
 def _hat_paths(doc: _Doc, placed: list[tuple[Placement, bool]],
                outline, scheme: str) -> list[str]:
+    shapes = _oriented_outlines(outline)
+    sqrt3 = 3.0 ** 0.5
     paths = []
     for q, reflected in placed:
-        pts = [doc.pt(v) for v in apply_placement(outline, q)]
+        verts, vd = shapes[q.orientation]
+        td = q.den
+        t0, t1, t2, t3 = (c * vd for c in q.coords)
+        den = 2 * vd * td
+        pts = []
+        for v0, v1, v2, v3 in verts:
+            c0, c1 = v0 * td + t0, v1 * td + t1
+            c2, c3 = v2 * td + t2, v3 * td + t3
+            # float(QSqrt3) of x = (2 c0 + c2 + c1*sqrt3)/den and
+            # y = (c1 + 2 c3 + c2*sqrt3)/den: int / int rounds correctly,
+            # so reduced or not, the floats are bit for bit the same
+            x = (2 * c0 + c2) / den + c1 / den * sqrt3
+            y = (c1 + 2 * c3) / den + c2 / den * sqrt3
+            pts.append(doc.raw(x, -y))
         d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts) + " Z"
         if scheme == SCHEME_ROTATION:
             fills = _ROT_FILLS_DARK if reflected else _ROT_FILLS

@@ -184,6 +184,8 @@ def test_verify_json(capsys):
     assert doc["pass"] is True
     assert len(doc["items"]) == 12
     assert all(item["pass"] for item in doc["items"])
+    for item in doc["items"]:
+        assert isinstance(item["seconds"], float) and item["seconds"] >= 0
 
 
 def test_verify_rejects_small_max_gen(capsys):

@@ -1,11 +1,23 @@
+import math
 import random
 import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatfam.configfile import ConfigError, load_text
-from hatfam.exactnum import VEC_ZERO, VecE, parse_scalar, qs3, rotate60
+from hatfam.exactnum import (
+    VEC_ZERO,
+    VecE,
+    parse_scalar,
+    qs3,
+    reflect_y_axis,
+    rotate60,
+    zeta_coords,
+    zeta_vector,
+)
 from hatfam.geometry import (
     EDGE_A,
     EDGE_B,
@@ -96,6 +108,94 @@ def test_unit_k30():
     assert unit_k30(6) == VecE.of(-1, 0)
     # 30 degrees: (sqrt(3)/2, 1/2)
     assert unit_k30(1) == VecE(qs3(0, Fraction(1, 2)), qs3(Fraction(1, 2)))
+
+
+# The reference below keeps a placement as (rotation_k, reflected, VecE)
+# and composes with VecE arithmetic, as placements did before they held
+# Q(zeta) coordinates.
+
+_PROPERTY = settings(derandomize=True, database=None, max_examples=150,
+                     deadline=None)
+# hat-scale halves, off-hat denominators, and integers near 1e30
+_SCALAR = st.one_of(
+    st.builds(Fraction, st.integers(-300, 300), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+              st.integers(1, 10 ** 6)))
+_VECTORS = st.builds(lambda xr, xs, yr, ys: VecE(qs3(xr, xs), qs3(yr, ys)),
+                     _SCALAR, _SCALAR, _SCALAR, _SCALAR)
+_PLACEMENTS = st.builds(Placement, st.integers(-7, 7), st.booleans(),
+                        _VECTORS)
+
+
+def _ref_compose(outer, inner):
+    k1, r1, t1 = outer
+    k2, r2, t2 = inner
+    k = k1 - k2 if r1 else k1 + k2
+    t = t1 + rotate60(reflect_y_axis(t2) if r1 else t2, k1)
+    return k % 6, r1 != r2, t
+
+
+@_PROPERTY
+@given(_VECTORS, _SCALAR)
+def test_zeta_coords_round_trip(v, s):
+    coords, d = zeta_coords(v)
+    assert d > 0 and math.gcd(*coords, d) == 1
+    # c/d is c0 + c1 zeta + c2 zeta^2 + c3 zeta^3 over d, zeta^i being the
+    # unit vector at 30*i degrees
+    total = VEC_ZERO
+    for i, c in enumerate(coords):
+        total = total + unit_k30(i) * c
+    assert total * Fraction(1, d) == v
+    assert zeta_vector(coords, d) == v
+    q = Placement(3, True, v)
+    assert q.translation == v
+    assert q.scaled(qs3(s, 1)).translation == v * qs3(s, 1)
+
+
+@_PROPERTY
+@given(_VECTORS)
+def test_orientation_matrices_match_vector_maps(v):
+    shift = Placement(0, False, v)
+    for k in range(6):
+        for refl in (False, True):
+            moved = Placement(k, refl).compose(shift)
+            want = rotate60(reflect_y_axis(v) if refl else v, k)
+            assert (moved.rotation_k, moved.reflected) == (k, refl)
+            assert moved.translation == want
+
+
+@_PROPERTY
+@given(st.lists(_PLACEMENTS, min_size=1, max_size=6), _VECTORS)
+def test_compose_chain_matches_reference(chain, v):
+    got = chain[0]
+    want = (got.rotation_k, got.reflected, got.translation)
+    for q in chain[1:]:
+        assert got.compose(q).apply(v) == got.apply(q.apply(v))
+        got = got.compose(q)
+        want = _ref_compose(want, (q.rotation_k, q.reflected, q.translation))
+    assert (got.rotation_k, got.reflected, got.translation) == want
+
+
+@_PROPERTY
+@given(_PLACEMENTS, _VECTORS, st.integers(1, 10 ** 20))
+def test_placement_equality_and_hash_across_routes(q, v, k):
+    t = q.translation
+    routes = [
+        Placement(q.rotation_k + 6 * k, q.reflected, t),
+        Placement(q.rotation_k, q.reflected,
+                  VecE(t.x * k / k, t.y + qs3(0, k) - qs3(0, k))),
+        IDENTITY.compose(q),
+        q.compose(IDENTITY),
+        Placement(0, False, t).compose(Placement(q.rotation_k, q.reflected)),
+        q.scaled(qs3(k, 1)).scaled(1 / qs3(k, 1)),
+    ]
+    for other in routes:
+        assert other == q and hash(other) == hash(q)
+    if v:
+        moved = Placement(q.rotation_k, q.reflected, t + v)
+        assert moved != q
+    assert Placement(q.rotation_k + 1, q.reflected, t) != q
+    assert Placement(q.rotation_k, not q.reflected, t) != q
 
 
 # ------------------------------------------------------------------- turtles
@@ -214,7 +314,6 @@ def test_cell_rotate_matches_centroid_rotation():
 
 
 def test_cell_reflect_matches_centroid_reflection():
-    from hatfam.exactnum import reflect_y_axis
     for cell in (KiteCell(0, 0, 0), KiteCell(1, -2, 4), KiteCell(-3, 1, 2)):
         assert kite_centroid(cell_reflect(cell)) == \
             reflect_y_axis(kite_centroid(cell))
@@ -287,6 +386,12 @@ def test_disjoint_cells_reports_first_clash(tile):
     i, j, cell = clash
     assert (i, j) == (0, 2)
     assert cell in hat_kite_cells(b, tile.cells)
+    # a hat on top of another shares all 8 kites; the first in sorted
+    # order is reported, as a KiteCell
+    ok, clash = disjoint_cells([c, a, Placement(0, False, U1 * 9)],
+                               tile.cells)
+    assert clash == (0, 2, min(hat_kite_cells(c, tile.cells)))
+    assert isinstance(clash[2], KiteCell)
 
 
 # ------------------------------------------------------------- config loads

@@ -1,0 +1,78 @@
+"""Byte-identity of CLI outputs.
+
+The sha256 digests below were recorded at commit 35d2436, before
+placements held integer Q(zeta12) coordinates.  Build JSON, SVG figures
+and the verify items (without their timings) must stay identical to
+them.  Grid renders at a != 1 are left out: they draw the kite grid at
+scale a^2, a known fault whose bytes the benchmark references pin.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from hatfam.cli import main
+
+_TIMING = re.compile(r" \(\d+\.\d+s\)$", re.MULTILINE)
+
+BUILDS = {
+    ("hat", "1", "r3"):
+        "e3cc5480ae444b0bfab8a04c254ea124cb88598424a3f510ab3d41f3395b2a10",
+    ("hat", "2", "2*r3"):
+        "5aa360b184e062701b25c8a12d5b8c1f062e14b4992718c64d2a092470eb0e0f",
+    ("hat", "1/2", "1/2*r3"):
+        "3689562606d235fe3c06ebfeceebc7b2678dab7cafef0370ae2737a7df8410f6",
+    ("hat", "7/3", "1/2"):
+        "c990026eb61e5f7a65b0f652b62db076f500ff40cd5b9b0d1e4593a838c474ad",
+    ("thc", "1", "r3"):
+        "91435b8afa6669abe988f3b652b7d619d3b7a5ee51914cd2200b57d64a7a5676",
+    ("thc", "2", "2*r3"):
+        "aedbfb31ff87279fe65704f193ada96dde52dbba1e5d98dd538c26e8a44781e6",
+    ("thc", "1/2", "1/2*r3"):
+        "b9129d68035e75f60fd9d1fa392233adb016da242a72c61db3e3039f394831ae",
+    ("thc", "7/3", "1/2"):
+        "0a13fc043949976406dbe40647a3631fe22407c6b6dcfcf981e6ef5f3e7094ad",
+}
+
+RENDERS = {
+    ("--supervectors", "2", "--scheme", "rotation", "-a", "1", "-b", "r3"):
+        "e085ddb37c66df56d554ef5cba77e575c8176efcb4de1499fc4621e9510fca00",
+    ("--supervectors", "2", "--scheme", "plain", "-a", "1", "-b", "r3"):
+        "4d9a44587660dc2258a13fc432ddbe19cb4fbb8bace8835c3fb79aec49ac149c",
+    ("--supervectors", "2", "--scheme", "rotation", "-a", "2", "-b", "2*r3"):
+        "58799dcdebaa644573851a273fc98a7775ab9bb00b83174c5408c8d7f48b32bf",
+    ("--supervectors", "2", "--scheme", "plain", "-a", "2", "-b", "2*r3"):
+        "cf7b7ce601dd0df4c440ca7750f42c187d40291a8c23892e4d8be7aaae4785ed",
+    ("--grid", "-a", "1", "-b", "r3"):
+        "c15ee5a38abb570782fbf69763b75976b5d807543ec824fd8c2d0d106582f3df",
+}
+
+VERIFY_MAX_GEN_3 = \
+    "c224a1e7083cbc4ab2aa0f7b877846f7d45d6c73d4a142d1011e6f2075ed3593"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("kind,a,b", sorted(BUILDS))
+def test_build_json_bytes(kind, a, b, tmp_path):
+    out = tmp_path / "build.json"
+    assert main(["build", kind, "4", "-a", a, "-b", b, "--format", "json",
+                 "-o", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == BUILDS[(kind, a, b)]
+
+
+@pytest.mark.parametrize("extra", sorted(RENDERS))
+def test_render_svg_bytes(extra, tmp_path, capsys):
+    out = tmp_path / "hat.svg"
+    assert main(["render", "hat", "3", *extra, "-o", str(out)]) == 0
+    assert _sha256(out.read_bytes()) == RENDERS[extra]
+
+
+def test_verify_items_bytes(tmp_path):
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--max-gen", "3", "-o", str(out)]) == 0
+    items = _TIMING.sub("", out.read_text(encoding="utf-8"))
+    assert _sha256(items.encode("utf-8")) == VERIFY_MAX_GEN_3

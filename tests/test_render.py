@@ -3,9 +3,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from hatfam.exactnum import VEC_ZERO, qs3
+from hatfam import render
+from hatfam.cli import main
+from hatfam.exactnum import VEC_ZERO, parse_scalar, qs3
+from hatfam.geometry import apply_placement
 from hatfam.render import RenderError, RenderOptions, render_supertile
-from hatfam.substitution import HAT, THC, SupertileNode, build
+from hatfam.substitution import HAT, THC, SupertileNode, build, expand
 from hatfam.supervectors import make_params
 
 FLOAT = re.compile(r"-?\d+\.\d+")
@@ -98,6 +101,20 @@ def test_options_validation():
         RenderOptions(show_supervectors=-1)
 
 
+@pytest.mark.parametrize("field,flag,value", [
+    ("margin", "--margin", "nan"),
+    ("margin", "--margin", "inf"),
+    ("stroke_width", "--stroke-width", "inf"),
+])
+def test_options_reject_non_finite(field, flag, value, tmp_path, capsys):
+    with pytest.raises(RenderError, match=field):
+        RenderOptions(**{field: float(value)})
+    out = tmp_path / "hat.svg"
+    assert main(["render", "hat", "3", flag, value, "-o", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rejects_hand_made_nodes(hat_p):
     bare = SupertileNode(THC, 1, (), (), VEC_ZERO, VEC_ZERO)
     with pytest.raises(ValueError, match="build"):
@@ -137,6 +154,24 @@ def test_plain_scheme_uses_two_fills(layout, hat_p):
     rotation = render_supertile(build(HAT, 3, hat_p, layout), hat_p)
     rot_fills = {p.get("fill") for p in _tags(rotation, "path")}
     assert len(rot_fills) > 2
+
+
+@pytest.mark.parametrize("a,b", [("1", "r3"), ("2+r3", "3+2*r3"),
+                                 ("7/3", "1/2")])
+def test_hat_vertices_are_the_exact_floats(a, b, layout, tile, monkeypatch):
+    # every vertex float, written in hex, equals the float of the exactly
+    # placed outline vertex
+    p = make_params(parse_scalar(a), parse_scalar(b))
+    node = build(THC, 3, p, layout)
+    monkeypatch.setattr(render, "_fmt", float.hex)
+    svg = render_supertile(node, p, RenderOptions(), tile)
+    outline = tile.outline(p)
+    want = []
+    for q, _ in expand(node):
+        pts = [v.to_floats() for v in apply_placement(outline, q)]
+        want.append("M " + " L ".join(f"{x.hex()} {(-y).hex()}"
+                                      for x, y in pts) + " Z")
+    assert [path.get("d") for path in _tags(svg, "path")] == want
 
 
 def test_viewbox_covers_the_figure(layout, hat_p):
