@@ -23,8 +23,8 @@ from .configfile import ConfigError, load_text
 from .exactnum import QSqrt3, parse_scalar, render_scalar
 from .geometry import (
     GeometryError,
+    check_kites,
     disjoint_cells,
-    hat_kite_cells,
     is_simple,
     shoelace_area,
     tile_from_config,
@@ -59,6 +59,9 @@ from .supervectors import (
 )
 
 _PHI = (1 + math.sqrt(5)) / 2
+# build and verify refuse supertiles with more hats than this: every
+# placement and its eight kite cells are held in memory at once
+MAX_HATS = 1_000_000
 
 
 class VerifyFailure(Exception):
@@ -97,6 +100,15 @@ def _load_tile_layout(args):
     tile = tile_from_config(load_text("tile.cfg", args.data_dir))
     layout = layout_from_config(load_text("layout.cfg", args.data_dir), tile)
     return tile, layout
+
+
+def _too_many_hats(kind: str, gen: int) -> bool:
+    count = tile_counts(kind, gen)
+    if count <= MAX_HATS:
+        return False
+    print(f"error: {kind} generation {gen} expands to {count} hats, over "
+          f"the cap of {MAX_HATS}", file=sys.stderr)
+    return True
 
 
 def _render_vec(v) -> str:
@@ -177,6 +189,8 @@ def cmd_build(args) -> int:
         print("error: the disjoint check runs on kite cells, which exist "
               "only at hat proportions (b = sqrt(3)*a)", file=sys.stderr)
         return 2
+    if _too_many_hats(args.kind, args.gen):
+        return 2
 
     tile, layout = _load_tile_layout(args)
     t0 = time.perf_counter()
@@ -194,20 +208,8 @@ def cmd_build(args) -> int:
                         f"measured {_render_vec(got)}, closed form "
                         f"{_render_vec(want_v)}"))
     if "disjoint" in wanted:
-        if not has_hat_proportion(p):
-            results.append(("disjoint", True,
-                            "skipped: needs hat proportions"))
-        else:
-            # Tile(a, sqrt(3)*a) is the hat scaled by a, and the assembly
-            # is linear in (a, b): the kite check runs on the a = 1 patch
-            unit = (q for q, _ in placed)
-            if p.a != 1:
-                inv_a = 1 / p.a
-                unit = (q.scaled(inv_a) for q in unit)
-            ok, clash = disjoint_cells(unit, tile.cells)
-            detail = (f"{8 * len(placed)} kite cells, no overlap" if ok else
-                      f"hats {clash[0]} and {clash[1]} share kite {clash[2]}")
-            results.append(("disjoint", ok, detail))
+        results.append(("disjoint",
+                        *check_kites((q for q, _ in placed), p, tile)))
     elapsed = time.perf_counter() - t0
 
     all_ok = all(ok for _, ok, _ in results)
@@ -397,11 +399,8 @@ def _check_non_overlap(max_gen: int, env) -> str:
     hp = hat_params()
     for n in range(1, max_gen + 1):
         placed = [q for q, _ in expand(build(HAT, n, hp, layout))]
-        ok, clash = disjoint_cells(placed, tile.cells)
-        _require(ok, f"generation {n} overlap: {clash}")
-        cells = set()
-        for q in placed:
-            cells |= hat_kite_cells(q, tile.cells)
+        ok, cells = disjoint_cells(placed, tile.cells)
+        _require(ok, f"generation {n} overlap: {cells}")
         _require(len(cells) == 8 * len(placed),
                  f"generation {n} covers {len(cells)} cells")
     return f"all hats on distinct kites, 8 cells per hat, n <= {max_gen}"
@@ -469,9 +468,11 @@ def cmd_verify(args) -> int:
     if args.max_gen < 2:
         print("error: --max-gen must be >= 2", file=sys.stderr)
         return 2
+    if _too_many_hats(HAT, args.max_gen):
+        return 2
     try:
         tile, layout = _load_tile_layout(args)
-    except (ConfigError, ConstructionError, GeometryError) as e:
+    except (ConstructionError, GeometryError) as e:
         if args.format == "json":
             _emit(json.dumps({"max_gen": args.max_gen, "items": [
                 {"name": "layout-config", "pass": False, "detail": str(e)}],

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .exactnum import QSqrt3, VecE, parse_scalar
+from .exactnum import VecE, parse_scalar
 
 
 class ConfigError(ValueError):
@@ -37,7 +37,7 @@ class Config:
             raise ConfigError(f"missing key {key!r} in [{section}]") from None
 
 
-def parse_config(text: str, expect_version: int = 1) -> Config:
+def parse_config(text: str) -> Config:
     sections: dict = {}
     current: dict = {}
     sections[""] = current
@@ -67,9 +67,9 @@ def parse_config(text: str, expect_version: int = 1) -> Config:
         version = int(top["version"])
     except ValueError:
         raise ConfigError(f"version is not an integer: {top['version']!r}")
-    if version != expect_version:
+    if version != 1:
         raise ConfigError(f"unsupported config version {version}, "
-                          f"expected {expect_version}")
+                          "expected 1")
     return Config(version, sections)
 
 
@@ -83,13 +83,6 @@ def value_vector(text: str) -> VecE:
                     parse_scalar(parts[1].strip()))
     except ValueError as exc:
         raise ConfigError(f"bad scalar in vector {text!r}: {exc}") from None
-
-
-def value_scalar(text: str) -> QSqrt3:
-    try:
-        return parse_scalar(text.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad scalar {text!r}: {exc}") from None
 
 
 def value_int(text: str) -> int:

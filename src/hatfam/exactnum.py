@@ -144,9 +144,6 @@ class QSqrt3:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QSqrt3":
-        return ONE / self
-
     def __truediv__(self, other: _ScalarLike) -> "QSqrt3":
         if other.__class__ is not QSqrt3:
             other = _coerce(other)
@@ -376,9 +373,6 @@ class VecE:
 
     def cross(self, other: "VecE") -> QSqrt3:
         return self.x * other.y - self.y * other.x
-
-    def norm_sq(self) -> QSqrt3:
-        return self.dot(self)
 
     def to_floats(self) -> tuple[float, float]:
         return float(self.x), float(self.y)

@@ -27,7 +27,7 @@ from .exactnum import (
     zeta_coords,
     zeta_vector,
 )
-from .supervectors import TileParams
+from .supervectors import TileParams, has_hat_proportion
 
 _new = object.__new__
 
@@ -364,10 +364,6 @@ def cell_reflect(cell: KiteCell) -> KiteCell:
     return KiteCell(-q, q + r, (3 - k) % 6)
 
 
-def cell_translate(cell: KiteCell, m: int, n: int) -> KiteCell:
-    return KiteCell(cell.hex_q + m, cell.hex_r + n, cell.corner_k)
-
-
 def cell_neighbors(cell: KiteCell):
     """The four edge-adjacent kites."""
     q, r, k = cell
@@ -444,28 +440,24 @@ def _oriented_cells(cells: frozenset) -> tuple[tuple, ...]:
         for qq, qr, rq, rr, step, shift in _ORIENTATIONS)
 
 
-def transform_cells(cells, q: Placement) -> frozenset:
-    """Apply a placement with lattice translation to a cell set.
+def hat_kite_cells(q: Placement, base_cells) -> frozenset:
+    """The kite cells of a hat placed by q, from the canonical cell set;
+    raises LatticeError when q's translation is off the hexagon lattice.
 
     The cells come back as plain (hex_q, hex_r, corner_k) tuples, which
     compare and hash as the equal KiteCells and cost half as much to make.
     """
     m, n = _hex_shift(q.coords, q.den)
     return frozenset([(hq + m, hr + n, k) for hq, hr, k in
-                      _oriented_cells(frozenset(cells))[q.orientation]])
-
-
-def hat_kite_cells(q: Placement, base_cells) -> frozenset:
-    """The 8 kite cells of a placed hat, from the canonical cell set."""
-    return transform_cells(base_cells, q)
+                      _oriented_cells(frozenset(base_cells))[q.orientation]])
 
 
 def disjoint_cells(placements, base_cells):
     """Check that placed hats cover pairwise distinct kites.
 
-    Returns (True, None) or (False, (i, j, cell)) with the indices of the
-    first colliding pair in input order and the first shared KiteCell of
-    hat j in sorted order.
+    Returns (True, cells) with the covered cells, or (False, (i, j, cell))
+    with the indices of the first colliding pair in input order and the
+    first shared KiteCell of hat j in sorted order.
     """
     seen = {}
     claim = seen.setdefault
@@ -475,7 +467,34 @@ def disjoint_cells(placements, base_cells):
             if claim(cell, j) != j:
                 cell = min(c for c in cells if seen.get(c, j) != j)
                 return False, (seen[cell], j, KiteCell._make(cell))
-    return True, None
+    return True, seen.keys()
+
+
+def check_kites(placed, p: TileParams, tile: TileData,
+                connected: bool = False) -> tuple[bool, str]:
+    """Check that placed hats lie on distinct kites (and, if `connected`,
+    form one edge-connected patch); returns (passed, detail).
+
+    Kite cells exist only at hat proportions, so any other shape passes as
+    skipped.  Tile(a, sqrt(3)*a) is the hat scaled by a, and the assembly
+    is linear in (a, b), so each hat is mapped by 1/a onto the a = 1
+    lattice first.  A hat off the lattice is a failure, not an exception.
+    """
+    if not has_hat_proportion(p):
+        return True, "skipped: needs hat proportions"
+    if p.a != 1:
+        inv_a = 1 / p.a
+        placed = (q.scaled(inv_a) for q in placed)
+    try:
+        ok, cells = disjoint_cells(placed, tile.cells)
+    except LatticeError as e:
+        return False, f"piece off the kite lattice: {e}"
+    if not ok:
+        i, j, cell = cells
+        return False, f"pieces {i} and {j} overlap on kite {cell}"
+    if connected and not cells_connected(cells):
+        return False, "patch is disconnected"
+    return True, f"{len(cells)} kite cells, no overlap"
 
 
 @dataclass(frozen=True)

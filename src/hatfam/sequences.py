@@ -67,14 +67,3 @@ def tile_counts(kind: str, n: int) -> int:
         h, c = 6 * h + c, 5 * h + c
     return h if kind == "hat" else c
 
-
-def thc1_leaf_count(kind: str, n: int) -> int:
-    """Embedded two-hat-compound leaves; one reflected hat per leaf."""
-    if kind not in ("hat", "thc"):
-        raise ValueError(f"kind must be 'hat' or 'thc', got {kind!r}")
-    if n < 1:
-        raise ValueError(f"generation must be >= 1, got {n}")
-    h, c = 0, 1
-    for _ in range(n - 1):
-        h, c = 6 * h + c, 5 * h + c
-    return h if kind == "hat" else c

@@ -28,14 +28,11 @@ from .configfile import (
 from .exactnum import VecE, rotate60
 from .geometry import (
     IDENTITY,
-    LatticeError,
     Placement,
     TileData,
     U1,
     U2,
-    cells_connected,
-    disjoint_cells,
-    hat_kite_cells,
+    check_kites,
     shoelace_area,
 )
 from .sequences import tile_counts
@@ -259,40 +256,6 @@ def _rotation_k(deg: int) -> int:
     return (deg // 60) % 6
 
 
-def _check_built(layout: LayoutTable, tile: TileData) -> None:
-    """Assemble generations 2..4 at hat proportions and verify them."""
-    p = hat_params()
-    area = shoelace_area(tile.outline(p))
-    if area != p.a * p.b * 8:
-        raise ConstructionError(
-            f"tile outline area {area} is not 8 kite units at hat "
-            f"proportions")
-    for gen in range(2, 5):
-        for kind in (HAT, THC):
-            node = build(kind, gen, p, layout)
-            placed = [q for q, _ in expand(node)]
-            want = tile_counts(kind, gen)
-            if len(placed) != want:
-                raise ConstructionError(
-                    f"generation {gen}: expected {want} {kind} hats, "
-                    f"assembled {len(placed)}")
-            try:
-                ok, clash = disjoint_cells(placed, tile.cells)
-            except LatticeError as e:
-                raise ConstructionError(f"generation {gen}: {e}") from e
-            if not ok:
-                i, j, cell = clash
-                raise ConstructionError(
-                    f"generation {gen}: {kind} pieces {i} and {j} overlap "
-                    f"on kite {cell}")
-            cells = set()
-            for q in placed:
-                cells |= hat_kite_cells(q, tile.cells)
-            if not cells_connected(cells):
-                raise ConstructionError(
-                    f"generation {gen}: {kind} patch is disconnected")
-
-
 def layout_from_config(text: str, tile: TileData) -> LayoutTable:
     """Parse and fully validate a layout config.
 
@@ -322,28 +285,42 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
         head2=_value_form(cfg, "anchors", "head2"),
     )
     layout.validate_structure()
-    _check_built(layout, tile)
+    # the constructive half: generations 2..4 at hat proportions
+    p = hat_params()
+    area = shoelace_area(tile.outline(p))
+    if area != p.a * p.b * 8:
+        raise ConstructionError(
+            f"tile outline area {area} is not 8 kite units at hat "
+            f"proportions")
+    for gen in range(2, 5):
+        for kind in (HAT, THC):
+            placed = [q for q, _ in expand(build(kind, gen, p, layout))]
+            want = tile_counts(kind, gen)
+            if len(placed) != want:
+                raise ConstructionError(
+                    f"generation {gen}: expected {want} {kind} hats, "
+                    f"assembled {len(placed)}")
+            ok, detail = check_kites(placed, p, tile, connected=True)
+            if not ok:
+                raise ConstructionError(f"generation {gen}: {kind} {detail}")
     return layout
 
 
 def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
-                  n: int = 2, window: int = 8,
-                  check_disjoint: bool = True) -> list[LayoutTable]:
-    """Search fourth-piece offsets that complete a valid generation n.
+                  window: int = 8) -> list[LayoutTable]:
+    """Search fourth-piece offsets that complete a valid generation 2.
 
     Candidate translations sweep a (2*window+1)^2 patch of the hexagon
-    lattice around the configured offset.  A candidate survives when the
-    assembled supertile decomposes onto kite cells, covers every hat
-    disjointly (unless check_disjoint is off), and forms one connected
-    patch.  Runs on hat proportions only, where the kite decomposition
-    exists; offsets are recorded on the a-edge component of the form.
+    lattice around the configured offset.  A candidate survives when every
+    assembled hat lies on the kite lattice, on kites of its own, and the
+    hats form one connected patch.  Runs on hat proportions only, where
+    the kite decomposition exists; offsets are recorded on the a-edge
+    component of the form.
     """
     if p != hat_params():
         raise ConstructionError(
             "the fourth-piece search needs hat proportions (kite cells "
             "exist only there)")
-    if n != 2:
-        raise ValueError(f"the search runs at generation 2, got {n}")
     found = []
     for dm in range(-window, window + 1):
         for dn in range(-window, window + 1):
@@ -351,18 +328,8 @@ def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
             cand = dataclasses.replace(
                 layout,
                 p4_gen2=FormVec(layout.p4_gen2.u + shift, layout.p4_gen2.w))
-            node = build(HAT, n, p, cand)
-            placed = [q for q, _ in expand(node)]
-            try:
-                ok, _ = disjoint_cells(placed, tile.cells)
-            except LatticeError:
-                continue
-            if check_disjoint and not ok:
-                continue
-            cells = set()
-            for q in placed:
-                cells |= hat_kite_cells(q, tile.cells)
-            if cells_connected(cells):
+            placed = [q for q, _ in expand(build(HAT, 2, p, cand))]
+            if check_kites(placed, p, tile, connected=True)[0]:
                 found.append(cand)
     if not found:
         raise ConstructionError(

@@ -20,11 +20,6 @@ from dataclasses import dataclass
 from .exactnum import ONE, SQRT3, QSqrt3, VecE, qs3
 from .sequences import fib, lucas
 
-LEFT_TILT = "left_tilt"
-ALIGNED = "aligned"
-RIGHT_TILT = "right_tilt"
-CHEVRON_DEGENERATE = "chevron_degenerate"
-
 
 class DomainError(ValueError):
     """Tile parameters outside the supported domain."""
@@ -36,12 +31,6 @@ class TileParams:
     b: QSqrt3
     s: QSqrt3
     t: QSqrt3
-
-
-@dataclass(frozen=True)
-class BetaClass:
-    tan_beta: QSqrt3
-    classification: str
 
 
 def make_params(a: QSqrt3, b: QSqrt3) -> TileParams:
@@ -71,17 +60,6 @@ def hat_params() -> TileParams:
 def turtle_params() -> TileParams:
     """Tile(sqrt(3), 1): s = 0, the supervectors never tilt."""
     return make_params(SQRT3, ONE)
-
-
-def classify_beta(p: TileParams) -> BetaClass:
-    """tan(beta) = s/t and the sign class of the tilt."""
-    tan_beta = p.s / p.t
-    if p.a == p.b:
-        cls = CHEVRON_DEGENERATE
-    else:
-        sign = p.s.sign()
-        cls = ALIGNED if sign == 0 else (RIGHT_TILT if sign > 0 else LEFT_TILT)
-    return BetaClass(tan_beta=tan_beta, classification=cls)
 
 
 def has_hat_proportion(p: TileParams) -> bool:

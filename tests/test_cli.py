@@ -138,6 +138,19 @@ def test_build_explicit_disjoint_needs_hat_proportions(capsys):
     assert "hat proportions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["build", "hat", "9"],
+                                  ["build", "thc", "9"],
+                                  ["verify", "--max-gen", "9"]])
+def test_oversized_supertiles_refused_before_building(monkeypatch, capsys,
+                                                      argv):
+    def never(*args):
+        pytest.fail("build() ran past the size cap")
+    monkeypatch.setattr("hatfam.cli.build", never)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "generation 9 expands to" in err and "cap of 1000000" in err
+
+
 def test_build_rejects_generation_zero():
     with pytest.raises(SystemExit) as exc:
         main(["build", "hat", "0"])
@@ -199,6 +212,13 @@ def test_verify_catches_broken_layout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL layout-config" in out
     assert "overlap" in out
+
+
+def test_verify_missing_config_is_a_config_error(tmp_path, capsys):
+    assert main(["verify", "--data-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "cannot read config" in captured.err
+    assert captured.out == ""
 
 
 def test_data_dir_env_var(tmp_path, monkeypatch, capsys):

@@ -34,8 +34,8 @@ from hatfam.geometry import (
     cell_neighbors,
     cell_reflect,
     cell_rotate60,
-    cell_translate,
     cells_connected,
+    check_kites,
     disjoint_cells,
     hat_kite_cells,
     is_simple,
@@ -45,11 +45,11 @@ from hatfam.geometry import (
     outline_from_turtle,
     shoelace_area,
     tile_from_config,
-    transform_cells,
     unit_k30,
     validate_outline,
 )
-from hatfam.supervectors import make_params
+from hatfam.substitution import HAT, build, expand
+from hatfam.supervectors import hat_params, make_params
 
 SQUARE = (VecE.of(0, 0), VecE.of(1, 0), VecE.of(1, 1), VecE.of(0, 1))
 BOWTIE = (VecE.of(0, 0), VecE.of(2, 2), VecE.of(2, 0), VecE.of(0, 2))
@@ -320,13 +320,6 @@ def test_cell_reflect_matches_centroid_reflection():
         assert cell_reflect(cell_reflect(cell)) == cell
 
 
-def test_cell_translate_matches_lattice():
-    cell = KiteCell(0, 0, 2)
-    moved = cell_translate(cell, 2, -1)
-    assert kite_centroid(moved) == \
-        kite_centroid(cell) + U1 * 2 - U2
-
-
 def test_cell_neighbors_share_an_edge():
     for cell in (KiteCell(0, 0, 0), KiteCell(1, -1, 3), KiteCell(2, 2, 5)):
         nbrs = cell_neighbors(cell)
@@ -366,7 +359,7 @@ def test_transform_cells_matches_centroid_action(tile):
     every_orientation = [Placement(k, refl, U1 * (k - 2) + U2 * int(refl))
                          for k in range(6) for refl in (False, True)]
     for q in every_orientation + [_random_placement(rng) for _ in range(30)]:
-        moved = transform_cells(tile.cells, q)
+        moved = hat_kite_cells(q, tile.cells)
         assert {kite_centroid(c) for c in moved} == \
             {q.apply(kite_centroid(c)) for c in tile.cells}
 
@@ -379,8 +372,8 @@ def test_disjoint_cells_reports_first_clash(tile):
     a = IDENTITY
     b = Placement(0, False, U1)  # overlaps the canonical patch
     c = Placement(0, False, U1 * 9)
-    ok, clash = disjoint_cells([a, c], tile.cells)
-    assert ok and clash is None
+    ok, cells = disjoint_cells([a, c], tile.cells)
+    assert ok and len(cells) == 16
     ok, clash = disjoint_cells([a, c, b], tile.cells)
     assert not ok
     i, j, cell = clash
@@ -392,6 +385,55 @@ def test_disjoint_cells_reports_first_clash(tile):
                                tile.cells)
     assert clash == (0, 2, min(hat_kite_cells(c, tile.cells)))
     assert isinstance(clash[2], KiteCell)
+
+
+def test_disjoint_cells_returns_the_covered_cells(layout, tile):
+    placed = [q for q, _ in expand(build(HAT, 3, hat_params(), layout))]
+    ok, cells = disjoint_cells(placed, tile.cells)
+    assert ok
+    union = set()
+    for q in placed:
+        union |= hat_kite_cells(q, tile.cells)
+    assert set(cells) == union and len(union) == 8 * len(placed)
+
+
+def test_check_kites_skips_off_hat_proportions(tile):
+    # two hats on the same spot: no kite check exists to catch them
+    assert check_kites([IDENTITY, IDENTITY], _p(2, 3), tile) == \
+        (True, "skipped: needs hat proportions")
+
+
+def test_check_kites_at_any_hat_scale(layout, tile):
+    details = set()
+    for a in (1, 2, Fraction(1, 2)):
+        p = make_params(qs3(a), qs3(0, a))
+        placed = [q for q, _ in expand(build(HAT, 3, p, layout))]
+        ok, detail = check_kites(placed, p, tile, connected=True)
+        assert ok
+        details.add(detail)
+    assert details == {"440 kite cells, no overlap"}
+
+
+def test_check_kites_names_the_clash(tile):
+    placed = [IDENTITY, Placement(0, False, U1 * 9), Placement(0, False, U1)]
+    ok, detail = check_kites(placed, hat_params(), tile)
+    cell = disjoint_cells(placed, tile.cells)[1][2]
+    assert not ok and detail == f"pieces 0 and 2 overlap on kite {cell}"
+
+
+def test_check_kites_reports_a_lattice_miss(tile):
+    ok, detail = check_kites([IDENTITY, Placement(0, False, VecE.of(1, 0))],
+                             hat_params(), tile)
+    assert not ok
+    assert "kite lattice" in detail and "VecE(1, 0)" in detail
+
+
+def test_check_kites_connectivity_is_opt_in(tile):
+    apart = [IDENTITY, Placement(0, False, U1 * 9)]
+    assert check_kites(apart, hat_params(), tile) == \
+        (True, "16 kite cells, no overlap")
+    assert check_kites(apart, hat_params(), tile, connected=True) == \
+        (False, "patch is disconnected")
 
 
 # ------------------------------------------------------------- config loads

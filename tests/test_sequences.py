@@ -5,7 +5,6 @@ from hatfam.sequences import (
     g_closed,
     g_recurrence,
     lucas,
-    thc1_leaf_count,
     tile_counts,
 )
 
@@ -73,18 +72,6 @@ def test_hat_counts_are_fibonacci():
     # the hat column walks every fourth Fibonacci number
     for n in range(1, 10):
         assert tile_counts("hat", n) == fib(4 * n - 2)
-
-
-def test_thc1_leaf_count():
-    assert [thc1_leaf_count("hat", n) for n in range(1, 6)] == \
-        [0, 1, 7, 48, 329]
-    for n in range(2, 10):
-        assert thc1_leaf_count("hat", n) == \
-            6 * thc1_leaf_count("hat", n - 1) + thc1_leaf_count("thc", n - 1)
-    # one reflected hat per embedded two-hat compound, never more than
-    # a seventh of the patch
-    for n in range(2, 8):
-        assert thc1_leaf_count("hat", n) * 7 < tile_counts("hat", n) * 2
 
 
 def test_counts_reject_bad_input():

@@ -5,16 +5,8 @@ import pytest
 
 from hatfam.configfile import load_text
 from hatfam.exactnum import VecE, qs3
-from hatfam.geometry import (
-    IDENTITY,
-    LatticeError,
-    Placement,
-    U1,
-    cells_connected,
-    disjoint_cells,
-    hat_kite_cells,
-)
-from hatfam.sequences import thc1_leaf_count, tile_counts
+from hatfam.geometry import IDENTITY, Placement, U1, check_kites
+from hatfam.sequences import tile_counts
 from hatfam.substitution import (
     HAT,
     RULE_CHAIN,
@@ -30,7 +22,7 @@ from hatfam.substitution import (
     measured_supervector,
     search_layout,
 )
-from hatfam.supervectors import hat_params, make_params, v_closed
+from hatfam.supervectors import make_params, v_closed
 
 VARIED = [
     (qs3(1), qs3(0, 1)),
@@ -81,11 +73,14 @@ def test_counts_match_recurrence(layout, hat_p):
 
 
 def test_reflected_counts(layout, hat_p):
-    for kind in (HAT, THC):
-        for n in range(1, 6):
+    # one reflected hat per embedded generation-1 compound: h and c count
+    # them in hat and compound supertiles, by the tile-count recurrence
+    h, c = 0, 1
+    for n in range(1, 6):
+        for kind, want in ((HAT, h), (THC, c)):
             node = build(kind, n, hat_p, layout)
-            refl = sum(1 for _, r in expand(node) if r)
-            assert refl == thc1_leaf_count(kind, n)
+            assert sum(1 for _, r in expand(node) if r) == want
+        h, c = 6 * h + c, 5 * h + c
 
 
 @pytest.mark.parametrize("a,b", VARIED, ids=["hat", "2-3", "7/3-1/2"])
@@ -207,29 +202,13 @@ def test_search_recovers_configured_offset(layout, tile, hat_p):
     assert layout.p4_gen2 in [cand.p4_gen2 for cand in found]
 
 
-def test_search_without_disjointness_is_wider(layout, tile, hat_p):
-    strict = search_layout(hat_p, layout, tile, window=2)
-    loose = search_layout(hat_p, layout, tile, window=2,
-                          check_disjoint=False)
-    assert len(loose) == 17
-    strict_offsets = {cand.p4_gen2.u for cand in strict}
-    loose_offsets = {cand.p4_gen2.u for cand in loose}
-    assert strict_offsets < loose_offsets
-
-
 def _survives_generation_three(cand, tile, hat_p):
     try:
         node = build(HAT, 3, hat_p, cand)
-        placed = [q for q, _ in expand(node)]
-        ok, _ = disjoint_cells(placed, tile.cells)
-    except (ConstructionError, LatticeError):
+    except ConstructionError:
         return False
-    if not ok:
-        return False
-    cells = set()
-    for q in placed:
-        cells |= hat_kite_cells(q, tile.cells)
-    return cells_connected(cells)
+    placed = [q for q, _ in expand(node)]
+    return check_kites(placed, hat_p, tile, connected=True)[0]
 
 
 def test_configured_offset_is_the_generation_three_survivor(
@@ -244,8 +223,6 @@ def test_configured_offset_is_the_generation_three_survivor(
 def test_search_guards(layout, tile):
     with pytest.raises(ConstructionError, match="hat proportions"):
         search_layout(make_params(qs3(2), qs3(3)), layout, tile)
-    with pytest.raises(ValueError, match="generation 2"):
-        search_layout(hat_params(), layout, tile, n=3)
 
 
 def test_search_reports_empty_window(layout, tile, hat_p):

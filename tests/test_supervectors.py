@@ -7,12 +7,7 @@ import pytest
 from hatfam.exactnum import VecE, qs3
 from hatfam.sequences import fib, g_closed, lucas
 from hatfam.supervectors import (
-    ALIGNED,
-    CHEVRON_DEGENERATE,
     DomainError,
-    LEFT_TILT,
-    RIGHT_TILT,
-    classify_beta,
     has_hat_proportion,
     hat_params,
     make_params,
@@ -89,18 +84,8 @@ def test_domain_rejects_nonpositive():
 
 
 def test_chevron_boundary_warns():
-    with pytest.warns(UserWarning):
-        p = _p(5, 5)
-    assert classify_beta(p).classification == CHEVRON_DEGENERATE
-
-
-def test_beta_classification():
-    assert classify_beta(hat_params()).classification == RIGHT_TILT
-    assert classify_beta(turtle_params()).classification == ALIGNED
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        steep = make_params(qs3(0, 1), qs3(Fraction(1, 2)))
-    assert classify_beta(steep).classification == LEFT_TILT
+    with pytest.warns(UserWarning, match="excluded boundary"):
+        _p(5, 5)
 
 
 def test_has_hat_proportion():
