@@ -20,7 +20,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Config:
-    version: int
     sections: dict
 
     def section(self, name: str) -> dict:
@@ -70,7 +69,7 @@ def parse_config(text: str) -> Config:
     if version != 1:
         raise ConfigError(f"unsupported config version {version}, "
                           "expected 1")
-    return Config(version, sections)
+    return Config(sections)
 
 
 def value_vector(text: str) -> VecE:

@@ -27,7 +27,7 @@ from .exactnum import (
     zeta_coords,
     zeta_vector,
 )
-from .supervectors import TileParams, has_hat_proportion
+from .supervectors import TileParams
 
 _new = object.__new__
 
@@ -131,17 +131,6 @@ class Placement:
             t0 * e + r0 * d, t1 * e + r1 * d, t2 * e + r2 * d,
             t3 * e + r3 * d, d * e))
 
-    def scaled(self, s: QSqrt3) -> "Placement":
-        """The same linear part with the translation multiplied by s."""
-        c0, c1, c2, c3 = self.coords
-        # multiplying by sqrt3 = 2 zeta - zeta^3 maps (c0, c1, c2, c3) to
-        # (c1 - c3, 2 c0 + c2, c1 + 2 c3, c2 - c0)
-        a, b = s.a, s.b
-        return _placement(self.orientation, *reduced_coords(
-            a * c0 + b * (c1 - c3), a * c1 + b * (2 * c0 + c2),
-            a * c2 + b * (c1 + 2 * c3), a * c3 + b * (c2 - c0),
-            s.d * self.den))
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Placement:
             return NotImplemented
@@ -212,16 +201,16 @@ class TurtleSpec:
 Outline = tuple  # cyclic tuple of VecE vertices
 
 
-def outline_from_turtle(spec: TurtleSpec, p: TileParams, start: VecE,
+def outline_from_turtle(spec: TurtleSpec, p: TileParams,
                         heading_k30: int) -> Outline:
-    """Trace the walk from `start` with the first edge at `heading_k30`.
+    """Trace the walk from the origin with the first edge at `heading_k30`.
 
     Edge symbols map to exact lengths a and b.  Raises GeometryError with
-    the residual vector if the walk does not return to the start.
+    the residual vector if the walk does not return to the origin.
     """
     spec.validate()
-    verts = [start]
-    pos = start
+    verts = [VEC_ZERO]
+    pos = VEC_ZERO
     h = heading_k30
     for sym, turn in spec.steps:
         length = p.a if sym == EDGE_A else p.b
@@ -229,9 +218,8 @@ def outline_from_turtle(spec: TurtleSpec, p: TileParams, start: VecE,
         verts.append(pos)
         h += turn
     end = verts.pop()
-    if end != start:
-        raise GeometryError(
-            f"outline does not close; residual {end - start!r}")
+    if end != VEC_ZERO:
+        raise GeometryError(f"outline does not close; residual {end!r}")
     return tuple(verts)
 
 
@@ -346,14 +334,6 @@ def kite_corners(cell: KiteCell) -> tuple[VecE, VecE, VecE, VecE]:
             c + _mid_offset(k))
 
 
-def kite_centroid(cell: KiteCell) -> VecE:
-    pts = kite_corners(cell)
-    s = pts[0]
-    for v in pts[1:]:
-        s = s + v
-    return s * Fraction(1, 4)
-
-
 def cell_rotate60(cell: KiteCell) -> KiteCell:
     q, r, k = cell
     return KiteCell(-r, q + r, (k + 1) % 6)
@@ -403,11 +383,6 @@ def _hex_shift(c: tuple[int, int, int, int], d: int) -> tuple[int, int]:
             return m, h // 2
     raise LatticeError(
         f"{zeta_vector(c, d)!r} is not on the hexagon lattice")
-
-
-def lattice_decompose(v: VecE) -> tuple[int, int]:
-    """Solve v = m*U1 + n*U2 over the integers, or raise LatticeError."""
-    return _hex_shift(*zeta_coords(v))
 
 
 def _orientation(o: int):
@@ -470,21 +445,14 @@ def disjoint_cells(placements, base_cells):
     return True, seen.keys()
 
 
-def check_kites(placed, p: TileParams, tile: TileData,
+def check_kites(placed, tile: TileData,
                 connected: bool = False) -> tuple[bool, str]:
-    """Check that placed hats lie on distinct kites (and, if `connected`,
-    form one edge-connected patch); returns (passed, detail).
+    """Check that hats placed at the hat itself (a = 1, b = sqrt(3)) lie on
+    distinct kites (and, if `connected`, form one edge-connected patch);
+    returns (passed, detail).
 
-    Kite cells exist only at hat proportions, so any other shape passes as
-    skipped.  Tile(a, sqrt(3)*a) is the hat scaled by a, and the assembly
-    is linear in (a, b), so each hat is mapped by 1/a onto the a = 1
-    lattice first.  A hat off the lattice is a failure, not an exception.
+    A hat off the kite lattice is a failure, not an exception.
     """
-    if not has_hat_proportion(p):
-        return True, "skipped: needs hat proportions"
-    if p.a != 1:
-        inv_a = 1 / p.a
-        placed = (q.scaled(inv_a) for q in placed)
     try:
         ok, cells = disjoint_cells(placed, tile.cells)
     except LatticeError as e:
@@ -508,7 +476,7 @@ class TileData:
 
     def outline(self, p: TileParams) -> Outline:
         """Trace and validate the tile boundary at the given parameters."""
-        o = outline_from_turtle(self.spec, p, VEC_ZERO, self.heading_k30)
+        o = outline_from_turtle(self.spec, p, self.heading_k30)
         validate_outline(o, p)
         if shoelace_area(o).sign() <= 0:
             raise GeometryError("tile outline is not counterclockwise")

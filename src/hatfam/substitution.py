@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .configfile import (
     ConfigError,
@@ -41,10 +41,6 @@ from .supervectors import TileParams, hat_params, v_closed
 HAT = "hat"
 THC = "thc"
 
-RULE_SHARED_TAIL = "shared_tail"
-RULE_CHAIN = "chain"
-RULE_MEETING = "meeting"
-
 _LABELS = ("T", "P1", "P2", "P3", "P4", "P5", "P6")
 _MEETING_INDEX = 3  # ring position of the slot-filling piece (P4)
 _OMITTED_INDEX = 2  # ring position absent from the compound (P3)
@@ -65,16 +61,14 @@ class FormVec:
         return self.u * p.a + self.w * p.b
 
 
-class PieceRule(NamedTuple):
-    rotation_k: int
-    rule: str
-
-
 @dataclass(frozen=True)
 class LayoutTable:
     """Placement data driving the assembly.
 
-    ring: rotation and rule for the six surrounding pieces, in order.
+    ring: rotation_k of the six surrounding pieces, in order.  The rule
+    that places a piece follows from its position: piece 1 shares the
+    core's tail vertex, piece 4 fills the slot the compound leaves open,
+    and the others chain head-to-tail onto their predecessor.
     partner: placement of the second hat inside the generation-1 compound,
     relative to the first.
     p4_gen2: translation of the fourth piece at generation 2, where no
@@ -82,7 +76,7 @@ class LayoutTable:
     tail1/head1/tail2/head2: traced anchor vertices of generations 1 and 2.
     """
 
-    ring: tuple[PieceRule, ...]
+    ring: tuple[int, ...]
     partner_rotation_k: int
     partner_reflected: bool
     partner_offset: FormVec
@@ -92,27 +86,11 @@ class LayoutTable:
     tail2: FormVec
     head2: FormVec
 
-    def partner_placement(self, p: TileParams) -> Placement:
-        return Placement(self.partner_rotation_k, self.partner_reflected,
-                         self.partner_offset.at(p))
-
     def validate_structure(self) -> None:
         if len(self.ring) != 6:
             raise ConstructionError(
                 f"layout needs 6 ring pieces, got {len(self.ring)}")
-        rules = [piece.rule for piece in self.ring]
-        for rule in rules:
-            if rule not in (RULE_SHARED_TAIL, RULE_CHAIN, RULE_MEETING):
-                raise ConstructionError(f"unknown ring rule {rule!r}")
-        if rules[0] != RULE_SHARED_TAIL:
-            raise ConstructionError("ring piece 1 must use shared_tail")
-        if rules.count(RULE_MEETING) != 1 or rules[_MEETING_INDEX] != RULE_MEETING:
-            raise ConstructionError(
-                "ring must use the meeting rule exactly once, at piece 4")
-        if any(r == RULE_SHARED_TAIL for r in rules[1:]):
-            raise ConstructionError("only ring piece 1 may use shared_tail")
-        if (self.ring[_MEETING_INDEX].rotation_k
-                != self.ring[_OMITTED_INDEX].rotation_k):
+        if self.ring[_MEETING_INDEX] != self.ring[_OMITTED_INDEX]:
             raise ConstructionError(
                 "meeting piece must repeat the rotation of the piece the "
                 "compound omits")
@@ -165,11 +143,10 @@ def _assemble(n: int, prev_hat: SupertileNode, prev_thc: SupertileNode,
     """Place the core and ring for generation n; return both kinds."""
     placements = [IDENTITY]
     head_world = None
-    for piece in layout.ring:
-        k = piece.rotation_k
-        if piece.rule == RULE_SHARED_TAIL:
+    for i, k in enumerate(layout.ring):
+        if i == 0:
             tau = prev_thc.v_tail - rotate60(prev_hat.v_tail, k)
-        elif piece.rule == RULE_CHAIN:
+        elif i != _MEETING_INDEX:
             tau = head_world - rotate60(prev_hat.v_tail, k)
         elif n == 2:
             tau = layout.p4_gen2.at(p)
@@ -225,8 +202,9 @@ def build(kind: str, n: int, p: TileParams,
     head = layout.head1.at(p)
     _check_anchor(HAT, 1, tail, head, p)
     hat = SupertileNode(HAT, 1, (), (), tail, head)
-    thc = SupertileNode(THC, 1, (), (), tail, head,
-                        partner=layout.partner_placement(p))
+    partner = Placement(layout.partner_rotation_k, layout.partner_reflected,
+                        layout.partner_offset.at(p))
+    thc = SupertileNode(THC, 1, (), (), tail, head, partner=partner)
     for gen in range(2, n + 1):
         hat, thc = _assemble(gen, hat, thc, p, layout)
     return hat if kind == HAT else thc
@@ -259,21 +237,15 @@ def _rotation_k(deg: int) -> int:
 def layout_from_config(text: str, tile: TileData) -> LayoutTable:
     """Parse and fully validate a layout config.
 
-    Validation is structural (rule pattern, rotation multiples) and then
+    Validation is structural (ring size, rotation multiples) and then
     constructive: generations 2 through 4 are assembled at hat proportions
     and checked for tile counts, kite disjointness, connectivity, and the
     closed-form supervector.
     """
     cfg = parse_config(text)
-    rot_degs = value_ints(cfg.get("ring", "rotations"))
-    rules = cfg.get("ring", "rules").split()
-    if len(rot_degs) != len(rules):
-        raise ConfigError(
-            f"ring has {len(rot_degs)} rotations but {len(rules)} rules")
-    ring = tuple(PieceRule(_rotation_k(d), r)
-                 for d, r in zip(rot_degs, rules))
     layout = LayoutTable(
-        ring=ring,
+        ring=tuple(_rotation_k(d)
+                   for d in value_ints(cfg.get("ring", "rotations"))),
         partner_rotation_k=_rotation_k(
             value_int(cfg.get("partner", "rotation"))),
         partner_reflected=value_bool(cfg.get("partner", "reflected")),
@@ -300,7 +272,7 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
                 raise ConstructionError(
                     f"generation {gen}: expected {want} {kind} hats, "
                     f"assembled {len(placed)}")
-            ok, detail = check_kites(placed, p, tile, connected=True)
+            ok, detail = check_kites(placed, tile, connected=True)
             if not ok:
                 raise ConstructionError(f"generation {gen}: {kind} {detail}")
     return layout
@@ -329,7 +301,7 @@ def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
                 layout,
                 p4_gen2=FormVec(layout.p4_gen2.u + shift, layout.p4_gen2.w))
             placed = [q for q, _ in expand(build(HAT, 2, p, cand))]
-            if check_kites(placed, p, tile, connected=True)[0]:
+            if check_kites(placed, tile, connected=True)[0]:
                 found.append(cand)
     if not found:
         raise ConstructionError(

@@ -16,7 +16,7 @@ from hatfam import configfile
 from hatfam.cli import main
 from hatfam.exactnum import VecE, qs3
 from hatfam.geometry import hat_kite_cells, disjoint_cells, is_simple, \
-    lattice_decompose, shoelace_area
+    shoelace_area
 from hatfam.render import render_supertile
 from hatfam.sequences import fib, g_closed, g_recurrence, lucas, tile_counts
 from hatfam.substitution import HAT, THC, build, expand, measured_supervector
@@ -226,13 +226,24 @@ def test_criterion_8_tile_counts(layout, hat_p):
         8, ok, f"expansion counts {counts} match the recurrence in {dt:.3f}s")
 
 
+def _on_hexagon_lattice(v: VecE) -> bool:
+    """v = m*(3, sqrt3) + n*(0, 2*sqrt3) = (3m, (m + 2n)*sqrt3) with
+    integers m and n."""
+    x, y = v.x, v.y
+    if x.s != 0 or y.r != 0:
+        return False
+    if x.r.denominator != 1 or y.s.denominator != 1:
+        return False
+    m, rem = divmod(x.r.numerator, 3)
+    return rem == 0 and (y.s.numerator - m) % 2 == 0
+
+
 def test_criterion_9_non_overlap(layout, tile, hat_p):
     t0 = time.perf_counter()
     ok = True
     for n in range(1, 6):
         placed = [q for q, _ in expand(build(HAT, n, hat_p, layout))]
-        for q in placed:
-            lattice_decompose(q.translation)
+        ok = ok and all(_on_hexagon_lattice(q.translation) for q in placed)
         disjoint, clash = disjoint_cells(placed, tile.cells)
         cells = set()
         for q in placed:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from hatfam import configfile
 from hatfam.cli import main
+from hatfam.geometry import check_kites
 
 SHIPPED_DATA = Path(configfile.__file__).with_name("data")
 
@@ -127,6 +129,22 @@ def test_build_disjoint_at_any_hat_scale(capsys, a, b):
         capsys.readouterr().out
 
 
+def test_build_checks_the_unit_patch_at_any_hat_scale(monkeypatch, capsys):
+    # Tile(2, 2*sqrt(3)) is the hat patch scaled by 2: the kite check
+    # must see the a = 1 placements
+    seen = []
+
+    def spy(placed, tile, connected=False):
+        placed = list(placed)
+        seen.append(placed)
+        return check_kites(placed, tile, connected)
+    monkeypatch.setattr("hatfam.cli.check_kites", spy)
+    assert main(["build", "hat", "3", "-a", "2", "-b", "2*r3"]) == 0
+    assert main(["build", "hat", "3"]) == 0
+    assert len(seen) == 2 and len(seen[0]) == 55
+    assert seen[0] == seen[1]
+
+
 def test_build_skips_disjoint_off_proportion(capsys):
     assert main(["build", "hat", "2", "-a", "2", "-b", "3"]) == 0
     assert "skipped: needs hat proportions" in capsys.readouterr().out
@@ -212,6 +230,23 @@ def test_verify_catches_broken_layout(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL layout-config" in out
     assert "overlap" in out
+
+
+def test_verify_reports_a_broken_layout_as_its_one_item(tmp_path, capsys):
+    work = _broken_data_dir(tmp_path)
+    argv = ["verify", "--max-gen", "2", "--data-dir", str(work)]
+    assert main(argv + ["--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["pass"] is False
+    [item] = doc["items"]
+    assert item["name"] == "layout-config" and item["pass"] is False
+    assert isinstance(item["seconds"], float) and item["seconds"] >= 0
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert re.fullmatch(r"FAIL layout-config: .*overlap.* \(\d+\.\d\ds\)",
+                        lines[0])
+    assert lines[1] == "0/1 items passed"
 
 
 def test_verify_missing_config_is_a_config_error(tmp_path, capsys):

@@ -9,13 +9,9 @@ from hatfam.geometry import IDENTITY, Placement, U1, check_kites
 from hatfam.sequences import tile_counts
 from hatfam.substitution import (
     HAT,
-    RULE_CHAIN,
-    RULE_MEETING,
-    RULE_SHARED_TAIL,
     THC,
     ConstructionError,
     FormVec,
-    PieceRule,
     build,
     expand,
     layout_from_config,
@@ -31,19 +27,16 @@ VARIED = [
 ]
 
 
-def _ring_with(layout, index, piece):
+def _ring_with(layout, index, rotation_k):
     ring = list(layout.ring)
-    ring[index] = piece
+    ring[index] = rotation_k
     return dataclasses.replace(layout, ring=tuple(ring))
 
 
 # ------------------------------------------------------------------ structure
 
 def test_layout_table_shape(layout):
-    assert [pc.rotation_k for pc in layout.ring] == [4, 5, 0, 0, 1, 2]
-    assert [pc.rule for pc in layout.ring] == [
-        RULE_SHARED_TAIL, RULE_CHAIN, RULE_CHAIN,
-        RULE_MEETING, RULE_CHAIN, RULE_CHAIN]
+    assert layout.ring == (4, 5, 0, 0, 1, 2)
     assert layout.partner_reflected
     assert layout.partner_rotation_k == 3
 
@@ -120,27 +113,9 @@ def test_validate_structure_rejections(layout):
     with pytest.raises(ConstructionError, match="6 ring pieces"):
         short.validate_structure()
 
-    bad_first = _ring_with(layout, 0, PieceRule(4, RULE_CHAIN))
-    with pytest.raises(ConstructionError, match="shared_tail"):
-        bad_first.validate_structure()
-
-    moved_meeting = _ring_with(
-        _ring_with(layout, 3, PieceRule(0, RULE_CHAIN)),
-        1, PieceRule(5, RULE_MEETING))
-    with pytest.raises(ConstructionError, match="piece 4"):
-        moved_meeting.validate_structure()
-
-    second_tail = _ring_with(layout, 4, PieceRule(1, RULE_SHARED_TAIL))
-    with pytest.raises(ConstructionError, match="only ring piece 1"):
-        second_tail.validate_structure()
-
-    turned = _ring_with(layout, 3, PieceRule(1, RULE_MEETING))
+    turned = _ring_with(layout, 3, 1)
     with pytest.raises(ConstructionError, match="rotation"):
         turned.validate_structure()
-
-    unknown = _ring_with(layout, 2, PieceRule(0, "hop"))
-    with pytest.raises(ConstructionError, match="unknown ring rule"):
-        unknown.validate_structure()
 
     layout.validate_structure()
 
@@ -149,7 +124,7 @@ def test_meeting_slot_mismatch(layout, hat_p):
     # build() trusts the table, so a meeting rotation that disagrees with
     # the omitted piece passes generation 2 (fixed offset) and collides
     # with the open slot at generation 3
-    turned = _ring_with(layout, 3, PieceRule(1, RULE_MEETING))
+    turned = _ring_with(layout, 3, 1)
     build(HAT, 2, hat_p, turned)
     with pytest.raises(ConstructionError, match="meeting rule unsatisfiable"):
         build(HAT, 3, hat_p, turned)
@@ -171,8 +146,8 @@ def test_build_input_validation(layout, hat_p):
 
 
 def test_ring_rotation_variant_rejected(tile):
-    # same rule pattern, rotations from a near-miss arrangement: every
-    # piece lands off the kite lattice or on top of a neighbor
+    # rotations from a near-miss arrangement: every piece lands off the
+    # kite lattice or on top of a neighbor
     text = load_text("layout.cfg")
     orig = "rotations = -120 -60 0 0 60 120"
     assert orig in text
@@ -208,7 +183,7 @@ def _survives_generation_three(cand, tile, hat_p):
     except ConstructionError:
         return False
     placed = [q for q, _ in expand(node)]
-    return check_kites(placed, hat_p, tile, connected=True)[0]
+    return check_kites(placed, tile, connected=True)[0]
 
 
 def test_configured_offset_is_the_generation_three_survivor(
