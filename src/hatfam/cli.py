@@ -21,13 +21,7 @@ from pathlib import Path
 
 from .configfile import ConfigError, load_text
 from .exactnum import QSqrt3, parse_scalar, render_scalar
-from .geometry import (
-    GeometryError,
-    check_kites,
-    disjoint_cells,
-    shoelace_area,
-    tile_from_config,
-)
+from .geometry import GeometryError, shoelace_area, tile_from_config
 from .render import RenderError, RenderOptions, render_supertile
 from .sequences import fib, g_closed, g_recurrence, lucas, tile_counts
 from .substitution import (
@@ -35,6 +29,7 @@ from .substitution import (
     THC,
     ConstructionError,
     build,
+    check_kites,
     expand,
     layout_from_config,
     measured_supervector,
@@ -57,8 +52,9 @@ from .supervectors import (
 )
 
 _PHI = (1 + math.sqrt(5)) / 2
-# build and verify refuse supertiles with more hats than this: every
-# placement and its eight kite cells are held in memory at once
+# build and verify refuse supertiles with more hats than this: build holds
+# every placement in a list, and the kite check holds eight kite cells per
+# hat, each a small int, in one set
 MAX_HATS = 1_000_000
 
 
@@ -210,10 +206,10 @@ def cmd_build(args) -> int:
             check = True, "skipped: needs hat proportions"
         else:
             # kites exist at the hat itself; Tile(a, sqrt(3)*a) is that
-            # patch scaled by a, so check the a = 1 patch
-            unit = placed if p.a == 1 else expand(
-                build(args.kind, args.gen, hat_params(), layout))
-            check = check_kites((q for q, _ in unit), tile)
+            # patch scaled by a, so check the a = 1 supertile
+            unit = node if p.a == 1 else build(args.kind, args.gen,
+                                               hat_params(), layout)
+            check = check_kites(unit, tile)
         results.append(("disjoint", *check))
     elapsed = time.perf_counter() - t0
 
@@ -403,11 +399,11 @@ def _check_non_overlap(max_gen: int, env) -> str:
     tile, layout = env["tile"], env["layout"]
     hp = hat_params()
     for n in range(1, max_gen + 1):
-        placed = [q for q, _ in expand(build(HAT, n, hp, layout))]
-        ok, cells = disjoint_cells(placed, tile.cells)
-        _require(ok, f"generation {n} overlap: {cells}")
-        _require(len(cells) == 8 * len(placed),
-                 f"generation {n} covers {len(cells)} cells")
+        ok, detail = check_kites(build(HAT, n, hp, layout), tile)
+        _require(ok, f"generation {n}: {detail}")
+        want = 8 * tile_counts(HAT, n)
+        _require(detail == f"{want} kite cells, no overlap",
+                 f"generation {n} covers {detail}, expected {want} cells")
     return f"all hats on distinct kites, 8 cells per hat, n <= {max_gen}"
 
 

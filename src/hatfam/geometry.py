@@ -3,9 +3,13 @@ trihexagonal kite-cell lattice.
 
 Outlines are traced by walking edges of the two tile edge classes (length a
 or b) with headings at multiples of 30 degrees, so every vertex stays in
-Q(sqrt(3)).  Supertile non-overlap is decided combinatorially on the kite
-lattice, which applies at hat parameters (a=1, b=sqrt(3)): each hat covers
-exactly 8 kites of the hexagon grid with edge 2.
+Q(sqrt(3)).  At hat parameters (a=1, b=sqrt(3)) each hat covers exactly 8
+kites of the hexagon grid with edge 2.  This module places hats on that
+grid (`hat_kite_cells`), runs the flat per-hat disjointness check
+(`disjoint_cells`, which words a clash), and packs cells into small ints
+for the connectivity test (`pack_cells`, `cells_connected`).  The kite
+check of a whole supertile, which walks its assembly DAG, lives in
+`substitution.check_kites`.
 """
 
 from __future__ import annotations
@@ -344,45 +348,55 @@ def cell_reflect(cell: KiteCell) -> KiteCell:
     return KiteCell(-q, q + r, (3 - k) % 6)
 
 
-def cell_neighbors(cell: KiteCell):
-    """The four edge-adjacent kites."""
-    q, r, k = cell
-    yield KiteCell(q, r, (k + 1) % 6)
-    yield KiteCell(q, r, (k - 1) % 6)
-    dq, dr = _HEX_DIRS[k]
-    yield KiteCell(q + dq, r + dr, (k + 4) % 6)
-    dq, dr = _HEX_DIRS[(k - 1) % 6]
-    yield KiteCell(q + dq, r + dr, (k + 2) % 6)
+def packing_width(r_bound: int) -> int:
+    """The row width at which `pack_cells` keeps every cell with
+    |hex_r| <= r_bound, and each of its neighbours, on a distinct int."""
+    return 2 * r_bound + 3
 
 
-def cells_connected(cells) -> bool:
-    """True if the cell set is edge-connected."""
+def pack_cells(cells, width: int) -> list[int]:
+    """Each (hex_q, hex_r, corner_k) as 6*(hex_q*width + hex_r) + corner_k,
+    so a lattice step (m, n) adds 6*(m*width + n) to every cell."""
+    return [6 * (q * width + r) + k for q, r, k in cells]
+
+
+def cells_connected(cells, width: int) -> bool:
+    """True if the cells, packed by `pack_cells` at `width`, are
+    edge-connected."""
+    # per corner k, the packed steps to the four edge-adjacent kites: the
+    # two kites beside it in its own hexagon, and the two across its edges
+    steps = []
+    for k in range(6):
+        (dq, dr), (eq, er) = _HEX_DIRS[k], _HEX_DIRS[k - 1]
+        steps.append(((k + 1) % 6 - k, (k - 1) % 6 - k,
+                      6 * (dq * width + dr) + (k + 4) % 6 - k,
+                      6 * (eq * width + er) + (k + 2) % 6 - k))
     todo = set(cells)
     if not todo:
         return True
     stack = [todo.pop()]
     while stack:
         cur = stack.pop()
-        for nb in cell_neighbors(cur):
+        for step in steps[cur % 6]:
+            nb = cur + step
             if nb in todo:
                 todo.remove(nb)
                 stack.append(nb)
     return not todo
 
 
-def _hex_shift(c: tuple[int, int, int, int], d: int) -> tuple[int, int]:
-    """(m, n) with c/d = m*U1 + n*U2 in Q(zeta) coordinates, or raise
-    LatticeError."""
+def lattice_shift(q: Placement) -> tuple[int, int]:
+    """(m, n) with q's translation = m*U1 + n*U2, or raise LatticeError."""
     # m*U1 + n*U2 = (3m, (m + 2n)*sqrt3) has c1 = c3 = 0, c2 = 2(m + 2n)
     # and c0 = 2(m - n), so 2 c0 + c2 = 6m and c2/2 - m = 2n
-    c0, c1, c2, c3 = c
-    if d == 1 and not c1 and not c3 and not c2 % 2:
+    c0, c1, c2, c3 = c = q.coords
+    if q.den == 1 and not c1 and not c3 and not c2 % 2:
         m, r = divmod(2 * c0 + c2, 6)
         h = c2 // 2 - m
         if not r and not h % 2:
             return m, h // 2
     raise LatticeError(
-        f"{zeta_vector(c, d)!r} is not on the hexagon lattice")
+        f"{zeta_vector(c, q.den)!r} is not on the hexagon lattice")
 
 
 def _orientation(o: int):
@@ -422,7 +436,7 @@ def hat_kite_cells(q: Placement, base_cells) -> frozenset:
     The cells come back as plain (hex_q, hex_r, corner_k) tuples, which
     compare and hash as the equal KiteCells and cost half as much to make.
     """
-    m, n = _hex_shift(q.coords, q.den)
+    m, n = lattice_shift(q)
     return frozenset([(hq + m, hr + n, k) for hq, hr, k in
                       _oriented_cells(frozenset(base_cells))[q.orientation]])
 
@@ -443,26 +457,6 @@ def disjoint_cells(placements, base_cells):
                 cell = min(c for c in cells if seen.get(c, j) != j)
                 return False, (seen[cell], j, KiteCell._make(cell))
     return True, seen.keys()
-
-
-def check_kites(placed, tile: TileData,
-                connected: bool = False) -> tuple[bool, str]:
-    """Check that hats placed at the hat itself (a = 1, b = sqrt(3)) lie on
-    distinct kites (and, if `connected`, form one edge-connected patch);
-    returns (passed, detail).
-
-    A hat off the kite lattice is a failure, not an exception.
-    """
-    try:
-        ok, cells = disjoint_cells(placed, tile.cells)
-    except LatticeError as e:
-        return False, f"piece off the kite lattice: {e}"
-    if not ok:
-        i, j, cell = cells
-        return False, f"pieces {i} and {j} overlap on kite {cell}"
-    if connected and not cells_connected(cells):
-        return False, "patch is disconnected"
-    return True, f"{len(cells)} kite cells, no overlap"
 
 
 @dataclass(frozen=True)
@@ -513,6 +507,7 @@ def tile_from_config(text: str) -> TileData:
         raise ConfigError("duplicate kite cells")
     if len(cells) != 8:
         raise ConfigError(f"expected 8 kite cells, got {len(cells)}")
-    if not cells_connected(cells):
+    width = packing_width(max(abs(c.hex_r) for c in cells))
+    if not cells_connected(pack_cells(cells, width), width):
         raise ConfigError("kite cells do not form a connected patch")
     return TileData(spec, heading, frozenset(cells))

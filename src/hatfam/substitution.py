@@ -8,7 +8,9 @@ head-to-tail onto their predecessor, and the fourth drops into the open
 slot left by the core's missing piece.  Tail and head anchor vertices are
 traced for the first two generations and propagate by a fixed interior
 coincidence from then on, so every generation's head minus tail can be
-checked against the closed-form supervector.
+checked against the closed-form supervector.  `check_kites` decides kite
+disjointness on the assembled DAG, placing each shared sub-supertile's
+cells as one precomputed block.
 """
 
 from __future__ import annotations
@@ -28,11 +30,17 @@ from .configfile import (
 from .exactnum import VecE, rotate60
 from .geometry import (
     IDENTITY,
+    LatticeError,
     Placement,
     TileData,
     U1,
     U2,
-    check_kites,
+    cells_connected,
+    disjoint_cells,
+    hat_kite_cells,
+    lattice_shift,
+    pack_cells,
+    packing_width,
     shoelace_area,
 )
 from .sequences import tile_counts
@@ -40,6 +48,9 @@ from .supervectors import TileParams, hat_params, v_closed
 
 HAT = "hat"
 THC = "thc"
+# the kite check places sub-supertiles of this generation or lower as whole
+# blocks of cells, computed once per (block, orientation)
+_BLOCK_GENERATION = 3
 
 _LABELS = ("T", "P1", "P2", "P3", "P4", "P5", "P6")
 _MEETING_INDEX = 3  # ring position of the slot-filling piece (P4)
@@ -223,6 +234,83 @@ def expand(node: SupertileNode,
         yield from expand(child, placement.compose(q))
 
 
+def _blocks(node: SupertileNode, placement: Placement, out: list) -> None:
+    """Append (block, placement) for every sub-supertile of generation
+    _BLOCK_GENERATION or lower that `node` placed by `placement` is made
+    of, in expansion order."""
+    if node.generation <= _BLOCK_GENERATION:
+        out.append((node, placement))
+        return
+    for child, q in node.children:
+        _blocks(child, placement.compose(q), out)
+
+
+def _packed_kites(node: SupertileNode, base_cells):
+    """(cells, placed, width): the set of kite cells the supertile's hats
+    cover, packed by `pack_cells` at `width`, and the number of cells
+    placed, 8 per hat, so the hats are disjoint exactly when
+    len(cells) == placed.  Raises LatticeError for a hat off the lattice.
+    """
+    blocks = []
+    _blocks(node, IDENTITY, blocks)
+    # each (block, orientation): its cells about the block's own origin,
+    # and the bounds of their hex_r
+    shapes = {}
+    moves = []
+    r_bound = 0
+    for sub, q in blocks:
+        key = sub, q.orientation
+        if key not in shapes:
+            turn = Placement(q.rotation_k, q.reflected)
+            cells = [c for h, _ in expand(sub, turn)
+                     for c in hat_kite_cells(h, base_cells)]
+            rows = [r for _, r, _ in cells]
+            shapes[key] = cells, min(rows), max(rows)
+        _, r_lo, r_hi = shapes[key]
+        m, n = lattice_shift(q)
+        moves.append((key, m, n))
+        r_bound = max(r_bound, n + r_hi, -n - r_lo)
+    width = packing_width(r_bound)
+    packed = {key: pack_cells(cells, width)
+              for key, (cells, _, _) in shapes.items()}
+    covered = set()
+    placed = 0
+    for key, m, n in moves:
+        block = packed[key]
+        covered.update(map((6 * (m * width + n)).__add__, block))
+        placed += len(block)
+    return covered, placed, width
+
+
+def check_kites(node: SupertileNode, tile: TileData,
+                connected: bool = False) -> tuple[bool, str]:
+    """Check that the hats of a supertile built at the hat itself (a = 1,
+    b = sqrt(3)) lie on distinct kites (and, if `connected`, form one
+    edge-connected patch); returns (passed, detail).
+
+    The cells are placed block by block (see `_blocks`) as packed ints.
+    On a clash or a hat off the kite lattice, the flat `disjoint_cells`
+    over every hat words the failure, which is not an exception.
+    """
+    try:
+        cells, placed, width = _packed_kites(node, tile.cells)
+        disjoint = len(cells) == placed
+    except LatticeError:
+        disjoint = False
+    if disjoint:
+        if connected and not cells_connected(cells, width):
+            return False, "patch is disconnected"
+        return True, f"{placed} kite cells, no overlap"
+    try:
+        ok, clash = disjoint_cells([q for q, _ in expand(node)], tile.cells)
+    except LatticeError as e:
+        return False, f"piece off the kite lattice: {e}"
+    if ok:
+        raise RuntimeError("the packed and flat kite checks disagree")
+    i, j, cell = clash
+    return False, f"pieces {i} and {j} overlap on kite {cell}"
+
+
 def _value_form(cfg, section: str, stem: str) -> FormVec:
     return FormVec(value_vector(cfg.get(section, stem + "_u")),
                    value_vector(cfg.get(section, stem + "_w")))
@@ -266,13 +354,14 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
             f"proportions")
     for gen in range(2, 5):
         for kind in (HAT, THC):
-            placed = [q for q, _ in expand(build(kind, gen, p, layout))]
+            node = build(kind, gen, p, layout)
+            got = sum(1 for _ in expand(node))
             want = tile_counts(kind, gen)
-            if len(placed) != want:
+            if got != want:
                 raise ConstructionError(
                     f"generation {gen}: expected {want} {kind} hats, "
-                    f"assembled {len(placed)}")
-            ok, detail = check_kites(placed, tile, connected=True)
+                    f"assembled {got}")
+            ok, detail = check_kites(node, tile, connected=True)
             if not ok:
                 raise ConstructionError(f"generation {gen}: {kind} {detail}")
     return layout
@@ -300,8 +389,7 @@ def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
             cand = dataclasses.replace(
                 layout,
                 p4_gen2=FormVec(layout.p4_gen2.u + shift, layout.p4_gen2.w))
-            placed = [q for q, _ in expand(build(HAT, 2, p, cand))]
-            if check_kites(placed, tile, connected=True)[0]:
+            if check_kites(build(HAT, 2, p, cand), tile, connected=True)[0]:
                 found.append(cand)
     if not found:
         raise ConstructionError(

@@ -9,7 +9,8 @@ import pytest
 
 from hatfam import configfile
 from hatfam.cli import main
-from hatfam.geometry import check_kites
+from hatfam.substitution import check_kites, expand, measured_supervector
+from hatfam.supervectors import hat_params, v_closed
 
 SHIPPED_DATA = Path(configfile.__file__).with_name("data")
 
@@ -131,18 +132,23 @@ def test_build_disjoint_at_any_hat_scale(capsys, a, b):
 
 def test_build_checks_the_unit_patch_at_any_hat_scale(monkeypatch, capsys):
     # Tile(2, 2*sqrt(3)) is the hat patch scaled by 2: the kite check
-    # must see the a = 1 placements
-    seen = []
+    # must see the a = 1 supertile, and build must expand only once
+    seen, expanded = [], []
 
-    def spy(placed, tile, connected=False):
-        placed = list(placed)
-        seen.append(placed)
-        return check_kites(placed, tile, connected)
+    def spy(node, tile, connected=False):
+        seen.append(node)
+        return check_kites(node, tile, connected)
+
+    def counted(node, *args):
+        expanded.append(node)
+        return expand(node, *args)
     monkeypatch.setattr("hatfam.cli.check_kites", spy)
+    monkeypatch.setattr("hatfam.cli.expand", counted)
     assert main(["build", "hat", "3", "-a", "2", "-b", "2*r3"]) == 0
-    assert main(["build", "hat", "3"]) == 0
-    assert len(seen) == 2 and len(seen[0]) == 55
-    assert seen[0] == seen[1]
+    assert len(seen) == 1 and len(expanded) == 1
+    assert measured_supervector(seen[0]) == v_closed(3, hat_params())
+    assert "PASS disjoint: 440 kite cells, no overlap" in \
+        capsys.readouterr().out
 
 
 def test_build_skips_disjoint_off_proportion(capsys):

@@ -31,22 +31,23 @@ from hatfam.geometry import (
     U1,
     U2,
     apply_placement,
-    cell_neighbors,
     cell_reflect,
     cell_rotate60,
     cells_connected,
-    check_kites,
     disjoint_cells,
     hat_kite_cells,
     is_simple,
     kite_corners,
     outline_from_turtle,
+    pack_cells,
+    packing_width,
     shoelace_area,
     tile_from_config,
     unit_k30,
     validate_outline,
 )
-from hatfam.substitution import HAT, build, expand
+from hatfam.substitution import HAT, THC, SupertileNode, build, \
+    check_kites, expand
 from hatfam.supervectors import hat_params, make_params
 
 SQUARE = (VecE.of(0, 0), VecE.of(1, 0), VecE.of(1, 1), VecE.of(0, 1))
@@ -323,21 +324,38 @@ def test_cell_reflect_matches_centroid_reflection():
         assert cell_reflect(cell_reflect(cell)) == cell
 
 
+def _connected(cells) -> bool:
+    width = packing_width(max(abs(r) for _, r, _ in cells))
+    return cells_connected(pack_cells(cells, width), width)
+
+
 def test_cell_neighbors_share_an_edge():
+    # two kites are connected exactly when they share an edge
     for cell in (KiteCell(0, 0, 0), KiteCell(1, -1, 3), KiteCell(2, 2, 5)):
-        nbrs = cell_neighbors(cell)
-        assert len(set(nbrs)) == 4
         mine = set(kite_corners(cell))
-        for nbr in nbrs:
-            shared = mine & set(kite_corners(nbr))
-            assert len(shared) == 2
-            assert cell in cell_neighbors(nbr)
+        near = [KiteCell(cell.hex_q + dq, cell.hex_r + dr, k)
+                for dq in (-1, 0, 1) for dr in (-1, 0, 1) for k in range(6)]
+        joined = [o for o in near if o != cell and _connected([cell, o])]
+        assert len(joined) == 4
+        for other in near:
+            shared = mine & set(kite_corners(other))
+            assert (other in joined) == (len(shared) == 2)
 
 
 def test_cells_connected():
-    assert cells_connected([KiteCell(0, 0, k) for k in range(6)])
-    assert not cells_connected([KiteCell(0, 0, 0), KiteCell(5, 5, 0)])
-    assert cells_connected([])
+    assert _connected([KiteCell(0, 0, k) for k in range(6)])
+    assert not _connected([KiteCell(0, 0, 0), KiteCell(5, 5, 0)])
+    assert cells_connected([], 3)
+
+
+def test_packing_keeps_cells_and_neighbours_apart():
+    # every cell with |hex_r| <= bound, and every neighbour of one, packs
+    # to its own int
+    for bound in range(4):
+        width = packing_width(bound)
+        cells = [(q, r, k) for q in range(-3, 4)
+                 for r in range(-bound - 1, bound + 2) for k in range(6)]
+        assert len(set(pack_cells(cells, width))) == len(cells)
 
 
 def test_lattice_decompose_round_trip(tile):
@@ -402,22 +420,27 @@ def test_disjoint_cells_returns_the_covered_cells(layout, tile):
     assert set(cells) == union and len(union) == 8 * len(placed)
 
 
+def _compound(partner: Placement) -> SupertileNode:
+    """A generation-1 compound: a hat at the origin and one at partner."""
+    return SupertileNode(THC, 1, (), (), VEC_ZERO, VEC_ZERO, partner=partner)
+
+
 def test_check_kites_names_the_clash(tile):
-    placed = [IDENTITY, Placement(0, False, U1 * 9), Placement(0, False, U1)]
-    ok, detail = check_kites(placed, tile)
-    cell = disjoint_cells(placed, tile.cells)[1][2]
-    assert not ok and detail == f"pieces 0 and 2 overlap on kite {cell}"
+    partner = Placement(0, False, U1)
+    ok, detail = check_kites(_compound(partner), tile)
+    cell = disjoint_cells([IDENTITY, partner], tile.cells)[1][2]
+    assert not ok and detail == f"pieces 0 and 1 overlap on kite {cell}"
 
 
 def test_check_kites_reports_a_lattice_miss(tile):
-    ok, detail = check_kites([IDENTITY, Placement(0, False, VecE.of(1, 0))],
-                             tile)
+    ok, detail = check_kites(
+        _compound(Placement(0, False, VecE.of(1, 0))), tile)
     assert not ok
     assert "kite lattice" in detail and "VecE(1, 0)" in detail
 
 
 def test_check_kites_connectivity_is_opt_in(tile):
-    apart = [IDENTITY, Placement(0, False, U1 * 9)]
+    apart = _compound(Placement(0, False, U1 * 9))
     assert check_kites(apart, tile) == \
         (True, "16 kite cells, no overlap")
     assert check_kites(apart, tile, connected=True) == \

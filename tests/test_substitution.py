@@ -4,15 +4,26 @@ from fractions import Fraction
 import pytest
 
 from hatfam.configfile import load_text
-from hatfam.exactnum import VecE, qs3
-from hatfam.geometry import IDENTITY, Placement, U1, check_kites
+from hatfam.exactnum import VEC_ZERO, VecE, qs3
+from hatfam.geometry import (
+    IDENTITY,
+    LatticeError,
+    Placement,
+    U1,
+    U2,
+    disjoint_cells,
+    kite_corners,
+)
 from hatfam.sequences import tile_counts
 from hatfam.substitution import (
     HAT,
     THC,
     ConstructionError,
     FormVec,
+    SupertileNode,
+    _packed_kites,
     build,
+    check_kites,
     expand,
     layout_from_config,
     measured_supervector,
@@ -182,8 +193,7 @@ def _survives_generation_three(cand, tile, hat_p):
         node = build(HAT, 3, hat_p, cand)
     except ConstructionError:
         return False
-    placed = [q for q, _ in expand(node)]
-    return check_kites(placed, tile, connected=True)[0]
+    return check_kites(node, tile, connected=True)[0]
 
 
 def test_configured_offset_is_the_generation_three_survivor(
@@ -205,3 +215,98 @@ def test_search_reports_empty_window(layout, tile, hat_p):
         layout, p4_gen2=FormVec(layout.p4_gen2.u + U1, layout.p4_gen2.w))
     with pytest.raises(ConstructionError, match="no workable"):
         search_layout(hat_p, nudged, tile, window=0)
+
+
+# ------------------------------------------------- packed against flat check
+
+def _edge_connected(cells) -> bool:
+    """Independent oracle: kites are adjacent when they share a corner
+    pair, compared as exact points."""
+    by_edge = {}
+    for cell in cells:
+        corners = kite_corners(cell)
+        for i in range(4):
+            edge = frozenset((corners[i], corners[(i + 1) % 4]))
+            by_edge.setdefault(edge, []).append(cell)
+    todo = set(cells)
+    stack = [todo.pop()] if todo else []
+    while stack:
+        cur = stack.pop()
+        corners = kite_corners(cur)
+        for i in range(4):
+            for nb in by_edge[frozenset((corners[i], corners[(i + 1) % 4]))]:
+                if nb in todo:
+                    todo.remove(nb)
+                    stack.append(nb)
+    return not todo
+
+
+def _flat_check(node, tile, connected):
+    """check_kites's verdict and detail, computed hat by hat."""
+    try:
+        ok, found = disjoint_cells([q for q, _ in expand(node)], tile.cells)
+    except LatticeError as e:
+        return False, f"piece off the kite lattice: {e}"
+    if not ok:
+        i, j, cell = found
+        return False, f"pieces {i} and {j} overlap on kite {cell}"
+    if connected and not _edge_connected(found):
+        return False, "patch is disconnected"
+    return True, f"{len(found)} kite cells, no overlap"
+
+
+def _unpacked(cells, width):
+    half = width // 2
+    out = set()
+    for c in cells:
+        v, k = divmod(c, 6)
+        q, r = divmod(v + half, width)
+        out.add((q, r - half, k))
+    return out
+
+
+@pytest.mark.parametrize("kind", [HAT, THC])
+def test_packed_cells_equal_the_flat_cells(layout, tile, hat_p, kind):
+    for gen in range(1, 7):
+        node = build(kind, gen, hat_p, layout)
+        ok, flat = disjoint_cells([q for q, _ in expand(node)], tile.cells)
+        cells, placed, width = _packed_kites(node, tile.cells)
+        assert ok and placed == len(cells) == 8 * tile_counts(kind, gen)
+        assert _unpacked(cells, width) == set(flat)
+        assert check_kites(node, tile) == _flat_check(node, tile, False)
+
+
+def test_search_candidates_match_the_flat_check(layout, tile, hat_p):
+    # the search window, and offsets off the lattice, at generations 2-4:
+    # clashes, disconnected patches and lattice misses
+    shifts = [U1 * dm + U2 * dn for dm in range(-2, 3) for dn in range(-2, 3)]
+    shifts += [VecE.of(1, 0), VecE.of(0, qs3(0, 1))]
+    verdicts = set()
+    for shift in shifts:
+        cand = dataclasses.replace(layout, p4_gen2=FormVec(
+            layout.p4_gen2.u + shift, layout.p4_gen2.w))
+        for gen in (2, 3, 4):
+            try:
+                node = build(HAT, gen, hat_p, cand)
+            except ConstructionError:
+                continue
+            for connected in (False, True):
+                got = check_kites(node, tile, connected)
+                assert got == _flat_check(node, tile, connected)
+                verdicts.add(got[1].split()[0] if not got[0] else "ok")
+    assert verdicts == {"ok", "pieces", "patch", "piece"}
+
+
+# each (10^6, -w * 10^6) lands the partner on the first hat if rows
+# were packed w wide
+@pytest.mark.parametrize("m,n", [(10 ** 6, -w * 10 ** 6) for w in range(1, 12)]
+                         + [(0, 10 ** 6), (-10 ** 6, 10 ** 6 - 1)])
+def test_far_compound_matches_the_flat_check(tile, m, n):
+    partner = Placement(0, False, U1 * m + U2 * n)
+    node = SupertileNode(THC, 1, (), (), VEC_ZERO, VEC_ZERO, partner=partner)
+    for connected in (False, True):
+        assert check_kites(node, tile, connected) == \
+            _flat_check(node, tile, connected)
+    cells, placed, width = _packed_kites(node, tile.cells)
+    assert _unpacked(cells, width) == \
+        set(disjoint_cells([IDENTITY, partner], tile.cells)[1])
