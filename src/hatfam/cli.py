@@ -30,7 +30,6 @@ from .substitution import (
     ConstructionError,
     build,
     check_kites,
-    expand,
     layout_from_config,
     measured_supervector,
     search_layout,
@@ -52,9 +51,8 @@ from .supervectors import (
 )
 
 _PHI = (1 + math.sqrt(5)) / 2
-# build and verify refuse supertiles with more hats than this: build holds
-# every placement in a list, and the kite check holds eight kite cells per
-# hat, each a small int, in one set
+# build and verify refuse supertiles with more hats than this: the kite
+# check holds eight kite cells per hat, each a small int, in one set
 MAX_HATS = 1_000_000
 
 
@@ -87,7 +85,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _params(args) -> TileParams:
-    return make_params(args.a, args.b)
+    # a == b warns; say so as a plain stderr line, not a Python warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = make_params(args.a, args.b)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return p
 
 
 def _load_tile_layout(args):
@@ -173,56 +177,41 @@ def cmd_vectors(args) -> int:
 
 def cmd_build(args) -> int:
     p = _params(args)
-    wanted = set(args.checks)
-    if "all" in wanted:
-        wanted = {"counts", "supervector", "disjoint"}
-        explicit_disjoint = False
-    else:
-        explicit_disjoint = "disjoint" in wanted
-    if explicit_disjoint and not has_hat_proportion(p):
-        print("error: the disjoint check runs on kite cells, which exist "
-              "only at hat proportions (b = sqrt(3)*a)", file=sys.stderr)
-        return 2
     if _too_many_hats(args.kind, args.gen):
         return 2
 
     tile, layout = _load_tile_layout(args)
     t0 = time.perf_counter()
     node = build(args.kind, args.gen, p, layout)
-    placed = list(expand(node))
-    results = []
-    if "counts" in wanted:
-        want = tile_counts(args.kind, args.gen)
-        ok = len(placed) == want
-        results.append(("counts", ok, f"{len(placed)} hats, expected {want}"))
-    if "supervector" in wanted:
-        got = measured_supervector(node)
-        want_v = v_closed(args.gen, p)
-        results.append(("supervector", got == want_v,
-                        f"measured {_render_vec(got)}, closed form "
-                        f"{_render_vec(want_v)}"))
-    if "disjoint" in wanted:
-        if not has_hat_proportion(p):
-            check = True, "skipped: needs hat proportions"
-        else:
-            # kites exist at the hat itself; Tile(a, sqrt(3)*a) is that
-            # patch scaled by a, so check the a = 1 supertile
-            unit = node if p.a == 1 else build(args.kind, args.gen,
-                                               hat_params(), layout)
-            check = check_kites(unit, tile)
-        results.append(("disjoint", *check))
+    want = tile_counts(args.kind, args.gen)
+    got_v = measured_supervector(node)
+    want_v = v_closed(args.gen, p)
+    if not has_hat_proportion(p):
+        disjoint = True, "skipped: needs hat proportions"
+    else:
+        # kites exist at the hat itself; Tile(a, sqrt(3)*a) is that patch
+        # scaled by a, so check the a = 1 supertile
+        unit = node if p.a == 1 else build(args.kind, args.gen, hat_params(),
+                                           layout)
+        disjoint = check_kites(unit, tile)
+    results = [
+        ("counts", node.hats == want, f"{node.hats} hats, expected {want}"),
+        ("supervector", got_v == want_v,
+         f"measured {_render_vec(got_v)}, closed form {_render_vec(want_v)}"),
+        ("disjoint", *disjoint),
+    ]
     elapsed = time.perf_counter() - t0
 
     all_ok = all(ok for _, ok, _ in results)
     if args.format == "json":
         doc = {"kind": args.kind, "generation": args.gen,
                "params": {"a": render_scalar(p.a), "b": render_scalar(p.b)},
-               "hats": len(placed),
+               "hats": node.hats,
                "checks": [{"name": n, "pass": ok, "detail": d}
                           for n, ok, d in results]}
         _emit(json.dumps(doc, indent=2), args.out)
     else:
-        lines = [f"{args.kind} generation {args.gen}: {len(placed)} hats "
+        lines = [f"{args.kind} generation {args.gen}: {node.hats} hats "
                  f"({elapsed:.3f}s)"]
         lines += [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
                   for name, ok, detail in results]
@@ -246,8 +235,7 @@ def cmd_render(args) -> int:
     out = args.out or f"{args.kind}-{args.gen}.svg"
     Path(out).write_text(svg, encoding="utf-8")
     elements = sum(1 for _ in ET.fromstring(svg).iter())
-    print(f"{out}: {elements} svg elements, "
-          f"{tile_counts(args.kind, args.gen)} hats")
+    print(f"{out}: {elements} svg elements, {node.hats} hats")
     return 0
 
 
@@ -388,10 +376,9 @@ def _check_tile_counts(max_gen: int, env) -> str:
     hp = hat_params()
     for kind in (HAT, THC):
         for n in range(1, max_gen + 1):
-            node = build(kind, n, hp, layout)
-            got = sum(1 for _ in expand(node))
+            got = build(kind, n, hp, layout).hats
             _require(got == tile_counts(kind, n),
-                     f"{kind}-{n} expands to {got}")
+                     f"{kind}-{n} has {got} hats")
     return f"expansion sizes match the count recurrence, n <= {max_gen}"
 
 
@@ -544,8 +531,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bld = subs.add_parser("build", help="assemble a supertile and check it")
     bld.add_argument("kind", choices=(HAT, THC))
     bld.add_argument("gen", type=_positive_int)
-    bld.add_argument("--checks", nargs="+", default=["all"],
-                     choices=("counts", "supervector", "disjoint", "all"))
     _add_common(bld)
     bld.set_defaults(func=cmd_build)
 

@@ -399,34 +399,16 @@ def lattice_shift(q: Placement) -> tuple[int, int]:
         f"{zeta_vector(c, q.den)!r} is not on the hexagon lattice")
 
 
-def _orientation(o: int):
-    """(qq, qr, rq, rr, corner_step, corner_shift): the cell map of
-    orientation o, (q, r, k) -> (qq*q + qr*r, rq*q + rr*r,
-    corner_step*k + corner_shift mod 6), read off the images of four
-    cells."""
-    def image(q, r, k):
-        cell = KiteCell(q, r, k)
-        if o >= 6:
-            cell = cell_reflect(cell)
-        for _ in range(o % 6):
-            cell = cell_rotate60(cell)
-        return cell
-    e_q, e_r, k0, k1 = image(1, 0, 0), image(0, 1, 0), image(0, 0, 0), \
-        image(0, 0, 1)
-    return (e_q.hex_q, e_r.hex_q, e_q.hex_r, e_r.hex_r,
-            (k1.corner_k - k0.corner_k) % 6, k0.corner_k)
-
-
-_ORIENTATIONS = tuple(_orientation(o) for o in range(12))
-
-
 @lru_cache(maxsize=8)
 def _oriented_cells(cells: frozenset) -> tuple[tuple, ...]:
-    """The cell set under each of the 12 orientations, before translation."""
-    return tuple(
-        tuple((qq * hq + qr * hr, rq * hq + rr * hr, (step * k + shift) % 6)
-              for hq, hr, k in cells)
-        for qq, qr, rq, rr, step, shift in _ORIENTATIONS)
+    """The cell set under each of the 12 orientations, before translation:
+    rotation_k turns for orientation k, a reflection first for 6 + k."""
+    out = []
+    for turned in (tuple(cells), tuple(map(cell_reflect, cells))):
+        for _ in range(6):
+            out.append(turned)
+            turned = tuple(map(cell_rotate60, turned))
+    return tuple(out)
 
 
 def hat_kite_cells(q: Placement, base_cells) -> frozenset:

@@ -21,7 +21,6 @@ from .geometry import (
     kite_corners,
     tile_from_config,
 )
-from .sequences import tile_counts
 from .substitution import HAT, THC, SupertileNode, expand
 from .supervectors import TileParams, has_hat_proportion
 
@@ -233,11 +232,11 @@ def render_supertile(node: SupertileNode, p: TileParams,
     exceed max_svg_nodes or the grid is requested off hat proportions.
     """
     _check_built(node)
-    count = tile_counts(node.kind, node.generation)
-    if count > opts.max_svg_nodes:
+    if node.hats > opts.max_svg_nodes:
         raise RenderError(
-            f"{node.kind} generation {node.generation} expands to {count} "
-            f"hats, over the max_svg_nodes cap of {opts.max_svg_nodes}")
+            f"{node.kind} generation {node.generation} expands to "
+            f"{node.hats} hats, over the max_svg_nodes cap of "
+            f"{opts.max_svg_nodes}")
     if opts.show_grid and not has_hat_proportion(p):
         raise RenderError(
             "the kite grid exists only at hat proportions (b = sqrt(3)*a)")

@@ -8,15 +8,18 @@ head-to-tail onto their predecessor, and the fourth drops into the open
 slot left by the core's missing piece.  Tail and head anchor vertices are
 traced for the first two generations and propagate by a fixed interior
 coincidence from then on, so every generation's head minus tail can be
-checked against the closed-form supervector.  `check_kites` decides kite
-disjointness on the assembled DAG, placing each shared sub-supertile's
-cells as one precomputed block.
+checked against the closed-form supervector.  A node's hat count is a sum
+over its children, once per shared node, and `check_kites` decides kite
+disjointness on the same DAG, placing each shared sub-supertile's cells as
+one precomputed block.  `expand` walks every single hat; it runs only to
+draw, to shape those blocks, and to word a failed kite check.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .configfile import (
@@ -126,6 +129,13 @@ class SupertileNode:
     v_head: VecE
     partner: Placement | None = None
     missing: Placement | None = None
+
+    @cached_property
+    def hats(self) -> int:
+        """Number of single hats, summed once per shared node."""
+        if self.generation == 1:
+            return 2 if self.kind == THC else 1
+        return sum(child.hats for child, _ in self.children)
 
     def child(self, label: str):
         for lab, pair in zip(self.labels, self.children):
@@ -355,12 +365,11 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
     for gen in range(2, 5):
         for kind in (HAT, THC):
             node = build(kind, gen, p, layout)
-            got = sum(1 for _ in expand(node))
             want = tile_counts(kind, gen)
-            if got != want:
+            if node.hats != want:
                 raise ConstructionError(
                     f"generation {gen}: expected {want} {kind} hats, "
-                    f"assembled {got}")
+                    f"assembled {node.hats}")
             ok, detail = check_kites(node, tile, connected=True)
             if not ok:
                 raise ConstructionError(f"generation {gen}: {kind} {detail}")

@@ -132,20 +132,15 @@ def test_build_disjoint_at_any_hat_scale(capsys, a, b):
 
 def test_build_checks_the_unit_patch_at_any_hat_scale(monkeypatch, capsys):
     # Tile(2, 2*sqrt(3)) is the hat patch scaled by 2: the kite check
-    # must see the a = 1 supertile, and build must expand only once
-    seen, expanded = [], []
+    # must see the a = 1 supertile
+    seen = []
 
     def spy(node, tile, connected=False):
         seen.append(node)
         return check_kites(node, tile, connected)
-
-    def counted(node, *args):
-        expanded.append(node)
-        return expand(node, *args)
     monkeypatch.setattr("hatfam.cli.check_kites", spy)
-    monkeypatch.setattr("hatfam.cli.expand", counted)
     assert main(["build", "hat", "3", "-a", "2", "-b", "2*r3"]) == 0
-    assert len(seen) == 1 and len(expanded) == 1
+    assert len(seen) == 1
     assert measured_supervector(seen[0]) == v_closed(3, hat_params())
     assert "PASS disjoint: 440 kite cells, no overlap" in \
         capsys.readouterr().out
@@ -156,10 +151,36 @@ def test_build_skips_disjoint_off_proportion(capsys):
     assert "skipped: needs hat proportions" in capsys.readouterr().out
 
 
-def test_build_explicit_disjoint_needs_hat_proportions(capsys):
-    assert main(["build", "hat", "2", "-a", "2", "-b", "3",
-                 "--checks", "disjoint"]) == 2
-    assert "hat proportions" in capsys.readouterr().err
+def test_build_at_a_equal_b_warns_once_on_stderr(capsys):
+    assert main(["build", "hat", "2", "-a", "1", "-b", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: a == b puts the tilt angle on the excluded boundary "
+        "value (tan beta = 2 - sqrt(3)); the construction still works\n")
+    assert captured.out.startswith("hat generation 2: 8 hats")
+    assert "skipped: needs hat proportions" in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "hat", "5"],
+    ["build", "hat", "5", "-a", "2", "-b", "2*r3"],
+    ["build", "hat", "5", "-a", "7/3", "-b", "1/2"],
+    ["verify", "--max-gen", "4"],
+])
+def test_deep_supertiles_are_counted_and_checked_without_expanding(
+        monkeypatch, capsys, argv):
+    # hat counts come from the DAG, and the kite check expands only its
+    # blocks of generation 3 or lower
+    def shallow(node, *args):
+        if node.generation > 3:
+            pytest.fail(f"expanded a generation-{node.generation} node")
+        return expand(node, *args)
+    # in its home module and in any module that imports it by name
+    for module in ("substitution", "render", "cli"):
+        monkeypatch.setattr(f"hatfam.{module}.expand", shallow,
+                            raising=False)
+    assert main(argv) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["build", "hat", "9"],

@@ -69,11 +69,16 @@ def test_generation_one(layout, hat_p):
     assert hats[1][0] == compound.partner
 
 
-def test_counts_match_recurrence(layout, hat_p):
-    for kind in (HAT, THC):
-        for n in range(1, 7):
-            node = build(kind, n, hat_p, layout)
-            assert sum(1 for _ in expand(node)) == tile_counts(kind, n)
+def test_counts_match_recurrence(layout):
+    # the DAG's count, the expansion's length and the recurrence agree,
+    # at the hat and off the hat ratio
+    for a, b in (VARIED[0], VARIED[2]):
+        p = make_params(a, b)
+        for kind in (HAT, THC):
+            for n in range(1, 7):
+                node = build(kind, n, p, layout)
+                assert node.hats == sum(1 for _ in expand(node)) \
+                    == tile_counts(kind, n)
 
 
 def test_reflected_counts(layout, hat_p):
