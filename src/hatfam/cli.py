@@ -235,7 +235,11 @@ def cmd_render(args) -> int:
     out = args.out or f"{args.kind}-{args.gen}.svg"
     Path(out).write_text(svg, encoding="utf-8")
     elements = sum(1 for _ in ET.fromstring(svg).iter())
-    print(f"{out}: {elements} svg elements, {node.hats} hats")
+    if args.format == "json":
+        print(json.dumps({"out": out, "svg_elements": elements,
+                          "hats": node.hats}, indent=2))
+    else:
+        print(f"{out}: {elements} svg elements, {node.hats} hats")
     return 0
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .configfile import load_text
 from .exactnum import VecE, zeta_coords
 from .geometry import (
+    KiteCell,
     Placement,
     TileData,
     apply_placement,
@@ -36,6 +37,10 @@ _PLAIN_FILL_DARK = "#6f6f6f"
 # arrow color cycles with the supertile generation
 _ARROW_COLORS = ("#1d3557", "#9d0208", "#1b4332", "#6a040f", "#3c096c",
                  "#7f4f24")
+# grid corners are int pairs (X, Y), the point (X/2, Y*sqrt3/2); cell (q, r,
+# k) adds its hexagon centre (6q, 2(q + 2r)) to the corners of cell (0, 0, k)
+_KITE_OFFSETS = [[(int(2 * v.x.r), int(2 * v.y.s))
+                  for v in kite_corners(KiteCell(0, 0, k))] for k in range(6)]
 
 
 class RenderError(ValueError):
@@ -110,7 +115,8 @@ def _arrow_nodes(node: SupertileNode, placement: Placement, floor: int):
 
 
 class _Doc:
-    """Accumulates elements and the bounding box of their geometry."""
+    """Accumulates the bounding box of the drawn geometry: once per hat,
+    from all its vertices, and once per distinct grid corner."""
 
     def __init__(self):
         self.min_x = math.inf
@@ -123,32 +129,42 @@ class _Doc:
         return self.raw(x, -y)
 
     def raw(self, x: float, y: float) -> tuple[float, float]:
-        self.min_x = min(self.min_x, x)
-        self.min_y = min(self.min_y, y)
-        self.max_x = max(self.max_x, x)
-        self.max_y = max(self.max_y, y)
+        self.cover((x,), (y,))
         return x, y
+
+    def cover(self, xs, ys) -> None:
+        self.min_x = min(self.min_x, *xs)
+        self.min_y = min(self.min_y, *ys)
+        self.max_x = max(self.max_x, *xs)
+        self.max_y = max(self.max_y, *ys)
 
 
 def _grid_lines(doc: _Doc, placed: list[Placement], p: TileParams,
                 tile: TileData) -> list[str]:
-    scale = p.a
-    lines = []
+    # float(QSqrt3) of the corner scaled by a = (aa + ab*sqrt3)/ad: int /
+    # int rounds correctly, so unreduced quotients give the same floats
+    aa, ab, den = p.a.a, p.a.b, 2 * p.a.d
+    sqrt3 = 3.0 ** 0.5
+    strs = {}
     seen = set()
+    lines = []
     for q in placed:
-        for cell in sorted(hat_kite_cells(q, tile.cells)):
-            corners = kite_corners(cell)
-            for i in range(4):
-                a, b = corners[i], corners[(i + 1) % 4]
-                key = frozenset((a, b))
+        for hq, hr, k in sorted(hat_kite_cells(q, tile.cells)):
+            cx, cy = 6 * hq, 2 * (hq + 2 * hr)
+            pts = [(cx + dx, cy + dy) for dx, dy in _KITE_OFFSETS[k]]
+            for X, Y in pts:
+                if (X, Y) not in strs:
+                    x, y = doc.raw(X * aa / den + X * ab / den * sqrt3,
+                                   -(3 * Y * ab / den + Y * aa / den * sqrt3))
+                    strs[X, Y] = _fmt(x), _fmt(y)
+            for u, v in zip(pts, pts[1:] + pts[:1]):
+                key = (u, v) if u < v else (v, u)
                 if key in seen:
                     continue
                 seen.add(key)
-                x1, y1 = doc.pt(a * scale)
-                x2, y2 = doc.pt(b * scale)
+                (x1, y1), (x2, y2) = strs[u], strs[v]
                 lines.append(
-                    f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                    f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>')
+                    f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
     return lines
 
 
@@ -175,7 +191,7 @@ def _hat_paths(doc: _Doc, placed: list[tuple[Placement, bool]],
         td = q.den
         t0, t1, t2, t3 = (c * vd for c in q.coords)
         den = 2 * vd * td
-        pts = []
+        xs, ys = [], []
         for v0, v1, v2, v3 in verts:
             c0, c1 = v0 * td + t0, v1 * td + t1
             c2, c3 = v2 * td + t2, v3 * td + t3
@@ -183,9 +199,11 @@ def _hat_paths(doc: _Doc, placed: list[tuple[Placement, bool]],
             # y = (c1 + 2 c3 + c2*sqrt3)/den: int / int rounds correctly,
             # so reduced or not, the floats are bit for bit the same
             x = (2 * c0 + c2) / den + c1 / den * sqrt3
-            y = (c1 + 2 * c3) / den + c2 / den * sqrt3
-            pts.append(doc.raw(x, -y))
-        d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts) + " Z"
+            xs.append(x)
+            ys.append(-((c1 + 2 * c3) / den + c2 / den * sqrt3))
+        doc.cover(xs, ys)
+        d = ("M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xs, ys))
+             + " Z")
         if scheme == SCHEME_ROTATION:
             fills = _ROT_FILLS_DARK if reflected else _ROT_FILLS
             fill = fills[q.rotation_k]

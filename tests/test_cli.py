@@ -214,6 +214,21 @@ def test_render_writes_svg(tmp_path, capsys):
     assert len(paths) == 8
 
 
+def test_render_json_reports_the_text_line_counts(tmp_path, capsys):
+    out = tmp_path / "fig.svg"
+    argv = ["render", "hat", "2", "--grid", "--supervectors", "2",
+            "-o", str(out)]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    svg = out.read_bytes()
+    assert main([*argv, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"out": str(out), "svg_elements": doc["svg_elements"],
+                   "hats": 8}
+    assert text == f"{out}: {doc['svg_elements']} svg elements, 8 hats\n"
+    assert out.read_bytes() == svg
+
+
 def test_render_default_filename(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["render", "thc", "1"]) == 0

@@ -3,16 +3,27 @@
 The sha256 digests below were recorded at commit 35d2436, before
 placements held integer Q(zeta12) coordinates.  Build JSON, SVG figures
 and the verify items (without their timings) must stay identical to
-them.  Grid renders at a != 1 are left out: they draw the kite grid at
-scale a^2, a known fault whose bytes the benchmark references pin.
+them.  Grid renders at a != 1 are not recorded here: they draw the kite
+grid at scale a^2, a known fault.  Their bytes, with every other figure the
+benchmark's render workload can draw, are checked against the benchmark's
+own references in `perfbench/refs.json`, read without changing anything
+under `perfbench/`.
 """
 
 import hashlib
+import importlib.util
 import re
+from pathlib import Path
 
 import pytest
 
 from hatfam.cli import main
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_workloads", _PERFBENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 _TIMING = re.compile(r" \(\d+\.\d+s\)$", re.MULTILINE)
 
@@ -76,3 +87,17 @@ def test_verify_items_bytes(tmp_path):
     assert main(["verify", "--max-gen", "3", "-o", str(out)]) == 0
     items = _TIMING.sub("", out.read_text(encoding="utf-8"))
     assert _sha256(items.encode("utf-8")) == VERIFY_MAX_GEN_3
+
+
+# every argv of the render workload, at the timed and at the smoke sizes
+BENCH_RENDERS = [argv for smoke in (False, True)
+                 for argv in workloads.all_argvs("render", smoke)]
+
+
+@pytest.mark.parametrize("argv", BENCH_RENDERS, ids=workloads.key)
+def test_benchmark_render_bytes(argv, tmp_path, capsys):
+    out = tmp_path / "render.svg"
+    i = argv.index("-o") + 1
+    assert main([*argv[:i], str(out), *argv[i + 1:]]) == 0
+    want = workloads.load_refs()["outputs"][workloads.key(argv)]
+    assert _sha256(out.read_bytes()) == want

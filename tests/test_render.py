@@ -6,7 +6,12 @@ import pytest
 from hatfam import render
 from hatfam.cli import main
 from hatfam.exactnum import VEC_ZERO, parse_scalar, qs3
-from hatfam.geometry import apply_placement
+from hatfam.geometry import (
+    KiteCell,
+    apply_placement,
+    hat_kite_cells,
+    kite_corners,
+)
 from hatfam.render import RenderError, RenderOptions, render_supertile
 from hatfam.substitution import HAT, THC, SupertileNode, build, expand
 from hatfam.supervectors import make_params
@@ -174,7 +179,31 @@ def test_hat_vertices_are_the_exact_floats(a, b, layout, tile, monkeypatch):
     assert [path.get("d") for path in _tags(svg, "path")] == want
 
 
-def test_viewbox_covers_the_figure(layout, hat_p):
+@pytest.mark.parametrize("kind", [HAT, THC])
+def test_grid_corners_are_the_exact_floats(kind, layout, tile, hat_p,
+                                           monkeypatch):
+    # every grid line, in order, joins the floats of the exact kite
+    # corners; an edge shared by two kites is drawn once, where first seen
+    node = build(kind, 3, hat_p, layout)
+    monkeypatch.setattr(render, "_fmt", float.hex)
+    svg = render_supertile(node, hat_p, RenderOptions(show_grid=True), tile)
+    want, seen = [], set()
+    for q, _ in expand(node):
+        for cell in sorted(hat_kite_cells(q, tile.cells)):
+            corners = kite_corners(KiteCell(*cell))
+            for i in range(4):
+                u, v = corners[i], corners[(i + 1) % 4]
+                if frozenset((u, v)) in seen:
+                    continue
+                seen.add(frozenset((u, v)))
+                (x1, y1), (x2, y2) = u.to_floats(), v.to_floats()
+                want.append((x1.hex(), (-y1).hex(), x2.hex(), (-y2).hex()))
+    got = [tuple(line.get(k) for k in ("x1", "y1", "x2", "y2"))
+           for line in _tags(svg, "line")]
+    assert got == want
+
+
+def test_viewbox_covers_the_figure(layout, hat_p, monkeypatch):
     svg = render_supertile(build(HAT, 2, hat_p, layout), hat_p)
     root = ET.fromstring(svg)
     x, y, w, h = (float(tok) for tok in root.get("viewBox").split())
@@ -185,3 +214,28 @@ def test_viewbox_covers_the_figure(layout, hat_p):
         xs, ys = nums[0::2], nums[1::2]
         assert x <= min(xs) and max(xs) <= x + w
         assert y <= min(ys) and max(ys) <= y + h
+    # with the floats written in hex, the box is exactly the extremes of
+    # every drawn point widened by the margin
+    monkeypatch.setattr(render, "_fmt", float.hex)
+    off_hat = make_params(qs3(7, 0) / 3, qs3(1, 0) / 2)
+    for kind, p, opts in [
+            (HAT, hat_p, RenderOptions(show_grid=True, show_supervectors=2)),
+            (THC, off_hat, RenderOptions(margin=0))]:
+        svg = render_supertile(build(kind, 3, p, layout), p, opts)
+        pts = []
+        for path in _tags(svg, "path"):
+            nums = [float.fromhex(t) for t in path.get("d").split()
+                    if t not in ("M", "L", "Z")]
+            pts += zip(nums[0::2], nums[1::2])
+        for line in _tags(svg, "line"):
+            pts += [(float.fromhex(line.get(f"x{i}")),
+                     float.fromhex(line.get(f"y{i}"))) for i in (1, 2)]
+        for poly in _tags(svg, "polygon"):
+            pts += [tuple(map(float.fromhex, pt.split(",")))
+                    for pt in poly.get("points").split()]
+        xs, ys = [px for px, _ in pts], [py for _, py in pts]
+        m = opts.margin
+        want = (min(xs) - m, min(ys) - m, max(xs) - min(xs) + 2 * m,
+                max(ys) - min(ys) + 2 * m)
+        got = ET.fromstring(svg).get("viewBox").split()
+        assert tuple(map(float.fromhex, got)) == want
