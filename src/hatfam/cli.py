@@ -22,7 +22,12 @@ from pathlib import Path
 from .configfile import ConfigError, load_text
 from .exactnum import QSqrt3, parse_scalar, render_scalar
 from .geometry import GeometryError, shoelace_area, tile_from_config
-from .render import RenderError, RenderOptions, render_supertile
+from .render import (
+    RenderError,
+    RenderOptions,
+    element_count,
+    render_supertile,
+)
 from .sequences import fib, g_closed, g_recurrence, lucas, tile_counts
 from .substitution import (
     HAT,
@@ -234,7 +239,7 @@ def cmd_render(args) -> int:
     svg = render_supertile(node, p, opts, tile)
     out = args.out or f"{args.kind}-{args.gen}.svg"
     Path(out).write_text(svg, encoding="utf-8")
-    elements = sum(1 for _ in ET.fromstring(svg).iter())
+    elements = element_count(svg)
     if args.format == "json":
         print(json.dumps({"out": out, "svg_elements": elements,
                           "hats": node.hats}, indent=2))

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from .configfile import ConfigError, parse_config, value_int, value_ints
@@ -24,6 +25,7 @@ from .exactnum import (
     QSqrt3,
     VEC_ZERO,
     VecE,
+    _sign,
     qs3,
     reduced_coords,
     reflect_y_axis,
@@ -239,48 +241,79 @@ def apply_placement(o: Outline, q: Placement) -> Outline:
     return tuple(q.apply(v) for v in o)
 
 
-def _between(lo: QSqrt3, x: QSqrt3, hi: QSqrt3) -> bool:
-    if hi < lo:
-        lo, hi = hi, lo
-    return lo <= x <= hi
+def _int_points(o: Outline) -> list[tuple[int, int, int, int]]:
+    """Each vertex (x, y) as ints (xa, xb, ya, yb) with x = (xa + xb*sqrt3)/D
+    and y = (ya + yb*sqrt3)/D over one common D > 0, so differences,
+    products and signs of the points need no gcd."""
+    den = lcm(*(c.d for v in o for c in (v.x, v.y)))
+    out = []
+    for v in o:
+        x, y = v.x, v.y
+        kx, ky = den // x.d, den // y.d
+        out.append((x.a * kx, x.b * kx, y.a * ky, y.b * ky))
+    return out
 
 
-def _segments_cross(a: VecE, b: VecE, c: VecE, d: VecE) -> bool:
-    """Exact test: do closed segments ab and cd share any point?"""
-    ab = b - a
-    cd = d - c
-    d1 = ab.cross(c - a).sign()
-    d2 = ab.cross(d - a).sign()
-    d3 = cd.cross(a - c).sign()
-    d4 = cd.cross(b - c).sign()
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return True
-    for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
-        uv = v - u
-        if uv.cross(p - u).sign() == 0 and \
-                _between(u.x, p.x, v.x) and _between(u.y, p.y, v.y):
-            return True
-    return False
+def _side(p, q, r) -> int:
+    """Sign of (q - p) x (r - p) for `_int_points` points: +1 when r lies
+    left of the line from p to q, 0 on it."""
+    ux, uxr, uy, uyr = q[0] - p[0], q[1] - p[1], q[2] - p[2], q[3] - p[3]
+    vx, vxr, vy, vyr = r[0] - p[0], r[1] - p[1], r[2] - p[2], r[3] - p[3]
+    # (ux + uxr*sqrt3)(vy + vyr*sqrt3) - (uy + uyr*sqrt3)(vx + vxr*sqrt3)
+    return _sign(ux * vy + 3 * uxr * vyr - uy * vx - 3 * uyr * vxr,
+                 ux * vyr + uxr * vy - uy * vxr - uyr * vx)
+
+
+def _turn_back(p, q, r) -> bool:
+    """True if (q - p) . (r - q) < 0 for `_int_points` points."""
+    ux, uxr, uy, uyr = q[0] - p[0], q[1] - p[1], q[2] - p[2], q[3] - p[3]
+    vx, vxr, vy, vyr = r[0] - q[0], r[1] - q[1], r[2] - q[2], r[3] - q[3]
+    return _sign(ux * vx + 3 * uxr * vxr + uy * vy + 3 * uyr * vyr,
+                 ux * vxr + uxr * vx + uy * vyr + uyr * vy) < 0
+
+
+def _in_box(u, p, v) -> bool:
+    """True if p lies in the closed axis-parallel box spanned by u and v,
+    for `_int_points` points."""
+    return (_sign(p[0] - u[0], p[1] - u[1])
+            * _sign(p[0] - v[0], p[1] - v[1]) <= 0
+            and _sign(p[2] - u[2], p[3] - u[3])
+            * _sign(p[2] - v[2], p[3] - v[3]) <= 0)
 
 
 def is_simple(o: Outline) -> bool:
     """Exact check that no two non-adjacent edges intersect and adjacent
-    edges share only their common vertex."""
-    n = len(o)
+    edges share only their common vertex.
+
+    The vertices are scaled once to `_int_points`, and every test is the
+    sign of an integer combination: side[i][k] is the side of vertex k
+    relative to edge i.
+    """
+    pts = _int_points(o)
+    n = len(pts)
+    nxt = pts[1:] + pts[:1]
+    side = [[_side(a, b, r) for r in pts] for a, b in zip(pts, nxt)]
     for i in range(n):
-        a, b = o[i], o[(i + 1) % n]
+        a, b = pts[i], nxt[i]
         if a == b:
             return False
+        side_i, i1 = side[i], (i + 1) % n
         # adjacent edges may only fold back onto each other when collinear
         # and reversed; straight-through (turn 0) is fine
-        c = o[(i + 2) % n]
-        e1, e2 = b - a, c - b
-        if e1.cross(e2).sign() == 0 and e1.dot(e2).sign() < 0:
+        if not side_i[(i + 2) % n] and _turn_back(a, b, nxt[i1]):
             return False
         for j in range(i + 2, n):
             if i == 0 and j == n - 1:
                 continue
-            if _segments_cross(a, b, o[j], o[(j + 1) % n]):
+            k = (j + 1) % n
+            c, d = pts[j], pts[k]
+            d1, d2, d3, d4 = side_i[j], side_i[k], side[j][i], side[j][i1]
+            # a proper crossing, or an endpoint on the other edge
+            if d1 * d2 < 0 and d3 * d4 < 0:
+                return False
+            if (not d1 and _in_box(a, c, b) or not d2 and _in_box(a, d, b)
+                    or not d3 and _in_box(c, a, d)
+                    or not d4 and _in_box(c, b, d)):
                 return False
     return True
 

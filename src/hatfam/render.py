@@ -293,3 +293,13 @@ def render_supertile(node: SupertileNode, p: TileParams,
         out.append('</g>')
     out.append('</svg>')
     return "\n".join(out) + "\n"
+
+
+def element_count(svg: str) -> int:
+    """The number of elements in a document made by `render_supertile`.
+
+    The renderer writes every element on a line of its own, empty or as a
+    start tag, and every end tag (`</g>`, `</svg>`) on another line, so the
+    count is the number of lines that are not end tags.
+    """
+    return svg.count("\n") - svg.count("\n</")

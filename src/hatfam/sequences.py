@@ -10,24 +10,30 @@ implemented independently so they can check each other.
 from __future__ import annotations
 
 
-def fib(n: int) -> int:
-    """Fibonacci number, fib(0) = 0, fib(1) = 1."""
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(fib(n), fib(n + 1)) by fast doubling: from the top bit of n down,
+    fib(2k) = fib(k)*(2*fib(k + 1) - fib(k)) and
+    fib(2k + 1) = fib(k)^2 + fib(k + 1)^2, one step per bit."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
+
+
+def fib(n: int) -> int:
+    """Fibonacci number, fib(0) = 0, fib(1) = 1."""
+    return _fib_pair(n)[0]
 
 
 def lucas(n: int) -> int:
-    """Lucas number, lucas(0) = 2, lucas(1) = 1."""
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    """Lucas number, lucas(0) = 2, lucas(1) = 1: lucas(n) = fib(n - 1) +
+    fib(n + 1) = 2*fib(n + 1) - fib(n)."""
+    a, b = _fib_pair(n)
+    return 2 * b - a
 
 
 def g_closed(n: int) -> int:

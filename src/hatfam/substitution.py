@@ -11,8 +11,9 @@ coincidence from then on, so every generation's head minus tail can be
 checked against the closed-form supervector.  A node's hat count is a sum
 over its children, once per shared node, and `check_kites` decides kite
 disjointness on the same DAG, placing each shared sub-supertile's cells as
-one precomputed block.  `expand` walks every single hat; it runs only to
-draw, to shape those blocks, and to word a failed kite check.
+one block, made from its children's blocks and kept on the node.  `expand`
+walks every single hat; it runs only to draw, to place the hats of a
+generation-1 block, and to word a failed kite check.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .supervectors import TileParams, hat_params, v_closed
 HAT = "hat"
 THC = "thc"
 # the kite check places sub-supertiles of this generation or lower as whole
-# blocks of cells, computed once per (block, orientation)
+# blocks of cells, made once per (block, orientation) by `_kite_shape`
 _BLOCK_GENERATION = 3
 
 _LABELS = ("T", "P1", "P2", "P3", "P4", "P5", "P6")
@@ -131,6 +132,11 @@ class SupertileNode:
     missing: Placement | None = None
 
     @cached_property
+    def _kite_shapes(self) -> dict:
+        """The memo of `_kite_shape`, kept with the node it describes."""
+        return {}
+
+    @cached_property
     def hats(self) -> int:
         """Number of single hats, summed once per shared node."""
         if self.generation == 1:
@@ -206,6 +212,18 @@ def _assemble(n: int, prev_hat: SupertileNode, prev_thc: SupertileNode,
     return hat, thc
 
 
+def _leaves(p: TileParams, layout: LayoutTable):
+    """The generation-1 hat and compound."""
+    tail = layout.tail1.at(p)
+    head = layout.head1.at(p)
+    _check_anchor(HAT, 1, tail, head, p)
+    hat = SupertileNode(HAT, 1, (), (), tail, head)
+    partner = Placement(layout.partner_rotation_k, layout.partner_reflected,
+                        layout.partner_offset.at(p))
+    thc = SupertileNode(THC, 1, (), (), tail, head, partner=partner)
+    return hat, thc
+
+
 def build(kind: str, n: int, p: TileParams,
           layout: LayoutTable) -> SupertileNode:
     """Assemble the generation-n supertile of the given kind.
@@ -218,14 +236,7 @@ def build(kind: str, n: int, p: TileParams,
         raise ValueError(f"kind must be 'hat' or 'thc', got {kind!r}")
     if n < 1:
         raise ValueError(f"generation must be >= 1, got {n}")
-
-    tail = layout.tail1.at(p)
-    head = layout.head1.at(p)
-    _check_anchor(HAT, 1, tail, head, p)
-    hat = SupertileNode(HAT, 1, (), (), tail, head)
-    partner = Placement(layout.partner_rotation_k, layout.partner_reflected,
-                        layout.partner_offset.at(p))
-    thc = SupertileNode(THC, 1, (), (), tail, head, partner=partner)
+    hat, thc = _leaves(p, layout)
     for gen in range(2, n + 1):
         hat, thc = _assemble(gen, hat, thc, p, layout)
     return hat if kind == HAT else thc
@@ -255,6 +266,34 @@ def _blocks(node: SupertileNode, placement: Placement, out: list) -> None:
         _blocks(child, placement.compose(q), out)
 
 
+def _kite_shape(node: SupertileNode, o: int, base_cells):
+    """(cells, r_lo, r_hi): the kite cells of `node` placed at orientation
+    o about its own origin, as (hex_q, hex_r, corner_k) tuples, and the
+    bounds of their hex_r.  Made from the children's shapes and memoized on
+    the node, so a node shared between parents, or between the checks of
+    successive generations, is placed once per orientation.  Raises
+    LatticeError for a piece off the hexagon lattice.
+    """
+    shapes = node._kite_shapes
+    key = o, base_cells
+    if key in shapes:
+        return shapes[key]
+    turn = Placement(o % 6, o >= 6)
+    if node.generation == 1:
+        cells = [c for h, _ in expand(node, turn)
+                 for c in hat_kite_cells(h, base_cells)]
+    else:
+        cells = []
+        for child, q in node.children:
+            q = turn.compose(q)
+            m, n = lattice_shift(q)
+            cells += [(hq + m, hr + n, k) for hq, hr, k in
+                      _kite_shape(child, q.orientation, base_cells)[0]]
+    rows = [r for _, r, _ in cells]
+    shapes[key] = shape = cells, min(rows), max(rows)
+    return shape
+
+
 def _packed_kites(node: SupertileNode, base_cells):
     """(cells, placed, width): the set of kite cells the supertile's hats
     cover, packed by `pack_cells` at `width`, and the number of cells
@@ -263,26 +302,17 @@ def _packed_kites(node: SupertileNode, base_cells):
     """
     blocks = []
     _blocks(node, IDENTITY, blocks)
-    # each (block, orientation): its cells about the block's own origin,
-    # and the bounds of their hex_r
     shapes = {}
     moves = []
     r_bound = 0
     for sub, q in blocks:
         key = sub, q.orientation
-        if key not in shapes:
-            turn = Placement(q.rotation_k, q.reflected)
-            cells = [c for h, _ in expand(sub, turn)
-                     for c in hat_kite_cells(h, base_cells)]
-            rows = [r for _, r, _ in cells]
-            shapes[key] = cells, min(rows), max(rows)
-        _, r_lo, r_hi = shapes[key]
+        shapes[key], r_lo, r_hi = _kite_shape(sub, q.orientation, base_cells)
         m, n = lattice_shift(q)
         moves.append((key, m, n))
         r_bound = max(r_bound, n + r_hi, -n - r_lo)
     width = packing_width(r_bound)
-    packed = {key: pack_cells(cells, width)
-              for key, (cells, _, _) in shapes.items()}
+    packed = {key: pack_cells(cells, width) for key, cells in shapes.items()}
     covered = set()
     placed = 0
     for key, m, n in moves:
@@ -362,17 +392,21 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
         raise ConstructionError(
             f"tile outline area {area} is not 8 kite units at hat "
             f"proportions")
+    # one assembly chain: each generation's checks run on the nodes the
+    # next generation is made of, so their kite blocks are shared
+    hat, thc = _leaves(p, layout)
     for gen in range(2, 5):
-        for kind in (HAT, THC):
-            node = build(kind, gen, p, layout)
-            want = tile_counts(kind, gen)
+        hat, thc = _assemble(gen, hat, thc, p, layout)
+        for node in (hat, thc):
+            want = tile_counts(node.kind, gen)
             if node.hats != want:
                 raise ConstructionError(
-                    f"generation {gen}: expected {want} {kind} hats, "
+                    f"generation {gen}: expected {want} {node.kind} hats, "
                     f"assembled {node.hats}")
             ok, detail = check_kites(node, tile, connected=True)
             if not ok:
-                raise ConstructionError(f"generation {gen}: {kind} {detail}")
+                raise ConstructionError(
+                    f"generation {gen}: {node.kind} {detail}")
     return layout
 
 

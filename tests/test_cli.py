@@ -229,6 +229,21 @@ def test_render_json_reports_the_text_line_counts(tmp_path, capsys):
     assert out.read_bytes() == svg
 
 
+@pytest.mark.parametrize("argv,hats", [
+    (["hat", "3", "--grid", "--supervectors", "2"], 55),
+    (["thc", "3"], 47),
+], ids=["hat-grid-arrows", "thc"])
+def test_render_counts_the_parsed_elements(tmp_path, capsys, argv, hats):
+    out = tmp_path / "fig.svg"
+    assert main(["render", *argv, "-o", str(out)]) == 0
+    parsed = sum(1 for _ in ET.fromstring(out.read_text("utf-8")).iter())
+    assert capsys.readouterr().out == \
+        f"{out}: {parsed} svg elements, {hats} hats\n"
+    assert main(["render", *argv, "-o", str(out), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        {"out": str(out), "svg_elements": parsed, "hats": hats}
+
+
 def test_render_default_filename(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["render", "thc", "1"]) == 0

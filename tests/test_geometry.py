@@ -4,11 +4,12 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatfam.configfile import ConfigError, load_text
 from hatfam.exactnum import (
+    QSqrt3,
     VEC_ZERO,
     VecE,
     parse_scalar,
@@ -52,6 +53,10 @@ from hatfam.supervectors import hat_params, make_params
 
 SQUARE = (VecE.of(0, 0), VecE.of(1, 0), VecE.of(1, 1), VecE.of(0, 1))
 BOWTIE = (VecE.of(0, 0), VecE.of(2, 2), VecE.of(2, 0), VecE.of(0, 2))
+# a vertex on a non-adjacent edge, which only the collinear-overlap branch
+# of the segment test rejects
+PINCHED = (VecE.of(0, 0), VecE.of(4, 0), VecE.of(4, 2), VecE.of(2, 0),
+           VecE.of(0, 2))
 
 
 def _p(a, b):
@@ -239,8 +244,99 @@ def test_turtle_spec_validation():
 def test_is_simple():
     assert is_simple(SQUARE)
     assert not is_simple(BOWTIE)
+    assert not is_simple(PINCHED)
     spike = (VecE.of(0, 0), VecE.of(2, 0), VecE.of(1, 0), VecE.of(1, 1))
     assert not is_simple(spike)
+
+
+# The QSqrt3 segment test and simplicity check that `is_simple` replaced,
+# kept verbatim as the oracle for the integer version.
+
+def _between(lo: QSqrt3, x: QSqrt3, hi: QSqrt3) -> bool:
+    if hi < lo:
+        lo, hi = hi, lo
+    return lo <= x <= hi
+
+
+def _segments_cross(a: VecE, b: VecE, c: VecE, d: VecE) -> bool:
+    """Exact test: do closed segments ab and cd share any point?"""
+    ab = b - a
+    cd = d - c
+    d1 = ab.cross(c - a).sign()
+    d2 = ab.cross(d - a).sign()
+    d3 = cd.cross(a - c).sign()
+    d4 = cd.cross(b - c).sign()
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return True
+    for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
+        uv = v - u
+        if uv.cross(p - u).sign() == 0 and \
+                _between(u.x, p.x, v.x) and _between(u.y, p.y, v.y):
+            return True
+    return False
+
+
+def _oracle_is_simple(o) -> bool:
+    """Exact check that no two non-adjacent edges intersect and adjacent
+    edges share only their common vertex."""
+    n = len(o)
+    for i in range(n):
+        a, b = o[i], o[(i + 1) % n]
+        if a == b:
+            return False
+        # adjacent edges may only fold back onto each other when collinear
+        # and reversed; straight-through (turn 0) is fine
+        c = o[(i + 2) % n]
+        e1, e2 = b - a, c - b
+        if e1.cross(e2).sign() == 0 and e1.dot(e2).sign() < 0:
+            return False
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue
+            if _segments_cross(a, b, o[j], o[(j + 1) % n]):
+                return False
+    return True
+
+
+# points in 1/2 Z + 1/2 Z*sqrt3, on a window small enough that repeated
+# vertices, collinear fold-backs, touching endpoints and bow-ties are common
+_HALVES = st.builds(lambda i, j: qs3(Fraction(i, 2), Fraction(j, 2)),
+                    st.integers(-4, 4), st.integers(-2, 2))
+_POINTS = st.builds(VecE, _HALVES, _HALVES)
+
+
+@st.composite
+def _polygons(draw):
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(_POINTS, min_size=3, max_size=8)))
+    # vertices drawn from a small pool repeat and line up more often
+    pool = draw(st.lists(_POINTS, min_size=2, max_size=5, unique=True))
+    return tuple(draw(st.lists(st.sampled_from(pool), min_size=3,
+                               max_size=8)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_polygons())
+@example(PINCHED)
+@example(BOWTIE)
+@example(SQUARE)
+def test_is_simple_matches_the_qsqrt3_oracle(poly):
+    assert is_simple(poly) == _oracle_is_simple(poly)
+
+
+@pytest.mark.parametrize("a,b", [
+    ("1", "r3"), ("2", "3"), ("1", "1"), ("r3", "1"), ("5", "2"),
+    ("7/3", "1/2"), ("2+r3", "3+2*r3"),
+], ids=["hat", "2-3", "1-1", "turtle", "5-2", "7/3-1/2", "irrational"])
+def test_is_simple_matches_the_oracle_on_the_tile(tile, a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        p = make_params(parse_scalar(a), parse_scalar(b))
+    o = outline_from_turtle(tile.spec, p, tile.heading_k30)
+    assert is_simple(o) and _oracle_is_simple(o)
+    # moving a vertex onto the vertex two before it folds the walk back
+    for bad in (o[:3] + (o[1],) + o[4:], o[:2] + (o[0],) + o[3:]):
+        assert not is_simple(bad) and not _oracle_is_simple(bad)
 
 
 def test_validate_outline_checks_edge_lengths():

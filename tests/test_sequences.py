@@ -23,7 +23,7 @@ def test_lucas_known_values():
 
 def test_fib_lucas_identity():
     # L_n = F_(n-1) + F_(n+1)
-    for n in range(1, 60):
+    for n in [*range(1, 60), 2000, 10_000, 10_001]:
         assert lucas(n) == fib(n - 1) + fib(n + 1)
 
 
@@ -33,12 +33,30 @@ def test_g_table():
 
 
 def test_g_closed_matches_recurrence_deep():
-    assert g_recurrence(500) == [g_closed(n) for n in range(1, 501)]
+    assert g_recurrence(1000) == [g_closed(n) for n in range(1, 1001)]
 
 
 def test_g_divisibility():
     for n in range(1, 1001):
         assert (8 * lucas(4 * n - 2) + 21) % 15 == 0
+
+
+def _iterated(first, second, count):
+    """The first `count` terms of x_n = x_(n-1) + x_(n-2), one add each."""
+    out = []
+    a, b = first, second
+    for _ in range(count):
+        out.append(a)
+        a, b = b, a + b
+    return out
+
+
+def test_fib_lucas_match_the_plain_iteration():
+    fibs = _iterated(0, 1, 10_002)
+    lucases = _iterated(2, 1, 10_002)
+    for n in [*range(2001), 10_000, 10_001]:
+        assert fib(n) == fibs[n]
+        assert lucas(n) == lucases[n]
 
 
 @pytest.mark.parametrize("fn", [fib, lucas])

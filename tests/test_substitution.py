@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hatfam import substitution
 from hatfam.configfile import load_text
 from hatfam.exactnum import VEC_ZERO, VecE, qs3
 from hatfam.geometry import (
@@ -179,6 +180,37 @@ def test_offset_perturbation_rejected(tile):
     shifted = text.replace(orig, "p4_offset_u = 6, 1*r3")
     with pytest.raises(ConstructionError, match="overlap"):
         layout_from_config(shifted, tile)
+
+
+@pytest.mark.parametrize("offset,message", [
+    ("6, 1*r3", "generation 2: hat pieces 4 and 5 overlap on kite "
+                "KiteCell(hex_q=3, hex_r=-1, corner_k=5)"),
+    ("0, 3*r3", "generation 3: hat pieces 14 and 15 overlap on kite "
+                "KiteCell(hex_q=6, hex_r=-6, corner_k=1)"),
+    ("-3, -4*r3", "generation 3: hat pieces 2 and 12 overlap on kite "
+                  "KiteCell(hex_q=1, hex_r=-2, corner_k=0)"),
+])
+def test_offset_perturbation_messages(tile, offset, message):
+    # the kite blocks shared between generations word a clash exactly as
+    # a separate check of each generation did
+    text = load_text("layout.cfg").replace(
+        "p4_offset_u = 3, 0", f"p4_offset_u = {offset}")
+    with pytest.raises(ConstructionError) as caught:
+        layout_from_config(text, tile)
+    assert str(caught.value) == message
+
+
+def test_layout_validation_assembles_each_generation_once(tile, monkeypatch):
+    calls = []
+    assemble = substitution._assemble
+
+    def counted(n, *args):
+        calls.append(n)
+        return assemble(n, *args)
+
+    monkeypatch.setattr(substitution, "_assemble", counted)
+    layout_from_config(load_text("layout.cfg"), tile)
+    assert calls == [2, 3, 4]
 
 
 # -------------------------------------------------------------------- search
