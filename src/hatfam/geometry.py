@@ -6,10 +6,10 @@ or b) with headings at multiples of 30 degrees, so every vertex stays in
 Q(sqrt(3)).  At hat parameters (a=1, b=sqrt(3)) each hat covers exactly 8
 kites of the hexagon grid with edge 2.  This module places hats on that
 grid (`hat_kite_cells`), runs the flat per-hat disjointness check
-(`disjoint_cells`, which words a clash), and packs cells into small ints
-for the connectivity test (`pack_cells`, `cells_connected`).  The kite
-check of a whole supertile, which walks its assembly DAG, lives in
-`substitution.check_kites`.
+(`disjoint_cells`, which words a clash), and numbers cells by small ints
+(`pack_cells`): the connectivity test (`cells_connected`) runs on them,
+and they are the bit positions of the kite check of a whole supertile,
+`substitution.check_kites`, which walks its assembly DAG.
 """
 
 from __future__ import annotations

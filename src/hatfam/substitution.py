@@ -10,10 +10,10 @@ traced for the first two generations and propagate by a fixed interior
 coincidence from then on, so every generation's head minus tail can be
 checked against the closed-form supervector.  A node's hat count is a sum
 over its children, once per shared node, and `check_kites` decides kite
-disjointness on the same DAG, placing each shared sub-supertile's cells as
-one block, made from its children's blocks and kept on the node.  `expand`
-walks every single hat; it runs only to draw, to place the hats of a
-generation-1 block, and to word a failed kite check.
+disjointness on the same DAG: each (node, orientation) holds its cells as
+one int, the OR of its children's ints shifted into place, kept on the
+node.  `expand` walks every single hat; it runs only to draw, to place the
+hats of a generation-1 node, and to word a failed kite check.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 from typing import Iterator
 
 from .configfile import (
@@ -52,9 +53,10 @@ from .supervectors import TileParams, hat_params, v_closed
 
 HAT = "hat"
 THC = "thc"
-# the kite check places sub-supertiles of this generation or lower as whole
-# blocks of cells, made once per (block, orientation) by `_kite_shape`
-_BLOCK_GENERATION = 3
+# the kite check leaves a patch of more bits per hat than this (supertiles
+# need at most 60) to the flat check, so no far-flung patch makes a huge int
+_MAX_BITS_PER_HAT = 256
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to selectors
 
 _LABELS = ("T", "P1", "P2", "P3", "P4", "P5", "P6")
 _MEETING_INDEX = 3  # ring position of the slot-filling piece (P4)
@@ -132,8 +134,8 @@ class SupertileNode:
     missing: Placement | None = None
 
     @cached_property
-    def _kite_shapes(self) -> dict:
-        """The memo of `_kite_shape`, kept with the node it describes."""
+    def _kites(self) -> dict:
+        """The memo of `_kite_box` and `_kite_bits` for this node."""
         return {}
 
     @cached_property
@@ -212,18 +214,6 @@ def _assemble(n: int, prev_hat: SupertileNode, prev_thc: SupertileNode,
     return hat, thc
 
 
-def _leaves(p: TileParams, layout: LayoutTable):
-    """The generation-1 hat and compound."""
-    tail = layout.tail1.at(p)
-    head = layout.head1.at(p)
-    _check_anchor(HAT, 1, tail, head, p)
-    hat = SupertileNode(HAT, 1, (), (), tail, head)
-    partner = Placement(layout.partner_rotation_k, layout.partner_reflected,
-                        layout.partner_offset.at(p))
-    thc = SupertileNode(THC, 1, (), (), tail, head, partner=partner)
-    return hat, thc
-
-
 def build(kind: str, n: int, p: TileParams,
           layout: LayoutTable) -> SupertileNode:
     """Assemble the generation-n supertile of the given kind.
@@ -236,10 +226,23 @@ def build(kind: str, n: int, p: TileParams,
         raise ValueError(f"kind must be 'hat' or 'thc', got {kind!r}")
     if n < 1:
         raise ValueError(f"generation must be >= 1, got {n}")
-    hat, thc = _leaves(p, layout)
+    *_, (hat, thc) = generations(n, p, layout)
+    return hat if kind == HAT else thc
+
+
+def generations(n: int, p: TileParams, layout: LayoutTable):
+    """Yield (hat, thc) for generations 1..n, each built from the last."""
+    tail = layout.tail1.at(p)
+    head = layout.head1.at(p)
+    _check_anchor(HAT, 1, tail, head, p)
+    hat = SupertileNode(HAT, 1, (), (), tail, head)
+    partner = Placement(layout.partner_rotation_k, layout.partner_reflected,
+                        layout.partner_offset.at(p))
+    thc = SupertileNode(THC, 1, (), (), tail, head, partner=partner)
+    yield hat, thc
     for gen in range(2, n + 1):
         hat, thc = _assemble(gen, hat, thc, p, layout)
-    return hat if kind == HAT else thc
+        yield hat, thc
 
 
 def expand(node: SupertileNode,
@@ -255,71 +258,61 @@ def expand(node: SupertileNode,
         yield from expand(child, placement.compose(q))
 
 
-def _blocks(node: SupertileNode, placement: Placement, out: list) -> None:
-    """Append (block, placement) for every sub-supertile of generation
-    _BLOCK_GENERATION or lower that `node` placed by `placement` is made
-    of, in expansion order."""
-    if node.generation <= _BLOCK_GENERATION:
-        out.append((node, placement))
-        return
-    for child, q in node.children:
-        _blocks(child, placement.compose(q), out)
-
-
-def _kite_shape(node: SupertileNode, o: int, base_cells):
-    """(cells, r_lo, r_hi): the kite cells of `node` placed at orientation
-    o about its own origin, as (hex_q, hex_r, corner_k) tuples, and the
-    bounds of their hex_r.  Made from the children's shapes and memoized on
-    the node, so a node shared between parents, or between the checks of
-    successive generations, is placed once per orientation.  Raises
+def _kite_box(node: SupertileNode, o: int, base_cells):
+    """(box, parts) for `node` at orientation o about its own origin: box
+    = (q_lo, q_hi, r_lo, r_hi) bounds its kite cells' hex coordinates,
+    and parts holds each child's node, orientation and placed (q_lo, r_lo),
+    or each hat's cells at generation 1.  Memoized on the node; raises
     LatticeError for a piece off the hexagon lattice.
     """
-    shapes = node._kite_shapes
+    memo = node._kites
     key = o, base_cells
-    if key in shapes:
-        return shapes[key]
-    turn = Placement(o % 6, o >= 6)
-    if node.generation == 1:
-        cells = [c for h, _ in expand(node, turn)
-                 for c in hat_kite_cells(h, base_cells)]
-    else:
-        cells = []
-        for child, q in node.children:
-            q = turn.compose(q)
-            m, n = lattice_shift(q)
-            cells += [(hq + m, hr + n, k) for hq, hr, k in
-                      _kite_shape(child, q.orientation, base_cells)[0]]
-    rows = [r for _, r, _ in cells]
-    shapes[key] = shape = cells, min(rows), max(rows)
-    return shape
+    if key not in memo:
+        turn = Placement(o % 6, o >= 6)
+        if node.generation == 1:
+            parts = [hat_kite_cells(h, base_cells)
+                     for h, _ in expand(node, turn)]
+            spans = [(q, q, r, r) for cells in parts for q, r, _ in cells]
+        else:
+            parts, spans = [], []
+            for child, q in node.children:
+                q = turn.compose(q)
+                m, n = lattice_shift(q)
+                (a, b, c, d), _ = _kite_box(child, q.orientation, base_cells)
+                parts.append((child, q.orientation, a + m, c + n))
+                spans.append((a + m, b + m, c + n, d + n))
+        q_lo, q_hi, r_lo, r_hi = zip(*spans)
+        memo[key] = (min(q_lo), max(q_hi), min(r_lo), max(r_hi)), parts
+    return memo[key]
 
 
-def _packed_kites(node: SupertileNode, base_cells):
-    """(cells, placed, width): the set of kite cells the supertile's hats
-    cover, packed by `pack_cells` at `width`, and the number of cells
-    placed, 8 per hat, so the hats are disjoint exactly when
-    len(cells) == placed.  Raises LatticeError for a hat off the lattice.
+def _kite_bits(node: SupertileNode, o: int, width: int, base_cells):
+    """The kite cells of `node` at orientation o about its own origin as
+    one int, or None when two of its hats share a kite: bit i marks the
+    cell packed to low + i by `pack_cells` at `width`, low being the
+    packed box corner (q_lo, r_lo, 0).  The OR of the children's ints,
+    each shifted into place; memoized on the node.
     """
-    blocks = []
-    _blocks(node, IDENTITY, blocks)
-    shapes = {}
-    moves = []
-    r_bound = 0
-    for sub, q in blocks:
-        key = sub, q.orientation
-        shapes[key], r_lo, r_hi = _kite_shape(sub, q.orientation, base_cells)
-        m, n = lattice_shift(q)
-        moves.append((key, m, n))
-        r_bound = max(r_bound, n + r_hi, -n - r_lo)
-    width = packing_width(r_bound)
-    packed = {key: pack_cells(cells, width) for key, cells in shapes.items()}
-    covered = set()
-    placed = 0
-    for key, m, n in moves:
-        block = packed[key]
-        covered.update(map((6 * (m * width + n)).__add__, block))
-        placed += len(block)
-    return covered, placed, width
+    memo = node._kites
+    key = o, width, base_cells
+    if key not in memo:
+        (q_lo, _, r_lo, _), parts = _kite_box(node, o, base_cells)
+        acc = 0
+        for part in parts:
+            if node.generation == 1:
+                bits = sum(1 << 6 * ((q - q_lo) * width + r - r_lo) + k
+                           for q, r, k in part)
+            else:
+                child, co, cq, cr = part
+                bits = _kite_bits(child, co, width, base_cells)
+                shift = 6 * ((cq - q_lo) * width + cr - r_lo)
+                bits = bits and bits << shift
+            if bits is None or acc & bits:
+                acc = None
+                break
+            acc |= bits
+        memo[key] = acc
+    return memo[key]
 
 
 def check_kites(node: SupertileNode, tile: TileData,
@@ -328,27 +321,39 @@ def check_kites(node: SupertileNode, tile: TileData,
     b = sqrt(3)) lie on distinct kites (and, if `connected`, form one
     edge-connected patch); returns (passed, detail).
 
-    The cells are placed block by block (see `_blocks`) as packed ints.
-    On a clash or a hat off the kite lattice, the flat `disjoint_cells`
-    over every hat words the failure, which is not an exception.
+    The cells are one int per (node, orientation) (see `_kite_bits`).  The
+    flat `disjoint_cells` over every hat words a clash or a hat off the
+    kite lattice, which is not an exception, and decides a patch whose int
+    would hold more than _MAX_BITS_PER_HAT bits per hat.
     """
     try:
-        cells, placed, width = _packed_kites(node, tile.cells)
-        disjoint = len(cells) == placed
+        (q_lo, q_hi, r_lo, r_hi), _ = _kite_box(node, 0, tile.cells)
+        width = packing_width(max(-r_lo, r_hi))
+        dense = 6 * (q_hi - q_lo + 1) * width <= _MAX_BITS_PER_HAT * node.hats
+        # False for a sparse patch, None on a clash
+        bits = dense and _kite_bits(node, 0, width, tile.cells)
     except LatticeError:
-        disjoint = False
-    if disjoint:
-        if connected and not cells_connected(cells, width):
-            return False, "patch is disconnected"
-        return True, f"{placed} kite cells, no overlap"
-    try:
-        ok, clash = disjoint_cells([q for q, _ in expand(node)], tile.cells)
-    except LatticeError as e:
-        return False, f"piece off the kite lattice: {e}"
-    if ok:
-        raise RuntimeError("the packed and flat kite checks disagree")
-    i, j, cell = clash
-    return False, f"pieces {i} and {j} overlap on kite {cell}"
+        bits = None
+    if bits:
+        covered = bits.bit_count()
+        if connected:
+            flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
+            cells = compress(count(6 * (q_lo * width + r_lo)), flags)
+    else:
+        try:
+            ok, found = disjoint_cells([q for q, _ in expand(node)],
+                                       tile.cells)
+        except LatticeError as e:
+            return False, f"piece off the kite lattice: {e}"
+        if not ok:
+            i, j, cell = found
+            return False, f"pieces {i} and {j} overlap on kite {cell}"
+        if bits is None:
+            raise RuntimeError("the packed and flat kite checks disagree")
+        covered, cells = len(found), pack_cells(found, width)
+    if connected and not cells_connected(cells, width):
+        return False, "patch is disconnected"
+    return True, f"{covered} kite cells, no overlap"
 
 
 def _value_form(cfg, section: str, stem: str) -> FormVec:
@@ -392,12 +397,11 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
         raise ConstructionError(
             f"tile outline area {area} is not 8 kite units at hat "
             f"proportions")
-    # one assembly chain: each generation's checks run on the nodes the
-    # next generation is made of, so their kite blocks are shared
-    hat, thc = _leaves(p, layout)
-    for gen in range(2, 5):
-        hat, thc = _assemble(gen, hat, thc, p, layout)
-        for node in (hat, thc):
+    # one lazy chain: each generation is checked before the next is made
+    for gen, nodes in enumerate(generations(4, p, layout), 1):
+        if gen == 1:
+            continue
+        for node in nodes:
             want = tile_counts(node.kind, gen)
             if node.hats != want:
                 raise ConstructionError(

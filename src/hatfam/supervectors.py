@@ -112,15 +112,9 @@ def tan_theta(n: int, p: TileParams) -> AngleTan:
     return AngleTan(v.x / v.y)
 
 
-def tan_diff(t1: AngleTan, t2: AngleTan) -> AngleTan:
-    """Tangent subtraction: tan(A - B) = (tan A - tan B)/(1 + tan A tan B)."""
-    num = t1.value - t2.value
-    den = ONE + t1.value * t2.value
-    return AngleTan(num / den)
-
-
 def tan_alpha(n: int, p: TileParams) -> AngleTan:
-    """Exact tangent of the incremental rotation theta_n - theta_(n-1).
+    """Exact tangent of the incremental rotation theta_n - theta_(n-1),
+    (w x v)/(w . v) for v = V_(n-1) and w = V_n.
 
     For hat-proportioned tiles (b = sqrt(3)*a) the product
     tan_alpha(n, p) * g_closed(n) equals tan(beta) = s/t exactly; for
@@ -128,7 +122,8 @@ def tan_alpha(n: int, p: TileParams) -> AngleTan:
     """
     if n < 1:
         raise ValueError(f"generation must be >= 1, got {n}")
-    return tan_diff(tan_theta(n, p), tan_theta(n - 1, p))
+    v, w = v_closed(n - 1, p), v_closed(n, p)
+    return AngleTan(w.cross(v) / w.dot(v))
 
 
 def theta_float(n: int, p: TileParams) -> float:

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -194,6 +197,30 @@ def test_oversized_supertiles_refused_before_building(monkeypatch, capsys,
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "generation 9 expands to" in err and "cap of 1000000" in err
+
+
+# runs one command in a grandchild and reports its peak RSS (KiB), so
+# children that other tests ran earlier do not count
+_PEAK_RSS = """
+import resource, subprocess, sys
+run = subprocess.run([sys.executable, "-m", "hatfam.cli", *sys.argv[1:]],
+                     stdout=subprocess.PIPE)
+sys.stdout.buffer.write(run.stdout)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)
+sys.exit(run.returncode)
+"""
+
+
+def test_largest_build_fits_in_150_mb():
+    run = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "build", "hat", "8",
+         "--format", "json"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert run.returncode == 0
+    checks = {c["name"]: c for c in json.loads(run.stdout)["checks"]}
+    assert checks["disjoint"]["detail"] == "6656320 kite cells, no overlap"
+    assert int(run.stderr.split()[-1]) < 150 * 1024
 
 
 def test_build_rejects_generation_zero():

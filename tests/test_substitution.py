@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hatfam.geometry import (
     U2,
     disjoint_cells,
     kite_corners,
+    packing_width,
 )
 from hatfam.sequences import tile_counts
 from hatfam.substitution import (
@@ -22,10 +24,10 @@ from hatfam.substitution import (
     ConstructionError,
     FormVec,
     SupertileNode,
-    _packed_kites,
     build,
     check_kites,
     expand,
+    generations,
     layout_from_config,
     measured_supervector,
     search_layout,
@@ -200,6 +202,24 @@ def test_offset_perturbation_messages(tile, offset, message):
     assert str(caught.value) == message
 
 
+def test_far_partner_is_disconnected_without_a_large_allocation(tile):
+    # the partner 10^6 lattice steps away in q and -10^6 in r: a bitset
+    # over that patch would span about 10^13 bits
+    text = load_text("layout.cfg")
+    assert "offset_u = 3/2, 3/2*r3" in text
+    text = text.replace("offset_u = 3/2, 3/2*r3",
+                        "offset_u = 6000003/2, -1999997/2*r3")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConstructionError) as caught:
+            layout_from_config(text, tile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == "generation 2: hat patch is disconnected"
+    assert peak < 4 * 2 ** 20
+
+
 def test_layout_validation_assembles_each_generation_once(tile, monkeypatch):
     calls = []
     assemble = substitution._assemble
@@ -254,7 +274,7 @@ def test_search_reports_empty_window(layout, tile, hat_p):
         search_layout(hat_p, nudged, tile, window=0)
 
 
-# ------------------------------------------------- packed against flat check
+# ------------------------------------------------ bitset against flat check
 
 def _edge_connected(cells) -> bool:
     """Independent oracle: kites are adjacent when they share a corner
@@ -292,25 +312,44 @@ def _flat_check(node, tile, connected):
     return True, f"{len(found)} kite cells, no overlap"
 
 
-def _unpacked(cells, width):
+def _root_cells(node, tile):
+    """The root's kite bitset decoded to (hex_q, hex_r, corner_k) cells:
+    bit i is the cell packed to low + i at the root's width."""
+    (q_lo, _, r_lo, r_hi), _ = substitution._kite_box(node, 0, tile.cells)
+    width = packing_width(max(-r_lo, r_hi))
+    bits = substitution._kite_bits(node, 0, width, tile.cells)
+    low = 6 * (q_lo * width + r_lo)
     half = width // 2
     out = set()
-    for c in cells:
-        v, k = divmod(c, 6)
-        q, r = divmod(v + half, width)
-        out.add((q, r - half, k))
+    for i, bit in enumerate(reversed(bin(bits)[2:])):
+        if bit == "1":
+            v, k = divmod(low + i, 6)
+            q, r = divmod(v + half, width)
+            out.add((q, r - half, k))
     return out
 
 
 @pytest.mark.parametrize("kind", [HAT, THC])
 def test_packed_cells_equal_the_flat_cells(layout, tile, hat_p, kind):
-    for gen in range(1, 7):
-        node = build(kind, gen, hat_p, layout)
+    for gen, nodes in enumerate(generations(6, hat_p, layout), 1):
+        node = nodes[kind == THC]
         ok, flat = disjoint_cells([q for q, _ in expand(node)], tile.cells)
-        cells, placed, width = _packed_kites(node, tile.cells)
-        assert ok and placed == len(cells) == 8 * tile_counts(kind, gen)
-        assert _unpacked(cells, width) == set(flat)
+        assert ok and len(flat) == 8 * tile_counts(kind, gen)
+        assert _root_cells(node, tile) == set(flat)
         assert check_kites(node, tile) == _flat_check(node, tile, False)
+
+
+def test_root_clash_matches_the_flat_check(layout, tile, hat_p):
+    # P2 put on P1's placement: the clash lies between two generation-4
+    # pieces, above any shared sub-supertile
+    hat5 = build(HAT, 5, hat_p, layout)
+    children = list(hat5.children)
+    p1, p2 = hat5.labels.index("P1"), hat5.labels.index("P2")
+    children[p2] = children[p2][0], children[p1][1]
+    node = dataclasses.replace(hat5, children=tuple(children))
+    for connected in (False, True):
+        got = check_kites(node, tile, connected)
+        assert not got[0] and got == _flat_check(node, tile, connected)
 
 
 def test_search_candidates_match_the_flat_check(layout, tile, hat_p):
@@ -338,12 +377,11 @@ def test_search_candidates_match_the_flat_check(layout, tile, hat_p):
 # were packed w wide
 @pytest.mark.parametrize("m,n", [(10 ** 6, -w * 10 ** 6) for w in range(1, 12)]
                          + [(0, 10 ** 6), (-10 ** 6, 10 ** 6 - 1)])
-def test_far_compound_matches_the_flat_check(tile, m, n):
+def test_far_compound_matches_the_flat_check(tile, monkeypatch, m, n):
+    # the flat check decides such a sparse patch: no bitset is made
+    monkeypatch.setattr(substitution, "_kite_bits", None)
     partner = Placement(0, False, U1 * m + U2 * n)
     node = SupertileNode(THC, 1, (), (), VEC_ZERO, VEC_ZERO, partner=partner)
     for connected in (False, True):
         assert check_kites(node, tile, connected) == \
             _flat_check(node, tile, connected)
-    cells, placed, width = _packed_kites(node, tile.cells)
-    assert _unpacked(cells, width) == \
-        set(disjoint_cells([IDENTITY, partner], tile.cells)[1])
