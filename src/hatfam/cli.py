@@ -15,7 +15,6 @@ import random
 import sys
 import time
 import warnings
-import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
 
@@ -417,6 +416,7 @@ def _check_outline(max_gen: int, env) -> str:
 
 
 def _check_renderer(max_gen: int, env) -> str:
+    import xml.etree.ElementTree as ET  # only this item parses XML
     tile, layout = env["tile"], env["layout"]
     hp = hat_params()
     gen = min(3, max_gen)

@@ -5,11 +5,11 @@ Outlines are traced by walking edges of the two tile edge classes (length a
 or b) with headings at multiples of 30 degrees, so every vertex stays in
 Q(sqrt(3)).  At hat parameters (a=1, b=sqrt(3)) each hat covers exactly 8
 kites of the hexagon grid with edge 2.  This module places hats on that
-grid (`hat_kite_cells`), runs the flat per-hat disjointness check
-(`disjoint_cells`, which words a clash), and numbers cells by small ints
-(`pack_cells`): the connectivity test (`cells_connected`) runs on them,
-and they are the bit positions of the kite check of a whole supertile,
-`substitution.check_kites`, which walks its assembly DAG.
+grid (`hat_kite_cells`), keeps a flat per-hat disjointness check
+(`disjoint_cells`, an oracle the supertile check does not call), and
+numbers cells by small ints (`pack_cells`): the connectivity test
+(`cells_connected`) runs on them, and they are the bit positions of
+`substitution.check_kites`, which walks a supertile's assembly DAG.
 """
 
 from __future__ import annotations
@@ -457,7 +457,7 @@ def hat_kite_cells(q: Placement, base_cells) -> frozenset:
 
 
 def disjoint_cells(placements, base_cells):
-    """Check that placed hats cover pairwise distinct kites.
+    """Check, hat by hat, that placed hats cover pairwise distinct kites.
 
     Returns (True, cells) with the covered cells, or (False, (i, j, cell))
     with the indices of the first colliding pair in input order and the

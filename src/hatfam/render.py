@@ -22,7 +22,8 @@ from .geometry import (
     kite_corners,
     tile_from_config,
 )
-from .substitution import HAT, THC, SupertileNode, expand
+from .sequences import tile_counts
+from .substitution import SupertileNode, expand
 from .supervectors import TileParams, has_hat_proportion
 
 SCHEME_ROTATION = "rotation"
@@ -92,16 +93,11 @@ def _check_built(node: SupertileNode) -> None:
         if id(cur) in seen:
             continue
         seen.add(id(cur))
-        if cur.generation == 1:
-            if cur.kind == THC and cur.partner is None:
-                raise ValueError(
-                    "compound leaf has no partner placement; use build()")
-            continue
-        want = 7 if cur.kind == HAT else 6
-        if len(cur.children) != want:
+        want = tile_counts(cur.kind, cur.generation)
+        if cur.hats != want:
             raise ValueError(
                 f"generation-{cur.generation} {cur.kind} node has "
-                f"{len(cur.children)} children, expected {want}; use build()")
+                f"{cur.hats} hats, expected {want}; use build()")
         stack.extend(child for child, _ in cur.children)
 
 

@@ -12,8 +12,8 @@ checked against the closed-form supervector.  A node's hat count is a sum
 over its children, once per shared node, and `check_kites` decides kite
 disjointness on the same DAG: each (node, orientation) holds its cells as
 one int, the OR of its children's ints shifted into place, kept on the
-node.  `expand` walks every single hat; it runs only to draw, to place the
-hats of a generation-1 node, and to word a failed kite check.
+node, and a failure names the label path of the node or piece at fault.
+`expand` walks every single hat; it runs only to draw.
 """
 
 from __future__ import annotations
@@ -35,16 +35,15 @@ from .configfile import (
 from .exactnum import VecE, rotate60
 from .geometry import (
     IDENTITY,
+    KiteCell,
     LatticeError,
     Placement,
     TileData,
     U1,
     U2,
     cells_connected,
-    disjoint_cells,
     hat_kite_cells,
     lattice_shift,
-    pack_cells,
     packing_width,
     shoelace_area,
 )
@@ -53,8 +52,8 @@ from .supervectors import TileParams, hat_params, v_closed
 
 HAT = "hat"
 THC = "thc"
-# the kite check leaves a patch of more bits per hat than this (supertiles
-# need at most 60) to the flat check, so no far-flung patch makes a huge int
+# the kite check refuses a patch of more bits per hat than this (supertiles
+# need at most 60), so no far-flung patch makes a huge int
 _MAX_BITS_PER_HAT = 256
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to selectors
 
@@ -119,9 +118,9 @@ class SupertileNode:
 
     children holds (node, placement) pairs with labels parallel to it; the
     node objects are shared between parents, so the tree is materialized
-    in O(generation) space.  partner is set on generation-1 compounds (the
-    second hat's placement), missing on higher compounds (the slot of the
-    omitted piece).
+    in O(generation) space.  A single hat is the only leaf: the
+    generation-1 compound holds two of it, labelled hat and partner.
+    missing is set on higher compounds (the slot of the omitted piece).
     """
 
     kind: str
@@ -130,7 +129,6 @@ class SupertileNode:
     labels: tuple
     v_tail: VecE
     v_head: VecE
-    partner: Placement | None = None
     missing: Placement | None = None
 
     @cached_property
@@ -141,15 +139,9 @@ class SupertileNode:
     @cached_property
     def hats(self) -> int:
         """Number of single hats, summed once per shared node."""
-        if self.generation == 1:
-            return 2 if self.kind == THC else 1
+        if not self.children:
+            return 1
         return sum(child.hats for child, _ in self.children)
-
-    def child(self, label: str):
-        for lab, pair in zip(self.labels, self.children):
-            if lab == label:
-                return pair
-        raise KeyError(label)
 
 
 def measured_supervector(node: SupertileNode) -> VecE:
@@ -195,7 +187,7 @@ def _assemble(n: int, prev_hat: SupertileNode, prev_thc: SupertileNode,
         tail = layout.tail2.at(p)
         head = layout.head2.at(p)
     else:
-        sub, sub_q = prev_hat.child(_LABELS[_OMITTED_INDEX + 1])
+        sub, sub_q = prev_hat.children[_OMITTED_INDEX + 1]
         point = sub_q.apply(sub.v_head)
         tail = placements[1].apply(point)
         head = placements[5].apply(point)
@@ -238,7 +230,8 @@ def generations(n: int, p: TileParams, layout: LayoutTable):
     hat = SupertileNode(HAT, 1, (), (), tail, head)
     partner = Placement(layout.partner_rotation_k, layout.partner_reflected,
                         layout.partner_offset.at(p))
-    thc = SupertileNode(THC, 1, (), (), tail, head, partner=partner)
+    thc = SupertileNode(THC, 1, ((hat, IDENTITY), (hat, partner)),
+                        ("hat", "partner"), tail, head)
     yield hat, thc
     for gen in range(2, n + 1):
         hat, thc = _assemble(gen, hat, thc, p, layout)
@@ -248,37 +241,45 @@ def generations(n: int, p: TileParams, layout: LayoutTable):
 def expand(node: SupertileNode,
            placement: Placement = IDENTITY) -> Iterator[tuple[Placement, bool]]:
     """Yield (absolute placement, is_reflected) for every single hat."""
-    if node.generation == 1:
+    if not node.children:
         yield placement, placement.reflected
-        if node.kind == THC:
-            q = placement.compose(node.partner)
-            yield q, q.reflected
         return
     for child, q in node.children:
         yield from expand(child, placement.compose(q))
 
 
-def _kite_box(node: SupertileNode, o: int, base_cells):
+class _Clash(Exception):
+    """Two pieces of a node share a kite: args are the wording up to the
+    kite and the kite's bit in the root's int."""
+
+
+def _kite_box(node: SupertileNode, o: int, base_cells, path: str):
     """(box, parts) for `node` at orientation o about its own origin: box
     = (q_lo, q_hi, r_lo, r_hi) bounds its kite cells' hex coordinates,
     and parts holds each child's node, orientation and placed (q_lo, r_lo),
-    or each hat's cells at generation 1.  Memoized on the node; raises
-    LatticeError for a piece off the hexagon lattice.
+    or a single hat's cells.  Memoized on the node; raises LatticeError
+    naming the label path of a piece off the hexagon lattice, `path`
+    being the node's own.
     """
     memo = node._kites
     key = o, base_cells
     if key not in memo:
         turn = Placement(o % 6, o >= 6)
-        if node.generation == 1:
-            parts = [hat_kite_cells(h, base_cells)
-                     for h, _ in expand(node, turn)]
-            spans = [(q, q, r, r) for cells in parts for q, r, _ in cells]
+        if not node.children:
+            parts = hat_kite_cells(turn, base_cells)
+            spans = [(q, q, r, r) for q, r, _ in parts]
         else:
             parts, spans = [], []
-            for child, q in node.children:
+            for label, (child, q) in zip(node.labels, node.children):
                 q = turn.compose(q)
-                m, n = lattice_shift(q)
-                (a, b, c, d), _ = _kite_box(child, q.orientation, base_cells)
+                at = f"{path}/{label}"
+                try:
+                    m, n = lattice_shift(q)
+                except LatticeError as e:
+                    raise LatticeError(
+                        f"piece {at} is off the kite lattice: {e}") from None
+                (a, b, c, d), _ = _kite_box(child, q.orientation, base_cells,
+                                            at)
                 parts.append((child, q.orientation, a + m, c + n))
                 spans.append((a + m, b + m, c + n, d + n))
         q_lo, q_hi, r_lo, r_hi = zip(*spans)
@@ -286,30 +287,37 @@ def _kite_box(node: SupertileNode, o: int, base_cells):
     return memo[key]
 
 
-def _kite_bits(node: SupertileNode, o: int, width: int, base_cells):
+def _kite_bits(node: SupertileNode, o: int, width: int, base_cells,
+               path: str, base: int) -> int:
     """The kite cells of `node` at orientation o about its own origin as
-    one int, or None when two of its hats share a kite: bit i marks the
-    cell packed to low + i by `pack_cells` at `width`, low being the
-    packed box corner (q_lo, r_lo, 0).  The OR of the children's ints,
-    each shifted into place; memoized on the node.
+    one int: bit i marks the cell packed to low + i by `pack_cells` at
+    `width`, low being the packed box corner (q_lo, r_lo, 0).  The OR of
+    the children's ints, each shifted into place; memoized on the node.
+    Raises _Clash where a child's int meets the earlier children's, the
+    kite lifted into the root's int by `base`, this node's offset there.
     """
     memo = node._kites
     key = o, width, base_cells
     if key not in memo:
-        (q_lo, _, r_lo, _), parts = _kite_box(node, o, base_cells)
-        acc = 0
-        for part in parts:
-            if node.generation == 1:
-                bits = sum(1 << 6 * ((q - q_lo) * width + r - r_lo) + k
-                           for q, r, k in part)
-            else:
-                child, co, cq, cr = part
-                bits = _kite_bits(child, co, width, base_cells)
+        (q_lo, _, r_lo, _), parts = _kite_box(node, o, base_cells, path)
+        if not node.children:
+            memo[key] = sum(1 << 6 * ((q - q_lo) * width + r - r_lo) + k
+                            for q, r, k in parts)
+            return memo[key]
+
+        def placed():
+            for label, (child, co, cq, cr) in zip(node.labels, parts):
                 shift = 6 * ((cq - q_lo) * width + cr - r_lo)
-                bits = bits and bits << shift
-            if bits is None or acc & bits:
-                acc = None
-                break
+                bits = _kite_bits(child, co, width, base_cells,
+                                  f"{path}/{label}", base + shift)
+                yield label, bits << shift
+        acc = 0
+        for label, bits in placed():
+            clash = acc & bits
+            if clash:
+                bit = (clash & -clash).bit_length() - 1
+                first = next(lab for lab, b in placed() if b >> bit & 1)
+                raise _Clash(f"{path}: pieces {first} and {label}", base + bit)
             acc |= bits
         memo[key] = acc
     return memo[key]
@@ -321,39 +329,35 @@ def check_kites(node: SupertileNode, tile: TileData,
     b = sqrt(3)) lie on distinct kites (and, if `connected`, form one
     edge-connected patch); returns (passed, detail).
 
-    The cells are one int per (node, orientation) (see `_kite_bits`).  The
-    flat `disjoint_cells` over every hat words a clash or a hat off the
-    kite lattice, which is not an exception, and decides a patch whose int
-    would hold more than _MAX_BITS_PER_HAT bits per hat.
+    The cells are one int per (node, orientation) (see `_kite_bits`).  A
+    failure names the label path from the root, as in `hat-3/T/P4`: of
+    the node where a piece meets the earlier ones, with the lowest kite
+    they share, or of a piece off the kite lattice.  A patch whose int would hold more
+    than _MAX_BITS_PER_HAT bits per hat is refused before any int is made.
     """
+    root = f"{node.kind}-{node.generation}"
     try:
-        (q_lo, q_hi, r_lo, r_hi), _ = _kite_box(node, 0, tile.cells)
+        (q_lo, q_hi, r_lo, r_hi), _ = _kite_box(node, 0, tile.cells, root)
         width = packing_width(max(-r_lo, r_hi))
-        dense = 6 * (q_hi - q_lo + 1) * width <= _MAX_BITS_PER_HAT * node.hats
-        # False for a sparse patch, None on a clash
-        bits = dense and _kite_bits(node, 0, width, tile.cells)
-    except LatticeError:
-        bits = None
-    if bits:
-        covered = bits.bit_count()
-        if connected:
-            flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
-            cells = compress(count(6 * (q_lo * width + r_lo)), flags)
-    else:
-        try:
-            ok, found = disjoint_cells([q for q, _ in expand(node)],
-                                       tile.cells)
-        except LatticeError as e:
-            return False, f"piece off the kite lattice: {e}"
-        if not ok:
-            i, j, cell = found
-            return False, f"pieces {i} and {j} overlap on kite {cell}"
-        if bits is None:
-            raise RuntimeError("the packed and flat kite checks disagree")
-        covered, cells = len(found), pack_cells(found, width)
-    if connected and not cells_connected(cells, width):
-        return False, "patch is disconnected"
-    return True, f"{covered} kite cells, no overlap"
+        size = 6 * (q_hi - q_lo + 1) * width
+        if size > _MAX_BITS_PER_HAT * node.hats:
+            return False, (f"{root}: patch too sparse for the kite check: "
+                           f"{size} bits for {node.hats} hats, over "
+                           f"{_MAX_BITS_PER_HAT} per hat")
+        bits = _kite_bits(node, 0, width, tile.cells, root, 0)
+    except LatticeError as e:
+        return False, str(e)
+    except _Clash as e:
+        where, bit = e.args
+        v, k = divmod(bit, 6)
+        cell = KiteCell(q_lo + v // width, r_lo + v % width, k)
+        return False, f"{where} overlap on kite {cell}"
+    if connected:
+        flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
+        cells = compress(count(6 * (q_lo * width + r_lo)), flags)
+        if not cells_connected(cells, width):
+            return False, f"{root}: patch is disconnected"
+    return True, f"{bits.bit_count()} kite cells, no overlap"
 
 
 def _value_form(cfg, section: str, stem: str) -> FormVec:
@@ -409,8 +413,7 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
                     f"assembled {node.hats}")
             ok, detail = check_kites(node, tile, connected=True)
             if not ok:
-                raise ConstructionError(
-                    f"generation {gen}: {node.kind} {detail}")
+                raise ConstructionError(f"generation {gen}: {detail}")
     return layout
 
 

@@ -518,14 +518,17 @@ def test_disjoint_cells_returns_the_covered_cells(layout, tile):
 
 def _compound(partner: Placement) -> SupertileNode:
     """A generation-1 compound: a hat at the origin and one at partner."""
-    return SupertileNode(THC, 1, (), (), VEC_ZERO, VEC_ZERO, partner=partner)
+    hat = SupertileNode(HAT, 1, (), (), VEC_ZERO, VEC_ZERO)
+    return SupertileNode(THC, 1, ((hat, IDENTITY), (hat, partner)),
+                         ("hat", "partner"), VEC_ZERO, VEC_ZERO)
 
 
 def test_check_kites_names_the_clash(tile):
     partner = Placement(0, False, U1)
     ok, detail = check_kites(_compound(partner), tile)
     cell = disjoint_cells([IDENTITY, partner], tile.cells)[1][2]
-    assert not ok and detail == f"pieces 0 and 1 overlap on kite {cell}"
+    assert not ok
+    assert detail == f"thc-1: pieces hat and partner overlap on kite {cell}"
 
 
 def test_check_kites_reports_a_lattice_miss(tile):
@@ -540,7 +543,7 @@ def test_check_kites_connectivity_is_opt_in(tile):
     assert check_kites(apart, tile) == \
         (True, "16 kite cells, no overlap")
     assert check_kites(apart, tile, connected=True) == \
-        (False, "patch is disconnected")
+        (False, "thc-1: patch is disconnected")
 
 
 # ------------------------------------------------------------- config loads

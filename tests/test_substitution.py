@@ -1,5 +1,7 @@
 import dataclasses
+import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from hatfam.geometry import (
     U1,
     U2,
     disjoint_cells,
+    hat_kite_cells,
     kite_corners,
     packing_width,
 )
@@ -66,10 +69,13 @@ def test_generation_one(layout, hat_p):
     assert one.generation == 1 and one.children == ()
     assert list(expand(one)) == [(IDENTITY, False)]
     compound = build(THC, 1, hat_p, layout)
+    assert compound.labels == ("hat", "partner")
+    (hat, at), (same, partner) = compound.children
+    assert hat is same and hat.children == () and at == IDENTITY
     hats = list(expand(compound))
     assert len(hats) == 2
     assert [refl for _, refl in hats] == [False, True]
-    assert hats[1][0] == compound.partner
+    assert hats[1][0] == partner
 
 
 def test_counts_match_recurrence(layout):
@@ -111,9 +117,7 @@ def test_compound_drops_the_third_piece(layout, hat_p):
         assert len(hat.children) == 7
         assert len(thc.children) == 6
         assert "P3" not in thc.labels
-        assert thc.missing == hat.child("P3")[1]
-        with pytest.raises(KeyError):
-            thc.child("P3")
+        assert thc.missing == hat.children[hat.labels.index("P3")][1]
 
 
 def test_expand_rerooted(layout, hat_p):
@@ -184,27 +188,75 @@ def test_offset_perturbation_rejected(tile):
         layout_from_config(shifted, tile)
 
 
-@pytest.mark.parametrize("offset,message", [
-    ("6, 1*r3", "generation 2: hat pieces 4 and 5 overlap on kite "
+PERTURBED = [
+    ("6, 1*r3", "generation 2: hat-2: pieces P3 and P4 overlap on kite "
                 "KiteCell(hex_q=3, hex_r=-1, corner_k=5)"),
-    ("0, 3*r3", "generation 3: hat pieces 14 and 15 overlap on kite "
-                "KiteCell(hex_q=6, hex_r=-6, corner_k=1)"),
-    ("-3, -4*r3", "generation 3: hat pieces 2 and 12 overlap on kite "
+    ("0, 3*r3", "generation 3: hat-3: pieces P1 and P2 overlap on kite "
+                "KiteCell(hex_q=4, hex_r=-6, corner_k=0)"),
+    ("-3, -4*r3", "generation 3: hat-3: pieces T and P1 overlap on kite "
                   "KiteCell(hex_q=1, hex_r=-2, corner_k=0)"),
-])
-def test_offset_perturbation_messages(tile, offset, message):
-    # the kite blocks shared between generations word a clash exactly as
-    # a separate check of each generation did
+]
+
+
+def _perturbed_failure(tile, offset) -> str:
     text = load_text("layout.cfg").replace(
         "p4_offset_u = 3, 0", f"p4_offset_u = {offset}")
     with pytest.raises(ConstructionError) as caught:
         layout_from_config(text, tile)
-    assert str(caught.value) == message
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("offset,message", PERTURBED,
+                         ids=[offset for offset, _ in PERTURBED])
+def test_offset_perturbation_messages(tile, offset, message):
+    # a clash names the DAG node where a piece meets the earlier ones, the
+    # two pieces, and the lowest kite they share, in the root's frame
+    assert _perturbed_failure(tile, offset) == message
+
+
+def _lattice_miss_layout(layout):
+    """The configured layout with the generation-2 fourth piece pushed off
+    the hexagon lattice by (1, 0)."""
+    return dataclasses.replace(layout, p4_gen2=FormVec(
+        layout.p4_gen2.u + VecE.of(1, 0), layout.p4_gen2.w))
+
+
+def test_lattice_miss_names_the_piece(layout, tile, hat_p):
+    node = build(HAT, 3, hat_p, _lattice_miss_layout(layout))
+    assert check_kites(node, tile) == (
+        False, "piece hat-3/T/P4 is off the kite lattice: VecE(7, 0) is "
+               "not on the hexagon lattice")
+
+
+def _p2_on_p1(hat_p, layout) -> SupertileNode:
+    """Hat 5 with P2 put on P1's placement: the clash lies between two
+    generation-4 pieces, above any shared sub-supertile."""
+    hat5 = build(HAT, 5, hat_p, layout)
+    children = list(hat5.children)
+    p1, p2 = hat5.labels.index("P1"), hat5.labels.index("P2")
+    children[p2] = children[p2][0], children[p1][1]
+    return dataclasses.replace(hat5, children=tuple(children))
+
+
+def test_check_kites_expands_no_hat(layout, tile, hat_p, monkeypatch):
+    # every verdict, failures included, comes from the DAG's ints
+    def never(*args):
+        raise AssertionError("check_kites expanded a node")
+    monkeypatch.setattr(substitution, "expand", never)
+    assert check_kites(build(HAT, 6, hat_p, layout), tile) == \
+        (True, "141688 kite cells, no overlap")
+    ok, detail = check_kites(_p2_on_p1(hat_p, layout), tile)
+    assert not ok and detail.startswith("hat-5: pieces P1 and P2 overlap")
+    node = build(HAT, 3, hat_p, _lattice_miss_layout(layout))
+    assert check_kites(node, tile)[1].startswith("piece hat-3/T/P4 is off")
+    for offset, message in PERTURBED:
+        assert _perturbed_failure(tile, offset) == message
 
 
 def test_far_partner_is_disconnected_without_a_large_allocation(tile):
     # the partner 10^6 lattice steps away in q and -10^6 in r: a bitset
-    # over that patch would span about 10^13 bits
+    # over that patch would span about 10^13 bits, so the sparse patch is
+    # refused before any int is made
     text = load_text("layout.cfg")
     assert "offset_u = 3/2, 3/2*r3" in text
     text = text.replace("offset_u = 3/2, 3/2*r3",
@@ -216,7 +268,9 @@ def test_far_partner_is_disconnected_without_a_large_allocation(tile):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(caught.value) == "generation 2: hat patch is disconnected"
+    assert str(caught.value) == (
+        "generation 2: hat-2: patch too sparse for the kite check: "
+        "12000066000090 bits for 8 hats, over 256 per hat")
     assert peak < 4 * 2 ** 20
 
 
@@ -299,7 +353,8 @@ def _edge_connected(cells) -> bool:
 
 
 def _flat_check(node, tile, connected):
-    """check_kites's verdict and detail, computed hat by hat."""
+    """check_kites's verdict, computed hat by hat, with a failure worded
+    in the flat check's own terms."""
     try:
         ok, found = disjoint_cells([q for q, _ in expand(node)], tile.cells)
     except LatticeError as e:
@@ -312,12 +367,52 @@ def _flat_check(node, tile, connected):
     return True, f"{len(found)} kite cells, no overlap"
 
 
+_KINDS = ("overlap on kite", "off the kite lattice", "disconnected")
+_CLASH = re.compile(r"(\S+): pieces (\S+) and (\S+) overlap on kite "
+                    r"KiteCell\(hex_q=(-?\d+), hex_r=(-?\d+), corner_k=(\d)\)")
+
+
+def _kind(detail: str) -> str:
+    """The failure kind a detail words, or the detail itself for a pass."""
+    return next((kind for kind in _KINDS if kind in detail), detail)
+
+
+def _assert_clash_is_real(node, tile, detail):
+    """The kite a clash names is covered by two or more of the root's
+    hats, and by each of the two pieces named on the node at the path."""
+    path, first, second, *cell = _CLASH.fullmatch(detail).groups()
+    cell = tuple(map(int, cell))
+    covered = Counter(c for h, _ in expand(node)
+                      for c in hat_kite_cells(h, tile.cells))
+    assert covered[cell] >= 2
+    at = IDENTITY
+    for label in path.split("/")[1:]:
+        node, q = node.children[node.labels.index(label)]
+        at = at.compose(q)
+    for label in (first, second):
+        piece, q = node.children[node.labels.index(label)]
+        assert any(cell in hat_kite_cells(h, tile.cells)
+                   for h, _ in expand(piece, at.compose(q)))
+
+
+def _matches_flat(node, tile, connected):
+    """check_kites's result, asserted to agree with the flat check in
+    verdict and failure kind, exactly on a pass."""
+    got = check_kites(node, tile, connected)
+    want = _flat_check(node, tile, connected)
+    assert got[0] == want[0] and _kind(got[1]) == _kind(want[1])
+    if "overlap on kite" in got[1]:
+        _assert_clash_is_real(node, tile, got[1])
+    return got
+
+
 def _root_cells(node, tile):
     """The root's kite bitset decoded to (hex_q, hex_r, corner_k) cells:
     bit i is the cell packed to low + i at the root's width."""
-    (q_lo, _, r_lo, r_hi), _ = substitution._kite_box(node, 0, tile.cells)
+    (q_lo, _, r_lo, r_hi), _ = substitution._kite_box(node, 0, tile.cells,
+                                                      "root")
     width = packing_width(max(-r_lo, r_hi))
-    bits = substitution._kite_bits(node, 0, width, tile.cells)
+    bits = substitution._kite_bits(node, 0, width, tile.cells, "root", 0)
     low = 6 * (q_lo * width + r_lo)
     half = width // 2
     out = set()
@@ -340,16 +435,10 @@ def test_packed_cells_equal_the_flat_cells(layout, tile, hat_p, kind):
 
 
 def test_root_clash_matches_the_flat_check(layout, tile, hat_p):
-    # P2 put on P1's placement: the clash lies between two generation-4
-    # pieces, above any shared sub-supertile
-    hat5 = build(HAT, 5, hat_p, layout)
-    children = list(hat5.children)
-    p1, p2 = hat5.labels.index("P1"), hat5.labels.index("P2")
-    children[p2] = children[p2][0], children[p1][1]
-    node = dataclasses.replace(hat5, children=tuple(children))
+    node = _p2_on_p1(hat_p, layout)
     for connected in (False, True):
-        got = check_kites(node, tile, connected)
-        assert not got[0] and got == _flat_check(node, tile, connected)
+        got = _matches_flat(node, tile, connected)
+        assert _kind(got[1]) == "overlap on kite"
 
 
 def test_search_candidates_match_the_flat_check(layout, tile, hat_p):
@@ -367,10 +456,9 @@ def test_search_candidates_match_the_flat_check(layout, tile, hat_p):
             except ConstructionError:
                 continue
             for connected in (False, True):
-                got = check_kites(node, tile, connected)
-                assert got == _flat_check(node, tile, connected)
-                verdicts.add(got[1].split()[0] if not got[0] else "ok")
-    assert verdicts == {"ok", "pieces", "patch", "piece"}
+                got = _matches_flat(node, tile, connected)
+                verdicts.add(_kind(got[1]) if not got[0] else "ok")
+    assert verdicts == {"ok", *_KINDS}
 
 
 # each (10^6, -w * 10^6) lands the partner on the first hat if rows
@@ -378,10 +466,17 @@ def test_search_candidates_match_the_flat_check(layout, tile, hat_p):
 @pytest.mark.parametrize("m,n", [(10 ** 6, -w * 10 ** 6) for w in range(1, 12)]
                          + [(0, 10 ** 6), (-10 ** 6, 10 ** 6 - 1)])
 def test_far_compound_matches_the_flat_check(tile, monkeypatch, m, n):
-    # the flat check decides such a sparse patch: no bitset is made
+    # the flat check finds the two hats apart, but the sparse patch is
+    # refused before any bitset is made
     monkeypatch.setattr(substitution, "_kite_bits", None)
     partner = Placement(0, False, U1 * m + U2 * n)
-    node = SupertileNode(THC, 1, (), (), VEC_ZERO, VEC_ZERO, partner=partner)
+    hat = SupertileNode(HAT, 1, (), (), VEC_ZERO, VEC_ZERO)
+    node = SupertileNode(THC, 1, ((hat, IDENTITY), (hat, partner)),
+                         ("hat", "partner"), VEC_ZERO, VEC_ZERO)
+    assert _flat_check(node, tile, False) == \
+        (True, "16 kite cells, no overlap")
     for connected in (False, True):
-        assert check_kites(node, tile, connected) == \
-            _flat_check(node, tile, connected)
+        ok, detail = check_kites(node, tile, connected)
+        assert not ok and re.fullmatch(
+            r"thc-1: patch too sparse for the kite check: \d+ bits for 2 "
+            r"hats, over 256 per hat", detail)
