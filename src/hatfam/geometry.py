@@ -7,9 +7,9 @@ Q(sqrt(3)).  At hat parameters (a=1, b=sqrt(3)) each hat covers exactly 8
 kites of the hexagon grid with edge 2.  This module places hats on that
 grid (`hat_kite_cells`), keeps a flat per-hat disjointness check
 (`disjoint_cells`, an oracle the supertile check does not call), and
-numbers cells by small ints (`pack_cells`): the connectivity test
-(`cells_connected`) runs on them, and they are the bit positions of
-`substitution.check_kites`, which walks a supertile's assembly DAG.
+packs a patch's cells into one int (`packing_width`), the form that
+`substitution.check_kites` composes on a supertile's assembly DAG and the
+contact rule (`cells_connected`) reads.
 """
 
 from __future__ import annotations
@@ -382,40 +382,42 @@ def cell_reflect(cell: KiteCell) -> KiteCell:
 
 
 def packing_width(r_bound: int) -> int:
-    """The row width at which `pack_cells` keeps every cell with
-    |hex_r| <= r_bound, and each of its neighbours, on a distinct int."""
+    """The row width at which cells with |hex_r| <= r_bound, and their
+    neighbours, pack to distinct bits: in a patch whose hex box has low
+    corner (q_lo, r_lo), cell (q, r, k) is bit 6*((q - q_lo)*width + r -
+    r_lo) + k, so a lattice step (m, n) adds 6*(m*width + n)."""
     return 2 * r_bound + 3
 
 
-def pack_cells(cells, width: int) -> list[int]:
-    """Each (hex_q, hex_r, corner_k) as 6*(hex_q*width + hex_r) + corner_k,
-    so a lattice step (m, n) adds 6*(m*width + n) to every cell."""
-    return [6 * (q * width + r) + k for q, r, k in cells]
-
-
-def cells_connected(cells, width: int) -> bool:
-    """True if the cells, packed by `pack_cells` at `width`, are
-    edge-connected."""
-    # per corner k, the packed steps to the four edge-adjacent kites: the
-    # two kites beside it in its own hexagon, and the two across its edges
+def cells_connected(parts, width: int) -> bool:
+    """True if the parts, one or more edge-connected ints of kite cells
+    packed about one box corner at `width`, form one edge-connected patch:
+    the patch grown from the first part by its edge-adjacent cells meets
+    further parts until none is left, or none is met."""
+    # per corner k, the bit steps to the four edge-adjacent kites: the two
+    # kites beside it in its own hexagon, and the two across its edges
     steps = []
     for k in range(6):
         (dq, dr), (eq, er) = _HEX_DIRS[k], _HEX_DIRS[k - 1]
         steps.append(((k + 1) % 6 - k, (k - 1) % 6 - k,
                       6 * (dq * width + dr) + (k + 4) % 6 - k,
                       6 * (eq * width + er) + (k + 2) % 6 - k))
-    todo = set(cells)
-    if not todo:
-        return True
-    stack = [todo.pop()]
-    while stack:
-        cur = stack.pop()
-        for step in steps[cur % 6]:
-            nb = cur + step
-            if nb in todo:
-                todo.remove(nb)
-                stack.append(nb)
-    return not todo
+    patch, *todo = parts
+    # one bit in every 6: shifted up by k, it masks the cells at corner k
+    every6 = (1 << 6 * (max([patch, *todo]).bit_length() // 6 + 1)) // 63
+    while todo:
+        near = 0
+        for k, corner_steps in enumerate(steps):
+            at_k = patch & every6 << k
+            for step in corner_steps:
+                near |= at_k << step if step > 0 else at_k >> -step
+        touching = [bits for bits in todo if near & bits]
+        if not touching:
+            return False
+        todo = [bits for bits in todo if not near & bits]
+        for bits in touching:
+            patch |= bits
+    return True
 
 
 def lattice_shift(q: Placement) -> tuple[int, int]:
@@ -522,7 +524,9 @@ def tile_from_config(text: str) -> TileData:
         raise ConfigError("duplicate kite cells")
     if len(cells) != 8:
         raise ConfigError(f"expected 8 kite cells, got {len(cells)}")
-    width = packing_width(max(abs(c.hex_r) for c in cells))
-    if not cells_connected(pack_cells(cells, width), width):
+    bound = max(abs(v) for q, r, _ in cells for v in (q, r))
+    width = packing_width(bound)
+    if not cells_connected([1 << 6 * ((q + bound) * width + r + bound) + k
+                            for q, r, k in cells], width):
         raise ConfigError("kite cells do not form a connected patch")
     return TileData(spec, heading, frozenset(cells))

@@ -10,9 +10,10 @@ traced for the first two generations and propagate by a fixed interior
 coincidence from then on, so every generation's head minus tail can be
 checked against the closed-form supervector.  A node's hat count is a sum
 over its children, once per shared node, and `check_kites` decides kite
-disjointness on the same DAG: each (node, orientation) holds its cells as
-one int, the OR of its children's ints shifted into place, kept on the
-node, and a failure names the label path of the node or piece at fault.
+disjointness and contact on the same DAG: each (node, orientation) holds
+its cells as one int, the OR of its children's ints shifted into place,
+kept on the node; connected pieces that touch make a connected node; a
+failure names the label path of the node or piece at fault.
 `expand` walks every single hat; it runs only to draw.
 """
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
 from typing import Iterator
 
 from .configfile import (
@@ -55,7 +55,6 @@ THC = "thc"
 # the kite check refuses a patch of more bits per hat than this (supertiles
 # need at most 60), so no far-flung patch makes a huge int
 _MAX_BITS_PER_HAT = 256
-_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits to selectors
 
 _LABELS = ("T", "P1", "P2", "P3", "P4", "P5", "P6")
 _MEETING_INDEX = 3  # ring position of the slot-filling piece (P4)
@@ -120,7 +119,6 @@ class SupertileNode:
     node objects are shared between parents, so the tree is materialized
     in O(generation) space.  A single hat is the only leaf: the
     generation-1 compound holds two of it, labelled hat and partner.
-    missing is set on higher compounds (the slot of the omitted piece).
     """
 
     kind: str
@@ -129,7 +127,6 @@ class SupertileNode:
     labels: tuple
     v_tail: VecE
     v_head: VecE
-    missing: Placement | None = None
 
     @cached_property
     def _kites(self) -> dict:
@@ -172,7 +169,7 @@ def _assemble(n: int, prev_hat: SupertileNode, prev_thc: SupertileNode,
         elif n == 2:
             tau = layout.p4_gen2.at(p)
         else:
-            slot = prev_thc.missing
+            _, slot = prev_hat.children[_OMITTED_INDEX + 1]
             if slot.reflected or slot.rotation_k != k:
                 raise ConstructionError(
                     f"generation {n}: meeting rule unsatisfiable: piece "
@@ -201,8 +198,7 @@ def _assemble(n: int, prev_hat: SupertileNode, prev_thc: SupertileNode,
         THC, n,
         children[:drop] + children[drop + 1:],
         _LABELS[:drop] + _LABELS[drop + 1:],
-        tail, head,
-        missing=placements[drop])
+        tail, head)
     return hat, thc
 
 
@@ -253,6 +249,10 @@ class _Clash(Exception):
     kite and the kite's bit in the root's int."""
 
 
+class _Disconnected(Exception):
+    """The pieces of a node do not touch as one patch: args are its path."""
+
+
 def _kite_box(node: SupertileNode, o: int, base_cells, path: str):
     """(box, parts) for `node` at orientation o about its own origin: box
     = (q_lo, q_hi, r_lo, r_hi) bounds its kite cells' hex coordinates,
@@ -288,30 +288,32 @@ def _kite_box(node: SupertileNode, o: int, base_cells, path: str):
 
 
 def _kite_bits(node: SupertileNode, o: int, width: int, base_cells,
-               path: str, base: int) -> int:
+               path: str, base: int, connected: bool = False) -> int:
     """The kite cells of `node` at orientation o about its own origin as
-    one int: bit i marks the cell packed to low + i by `pack_cells` at
-    `width`, low being the packed box corner (q_lo, r_lo, 0).  The OR of
-    the children's ints, each shifted into place; memoized on the node.
-    Raises _Clash where a child's int meets the earlier children's, the
-    kite lifted into the root's int by `base`, this node's offset there.
+    one int, packed about the low corner of the node's box (see
+    `packing_width`): the OR of its pieces' ints, each shifted into place
+    (a single hat's pieces are its kites); memoized on the node.  Raises
+    _Clash where a piece's int meets the earlier pieces', the kite lifted
+    into the root's int by `base`, this node's offset there.  If
+    `connected`, raises _Disconnected unless the pieces, each checked
+    first, touch as one patch; a pass is memoized on the node once per
+    tile, since a rigid motion keeps it.
     """
     memo = node._kites
     key = o, width, base_cells
-    if key not in memo:
+    if key not in memo or connected and base_cells not in memo:
         (q_lo, _, r_lo, _), parts = _kite_box(node, o, base_cells, path)
-        if not node.children:
-            memo[key] = sum(1 << 6 * ((q - q_lo) * width + r - r_lo) + k
-                            for q, r, k in parts)
-            return memo[key]
 
         def placed():
+            if not node.children:
+                for q, r, k in parts:
+                    yield None, 1 << 6 * ((q - q_lo) * width + r - r_lo) + k
             for label, (child, co, cq, cr) in zip(node.labels, parts):
                 shift = 6 * ((cq - q_lo) * width + cr - r_lo)
                 bits = _kite_bits(child, co, width, base_cells,
-                                  f"{path}/{label}", base + shift)
+                                  f"{path}/{label}", base + shift, connected)
                 yield label, bits << shift
-        acc = 0
+        acc, pieces = 0, []
         for label, bits in placed():
             clash = acc & bits
             if clash:
@@ -319,6 +321,12 @@ def _kite_bits(node: SupertileNode, o: int, width: int, base_cells,
                 first = next(lab for lab, b in placed() if b >> bit & 1)
                 raise _Clash(f"{path}: pieces {first} and {label}", base + bit)
             acc |= bits
+            if connected:  # else each shifted int is dropped once ORed
+                pieces.append(bits)
+        if connected:
+            if not cells_connected(pieces, width):
+                raise _Disconnected(path)
+            memo[base_cells] = True
         memo[key] = acc
     return memo[key]
 
@@ -326,14 +334,16 @@ def _kite_bits(node: SupertileNode, o: int, width: int, base_cells,
 def check_kites(node: SupertileNode, tile: TileData,
                 connected: bool = False) -> tuple[bool, str]:
     """Check that the hats of a supertile built at the hat itself (a = 1,
-    b = sqrt(3)) lie on distinct kites (and, if `connected`, form one
-    edge-connected patch); returns (passed, detail).
+    b = sqrt(3)) lie on distinct kites (and, if `connected`, that each
+    supertile of its DAG is one edge-connected patch); returns (passed,
+    detail).
 
     The cells are one int per (node, orientation) (see `_kite_bits`).  A
     failure names the label path from the root, as in `hat-3/T/P4`: of
     the node where a piece meets the earlier ones, with the lowest kite
-    they share, or of a piece off the kite lattice.  A patch whose int would hold more
-    than _MAX_BITS_PER_HAT bits per hat is refused before any int is made.
+    they share, of a piece off the kite lattice, or of the first
+    disconnected node.  A patch whose int would hold more than
+    _MAX_BITS_PER_HAT bits per hat is refused before any int is made.
     """
     root = f"{node.kind}-{node.generation}"
     try:
@@ -345,18 +355,17 @@ def check_kites(node: SupertileNode, tile: TileData,
                            f"{size} bits for {node.hats} hats, over "
                            f"{_MAX_BITS_PER_HAT} per hat")
         bits = _kite_bits(node, 0, width, tile.cells, root, 0)
+        if connected:  # once no pieces overlap anywhere
+            _kite_bits(node, 0, width, tile.cells, root, 0, connected=True)
     except LatticeError as e:
         return False, str(e)
+    except _Disconnected as e:
+        return False, f"{e}: patch is disconnected"
     except _Clash as e:
         where, bit = e.args
         v, k = divmod(bit, 6)
         cell = KiteCell(q_lo + v // width, r_lo + v % width, k)
         return False, f"{where} overlap on kite {cell}"
-    if connected:
-        flags = bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
-        cells = compress(count(6 * (q_lo * width + r_lo)), flags)
-        if not cells_connected(cells, width):
-            return False, f"{root}: patch is disconnected"
     return True, f"{bits.bit_count()} kite cells, no overlap"
 
 

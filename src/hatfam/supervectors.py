@@ -14,7 +14,6 @@ the *_float helpers.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .exactnum import ONE, SQRT3, QSqrt3, VecE, qs3
@@ -43,12 +42,6 @@ def make_params(a: QSqrt3, b: QSqrt3) -> TileParams:
         raise DomainError("edge lengths a and b must be positive")
     s = (SQRT3 * b - a) / 2
     t = (SQRT3 * a + b) / 2
-    if a == b:
-        warnings.warn(
-            "a == b puts the tilt angle on the excluded boundary value "
-            "(tan beta = 2 - sqrt(3)); the construction still works",
-            stacklevel=2,
-        )
     return TileParams(a=a, b=b, s=s, t=t)
 
 

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -106,6 +107,17 @@ def test_vectors_rejects_bad_scalar():
 def test_vectors_rejects_nonpositive_edge(capsys):
     assert main(["vectors", "-a", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_chevron_boundary_warns(capsys):
+    # a == b puts the tilt on the excluded boundary: the command says so
+    # once on stderr, and the library raises no Python warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["vectors", "-a", "5", "-b", "5", "-n", "1"]) == 0
+    assert capsys.readouterr().err == (
+        "warning: a == b puts the tilt angle on the excluded boundary "
+        "value (tan beta = 2 - sqrt(3)); the construction still works\n")
 
 
 # ------------------------------------------------------------------- build

@@ -1,6 +1,6 @@
+import functools
 import math
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -40,7 +40,6 @@ from hatfam.geometry import (
     is_simple,
     kite_corners,
     outline_from_turtle,
-    pack_cells,
     packing_width,
     shoelace_area,
     tile_from_config,
@@ -329,9 +328,7 @@ def test_is_simple_matches_the_qsqrt3_oracle(poly):
     ("7/3", "1/2"), ("2+r3", "3+2*r3"),
 ], ids=["hat", "2-3", "1-1", "turtle", "5-2", "7/3-1/2", "irrational"])
 def test_is_simple_matches_the_oracle_on_the_tile(tile, a, b):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = make_params(parse_scalar(a), parse_scalar(b))
+    p = make_params(parse_scalar(a), parse_scalar(b))
     o = outline_from_turtle(tile.spec, p, tile.heading_k30)
     assert is_simple(o) and _oracle_is_simple(o)
     # moving a vertex onto the vertex two before it folds the walk back
@@ -376,9 +373,7 @@ def test_canonical_outline_shape(tile, hat_p):
     ("5", "2", "30+54*r3"),
 ], ids=["hat", "2-3", "1-1", "turtle", "5-2"])
 def test_canonical_outline_area(tile, a, b, area):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = make_params(parse_scalar(a), parse_scalar(b))
+    p = make_params(parse_scalar(a), parse_scalar(b))
     assert shoelace_area(tile.outline(p)) == parse_scalar(area)
 
 
@@ -420,9 +415,38 @@ def test_cell_reflect_matches_centroid_reflection():
         assert cell_reflect(cell_reflect(cell)) == cell
 
 
-def _connected(cells) -> bool:
+def _packing(cells):
+    """({cell: its bit}, width): each cell's bit, packed about the low
+    corner of the cells' hex box at the packing width."""
+    q_lo = min(q for q, _, _ in cells)
+    r_lo = min(r for _, r, _ in cells)
     width = packing_width(max(abs(r) for _, r, _ in cells))
-    return cells_connected(pack_cells(cells, width), width)
+    return {(q, r, k): 1 << 6 * ((q - q_lo) * width + r - r_lo) + k
+            for q, r, k in cells}, width
+
+
+def _connected(cells) -> bool:
+    bits, width = _packing(cells)
+    return cells_connected(bits.values(), width)
+
+
+def _kite_edges(cell) -> set:
+    corners = kite_corners(KiteCell(*cell))
+    return {frozenset((corners[i - 1], corners[i])) for i in range(4)}
+
+
+def _edge_connected(cells) -> bool:
+    """Oracle: kites touch when they share an edge, compared as exact
+    points; a flood over that relation reaches every cell."""
+    edges = {cell: _kite_edges(cell) for cell in cells}
+    todo = set(cells)
+    stack = [todo.pop()] if todo else []
+    while stack:
+        cur = stack.pop()
+        near = {c for c in todo if edges[cur] & edges[c]}
+        todo -= near
+        stack += near
+    return not todo
 
 
 def test_cell_neighbors_share_an_edge():
@@ -441,17 +465,91 @@ def test_cell_neighbors_share_an_edge():
 def test_cells_connected():
     assert _connected([KiteCell(0, 0, k) for k in range(6)])
     assert not _connected([KiteCell(0, 0, 0), KiteCell(5, 5, 0)])
-    assert cells_connected([], 3)
+    # whole hexagons as parts: neighbours touch, hexagons two apart do not
+    for far, joined in (((1, 0), True), ((2, 0), False), ((1, -1), True)):
+        cells = [(q, r, k) for q, r in ((0, 0), far) for k in range(6)]
+        bits, width = _packing(cells)
+        hexagons = [sum(bits[cell] for cell in cells[:6]),
+                    sum(bits[cell] for cell in cells[6:])]
+        assert cells_connected(hexagons, width) == joined
 
 
 def test_packing_keeps_cells_and_neighbours_apart():
-    # every cell with |hex_r| <= bound, and every neighbour of one, packs
-    # to its own int
+    # at the width for |hex_r| <= bound, every cell of a window that spans
+    # those rows packs to its own bit, and no neighbour's bit lands on
+    # another cell's: two cells touch exactly when they share an edge
     for bound in range(4):
-        width = packing_width(bound)
-        cells = [(q, r, k) for q in range(-3, 4)
-                 for r in range(-bound - 1, bound + 2) for k in range(6)]
-        assert len(set(pack_cells(cells, width))) == len(cells)
+        cells = [(q, r, k) for q in range(-1, 2)
+                 for r in range(-bound, bound + 1) for k in range(6)]
+        bits, width = _packing(cells)
+        assert width == packing_width(bound)
+        assert len(set(bits.values())) == len(cells)
+        edges = {cell: _kite_edges(cell) for cell in cells}
+        for i, a in enumerate(cells):
+            for b in cells[:i]:
+                assert cells_connected([bits[a], bits[b]], width) == \
+                    bool(edges[a] & edges[b])
+
+
+@functools.cache
+def _window_neighbours() -> dict:
+    """The oracle's edge neighbours of each kite cell of the window of
+    hexagons with hex_q, hex_r in -2..2, inside the window."""
+    cells = [(q, r, k) for q in range(-2, 3) for r in range(-2, 3)
+             for k in range(6)]
+    edges = {cell: _kite_edges(cell) for cell in cells}
+    return {a: [b for b in cells if b != a and edges[a] & edges[b]]
+            for a in cells}
+
+
+@st.composite
+def _window_cells(draw) -> list:
+    """Distinct kite cells of the window: a random set, or a patch of as
+    many cells grown from its first by random edge steps, with up to two
+    cells then dropped, which may cut it."""
+    cells = draw(st.lists(st.sampled_from(sorted(_window_neighbours())),
+                          min_size=1, max_size=24, unique=True))
+    if draw(st.booleans()):
+        rnd = draw(st.randoms(use_true_random=False))
+        near = _window_neighbours()
+        size, cells = len(cells), cells[:1]
+        while len(cells) < size:
+            cell = rnd.choice(near[rnd.choice(cells)])
+            if cell not in cells:
+                cells.append(cell)
+        for _ in range(min(rnd.randint(0, 2), len(cells) - 1)):
+            cells.pop(rnd.randrange(len(cells)))
+    return cells
+
+
+def _connected_split(cells, rnd) -> list[list]:
+    """The cells cut at random into parts that are each edge-connected."""
+    near = _window_neighbours()
+    todo = sorted(cells)
+    parts = []
+    while todo:
+        part = [todo.pop(rnd.randrange(len(todo)))]
+        size = rnd.randint(1, len(cells))
+        for cur in part:  # grows while it is read: a breadth-first flood
+            for cell in near[cur]:
+                if cell in todo and len(part) < size and rnd.random() < 0.7:
+                    part.append(cell)
+                    todo.remove(cell)
+        parts.append(part)
+    return parts
+
+
+@_PROPERTY
+@given(_window_cells(), st.randoms(use_true_random=False))
+def test_cells_connected_matches_the_edge_oracle(cells, rnd):
+    # as single-cell parts and as a random split into connected parts
+    want = _edge_connected(cells)
+    bits, width = _packing(cells)
+    assert cells_connected(bits.values(), width) == want
+    parts = _connected_split(cells, rnd)
+    assert all(_edge_connected(part) for part in parts)
+    assert cells_connected([sum(bits[c] for c in part) for part in parts],
+                           width) == want
 
 
 def test_lattice_decompose_round_trip(tile):

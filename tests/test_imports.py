@@ -24,3 +24,38 @@ def test_runtime_is_stdlib_only():
                 if top != "hatfam" and top not in sys.stdlib_module_names:
                     outside.add(f"{path.name}: {name}")
     assert not outside
+
+
+def _names(tree) -> set:
+    """Every name a tree refers to: loaded names, attributes, imported
+    names, and strings, which the benchmark's tracer looks names up by."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_every_top_level_name_has_a_caller_outside_the_tests():
+    # a def or class in src/ that only tests refer to is a helper for the
+    # tests; a definition's own body does not count as a caller
+    bench = Path(__file__).parents[1] / "perfbench"
+    files = sorted(SRC.glob("*.py")) + sorted(
+        path for path in bench.glob("*.py")
+        if not path.name.startswith("test_"))
+    defined, used = set(), set()
+    for path in files:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if path.parent == SRC:
+                    defined.add((path.name, own))
+            used |= _names(stmt) - {own}
+    assert sorted(d for d in defined if d[1] not in used) == []

@@ -111,13 +111,13 @@ def test_supervector_matches_closed_form(layout, a, b):
 
 
 def test_compound_drops_the_third_piece(layout, hat_p):
-    for n in (2, 3, 4):
-        hat = build(HAT, n, hat_p, layout)
-        thc = build(THC, n, hat_p, layout)
+    for hat, thc in list(generations(4, hat_p, layout))[1:]:
         assert len(hat.children) == 7
         assert len(thc.children) == 6
         assert "P3" not in thc.labels
-        assert thc.missing == hat.children[hat.labels.index("P3")][1]
+        # the open slot the next generation's P4 fills is the hat's P3
+        drop = hat.labels.index("P3")
+        assert thc.children == hat.children[:drop] + hat.children[drop + 1:]
 
 
 def test_expand_rerooted(layout, hat_p):
@@ -238,19 +238,49 @@ def _p2_on_p1(hat_p, layout) -> SupertileNode:
     return dataclasses.replace(hat5, children=tuple(children))
 
 
+def _bridged_compound() -> SupertileNode:
+    """A hand-made generation-2 node: a compound whose partner lies three
+    lattice steps from its hat, beside a third hat that touches both."""
+    hat = SupertileNode(HAT, 1, (), (), VEC_ZERO, VEC_ZERO)
+    pair = SupertileNode(
+        THC, 1, ((hat, IDENTITY), (hat, Placement(0, False, U2 - U1 * 3))),
+        ("hat", "partner"), VEC_ZERO, VEC_ZERO)
+    return SupertileNode(
+        HAT, 2, ((pair, IDENTITY), (hat, Placement(2, True, U2 - U1))),
+        ("T", "P1"), VEC_ZERO, VEC_ZERO)
+
+
 def test_check_kites_expands_no_hat(layout, tile, hat_p, monkeypatch):
     # every verdict, failures included, comes from the DAG's ints
     def never(*args):
         raise AssertionError("check_kites expanded a node")
     monkeypatch.setattr(substitution, "expand", never)
-    assert check_kites(build(HAT, 6, hat_p, layout), tile) == \
-        (True, "141688 kite cells, no overlap")
-    ok, detail = check_kites(_p2_on_p1(hat_p, layout), tile)
-    assert not ok and detail.startswith("hat-5: pieces P1 and P2 overlap")
-    node = build(HAT, 3, hat_p, _lattice_miss_layout(layout))
-    assert check_kites(node, tile)[1].startswith("piece hat-3/T/P4 is off")
+    for connected in (False, True):
+        assert check_kites(build(HAT, 6, hat_p, layout), tile, connected) \
+            == (True, "141688 kite cells, no overlap")
+        ok, detail = check_kites(_p2_on_p1(hat_p, layout), tile, connected)
+        assert not ok and detail.startswith("hat-5: pieces P1 and P2 overlap")
+        node = build(HAT, 3, hat_p, _lattice_miss_layout(layout))
+        assert check_kites(node, tile, connected)[1].startswith(
+            "piece hat-3/T/P4 is off")
+    assert check_kites(_bridged_compound(), tile, connected=True) == \
+        (False, "hat-2/T: patch is disconnected")
     for offset, message in PERTURBED:
         assert _perturbed_failure(tile, offset) == message
+
+
+def test_disconnected_piece_fails_inside_a_connected_patch(tile):
+    # the root's 24 kites are one edge-connected patch, but the two hats
+    # of its compound piece touch only through the third hat: every
+    # supertile must be connected, and the failure names the piece
+    node = _bridged_compound()
+    assert _edge_connected([cell for q, _ in expand(node)
+                            for cell in hat_kite_cells(q, tile.cells)])
+    assert check_kites(node, tile) == (True, "24 kite cells, no overlap")
+    assert _matches_flat(node, tile, True) == \
+        (False, "hat-2/T: patch is disconnected")
+    assert check_kites(node.children[0][0], tile, connected=True) == \
+        (False, "thc-1: patch is disconnected")
 
 
 def test_far_partner_is_disconnected_without_a_large_allocation(tile):
@@ -352,9 +382,21 @@ def _edge_connected(cells) -> bool:
     return not todo
 
 
+def _distinct_nodes(node):
+    """Every node of the DAG under `node`, itself included, once."""
+    found, stack = {}, [node]
+    while stack:
+        cur = stack.pop()
+        if id(cur) not in found:
+            found[id(cur)] = cur
+            stack += [child for child, _ in cur.children]
+    return found.values()
+
+
 def _flat_check(node, tile, connected):
     """check_kites's verdict, computed hat by hat, with a failure worded
-    in the flat check's own terms."""
+    in the flat check's own terms; `connected` asks every distinct node's
+    hats to cover one edge-connected patch."""
     try:
         ok, found = disjoint_cells([q for q, _ in expand(node)], tile.cells)
     except LatticeError as e:
@@ -362,7 +404,10 @@ def _flat_check(node, tile, connected):
     if not ok:
         i, j, cell = found
         return False, f"pieces {i} and {j} overlap on kite {cell}"
-    if connected and not _edge_connected(found):
+    if connected and not all(
+            _edge_connected([cell for q, _ in expand(sub)
+                             for cell in hat_kite_cells(q, tile.cells)])
+            for sub in _distinct_nodes(node)):
         return False, "patch is disconnected"
     return True, f"{len(found)} kite cells, no overlap"
 

@@ -1,5 +1,4 @@
 import math
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -28,10 +27,8 @@ def _p(a, b):
 
 @pytest.fixture
 def varied_params():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return [hat_params(), _p(2, 3), _p(1, 1), turtle_params(),
-                make_params(qs3(Fraction(7, 3)), qs3(Fraction(1, 2)))]
+    return [hat_params(), _p(2, 3), _p(1, 1), turtle_params(),
+            make_params(qs3(Fraction(7, 3)), qs3(Fraction(1, 2)))]
 
 
 def test_hat_first_vectors(hat_p):
@@ -81,11 +78,6 @@ def test_domain_rejects_nonpositive():
         _p(0, 1)
     with pytest.raises(DomainError):
         _p(1, -2)
-
-
-def test_chevron_boundary_warns():
-    with pytest.warns(UserWarning, match="excluded boundary"):
-        _p(5, 5)
 
 
 def test_has_hat_proportion():
