@@ -381,12 +381,15 @@ def cell_reflect(cell: KiteCell) -> KiteCell:
     return KiteCell(-q, q + r, (3 - k) % 6)
 
 
-def packing_width(r_bound: int) -> int:
-    """The row width at which cells with |hex_r| <= r_bound, and their
-    neighbours, pack to distinct bits: in a patch whose hex box has low
-    corner (q_lo, r_lo), cell (q, r, k) is bit 6*((q - q_lo)*width + r -
-    r_lo) + k, so a lattice step (m, n) adds 6*(m*width + n)."""
-    return 2 * r_bound + 3
+def packing_width(r_span: int) -> int:
+    """The row width at which cells with r_lo <= hex_r <= r_lo + r_span,
+    and their neighbours, pack to distinct bits: in a patch whose hex box
+    has low corner (q_lo, r_lo), cell (q, r, k) is bit 6*((q - q_lo)*width
+    + r - r_lo) + k, so a lattice step (m, n) adds 6*(m*width + n).  Each
+    row ends in one slot past the box, r - r_lo = r_span + 1, that holds no
+    cell: a neighbour one row past either edge (|n| <= 1) lands there, in
+    its own row or, wrapping below r_lo, in the row before."""
+    return r_span + 2
 
 
 def cells_connected(parts, width: int) -> bool:
@@ -525,7 +528,7 @@ def tile_from_config(text: str) -> TileData:
     if len(cells) != 8:
         raise ConfigError(f"expected 8 kite cells, got {len(cells)}")
     bound = max(abs(v) for q, r, _ in cells for v in (q, r))
-    width = packing_width(bound)
+    width = packing_width(2 * bound)
     if not cells_connected([1 << 6 * ((q + bound) * width + r + bound) + k
                             for q, r, k in cells], width):
         raise ConfigError("kite cells do not form a connected patch")

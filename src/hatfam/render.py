@@ -3,13 +3,17 @@
 One path per hat, colored by rotation class with reflected hats darkened,
 optional kite-grid layer, and supervector arrows for the top generations.
 All geometry stays exact until the final float formatting, and identical
-inputs produce byte-identical documents.
+inputs produce byte-identical documents.  Every distinct coordinate is
+formatted once per figure and axis, and the viewBox spans those
+coordinates; the grid is one template of kite edges per orientation,
+moved by each hat's lattice step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .configfile import load_text
 from .exactnum import VecE, zeta_coords
@@ -20,6 +24,7 @@ from .geometry import (
     apply_placement,
     hat_kite_cells,
     kite_corners,
+    lattice_shift,
     tile_from_config,
 )
 from .sequences import tile_counts
@@ -85,6 +90,17 @@ def _fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
+class _Memo(dict):
+    """f of each distinct key, computed when first looked up."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
+
+
 def _check_built(node: SupertileNode) -> None:
     seen = set()
     stack = [node]
@@ -110,96 +126,87 @@ def _arrow_nodes(node: SupertileNode, placement: Placement, floor: int):
             yield from _arrow_nodes(child, placement.compose(q), floor)
 
 
-class _Doc:
-    """Accumulates the bounding box of the drawn geometry: once per hat,
-    from all its vertices, and once per distinct grid corner."""
-
-    def __init__(self):
-        self.min_x = math.inf
-        self.min_y = math.inf
-        self.max_x = -math.inf
-        self.max_y = -math.inf
-
-    def pt(self, v: VecE) -> tuple[float, float]:
-        x, y = v.to_floats()
-        return self.raw(x, -y)
-
-    def raw(self, x: float, y: float) -> tuple[float, float]:
-        self.cover((x,), (y,))
-        return x, y
-
-    def cover(self, xs, ys) -> None:
-        self.min_x = min(self.min_x, *xs)
-        self.min_y = min(self.min_y, *ys)
-        self.max_x = max(self.max_x, *xs)
-        self.max_y = max(self.max_y, *ys)
+def _svg_point(v: VecE) -> tuple[float, float]:
+    x, y = v.to_floats()
+    return x, -y
 
 
-def _grid_lines(doc: _Doc, placed: list[Placement], p: TileParams,
-                tile: TileData) -> list[str]:
+def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
+                fx: _Memo, fy: _Memo) -> list[str]:
     # float(QSqrt3) of the corner scaled by a = (aa + ab*sqrt3)/ad: int /
     # int rounds correctly, so unreduced quotients give the same floats
     aa, ab, den = p.a.a, p.a.b, 2 * p.a.d
     sqrt3 = 3.0 ** 0.5
-    strs = {}
+    x_text = _Memo(lambda X: fx[X * aa / den + X * ab / den * sqrt3])
+    y_text = _Memo(lambda Y: fy[-(3 * Y * ab / den + Y * aa / den * sqrt3)])
+    # per orientation, the edges (X1, Y1, X2, Y2, end before start) of the
+    # hat's sorted cells; a lattice step moves every corner alike, which
+    # keeps the cell order and each edge's end order, so lines and the
+    # first-seen dedup are those of the placed hat's sorted cells
+    shapes = []
+    for o in range(12):
+        edges = []
+        for hq, hr, k in sorted(hat_kite_cells(Placement(o % 6, o >= 6),
+                                               tile.cells)):
+            cx, cy = 6 * hq, 2 * (hq + 2 * hr)
+            pts = [(cx + dx, cy + dy) for dx, dy in _KITE_OFFSETS[k]]
+            edges += [(*u, *v, v < u) for u, v in zip(pts, pts[1:] + pts[:1])]
+        shapes.append(edges)
     seen = set()
     lines = []
     for q in placed:
-        for hq, hr, k in sorted(hat_kite_cells(q, tile.cells)):
-            cx, cy = 6 * hq, 2 * (hq + 2 * hr)
-            pts = [(cx + dx, cy + dy) for dx, dy in _KITE_OFFSETS[k]]
-            for X, Y in pts:
-                if (X, Y) not in strs:
-                    x, y = doc.raw(X * aa / den + X * ab / den * sqrt3,
-                                   -(3 * Y * ab / den + Y * aa / den * sqrt3))
-                    strs[X, Y] = _fmt(x), _fmt(y)
-            for u, v in zip(pts, pts[1:] + pts[:1]):
-                key = (u, v) if u < v else (v, u)
-                if key in seen:
-                    continue
+        m, n = lattice_shift(q)
+        sx, sy = 6 * m, 2 * (m + 2 * n)
+        for x1, y1, x2, y2, flip in shapes[q.orientation]:
+            x1, y1, x2, y2 = x1 + sx, y1 + sy, x2 + sx, y2 + sy
+            key = (x2, y2, x1, y1) if flip else (x1, y1, x2, y2)
+            if key not in seen:
                 seen.add(key)
-                (x1, y1), (x2, y2) = strs[u], strs[v]
-                lines.append(
-                    f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
+                lines.append(f'<line x1="{x_text[x1]}" y1="{y_text[y1]}" '
+                             f'x2="{x_text[x2]}" y2="{y_text[y2]}"/>')
     return lines
 
 
-def _oriented_outlines(outline) -> list[tuple[list[tuple], int]]:
-    """The outline under each of the 12 placement orientations, as Q(zeta)
-    vertex coordinates over one common denominator per orientation."""
+@lru_cache(maxsize=8)
+def _oriented_outlines(outline) -> tuple[tuple[tuple, int], ...]:
+    """The outline under each of the 12 placement orientations: per vertex
+    with Q(zeta) coordinates c, over one common denominator per
+    orientation, the ints (2 c0 + c2, c1) of its x and (c1 + 2 c3, c2) of
+    its y."""
     out = []
     for o in range(12):
         verts = [zeta_coords(v) for v in
                  apply_placement(outline, Placement(o % 6, o >= 6))]
         den = math.lcm(*(d for _, d in verts))
-        out.append(([tuple(c * (den // d) for c in cs) for cs, d in verts],
-                    den))
-    return out
+        parts = []
+        for cs, d in verts:
+            c0, c1, c2, c3 = (c * (den // d) for c in cs)
+            parts.append((2 * c0 + c2, c1, c1 + 2 * c3, c2))
+        out.append((tuple(parts), den))
+    return tuple(out)
 
 
-def _hat_paths(doc: _Doc, placed: list[tuple[Placement, bool]],
-               outline, scheme: str) -> list[str]:
+def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
+               fx: _Memo, fy: _Memo) -> list[str]:
     shapes = _oriented_outlines(outline)
     sqrt3 = 3.0 ** 0.5
     paths = []
     for q, reflected in placed:
         verts, vd = shapes[q.orientation]
         td = q.den
-        t0, t1, t2, t3 = (c * vd for c in q.coords)
+        t0, t1, t2, t3 = q.coords
+        tx, tx3 = (2 * t0 + t2) * vd, t1 * vd
+        ty, ty3 = (t1 + 2 * t3) * vd, t2 * vd
         den = 2 * vd * td
-        xs, ys = [], []
-        for v0, v1, v2, v3 in verts:
-            c0, c1 = v0 * td + t0, v1 * td + t1
-            c2, c3 = v2 * td + t2, v3 * td + t3
-            # float(QSqrt3) of x = (2 c0 + c2 + c1*sqrt3)/den and
-            # y = (c1 + 2 c3 + c2*sqrt3)/den: int / int rounds correctly,
-            # so reduced or not, the floats are bit for bit the same
-            x = (2 * c0 + c2) / den + c1 / den * sqrt3
-            xs.append(x)
-            ys.append(-((c1 + 2 * c3) / den + c2 / den * sqrt3))
-        doc.cover(xs, ys)
-        d = ("M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xs, ys))
-             + " Z")
+        # float(QSqrt3) of x = (2 c0 + c2 + c1*sqrt3)/den and y = (c1 +
+        # 2 c3 + c2*sqrt3)/den, c the placed vertex: int / int rounds
+        # correctly, so reduced or not, the floats are bit for bit the same
+        xs = [(x0 * td + tx) / den + (x3 * td + tx3) / den * sqrt3
+              for x0, x3, _, _ in verts]
+        ys = [-((y0 * td + ty) / den + (y3 * td + ty3) / den * sqrt3)
+              for _, _, y0, y3 in verts]
+        d = "M " + " L ".join(f"{fx[x]} {fy[y]}" for x, y in zip(xs, ys)) \
+            + " Z"
         if scheme == SCHEME_ROTATION:
             fills = _ROT_FILLS_DARK if reflected else _ROT_FILLS
             fill = fills[q.rotation_k]
@@ -210,12 +217,13 @@ def _hat_paths(doc: _Doc, placed: list[tuple[Placement, bool]],
     return paths
 
 
-def _arrows(doc: _Doc, node: SupertileNode, opts: RenderOptions) -> list[str]:
+def _arrows(node: SupertileNode, opts: RenderOptions, fx: _Memo,
+            fy: _Memo) -> list[str]:
     floor = node.generation - opts.show_supervectors + 1
     parts = []
     for sub, q in _arrow_nodes(node, Placement(), floor):
-        ax, ay = doc.pt(q.apply(sub.v_tail))
-        bx, by = doc.pt(q.apply(sub.v_head))
+        ax, ay = _svg_point(q.apply(sub.v_tail))
+        bx, by = _svg_point(q.apply(sub.v_head))
         length = math.hypot(bx - ax, by - ay)
         if length == 0:
             continue
@@ -223,16 +231,16 @@ def _arrows(doc: _Doc, node: SupertileNode, opts: RenderOptions) -> list[str]:
         head = min(length / 3, max(0.8, length * 0.035))
         half = head * 0.4
         base_x, base_y = bx - ux * head, by - uy * head
-        c1 = doc.raw(base_x - uy * half, base_y + ux * half)
-        c2 = doc.raw(base_x + uy * half, base_y - ux * half)
+        c1 = base_x - uy * half, base_y + ux * half
+        c2 = base_x + uy * half, base_y - ux * half
         color = _ARROW_COLORS[(sub.generation - 1) % len(_ARROW_COLORS)]
         width = _fmt(opts.stroke_width * 2)
         parts.append(
-            f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(base_x)}" '
-            f'y2="{_fmt(base_y)}" stroke="{color}" stroke-width="{width}"/>')
+            f'<line x1="{fx[ax]}" y1="{fy[ay]}" x2="{fx[base_x]}" '
+            f'y2="{fy[base_y]}" stroke="{color}" stroke-width="{width}"/>')
         parts.append(
-            f'<polygon fill="{color}" points="{_fmt(bx)},{_fmt(by)} '
-            f'{_fmt(c1[0])},{_fmt(c1[1])} {_fmt(c2[0])},{_fmt(c2[1])}"/>')
+            f'<polygon fill="{color}" points="{fx[bx]},{fy[by]} '
+            f'{fx[c1[0]]},{fy[c1[1]]} {fx[c2[0]]},{fy[c2[1]]}"/>')
     return parts
 
 
@@ -259,15 +267,23 @@ def render_supertile(node: SupertileNode, p: TileParams,
     outline = tile.outline(p)
 
     placed = list(expand(node))
-    doc = _Doc()
-    grid = (_grid_lines(doc, [q for q, _ in placed], p, tile)
+    # each distinct coordinate is formatted once per figure and axis.  A
+    # float key takes -0.0 and 0.0 as one: `_fmt` prints both as 0, and a
+    # formatter that tells them apart still sees the right zero for hats
+    # and grid, where every coordinate is u + v or -(u + v), u and v each
+    # an int over a positive int (v then times sqrt3), so an exact zero is
+    # +0.0 in x and -0.0 in y; arrow points, computed in floats, may hold
+    # either
+    fx, fy = _Memo(_fmt), _Memo(_fmt)
+    grid = (_grid_lines([q for q, _ in placed], p, tile, fx, fy)
             if opts.show_grid else [])
-    paths = _hat_paths(doc, placed, outline, opts.scheme)
-    arrows = _arrows(doc, node, opts) if opts.show_supervectors else []
+    paths = _hat_paths(placed, outline, opts.scheme, fx, fy)
+    arrows = _arrows(node, opts, fx, fy) if opts.show_supervectors else []
 
+    # the memos' keys are every coordinate drawn, so they span the figure
     m = opts.margin
-    vb = (doc.min_x - m, doc.min_y - m,
-          doc.max_x - doc.min_x + 2 * m, doc.max_y - doc.min_y + 2 * m)
+    vb = (min(fx) - m, min(fy) - m,
+          max(fx) - min(fx) + 2 * m, max(fy) - min(fy) + 2 * m)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{" ".join(_fmt(v) for v in vb)}">'

@@ -348,7 +348,7 @@ def check_kites(node: SupertileNode, tile: TileData,
     root = f"{node.kind}-{node.generation}"
     try:
         (q_lo, q_hi, r_lo, r_hi), _ = _kite_box(node, 0, tile.cells, root)
-        width = packing_width(max(-r_lo, r_hi))
+        width = packing_width(r_hi - r_lo)
         size = 6 * (q_hi - q_lo + 1) * width
         if size > _MAX_BITS_PER_HAT * node.hats:
             return False, (f"{root}: patch too sparse for the kite check: "
@@ -384,7 +384,7 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
     """Parse and fully validate a layout config.
 
     Validation is structural (ring size, rotation multiples) and then
-    constructive: generations 2 through 4 are assembled at hat proportions
+    constructive: generations 1 through 4 are assembled at hat proportions
     and checked for tile counts, kite disjointness, connectivity, and the
     closed-form supervector.
     """
@@ -403,7 +403,7 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
         head2=_value_form(cfg, "anchors", "head2"),
     )
     layout.validate_structure()
-    # the constructive half: generations 2..4 at hat proportions
+    # the constructive half: generations 1..4 at hat proportions
     p = hat_params()
     area = shoelace_area(tile.outline(p))
     if area != p.a * p.b * 8:
@@ -412,8 +412,6 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
             f"proportions")
     # one lazy chain: each generation is checked before the next is made
     for gen, nodes in enumerate(generations(4, p, layout), 1):
-        if gen == 1:
-            continue
         for node in nodes:
             want = tile_counts(node.kind, gen)
             if node.hats != want:

@@ -420,7 +420,7 @@ def _packing(cells):
     corner of the cells' hex box at the packing width."""
     q_lo = min(q for q, _, _ in cells)
     r_lo = min(r for _, r, _ in cells)
-    width = packing_width(max(abs(r) for _, r, _ in cells))
+    width = packing_width(max(r for _, r, _ in cells) - r_lo)
     return {(q, r, k): 1 << 6 * ((q - q_lo) * width + r - r_lo) + k
             for q, r, k in cells}, width
 
@@ -475,14 +475,14 @@ def test_cells_connected():
 
 
 def test_packing_keeps_cells_and_neighbours_apart():
-    # at the width for |hex_r| <= bound, every cell of a window that spans
-    # those rows packs to its own bit, and no neighbour's bit lands on
+    # at the width for the rows -bound..bound, every cell of a window that
+    # spans them packs to its own bit, and no neighbour's bit lands on
     # another cell's: two cells touch exactly when they share an edge
     for bound in range(4):
         cells = [(q, r, k) for q in range(-1, 2)
                  for r in range(-bound, bound + 1) for k in range(6)]
         bits, width = _packing(cells)
-        assert width == packing_width(bound)
+        assert width == packing_width(2 * bound)
         assert len(set(bits.values())) == len(cells)
         edges = {cell: _kite_edges(cell) for cell in cells}
         for i, a in enumerate(cells):

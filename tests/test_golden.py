@@ -57,6 +57,14 @@ RENDERS = {
         "cf7b7ce601dd0df4c440ca7750f42c187d40291a8c23892e4d8be7aaae4785ed",
     ("--grid", "-a", "1", "-b", "r3"):
         "c15ee5a38abb570782fbf69763b75976b5d807543ec824fd8c2d0d106582f3df",
+    # off the integer hat scales: recorded at commit 9047fb3, before the
+    # renderer formatted each distinct coordinate once
+    ("--supervectors", "2", "-a", "7/3", "-b", "1/2"):
+        "3801ce8245b5095849e957861b3879e1ae20bdd2ff122c329644d3b41fbf0ffd",
+    ("--supervectors", "2", "-a", "2+r3", "-b", "3+2*r3"):
+        "ecf0108e2ee3657f5fca59b76e1446c9a6f02bf1e85cde085be4ee907550e8f2",
+    ("--supervectors", "2", "-a", "1/2", "-b", "1/2*r3"):
+        "f2a1901dc60cfb3aad5df533e50f115e5f7f490cf59d9864f8f64460ce5ca09d",
 }
 
 VERIFY_MAX_GEN_3 = \

@@ -239,3 +239,24 @@ def test_viewbox_covers_the_figure(layout, hat_p, monkeypatch):
                 max(ys) - min(ys) + 2 * m)
         got = ET.fromstring(svg).get("viewBox").split()
         assert tuple(map(float.fromhex, got)) == want
+
+
+@pytest.mark.parametrize("figure", [("hat", "5", "--supervectors", "3"),
+                                    ("hat", "4", "--grid")])
+def test_each_distinct_coordinate_is_formatted_once(figure, tmp_path,
+                                                    monkeypatch, capsys):
+    # hat 5 writes 72,352 path coordinates and hat 4 with its grid 45,240
+    # coordinates, but they hold about 1,100 and 300 distinct floats per
+    # axis
+    calls = []
+    fmt = render._fmt
+
+    def counted(x):
+        calls.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(render, "_fmt", counted)
+    out = tmp_path / "hat.svg"
+    assert main(["render", *figure, "-a", "1", "-b", "r3",
+                 "-o", str(out)]) == 0
+    assert len(calls) < 2000

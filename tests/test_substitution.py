@@ -285,8 +285,8 @@ def test_disconnected_piece_fails_inside_a_connected_patch(tile):
 
 def test_far_partner_is_disconnected_without_a_large_allocation(tile):
     # the partner 10^6 lattice steps away in q and -10^6 in r: a bitset
-    # over that patch would span about 10^13 bits, so the sparse patch is
-    # refused before any int is made
+    # over the generation-1 compound would span about 6*10^12 bits, so the
+    # sparse patch is refused before any int is made
     text = load_text("layout.cfg")
     assert "offset_u = 3/2, 3/2*r3" in text
     text = text.replace("offset_u = 3/2, 3/2*r3",
@@ -299,8 +299,8 @@ def test_far_partner_is_disconnected_without_a_large_allocation(tile):
     finally:
         tracemalloc.stop()
     assert str(caught.value) == (
-        "generation 2: hat-2: patch too sparse for the kite check: "
-        "12000066000090 bits for 8 hats, over 256 per hat")
+        "generation 1: thc-1: patch too sparse for the kite check: "
+        "6000042000072 bits for 2 hats, over 256 per hat")
     assert peak < 4 * 2 ** 20
 
 
@@ -453,19 +453,17 @@ def _matches_flat(node, tile, connected):
 
 def _root_cells(node, tile):
     """The root's kite bitset decoded to (hex_q, hex_r, corner_k) cells:
-    bit i is the cell packed to low + i at the root's width."""
+    bit 6*(q*width + r) + k is the cell (q_lo + q, r_lo + r, k)."""
     (q_lo, _, r_lo, r_hi), _ = substitution._kite_box(node, 0, tile.cells,
                                                       "root")
-    width = packing_width(max(-r_lo, r_hi))
+    width = packing_width(r_hi - r_lo)
     bits = substitution._kite_bits(node, 0, width, tile.cells, "root", 0)
-    low = 6 * (q_lo * width + r_lo)
-    half = width // 2
     out = set()
     for i, bit in enumerate(reversed(bin(bits)[2:])):
         if bit == "1":
-            v, k = divmod(low + i, 6)
-            q, r = divmod(v + half, width)
-            out.add((q, r - half, k))
+            v, k = divmod(i, 6)
+            q, r = divmod(v, width)
+            out.add((q_lo + q, r_lo + r, k))
     return out
 
 
