@@ -39,14 +39,15 @@ from .substitution import (
     search_layout,
 )
 from .supervectors import (
+    AngleTan,
     DomainError,
     TileParams,
     hat_params,
     has_hat_proportion,
     make_params,
     tan_alpha,
+    tan_between,
     tan_theta,
-    theta_float,
     total_rotation_float,
     turtle_params,
     v3_buildup,
@@ -144,14 +145,15 @@ def cmd_sequence(args) -> int:
 def cmd_vectors(args) -> int:
     p = _params(args)
     rows = []
-    for n in range(args.max + 1):
-        v = v_closed(n, p)
+    vs = [v_closed(n, p) for n in range(args.max + 1)]
+    for n, v in enumerate(vs):
         rows.append({
             "n": n,
             "vx": render_scalar(v.x),
             "vy": render_scalar(v.y),
-            "theta": theta_float(n, p),
-            "tan_alpha": render_scalar(tan_alpha(n, p).value) if n else None,
+            "theta": AngleTan(v.x / v.y).to_float(),
+            "tan_alpha": (render_scalar(tan_between(vs[n - 1], v).value)
+                          if n else None),
         })
     total = total_rotation_float(p)
     if args.format == "json":
@@ -263,11 +265,12 @@ def _sample_params(count: int, seed: int = 20230306) -> list[TileParams]:
     return out
 
 
-def _alpha_factor(n: int, p: TileParams) -> QSqrt3:
-    """Exact factor turning tan(alpha_n) into tan(beta) for any shape."""
-    num = (p.t * p.t * lucas(2 * n) * lucas(2 * n - 2)
-           + p.s * p.s * fib(2 * n) * fib(2 * n - 2))
-    return num / (p.t * p.t * 2)
+def _chain(env, p: TileParams, top: int) -> list:
+    """Generations 1..top at p as (hat, thc), built once per verify run."""
+    key = (p, top)
+    if key not in env:
+        env[key] = list(generations(top, p, env["layout"]))
+    return env[key]
 
 
 def _check_closed_forms(max_gen: int, env) -> str:
@@ -315,17 +318,26 @@ def _check_g_sequence(max_gen: int, env) -> str:
 
 
 def _check_angle_identity(max_gen: int, env) -> str:
-    shapes = [hat_params(), turtle_params()] + _sample_params(3)
-    for p in shapes:
-        tb = p.s / p.t
+    # (shape, check the exact factor X_n, check g(n)): g(n) holds only at
+    # hat proportions
+    walks = [(hat_params(), True, True), (turtle_params(), True, False),
+             *((p, True, False) for p in _sample_params(3)),
+             (make_params(QSqrt3.of(5), QSqrt3.of(0, 5)), False, True)]
+    for p, exact, hat_ratio in walks:
+        tb, s2, t2 = p.s / p.t, p.s * p.s, p.t * p.t
+        vs = [v_closed(n, p) for n in range(51)]
+        # (F_2n-2, L_2n-2, F_2n, L_2n), stepped by x_n = 3x_(n-1) - x_(n-2)
+        f0, l0, f1, l1 = 0, 2, 1, 3
         for n in range(1, 51):
-            got = tan_alpha(n, p).value * _alpha_factor(n, p)
-            _require(got == tb, f"exact factor identity fails at n={n}")
-    for p in (hat_params(), make_params(QSqrt3.of(5), QSqrt3.of(0, 5))):
-        tb = p.s / p.t
-        for n in range(1, 51):
-            _require(tan_alpha(n, p).value * g_closed(n) == tb,
-                     f"g(n) identity fails at n={n}")
+            tan = tan_between(vs[n - 1], vs[n]).value
+            if exact:  # X_n = (t^2 L_2n L_2n-2 + s^2 F_2n F_2n-2) / 2t^2
+                x_n = (t2 * (l1 * l0) + s2 * (f1 * f0)) / (t2 * 2)
+                _require(tan * x_n == tb,
+                         f"exact factor identity fails at n={n}")
+            if hat_ratio:
+                _require(tan * g_closed(n) == tb,
+                         f"g(n) identity fails at n={n}")
+            f0, l0, f1, l1 = f1, l1, 3 * f1 - f0, 3 * l1 - l0
     return ("tan(alpha_n) times the exact factor is tan(beta) everywhere; "
             "the g(n) factor works at hat proportions")
 
@@ -333,14 +345,14 @@ def _check_angle_identity(max_gen: int, env) -> str:
 def _check_angle_limit(max_gen: int, env) -> str:
     hp = hat_params()
     limit = math.asin(0.25)
-    _require(abs(theta_float(40, hp) - limit) < 1e-12,
-             f"theta_40 = {theta_float(40, hp)}")
+    thetas = [tan_theta(n, hp) for n in range(41)]
+    angles = [theta.to_float() for theta in thetas]
+    _require(abs(angles[40] - limit) < 1e-12, f"theta_40 = {angles[40]}")
     _require(abs(total_rotation_float(hp) - limit) < 1e-12,
              f"total rotation = {total_rotation_float(hp)}")
-    tans = [tan_theta(n, hp).value for n in range(41)]
+    tans = [theta.value for theta in thetas]
     _require(all((b - a).sign() > 0 for a, b in zip(tans, tans[1:])),
              "exact tan(theta_n) is not strictly increasing")
-    angles = [theta_float(n, hp) for n in range(41)]
     _require(all(b >= a for a, b in zip(angles, angles[1:])),
              "float theta_n decreases somewhere")
     return "theta_40 and the limit equal arcsin(1/4); theta_n monotone"
@@ -358,12 +370,11 @@ def _check_scaling(max_gen: int, env) -> str:
 
 
 def _check_supervector_construction(max_gen: int, env) -> str:
-    layout = env["layout"]
     hp = hat_params()
     p23 = make_params(QSqrt3.of(2), QSqrt3.of(3))
     for p, top, where in ((hp, max_gen, "hat params"),
                           (p23, min(4, max_gen), "Tile(2,3)")):
-        for n, nodes in enumerate(generations(top, p, layout), 1):
+        for n, nodes in enumerate(_chain(env, p, top), 1):
             for node in nodes:
                 _require(measured_supervector(node) == v_closed(n, p),
                          f"{node.kind}-{n} supervector differs at {where}")
@@ -372,9 +383,7 @@ def _check_supervector_construction(max_gen: int, env) -> str:
 
 
 def _check_tile_counts(max_gen: int, env) -> str:
-    layout = env["layout"]
-    hp = hat_params()
-    for n, nodes in enumerate(generations(max_gen, hp, layout), 1):
+    for n, nodes in enumerate(_chain(env, hat_params(), max_gen), 1):
         for node in nodes:
             _require(node.hats == tile_counts(node.kind, n),
                      f"{node.kind}-{n} has {node.hats} hats")
@@ -382,9 +391,8 @@ def _check_tile_counts(max_gen: int, env) -> str:
 
 
 def _check_non_overlap(max_gen: int, env) -> str:
-    tile, layout = env["tile"], env["layout"]
-    hp = hat_params()
-    for n, (hat, _) in enumerate(generations(max_gen, hp, layout), 1):
+    tile = env["tile"]
+    for n, (hat, _) in enumerate(_chain(env, hat_params(), max_gen), 1):
         ok, detail = check_kites(hat, tile)
         _require(ok, f"generation {n}: {detail}")
         want = 8 * tile_counts(HAT, n)
@@ -398,11 +406,12 @@ def _check_outline(max_gen: int, env) -> str:
     varied = [hat_params(), make_params(QSqrt3.of(2), QSqrt3.of(3)),
               make_params(QSqrt3.of(1), QSqrt3.of(1)), turtle_params(),
               make_params(QSqrt3.of(5), QSqrt3.of(2))]
-    for p in varied:
-        tile.outline(p)  # checks edge lengths and simplicity
+    # building an outline checks edge lengths and simplicity
+    outlines = {p: tile.outline(p) for p in varied}
     for k in (1, 2, 3, 5, 7):
         p = make_params(QSqrt3.of(k), QSqrt3.of(0, k))
-        _require(shoelace_area(tile.outline(p)) == p.a * p.b * 8,
+        outline = outlines[p] if p in outlines else tile.outline(p)
+        _require(shoelace_area(outline) == p.a * p.b * 8,
                  f"area != 8ab at a={k}")
     return "closes and stays simple at 5 shapes; area 8ab at hat proportions"
 
@@ -412,7 +421,7 @@ def _check_renderer(max_gen: int, env) -> str:
     tile, layout = env["tile"], env["layout"]
     hp = hat_params()
     gen = min(3, max_gen)
-    node = build(HAT, gen, hp, layout)
+    node = _chain(env, hp, max_gen)[gen - 1][0]
     svg1 = render_supertile(node, hp, RenderOptions(), tile)
     svg2 = render_supertile(build(HAT, gen, hp, layout), hp,
                             RenderOptions(), tile)

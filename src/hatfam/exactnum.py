@@ -135,6 +135,8 @@ class QSqrt3:
 
     def __mul__(self, other: _ScalarLike) -> "QSqrt3":
         if other.__class__ is not QSqrt3:
+            if other.__class__ is int:
+                return _reduced(self.a * other, self.b * other, self.d)
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented

@@ -29,11 +29,16 @@ def fib(n: int) -> int:
     return _fib_pair(n)[0]
 
 
-def lucas(n: int) -> int:
-    """Lucas number, lucas(0) = 2, lucas(1) = 1: lucas(n) = fib(n - 1) +
-    fib(n + 1) = 2*fib(n + 1) - fib(n)."""
+def fib_lucas(n: int) -> tuple[int, int]:
+    """(fib(n), lucas(n)) from one fast-doubling pass: lucas(n) =
+    fib(n - 1) + fib(n + 1) = 2*fib(n + 1) - fib(n)."""
     a, b = _fib_pair(n)
-    return 2 * b - a
+    return a, 2 * b - a
+
+
+def lucas(n: int) -> int:
+    """Lucas number, lucas(0) = 2, lucas(1) = 1."""
+    return fib_lucas(n)[1]
 
 
 def g_closed(n: int) -> int:

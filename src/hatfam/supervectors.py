@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .exactnum import ONE, SQRT3, QSqrt3, VecE, qs3
-from .sequences import fib, lucas
+from .sequences import fib_lucas
 
 
 class DomainError(ValueError):
@@ -64,7 +64,8 @@ def v_closed(n: int, p: TileParams) -> VecE:
     """V_n = (fib(2n)*s, lucas(2n)*t)."""
     if n < 0:
         raise ValueError(f"generation must be >= 0, got {n}")
-    return VecE(p.s * fib(2 * n), p.t * lucas(2 * n))
+    fib_2n, lucas_2n = fib_lucas(2 * n)
+    return VecE(p.s * fib_2n, p.t * lucas_2n)
 
 
 def v_recurrence(n: int, p: TileParams) -> VecE:
@@ -105,9 +106,15 @@ def tan_theta(n: int, p: TileParams) -> AngleTan:
     return AngleTan(v.x / v.y)
 
 
+def tan_between(v: VecE, w: VecE) -> AngleTan:
+    """Exact tangent of the clockwise angle from v to w, (w x v)/(w . v):
+    tan(alpha_n) for consecutive supervectors v = V_(n-1) and w = V_n."""
+    return AngleTan(w.cross(v) / w.dot(v))
+
+
 def tan_alpha(n: int, p: TileParams) -> AngleTan:
-    """Exact tangent of the incremental rotation theta_n - theta_(n-1),
-    (w x v)/(w . v) for v = V_(n-1) and w = V_n.
+    """Exact tangent of the incremental rotation theta_n - theta_(n-1):
+    tan_between(V_(n-1), V_n).
 
     For hat-proportioned tiles (b = sqrt(3)*a) the product
     tan_alpha(n, p) * g_closed(n) equals tan(beta) = s/t exactly; for
@@ -115,13 +122,7 @@ def tan_alpha(n: int, p: TileParams) -> AngleTan:
     """
     if n < 1:
         raise ValueError(f"generation must be >= 1, got {n}")
-    v, w = v_closed(n - 1, p), v_closed(n, p)
-    return AngleTan(w.cross(v) / w.dot(v))
-
-
-def theta_float(n: int, p: TileParams) -> float:
-    """Float angle (radians) from V_0 to V_n, clockwise positive."""
-    return tan_theta(n, p).to_float()
+    return tan_between(v_closed(n - 1, p), v_closed(n, p))
 
 
 def total_rotation_float(p: TileParams) -> float:

@@ -25,7 +25,6 @@ from hatfam.supervectors import (
     make_params,
     tan_alpha,
     tan_theta,
-    theta_float,
     total_rotation_float,
     turtle_params,
     v_closed,
@@ -160,9 +159,9 @@ def test_criterion_5_angle_limit():
     p = hat_params()
     limit = math.asin(0.25)
     t0 = time.perf_counter()
-    ok = abs(theta_float(40, p) - limit) < 1e-12
+    ok = abs(tan_theta(40, p).to_float() - limit) < 1e-12
     ok = ok and abs(total_rotation_float(p) - limit) < 1e-12
-    thetas = [theta_float(n, p) for n in range(41)]
+    thetas = [tan_theta(n, p).to_float() for n in range(41)]
     ok = ok and all(x <= y for x, y in zip(thetas, thetas[1:]))
     # the underlying exact tangents grow strictly even after the float
     # steps shrink below one ulp

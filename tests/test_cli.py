@@ -7,14 +7,22 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hatfam import configfile
+from hatfam import cli, configfile
 from hatfam.cli import main
+from hatfam.exactnum import VecE, qs3
 from hatfam.substitution import check_kites, expand, measured_supervector
-from hatfam.supervectors import hat_params, v_closed
+from hatfam.supervectors import (
+    AngleTan,
+    hat_params,
+    make_params,
+    tan_between,
+    v_closed,
+)
 
 SHIPPED_DATA = Path(configfile.__file__).with_name("data")
 
@@ -315,6 +323,40 @@ def test_verify_json(capsys):
     assert all(item["pass"] for item in doc["items"])
     for item in doc["items"]:
         assert isinstance(item["seconds"], float) and item["seconds"] >= 0
+
+
+def test_verify_fails_on_one_wrong_supervector(monkeypatch, capsys):
+    # V_150 moved by (1, 0) at Tile(7/3, 1/2), a shape only the
+    # recurrence item walks
+    p = make_params(qs3(Fraction(7, 3)), qs3(Fraction(1, 2)))
+
+    def wrong(n, q):
+        v = v_closed(n, q)
+        return v + VecE.of(1, 0) if (n, q) == (150, p) else v
+
+    monkeypatch.setattr("hatfam.cli.v_closed", wrong)
+    assert main(["verify", "--max-gen", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("FAIL recurrence: n=150 recurrence breaks ")
+    assert lines[-1] == "11/12 items passed"
+
+
+def test_verify_fails_on_one_wrong_rotation_tangent(monkeypatch, capsys):
+    # tan(alpha_37) off by one at a sampled shape, which only the exact
+    # factor identity checks
+    q = cli._sample_params(3)[1]
+    v36, v37 = v_closed(36, q), v_closed(37, q)
+
+    def wrong(v, w):
+        tan = tan_between(v, w)
+        return AngleTan(tan.value + 1) if (v, w) == (v36, v37) else tan
+
+    monkeypatch.setattr("hatfam.cli.tan_between", wrong)
+    assert main(["verify", "--max-gen", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].startswith(
+        "FAIL angle-identity: exact factor identity fails at n=37 ")
+    assert lines[-1] == "11/12 items passed"
 
 
 def test_verify_rejects_small_max_gen(capsys):

@@ -235,3 +235,22 @@ def test_rotate60_matches_reference(x, y, k):
     want = VecE(_of((cx[0] - sy[0], cx[1] - sy[1])),
                 _of((sx[0] + cy[0], sx[1] + cy[1])))
     assert rotate60(VecE(_of(x), _of(y)), k) == want
+
+
+# ints at the hat scale, zero and negatives, and past 2^64
+_INTS = st.one_of(st.integers(-50, 50), st.integers(-2 ** 80, 2 ** 80),
+                  st.sampled_from([0, 2 ** 64, -(2 ** 64) - 1]))
+
+
+@_PROPERTY
+@given(_PAIRS, _INTS)
+def test_int_products_match_the_field_product(x, k):
+    qx = _of(x)
+    want = qx * QSqrt3.of(k)
+    assert want == _of((x[0] * k, x[1] * k))
+    for got in (qx * k, k * qx):
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+        assert got.d > 0 and math.gcd(got.a, got.b, got.d) == 1
+        assert got == want and hash(got) == hash(want)
+    assert qx * True == qx and True * qx == qx
+    assert qx * False == 0

@@ -70,6 +70,19 @@ RENDERS = {
 VERIFY_MAX_GEN_3 = \
     "c224a1e7083cbc4ab2aa0f7b877846f7d45d6c73d4a142d1011e6f2075ed3593"
 
+# `vectors -n 40` as (text, json), recorded at commit 413f86d
+VECTORS = {
+    ("1", "r3"): (
+        "02c0d420ba770ae607c9d6aa0acf445dda24ea24ee5066491f46364936a5b364",
+        "fbe905cad001222033635e984dadac84d897d5151619981deba00a2960ac80ea"),
+    ("r3", "1"): (
+        "e93e0d89c48c33f09fbb347297b1414f02ad4c7d136407c1e70d3232e4966187",
+        "4feab79a1cf84b3b95760b3fe8b4010c0c78b7dd3c7732dce2fdef06fcb558a0"),
+    ("7/3", "1/2"): (
+        "e3aa277800dc6c68d922cef154d739119dc519acedc5d047f652035d123b70b9",
+        "df69cce322b755815f0db845799147f4234329250a4a0f85ff432e1c124ba575"),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -95,6 +108,22 @@ def test_verify_items_bytes(tmp_path):
     assert main(["verify", "--max-gen", "3", "-o", str(out)]) == 0
     items = _TIMING.sub("", out.read_text(encoding="utf-8"))
     assert _sha256(items.encode("utf-8")) == VERIFY_MAX_GEN_3
+
+
+@pytest.mark.parametrize("a,b", sorted(VECTORS))
+def test_vectors_bytes(a, b, tmp_path):
+    for fmt, want in zip(("text", "json"), VECTORS[(a, b)]):
+        out = tmp_path / f"vectors.{fmt}"
+        assert main(["vectors", "-n", "40", "-a", a, "-b", b,
+                     "--format", fmt, "-o", str(out)]) == 0
+        assert _sha256(out.read_bytes()) == want
+
+
+def test_benchmark_verify_items(capsys):
+    # the items at the benchmark's size, as its oracle reads them
+    assert main(["verify", "--max-gen", "5", "--format", "json"]) == 0
+    got = workloads.verify_items(capsys.readouterr().out, "json")
+    assert got == workloads.load_refs()["verify"]["5"]
 
 
 # every argv of the render workload, at the timed and at the smoke sizes

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatfam.sequences import (
     fib,
+    fib_lucas,
     g_closed,
     g_recurrence,
     lucas,
@@ -57,6 +60,16 @@ def test_fib_lucas_match_the_plain_iteration():
     for n in [*range(2001), 10_000, 10_001]:
         assert fib(n) == fibs[n]
         assert lucas(n) == lucases[n]
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.integers(-50, 300))
+def test_fib_lucas_is_one_pass_of_fib_and_lucas(n):
+    if n < 0:
+        with pytest.raises(ValueError):
+            fib_lucas(n)
+    else:
+        assert fib_lucas(n) == (fib(n), lucas(n))
 
 
 @pytest.mark.parametrize("fn", [fib, lucas])

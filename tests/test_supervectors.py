@@ -12,7 +12,6 @@ from hatfam.supervectors import (
     make_params,
     tan_alpha,
     tan_theta,
-    theta_float,
     total_rotation_float,
     turtle_params,
     v3_buildup,
@@ -135,7 +134,7 @@ def test_theta_monotone_exact(hat_p):
 
 def test_theta_limit_is_arcsin_quarter(hat_p):
     limit = math.asin(0.25)
-    assert theta_float(40, hat_p) == pytest.approx(limit, abs=1e-12)
+    assert tan_theta(40, hat_p).to_float() == pytest.approx(limit, abs=1e-12)
     assert total_rotation_float(hat_p) == pytest.approx(limit, abs=1e-12)
 
 
