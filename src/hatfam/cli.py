@@ -261,7 +261,7 @@ def _sample_params(count: int, seed: int = 20230306) -> list[TileParams]:
         b = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         if a == b:
             continue
-        out.append(make_params(QSqrt3.of(a), QSqrt3.of(b)))
+        out.append(make_params(QSqrt3(a), QSqrt3(b)))
     return out
 
 
@@ -278,19 +278,18 @@ def _check_closed_forms(max_gen: int, env) -> str:
     want = [(0, 2), (1, 3), (3, 7), (8, 18)]
     for n, (x, y3) in enumerate(want):
         v = v_closed(n, hp)
-        _require(v.x == QSqrt3.of(x) and v.y == QSqrt3.of(0, y3),
+        _require(v.x == QSqrt3(x) and v.y == QSqrt3(0, y3),
                  f"V_{n} = {_render_vec(v)}")
         _require(v_recurrence(n, hp) == v, f"recurrence V_{n} differs")
-    for p in (hp, make_params(QSqrt3.of(2), QSqrt3.of(3))):
+    for p in (hp, make_params(QSqrt3(2), QSqrt3(3))):
         _require(v3_buildup(p) == v_closed(3, p), "stepwise V_3 differs")
     return "V_0..V_3 exact, stepwise V_3 matches"
 
 
 def _check_recurrence(max_gen: int, env) -> str:
-    sets = [hat_params(), make_params(QSqrt3.of(2), QSqrt3.of(3)),
-            make_params(QSqrt3.of(1), QSqrt3.of(1)),
-            make_params(QSqrt3.of(Fraction(7, 3)),
-                        QSqrt3.of(Fraction(1, 2)))]
+    sets = [hat_params(), make_params(QSqrt3(2), QSqrt3(3)),
+            make_params(QSqrt3(1), QSqrt3(1)),
+            make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))]
     for p in sets:
         prev2, prev = v_closed(0, p), v_closed(1, p)
         for n in range(2, 201):
@@ -305,15 +304,19 @@ def _check_g_sequence(max_gen: int, env) -> str:
               46615363, 319506443, 2189929731, 15010001667]
     closed = [g_closed(i) for i in range(1, 14)]
     _require(closed == listed, f"13-term table differs: {closed}")
-    _require(g_recurrence(500) == [g_closed(i) for i in range(1, 501)],
-             "closed form and recurrence disagree below n=500")
-    # one pass over the Lucas numbers: after step i, cur = lucas(i)
+    # one pass over the Lucas numbers: after step i, cur = lucas(i), and
+    # at i = 4n - 2 the closed form g(n) = (8*cur + 21)/15
+    terms = []
     cur, nxt = lucas(0), lucas(1)
     for i in range(1, 4 * 1000 - 1):
         cur, nxt = nxt, cur + nxt
         if i % 4 == 2:
             _require((8 * cur + 21) % 15 == 0,
                      f"8*lucas({i}) + 21 not divisible by 15")
+            if i < 4 * 500:
+                terms.append((8 * cur + 21) // 15)
+    _require(g_recurrence(500) == terms,
+             "closed form and recurrence disagree below n=500")
     return "13 listed terms, recurrence to n=500, divisibility to n=1000"
 
 
@@ -322,7 +325,7 @@ def _check_angle_identity(max_gen: int, env) -> str:
     # hat proportions
     walks = [(hat_params(), True, True), (turtle_params(), True, False),
              *((p, True, False) for p in _sample_params(3)),
-             (make_params(QSqrt3.of(5), QSqrt3.of(0, 5)), False, True)]
+             (make_params(QSqrt3(5), QSqrt3(0, 5)), False, True)]
     for p, exact, hat_ratio in walks:
         tb, s2, t2 = p.s / p.t, p.s * p.s, p.t * p.t
         vs = [v_closed(n, p) for n in range(51)]
@@ -371,7 +374,7 @@ def _check_scaling(max_gen: int, env) -> str:
 
 def _check_supervector_construction(max_gen: int, env) -> str:
     hp = hat_params()
-    p23 = make_params(QSqrt3.of(2), QSqrt3.of(3))
+    p23 = make_params(QSqrt3(2), QSqrt3(3))
     for p, top, where in ((hp, max_gen, "hat params"),
                           (p23, min(4, max_gen), "Tile(2,3)")):
         for n, nodes in enumerate(_chain(env, p, top), 1):
@@ -403,13 +406,13 @@ def _check_non_overlap(max_gen: int, env) -> str:
 
 def _check_outline(max_gen: int, env) -> str:
     tile = env["tile"]
-    varied = [hat_params(), make_params(QSqrt3.of(2), QSqrt3.of(3)),
-              make_params(QSqrt3.of(1), QSqrt3.of(1)), turtle_params(),
-              make_params(QSqrt3.of(5), QSqrt3.of(2))]
+    varied = [hat_params(), make_params(QSqrt3(2), QSqrt3(3)),
+              make_params(QSqrt3(1), QSqrt3(1)), turtle_params(),
+              make_params(QSqrt3(5), QSqrt3(2))]
     # building an outline checks edge lengths and simplicity
     outlines = {p: tile.outline(p) for p in varied}
     for k in (1, 2, 3, 5, 7):
-        p = make_params(QSqrt3.of(k), QSqrt3.of(0, k))
+        p = make_params(QSqrt3(k), QSqrt3(0, k))
         outline = outlines[p] if p in outlines else tile.outline(p)
         _require(shoelace_area(outline) == p.a * p.b * 8,
                  f"area != 8ab at a={k}")

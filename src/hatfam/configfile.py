@@ -22,14 +22,11 @@ class ConfigError(ValueError):
 class Config:
     sections: dict
 
-    def section(self, name: str) -> dict:
-        try:
-            return self.sections[name]
-        except KeyError:
-            raise ConfigError(f"missing section [{name}]") from None
-
     def get(self, section: str, key: str) -> str:
-        sec = self.section(section)
+        try:
+            sec = self.sections[section]
+        except KeyError:
+            raise ConfigError(f"missing section [{section}]") from None
         try:
             return sec[key]
         except KeyError:

@@ -8,7 +8,9 @@ cross-multiplication, products skip the gcd when d = 1, and signs compare
 a^2 with 3 b^2 on ints.  The rational parts r = a/d and s = b/d are
 Fractions, made on request for the parse and render edges.  Nothing here
 ever rounds; floats only appear on explicit conversion at the edges
-(angle evaluation, SVG emission).
+(angle evaluation, SVG emission).  QSqrt3(r, s) is the one constructor
+and takes only ints and Fractions, so no float or string enters the
+field.  There is no ordering: x < y is written (x - y).sign() < 0.
 """
 
 from __future__ import annotations
@@ -79,10 +81,10 @@ class QSqrt3:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, r: _RationalLike = 0, s: _RationalLike = 0) -> None:
-        if not isinstance(r, (int, Fraction)):
-            r = Fraction(r)
-        if not isinstance(s, (int, Fraction)):
-            s = Fraction(s)
+        if not (isinstance(r, (int, Fraction))
+                and isinstance(s, (int, Fraction))):
+            raise TypeError("QSqrt3 takes int or Fraction parts, got "
+                            f"{type(r).__name__} and {type(s).__name__}")
         # r and s are in lowest terms, so over d = lcm of their
         # denominators gcd(a, b, d) is already 1
         rd, sd = r.denominator, s.denominator
@@ -90,10 +92,6 @@ class QSqrt3:
         self.a = r.numerator * (d // rd)
         self.b = s.numerator * (d // sd)
         self.d = d
-
-    @staticmethod
-    def of(r: _RationalLike = 0, s: _RationalLike = 0) -> "QSqrt3":
-        return QSqrt3(r, s)
 
     @property
     def r(self) -> Fraction:
@@ -126,12 +124,6 @@ class QSqrt3:
             return _reduced(self.a - other.a, self.b - other.b, d)
         return _reduced(self.a * od - other.a * d, self.b * od - other.b * d,
                         d * od)
-
-    def __rsub__(self, other: _ScalarLike) -> "QSqrt3":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other: _ScalarLike) -> "QSqrt3":
         if other.__class__ is not QSqrt3:
@@ -167,12 +159,6 @@ class QSqrt3:
             return _reduced(-num_a, -num_b, -den)
         return _reduced(num_a, num_b, den)
 
-    def __rtruediv__(self, other: _ScalarLike) -> "QSqrt3":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __neg__(self) -> "QSqrt3":
         return _reduced(-self.a, -self.b, self.d)
 
@@ -182,33 +168,6 @@ class QSqrt3:
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1, decided without floating point."""
         return _sign(self.a, self.b)
-
-    def _cmp(self, other: _ScalarLike) -> int:
-        """Sign of self - other; NotImplemented for foreign types."""
-        if other.__class__ is not QSqrt3:
-            other = _coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
-        d, od = self.d, other.d
-        if d == od:
-            return _sign(self.a - other.a, self.b - other.b)
-        return _sign(self.a * od - other.a * d, self.b * od - other.b * d)
-
-    def __lt__(self, other: _ScalarLike) -> bool:
-        c = self._cmp(other)
-        return c if c is NotImplemented else c < 0
-
-    def __le__(self, other: _ScalarLike) -> bool:
-        c = self._cmp(other)
-        return c if c is NotImplemented else c <= 0
-
-    def __gt__(self, other: _ScalarLike) -> bool:
-        c = self._cmp(other)
-        return c if c is NotImplemented else c > 0
-
-    def __ge__(self, other: _ScalarLike) -> bool:
-        c = self._cmp(other)
-        return c if c is NotImplemented else c >= 0
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not QSqrt3:
@@ -233,13 +192,9 @@ class QSqrt3:
         return f"QSqrt3({render_scalar(self)!r})"
 
 
-ZERO = QSqrt3.of(0)
-ONE = QSqrt3.of(1)
-SQRT3 = QSqrt3.of(0, 1)
-
-
-def qs3(r: _RationalLike = 0, s: _RationalLike = 0) -> QSqrt3:
-    return QSqrt3(r, s)
+ZERO = QSqrt3(0)
+ONE = QSqrt3(1)
+SQRT3 = QSqrt3(0, 1)
 
 
 _RAT_RE = re.compile(r"-?\d+(?:/\d+)?")
@@ -338,12 +293,6 @@ class VecE:
     def __init__(self, x: QSqrt3 = ZERO, y: QSqrt3 = ZERO) -> None:
         self.x = x
         self.y = y
-
-    @staticmethod
-    def of(x: _ScalarLike = 0, y: _ScalarLike = 0) -> "VecE":
-        cx = x if isinstance(x, QSqrt3) else QSqrt3.of(x)
-        cy = y if isinstance(y, QSqrt3) else QSqrt3.of(y)
-        return _vec(cx, cy)
 
     def __add__(self, other: "VecE") -> "VecE":
         return _vec(self.x + other.x, self.y + other.y)

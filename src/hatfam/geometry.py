@@ -26,7 +26,6 @@ from .exactnum import (
     VEC_ZERO,
     VecE,
     _sign,
-    qs3,
     reduced_coords,
     reflect_y_axis,
     rotate60,
@@ -158,21 +157,17 @@ IDENTITY = Placement()
 # ---------------------------------------------------------------------------
 # turtle programs and outlines
 
-_H = Fraction(1, 2)
-_COS30 = (QSqrt3.of(1), qs3(0, _H), QSqrt3.of(_H), QSqrt3.of(0),
-          QSqrt3.of(-_H), qs3(0, -_H), QSqrt3.of(-1), qs3(0, -_H),
-          QSqrt3.of(-_H), QSqrt3.of(0), QSqrt3.of(_H), qs3(0, _H))
-_SIN30 = (QSqrt3.of(0), QSqrt3.of(_H), qs3(0, _H), QSqrt3.of(1),
-          qs3(0, _H), QSqrt3.of(_H), QSqrt3.of(0), QSqrt3.of(-_H),
-          qs3(0, -_H), QSqrt3.of(-1), qs3(0, -_H), QSqrt3.of(-_H))
-
 EDGE_A = "A"
 EDGE_B = "B"
+# headings 2j and 2j + 1 turn (1, 0) and (sqrt3/2, 1/2) by j*60 degrees
+_UNITS = tuple(rotate60(v, j) for j in range(6) for v in (
+    VecE(QSqrt3(1), QSqrt3(0)),
+    VecE(QSqrt3(0, Fraction(1, 2)), QSqrt3(Fraction(1, 2)))))
 
 
 def unit_k30(k: int) -> VecE:
     """Unit vector at heading 30*k degrees, exact."""
-    return VecE(_COS30[k % 12], _SIN30[k % 12])
+    return _UNITS[k % 12]
 
 
 class TurtleStep(NamedTuple):
@@ -180,45 +175,21 @@ class TurtleStep(NamedTuple):
     turn_after_k30: int  # signed turn after the edge, in 30-degree units
 
 
-@dataclass(frozen=True)
-class TurtleSpec:
-    """Closed boundary walk: edge class plus the turn taken after it."""
-
-    steps: tuple[TurtleStep, ...]
-
-    def validate(self) -> None:
-        if len(self.steps) < 3:
-            raise GeometryError("turtle program needs at least 3 edges")
-        for i, step in enumerate(self.steps):
-            if step.symbol not in (EDGE_A, EDGE_B):
-                raise GeometryError(
-                    f"edge {i}: unknown symbol {step.symbol!r}")
-            if abs(step.turn_after_k30) >= 6:
-                raise GeometryError(
-                    f"edge {i}: turn {step.turn_after_k30 * 30} degrees "
-                    "reverses or exceeds the walk")
-        total = sum(s.turn_after_k30 for s in self.steps)
-        if total != 12:
-            raise GeometryError(
-                "exterior turns sum to "
-                f"{total * 30} degrees, expected +360")
-
-
 Outline = tuple  # cyclic tuple of VecE vertices
 
 
-def outline_from_turtle(spec: TurtleSpec, p: TileParams,
-                        heading_k30: int) -> Outline:
-    """Trace the walk from the origin with the first edge at `heading_k30`.
+def outline_from_turtle(steps, p: TileParams, heading_k30: int) -> Outline:
+    """Trace the walk of TurtleSteps from the origin with the first edge at
+    `heading_k30`.
 
-    Edge symbols map to exact lengths a and b.  Raises GeometryError with
-    the residual vector if the walk does not return to the origin.
+    Edge symbols map to exact lengths a and b; `tile_from_config` has
+    checked the steps.  Raises GeometryError with the residual vector if
+    the walk does not return to the origin.
     """
-    spec.validate()
     verts = [VEC_ZERO]
     pos = VEC_ZERO
     h = heading_k30
-    for sym, turn in spec.steps:
+    for sym, turn in steps:
         length = p.a if sym == EDGE_A else p.b
         pos = pos + unit_k30(h) * length
         verts.append(pos)
@@ -231,31 +202,27 @@ def outline_from_turtle(spec: TurtleSpec, p: TileParams,
 
 def shoelace_area(o: Outline) -> QSqrt3:
     """Exact signed area; positive for counterclockwise orientation."""
-    total = QSqrt3.of(0)
+    total = QSqrt3(0)
     for i, v in enumerate(o):
         total = total + v.cross(o[(i + 1) % len(o)])
     return total / 2
 
 
-def apply_placement(o: Outline, q: Placement) -> Outline:
-    return tuple(q.apply(v) for v in o)
-
-
-def _int_points(o: Outline) -> list[tuple[int, int, int, int]]:
-    """Each vertex (x, y) as ints (xa, xb, ya, yb) with x = (xa + xb*sqrt3)/D
-    and y = (ya + yb*sqrt3)/D over one common D > 0, so differences,
-    products and signs of the points need no gcd."""
+def int_points(o) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The points, each (x, y) as ints (xa, xb, ya, yb) with x = (xa +
+    xb*sqrt3)/D and y = (ya + yb*sqrt3)/D, and their one common D > 0:
+    differences, products and signs of the points need no gcd."""
     den = lcm(*(c.d for v in o for c in (v.x, v.y)))
     out = []
     for v in o:
         x, y = v.x, v.y
         kx, ky = den // x.d, den // y.d
         out.append((x.a * kx, x.b * kx, y.a * ky, y.b * ky))
-    return out
+    return out, den
 
 
 def _side(p, q, r) -> int:
-    """Sign of (q - p) x (r - p) for `_int_points` points: +1 when r lies
+    """Sign of (q - p) x (r - p) for `int_points` points: +1 when r lies
     left of the line from p to q, 0 on it."""
     ux, uxr, uy, uyr = q[0] - p[0], q[1] - p[1], q[2] - p[2], q[3] - p[3]
     vx, vxr, vy, vyr = r[0] - p[0], r[1] - p[1], r[2] - p[2], r[3] - p[3]
@@ -265,7 +232,7 @@ def _side(p, q, r) -> int:
 
 
 def _turn_back(p, q, r) -> bool:
-    """True if (q - p) . (r - q) < 0 for `_int_points` points."""
+    """True if (q - p) . (r - q) < 0 for `int_points` points."""
     ux, uxr, uy, uyr = q[0] - p[0], q[1] - p[1], q[2] - p[2], q[3] - p[3]
     vx, vxr, vy, vyr = r[0] - q[0], r[1] - q[1], r[2] - q[2], r[3] - q[3]
     return _sign(ux * vx + 3 * uxr * vxr + uy * vy + 3 * uyr * vyr,
@@ -274,7 +241,7 @@ def _turn_back(p, q, r) -> bool:
 
 def _in_box(u, p, v) -> bool:
     """True if p lies in the closed axis-parallel box spanned by u and v,
-    for `_int_points` points."""
+    for `int_points` points."""
     return (_sign(p[0] - u[0], p[1] - u[1])
             * _sign(p[0] - v[0], p[1] - v[1]) <= 0
             and _sign(p[2] - u[2], p[3] - u[3])
@@ -285,11 +252,11 @@ def is_simple(o: Outline) -> bool:
     """Exact check that no two non-adjacent edges intersect and adjacent
     edges share only their common vertex.
 
-    The vertices are scaled once to `_int_points`, and every test is the
+    The vertices are scaled once to `int_points`, and every test is the
     sign of an integer combination: side[i][k] is the side of vertex k
     relative to edge i.
     """
-    pts = _int_points(o)
+    pts = int_points(o)[0]
     n = len(pts)
     nxt = pts[1:] + pts[:1]
     side = [[_side(a, b, r) for r in pts] for a, b in zip(pts, nxt)]
@@ -335,8 +302,8 @@ def validate_outline(o: Outline, p: TileParams) -> None:
 # ---------------------------------------------------------------------------
 # kite-cell lattice (hat parameters: hexagon edge 2, kite = 1/6 hexagon)
 
-U1 = VecE.of(3, qs3(0, 1))      # hexagon lattice basis (3, sqrt3)
-U2 = VecE.of(0, qs3(0, 2))      # (0, 2*sqrt3)
+U1 = VecE(QSqrt3(3), QSqrt3(0, 1))  # hexagon lattice basis (3, sqrt3)
+U2 = VecE(QSqrt3(0), QSqrt3(0, 2))  # (0, 2*sqrt3)
 
 # axial step d corresponds to direction 30 + 60*d degrees
 _HEX_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -353,12 +320,13 @@ def hex_center(q: int, r: int) -> VecE:
 
 
 def _vertex_offset(k: int) -> VecE:
-    return rotate60(VecE.of(2, 0), k)
+    return rotate60(VecE(QSqrt3(2), QSqrt3(0)), k)
 
 
 def _mid_offset(k: int) -> VecE:
     # midpoint of the hexagon edge between corners k and k+1
-    return rotate60(VecE.of(Fraction(3, 2), qs3(0, Fraction(1, 2))), k)
+    half = Fraction(1, 2)
+    return rotate60(VecE(QSqrt3(3 * half), QSqrt3(0, half)), k)
 
 
 def kite_corners(cell: KiteCell) -> tuple[VecE, VecE, VecE, VecE]:
@@ -481,16 +449,16 @@ def disjoint_cells(placements, base_cells):
 
 @dataclass(frozen=True)
 class TileData:
-    """Tile description loaded from a config file: the boundary walk plus
-    the kite cells the tile covers at hat parameters."""
+    """Tile description loaded from a config file: the boundary walk as
+    TurtleSteps plus the kite cells the tile covers at hat parameters."""
 
-    spec: TurtleSpec
+    steps: tuple
     heading_k30: int
     cells: frozenset
 
     def outline(self, p: TileParams) -> Outline:
         """Trace and validate the tile boundary at the given parameters."""
-        o = outline_from_turtle(self.spec, p, self.heading_k30)
+        o = outline_from_turtle(self.steps, p, self.heading_k30)
         validate_outline(o, p)
         if shoelace_area(o).sign() <= 0:
             raise GeometryError("tile outline is not counterclockwise")
@@ -505,13 +473,21 @@ def tile_from_config(text: str) -> TileData:
     if len(edges) != len(turns):
         raise ConfigError(
             f"outline has {len(edges)} edges but {len(turns)} turns")
+    if len(edges) < 3:
+        raise GeometryError("turtle program needs at least 3 edges")
     steps = []
-    for sym, deg in zip(edges, turns):
+    for i, (sym, deg) in enumerate(zip(edges, turns)):
         if deg % 30:
             raise ConfigError(f"turn {deg} is not a multiple of 30 degrees")
+        if sym not in (EDGE_A, EDGE_B):
+            raise GeometryError(f"edge {i}: unknown symbol {sym!r}")
+        if abs(deg) >= 180:
+            raise GeometryError(f"edge {i}: turn {deg} degrees reverses or "
+                                "exceeds the walk")
         steps.append(TurtleStep(sym, deg // 30))
-    spec = TurtleSpec(tuple(steps))
-    spec.validate()
+    if sum(turns) != 360:
+        raise GeometryError(
+            f"exterior turns sum to {sum(turns)} degrees, expected +360")
     heading = value_int(cfg.get("outline", "heading"))
 
     cells = []
@@ -532,4 +508,4 @@ def tile_from_config(text: str) -> TileData:
     if not cells_connected([1 << 6 * ((q + bound) * width + r + bound) + k
                             for q, r, k in cells], width):
         raise ConfigError("kite cells do not form a connected patch")
-    return TileData(spec, heading, frozenset(cells))
+    return TileData(tuple(steps), heading, frozenset(cells))

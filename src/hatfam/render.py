@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .configfile import load_text
-from .exactnum import VecE, zeta_coords
+from .exactnum import VecE
 from .geometry import (
     KiteCell,
     Placement,
     TileData,
-    apply_placement,
     hat_kite_cells,
+    int_points,
     kite_corners,
     lattice_shift,
     tile_from_config,
@@ -168,22 +168,11 @@ def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
 
 
 @lru_cache(maxsize=8)
-def _oriented_outlines(outline) -> tuple[tuple[tuple, int], ...]:
-    """The outline under each of the 12 placement orientations: per vertex
-    with Q(zeta) coordinates c, over one common denominator per
-    orientation, the ints (2 c0 + c2, c1) of its x and (c1 + 2 c3, c2) of
-    its y."""
-    out = []
-    for o in range(12):
-        verts = [zeta_coords(v) for v in
-                 apply_placement(outline, Placement(o % 6, o >= 6))]
-        den = math.lcm(*(d for _, d in verts))
-        parts = []
-        for cs, d in verts:
-            c0, c1, c2, c3 = (c * (den // d) for c in cs)
-            parts.append((2 * c0 + c2, c1, c1 + 2 * c3, c2))
-        out.append((tuple(parts), den))
-    return tuple(out)
+def _oriented_outlines(outline) -> tuple[tuple[list, int], ...]:
+    """The outline under each of the 12 placement orientations, as the
+    `int_points` of its vertices and their denominator."""
+    return tuple(int_points([Placement(o % 6, o >= 6).apply(v)
+                             for v in outline]) for o in range(12))
 
 
 def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
@@ -193,14 +182,16 @@ def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
     paths = []
     for q, reflected in placed:
         verts, vd = shapes[q.orientation]
-        td = q.den
+        # the vertices are over vd, and the translation, the Q(zeta) point
+        # t/d, has x = (2 t0 + t2 + t1*sqrt3)/2d and y = (t1 + 2 t3 +
+        # t2*sqrt3)/2d: over den = 2d*vd each part of a placed vertex is
+        # one int / int, which rounds correctly, so reduced or not the
+        # floats are float(QSqrt3)'s bit for bit
+        td = 2 * q.den
         t0, t1, t2, t3 = q.coords
         tx, tx3 = (2 * t0 + t2) * vd, t1 * vd
         ty, ty3 = (t1 + 2 * t3) * vd, t2 * vd
-        den = 2 * vd * td
-        # float(QSqrt3) of x = (2 c0 + c2 + c1*sqrt3)/den and y = (c1 +
-        # 2 c3 + c2*sqrt3)/den, c the placed vertex: int / int rounds
-        # correctly, so reduced or not, the floats are bit for bit the same
+        den = vd * td
         xs = [(x0 * td + tx) / den + (x3 * td + tx3) / den * sqrt3
               for x0, x3, _, _ in verts]
         ys = [-((y0 * td + ty) / den + (y3 * td + ty3) / den * sqrt3)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactnum import ONE, SQRT3, QSqrt3, VecE, qs3
+from .exactnum import ONE, SQRT3, QSqrt3, VecE
 from .sequences import fib_lucas
 
 
@@ -35,9 +35,9 @@ class TileParams:
 def make_params(a: QSqrt3, b: QSqrt3) -> TileParams:
     """Validate a, b > 0 and derive s and t."""
     if not isinstance(a, QSqrt3):
-        a = qs3(a)
+        a = QSqrt3(a)
     if not isinstance(b, QSqrt3):
-        b = qs3(b)
+        b = QSqrt3(b)
     if a.sign() <= 0 or b.sign() <= 0:
         raise DomainError("edge lengths a and b must be positive")
     s = (SQRT3 * b - a) / 2

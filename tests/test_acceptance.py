@@ -14,7 +14,7 @@ from pathlib import Path
 
 from hatfam import configfile
 from hatfam.cli import main
-from hatfam.exactnum import VecE, qs3
+from hatfam.exactnum import QSqrt3, VecE
 from hatfam.geometry import hat_kite_cells, disjoint_cells, is_simple, \
     shoelace_area
 from hatfam.render import render_supertile
@@ -47,14 +47,14 @@ def _sample_params(count: int, seed: int = 20230306):
         b = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         if a == b:
             continue
-        out.append(make_params(qs3(a), qs3(b)))
+        out.append(make_params(QSqrt3(a), QSqrt3(b)))
     return out
 
 
 def test_criterion_1_first_supervectors():
     p = hat_params()
-    want = [VecE.of(0, qs3(0, 2)), VecE.of(1, qs3(0, 3)),
-            VecE.of(3, qs3(0, 7)), VecE.of(8, qs3(0, 18))]
+    want = [VecE(QSqrt3(0), QSqrt3(0, 2)), VecE(QSqrt3(1), QSqrt3(0, 3)),
+            VecE(QSqrt3(3), QSqrt3(0, 7)), VecE(QSqrt3(8), QSqrt3(0, 18))]
     t0 = time.perf_counter()
     closed = [v_closed(n, p) for n in range(4)]
     recur = [v_recurrence(n, p) for n in range(4)]
@@ -65,8 +65,8 @@ def test_criterion_1_first_supervectors():
 
 def test_criterion_2_three_term_recurrence():
     sets = [hat_params(), turtle_params(),
-            make_params(qs3(2), qs3(3)),
-            make_params(qs3(Fraction(7, 3)), qs3(Fraction(1, 2)))]
+            make_params(QSqrt3(2), QSqrt3(3)),
+            make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))]
     t0 = time.perf_counter()
     ok = all(
         v_closed(n, p) == v_closed(n - 1, p) * 3 - v_closed(n - 2, p)
@@ -102,7 +102,7 @@ def _hat_proportioned_params(count: int, seed: int = 20230306):
         a = Fraction(rng.randint(1, 12), rng.randint(1, 12))
         if a != 1 and a not in scales:
             scales.append(a)
-    return [make_params(qs3(a), qs3(0, a)) for a in scales]
+    return [make_params(QSqrt3(a), QSqrt3(0, a)) for a in scales]
 
 
 def test_criterion_4_angle_identity():
@@ -200,7 +200,7 @@ def test_criterion_7_construction_supervector(layout):
         for n in range(2, 7):
             node = build(kind, n, p, layout)
             ok = ok and measured_supervector(node) == v_closed(n, p)
-    q = make_params(qs3(2), qs3(3))
+    q = make_params(QSqrt3(2), QSqrt3(3))
     for kind in (HAT, THC):
         for n in range(2, 5):
             node = build(kind, n, q, layout)
@@ -257,7 +257,7 @@ def test_criterion_9_non_overlap(layout, tile, hat_p):
 
 def test_criterion_10_outline(tile):
     # area = 8ab needs b = sqrt(3)*a; five scaled hats keep it exact
-    sets = [make_params(qs3(a), qs3(0, a)) for a in (1, 2, 3, 5, 7)]
+    sets = [make_params(QSqrt3(a), QSqrt3(0, a)) for a in (1, 2, 3, 5, 7)]
     t0 = time.perf_counter()
     ok = True
     for p in sets:

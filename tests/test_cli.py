@@ -14,7 +14,8 @@ import pytest
 
 from hatfam import cli, configfile
 from hatfam.cli import main
-from hatfam.exactnum import VecE, qs3
+from hatfam.exactnum import QSqrt3, VecE
+from hatfam.sequences import g_recurrence
 from hatfam.substitution import check_kites, expand, measured_supervector
 from hatfam.supervectors import (
     AngleTan,
@@ -328,16 +329,33 @@ def test_verify_json(capsys):
 def test_verify_fails_on_one_wrong_supervector(monkeypatch, capsys):
     # V_150 moved by (1, 0) at Tile(7/3, 1/2), a shape only the
     # recurrence item walks
-    p = make_params(qs3(Fraction(7, 3)), qs3(Fraction(1, 2)))
+    p = make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))
 
     def wrong(n, q):
         v = v_closed(n, q)
-        return v + VecE.of(1, 0) if (n, q) == (150, p) else v
+        return v + VecE(QSqrt3(1), QSqrt3(0)) if (n, q) == (150, p) else v
 
     monkeypatch.setattr("hatfam.cli.v_closed", wrong)
     assert main(["verify", "--max-gen", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("FAIL recurrence: n=150 recurrence breaks ")
+    assert lines[-1] == "11/12 items passed"
+
+
+def test_verify_fails_on_one_wrong_g_term(monkeypatch, capsys):
+    # g(400) off by one in the recurrence, past the 13 listed terms
+
+    def wrong(count):
+        terms = g_recurrence(count)
+        if count >= 400:
+            terms[399] += 1
+        return terms
+
+    monkeypatch.setattr("hatfam.cli.g_recurrence", wrong)
+    assert main(["verify", "--max-gen", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("FAIL g-sequence: closed form and recurrence "
+                               "disagree below n=500 ")
     assert lines[-1] == "11/12 items passed"
 
 

@@ -10,7 +10,7 @@ from hatfam.configfile import (
     value_ints,
     value_vector,
 )
-from hatfam.exactnum import VecE, qs3
+from hatfam.exactnum import QSqrt3, VecE
 
 SAMPLE = """\
 # comment line
@@ -28,7 +28,8 @@ items = 1 -2 3
 
 def test_parse_sections_and_values():
     cfg = parse_config(SAMPLE)
-    assert value_vector(cfg.get("alpha", "x")) == VecE(qs3(3), qs3(0, -1))
+    assert value_vector(cfg.get("alpha", "x")) == \
+        VecE(QSqrt3(3), QSqrt3(0, -1))
     assert value_bool(cfg.get("alpha", "flag")) is True
     assert value_int(cfg.get("beta", "count")) == 7
     assert value_ints(cfg.get("beta", "items")) == (1, -2, 3)

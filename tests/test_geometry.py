@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from hatfam.exactnum import (
     VEC_ZERO,
     VecE,
     parse_scalar,
-    qs3,
     reflect_y_axis,
     rotate60,
     zeta_coords,
@@ -27,11 +27,9 @@ from hatfam.geometry import (
     KiteCell,
     LatticeError,
     Placement,
-    TurtleSpec,
     TurtleStep,
     U1,
     U2,
-    apply_placement,
     cell_reflect,
     cell_rotate60,
     cells_connected,
@@ -50,16 +48,21 @@ from hatfam.substitution import HAT, THC, SupertileNode, build, \
     check_kites, expand
 from hatfam.supervectors import hat_params, make_params
 
-SQUARE = (VecE.of(0, 0), VecE.of(1, 0), VecE.of(1, 1), VecE.of(0, 1))
-BOWTIE = (VecE.of(0, 0), VecE.of(2, 2), VecE.of(2, 0), VecE.of(0, 2))
+
+def _poly(*xy):
+    """The polygon with these integer vertex coordinates."""
+    return tuple(VecE(QSqrt3(x), QSqrt3(y)) for x, y in xy)
+
+
+SQUARE = _poly((0, 0), (1, 0), (1, 1), (0, 1))
+BOWTIE = _poly((0, 0), (2, 2), (2, 0), (0, 2))
 # a vertex on a non-adjacent edge, which only the collinear-overlap branch
 # of the segment test rejects
-PINCHED = (VecE.of(0, 0), VecE.of(4, 0), VecE.of(4, 2), VecE.of(2, 0),
-           VecE.of(0, 2))
+PINCHED = _poly((0, 0), (4, 0), (4, 2), (2, 0), (0, 2))
 
 
 def _p(a, b):
-    return make_params(qs3(a), qs3(b))
+    return make_params(QSqrt3(a), QSqrt3(b))
 
 
 def _point_in_polygon(pt: VecE, poly) -> bool:
@@ -67,7 +70,7 @@ def _point_in_polygon(pt: VecE, poly) -> bool:
     inside = False
     for i, a in enumerate(poly):
         b = poly[(i + 1) % len(poly)]
-        if (a.y > pt.y) == (b.y > pt.y):
+        if ((a.y - pt.y).sign() > 0) == ((b.y - pt.y).sign() > 0):
             continue
         # x where edge ab crosses the horizontal through pt
         cross_x = a.x + (pt.y - a.y) * (b.x - a.x) / (b.y - a.y)
@@ -99,7 +102,7 @@ def test_compose_matches_pointwise_action():
     rng = random.Random(3)
     for _ in range(80):
         q1, q2 = _random_placement(rng), _random_placement(rng)
-        v = VecE.of(rng.randint(-5, 5), qs3(0, rng.randint(-5, 5)))
+        v = VecE(QSqrt3(rng.randint(-5, 5)), QSqrt3(0, rng.randint(-5, 5)))
         assert q1.compose(q2).apply(v) == q1.apply(q2.apply(v))
 
 
@@ -113,11 +116,20 @@ def test_compose_identity_and_associativity():
 
 
 def test_unit_k30():
-    assert unit_k30(0) == VecE.of(1, 0)
-    assert unit_k30(3) == VecE.of(0, 1)
-    assert unit_k30(6) == VecE.of(-1, 0)
+    half = Fraction(1, 2)
+    # every heading, past 12 and below 0: unit length, and 30 degrees from
+    # the next, whose sine is 1/2 and cosine sqrt(3)/2
+    for k in range(-13, 25):
+        u, w = unit_k30(k), unit_k30(k + 1)
+        assert u.dot(u) == QSqrt3(1)
+        assert u.cross(w) == QSqrt3(half)
+        assert u.dot(w) == QSqrt3(0, half)
+        assert unit_k30(k + 12) == u
+    assert unit_k30(0) == VecE(QSqrt3(1), QSqrt3(0))
+    assert unit_k30(3) == VecE(QSqrt3(0), QSqrt3(1))
+    assert unit_k30(6) == VecE(QSqrt3(-1), QSqrt3(0))
     # 30 degrees: (sqrt(3)/2, 1/2)
-    assert unit_k30(1) == VecE(qs3(0, Fraction(1, 2)), qs3(Fraction(1, 2)))
+    assert unit_k30(1) == VecE(QSqrt3(0, half), QSqrt3(half))
 
 
 # The reference below keeps a placement as (rotation_k, reflected, VecE)
@@ -131,7 +143,8 @@ _SCALAR = st.one_of(
     st.builds(Fraction, st.integers(-300, 300), st.integers(1, 12)),
     st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
               st.integers(1, 10 ** 6)))
-_VECTORS = st.builds(lambda xr, xs, yr, ys: VecE(qs3(xr, xs), qs3(yr, ys)),
+_VECTORS = st.builds(lambda xr, xs, yr, ys: VecE(QSqrt3(xr, xs),
+                                                  QSqrt3(yr, ys)),
                      _SCALAR, _SCALAR, _SCALAR, _SCALAR)
 _PLACEMENTS = st.builds(Placement, st.integers(-7, 7), st.booleans(),
                         _VECTORS)
@@ -192,7 +205,7 @@ def test_placement_equality_and_hash_across_routes(q, v, k):
     routes = [
         Placement(q.rotation_k + 6 * k, q.reflected, t),
         Placement(q.rotation_k, q.reflected,
-                  VecE(t.x * k / k, t.y + qs3(0, k) - qs3(0, k))),
+                  VecE(t.x * k / k, t.y + QSqrt3(0, k) - QSqrt3(0, k))),
         IDENTITY.compose(q),
         q.compose(IDENTITY),
         Placement(0, False, t).compose(Placement(q.rotation_k, q.reflected)),
@@ -208,53 +221,57 @@ def test_placement_equality_and_hash_across_routes(q, v, k):
 
 # ------------------------------------------------------------------- turtles
 
+def _tile_with_walk(edges: str, turns: str):
+    """The shipped tile config with its walk replaced, loaded."""
+    text = load_text("tile.cfg")
+    text = re.sub(r"(?m)^edges = .*$", f"edges = {edges}", text)
+    text = re.sub(r"(?m)^turns = .*$", f"turns = {turns}", text)
+    return tile_from_config(text)
+
+
 def test_turtle_square():
-    spec = TurtleSpec(tuple(TurtleStep(EDGE_A, 3) for _ in range(4)))
-    spec.validate()
-    o = outline_from_turtle(spec, _p(1, 2), 0)
+    steps = tuple(TurtleStep(EDGE_A, 3) for _ in range(4))
+    assert _tile_with_walk("A A A A", "90 90 90 90").steps == steps
+    o = outline_from_turtle(steps, _p(1, 2), 0)
     assert len(o) == 4
-    assert shoelace_area(o) == qs3(1)
+    assert shoelace_area(o) == QSqrt3(1)
     assert is_simple(o)
 
 
 def test_turtle_requires_closure():
-    steps = (TurtleStep(EDGE_A, 3), TurtleStep(EDGE_A, 3),
-             TurtleStep(EDGE_B, 3), TurtleStep(EDGE_A, 3))
-    spec = TurtleSpec(steps)
-    spec.validate()
-    with pytest.raises(GeometryError, match="close"):
-        outline_from_turtle(spec, _p(1, 2), 0)
+    # the walk loads, with exterior turns summing to 360, but an a-edge
+    # does not cancel the b-edge at a != b
+    tile = _tile_with_walk("A A B A", "90 90 90 90")
+    with pytest.raises(GeometryError, match="outline does not close"):
+        tile.outline(_p(1, 2))
 
 
 def test_turtle_spec_validation():
-    with pytest.raises(GeometryError):
-        TurtleSpec((TurtleStep(EDGE_A, 6), TurtleStep(EDGE_A, 6))).validate()
-    with pytest.raises(GeometryError, match="symbol"):
-        TurtleSpec((TurtleStep("C", 4), TurtleStep(EDGE_A, 4),
-                    TurtleStep(EDGE_A, 4))).validate()
-    with pytest.raises(GeometryError, match="360"):
-        TurtleSpec((TurtleStep(EDGE_A, 3), TurtleStep(EDGE_A, 3),
-                    TurtleStep(EDGE_A, 3), TurtleStep(EDGE_A, 2))).validate()
-    with pytest.raises(GeometryError, match="180"):
-        TurtleSpec((TurtleStep(EDGE_A, 6), TurtleStep(EDGE_A, 3),
-                    TurtleStep(EDGE_A, 3))).validate()
+    for edges, turns, message in (
+            ("A A", "180 180", "needs at least 3 edges"),
+            ("C A A", "120 120 120", "edge 0: unknown symbol 'C'"),
+            ("A A A A", "90 90 90 60", "exterior turns sum to 330 degrees"),
+            ("A A A", "180 90 90", "edge 0: turn 180 degrees reverses")):
+        with pytest.raises(GeometryError, match=message):
+            _tile_with_walk(edges, turns)
 
 
 def test_is_simple():
     assert is_simple(SQUARE)
     assert not is_simple(BOWTIE)
     assert not is_simple(PINCHED)
-    spike = (VecE.of(0, 0), VecE.of(2, 0), VecE.of(1, 0), VecE.of(1, 1))
+    spike = _poly((0, 0), (2, 0), (1, 0), (1, 1))
     assert not is_simple(spike)
 
 
 # The QSqrt3 segment test and simplicity check that `is_simple` replaced,
-# kept verbatim as the oracle for the integer version.
+# kept as the oracle for the integer version; QSqrt3 has no ordering, so
+# it compares by the sign of a difference.
 
 def _between(lo: QSqrt3, x: QSqrt3, hi: QSqrt3) -> bool:
-    if hi < lo:
+    if (hi - lo).sign() < 0:
         lo, hi = hi, lo
-    return lo <= x <= hi
+    return (x - lo).sign() >= 0 and (hi - x).sign() >= 0
 
 
 def _segments_cross(a: VecE, b: VecE, c: VecE, d: VecE) -> bool:
@@ -299,7 +316,7 @@ def _oracle_is_simple(o) -> bool:
 
 # points in 1/2 Z + 1/2 Z*sqrt3, on a window small enough that repeated
 # vertices, collinear fold-backs, touching endpoints and bow-ties are common
-_HALVES = st.builds(lambda i, j: qs3(Fraction(i, 2), Fraction(j, 2)),
+_HALVES = st.builds(lambda i, j: QSqrt3(Fraction(i, 2), Fraction(j, 2)),
                     st.integers(-4, 4), st.integers(-2, 2))
 _POINTS = st.builds(VecE, _HALVES, _HALVES)
 
@@ -329,7 +346,7 @@ def test_is_simple_matches_the_qsqrt3_oracle(poly):
 ], ids=["hat", "2-3", "1-1", "turtle", "5-2", "7/3-1/2", "irrational"])
 def test_is_simple_matches_the_oracle_on_the_tile(tile, a, b):
     p = make_params(parse_scalar(a), parse_scalar(b))
-    o = outline_from_turtle(tile.spec, p, tile.heading_k30)
+    o = outline_from_turtle(tile.steps, p, tile.heading_k30)
     assert is_simple(o) and _oracle_is_simple(o)
     # moving a vertex onto the vertex two before it folds the walk back
     for bad in (o[:3] + (o[1],) + o[4:], o[:2] + (o[0],) + o[3:]):
@@ -341,17 +358,16 @@ def test_validate_outline_checks_edge_lengths():
         validate_outline(SQUARE, _p(2, 3))
     validate_outline(SQUARE, _p(1, 2))
     # vertical edge crosses the bottom edge at (1, 0)
-    crossed = (VecE.of(0, 0), VecE.of(2, 0), VecE.of(2, 1),
-               VecE.of(1, 1), VecE.of(1, -1), VecE.of(0, -1))
+    crossed = _poly((0, 0), (2, 0), (2, 1), (1, 1), (1, -1), (0, -1))
     with pytest.raises(GeometryError, match="simple"):
         validate_outline(crossed, _p(2, 1))
 
 
 def test_apply_placement_preserves_area():
-    q = Placement(2, False, VecE.of(5, qs3(0, -3)))
-    assert shoelace_area(apply_placement(SQUARE, q)) == qs3(1)
+    q = Placement(2, False, VecE(QSqrt3(5), QSqrt3(0, -3)))
+    assert shoelace_area(tuple(map(q.apply, SQUARE))) == QSqrt3(1)
     mirrored = Placement(0, True, VEC_ZERO)
-    assert shoelace_area(apply_placement(SQUARE, mirrored)) == qs3(-1)
+    assert shoelace_area(tuple(map(mirrored.apply, SQUARE))) == QSqrt3(-1)
 
 
 # ------------------------------------------------------------ canonical tile
@@ -360,7 +376,7 @@ def test_canonical_outline_shape(tile, hat_p):
     o = tile.outline(hat_p)
     assert len(o) == 14
     assert o[0] == VEC_ZERO
-    symbols = [step.symbol for step in tile.spec.steps]
+    symbols = [step.symbol for step in tile.steps]
     assert symbols.count(EDGE_A) == 8
     assert symbols.count(EDGE_B) == 6
 
@@ -561,10 +577,10 @@ def test_lattice_decompose_round_trip(tile):
 
 
 @pytest.mark.parametrize("v", [
-    VecE.of(1, 0),
-    VecE.of(0, 1),
-    VecE.of(3, qs3(0, 2)),
-    VecE.of(qs3(0, 1), 0),
+    VecE(QSqrt3(1), QSqrt3(0)),
+    VecE(QSqrt3(0), QSqrt3(1)),
+    VecE(QSqrt3(3), QSqrt3(0, 2)),
+    VecE(QSqrt3(0, 1), QSqrt3(0)),
 ])
 def test_lattice_decompose_rejects(tile, v):
     with pytest.raises(LatticeError):
@@ -631,7 +647,7 @@ def test_check_kites_names_the_clash(tile):
 
 def test_check_kites_reports_a_lattice_miss(tile):
     ok, detail = check_kites(
-        _compound(Placement(0, False, VecE.of(1, 0))), tile)
+        _compound(Placement(0, False, VecE(QSqrt3(1), QSqrt3(0)))), tile)
     assert not ok
     assert "kite lattice" in detail and "VecE(1, 0)" in detail
 

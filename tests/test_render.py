@@ -5,10 +5,9 @@ import pytest
 
 from hatfam import render
 from hatfam.cli import main
-from hatfam.exactnum import VEC_ZERO, parse_scalar, qs3
+from hatfam.exactnum import QSqrt3, VEC_ZERO, parse_scalar
 from hatfam.geometry import (
     KiteCell,
-    apply_placement,
     hat_kite_cells,
     kite_corners,
 )
@@ -74,7 +73,7 @@ def test_grid_and_arrow_layers(layout, hat_p):
 
 
 def test_grid_needs_hat_proportions(layout):
-    p = make_params(qs3(2), qs3(3))
+    p = make_params(QSqrt3(2), QSqrt3(3))
     node = build(HAT, 2, p, layout)
     with pytest.raises(RenderError, match="hat proportions"):
         render_supertile(node, p, RenderOptions(show_grid=True))
@@ -173,7 +172,7 @@ def test_hat_vertices_are_the_exact_floats(a, b, layout, tile, monkeypatch):
     outline = tile.outline(p)
     want = []
     for q, _ in expand(node):
-        pts = [v.to_floats() for v in apply_placement(outline, q)]
+        pts = [q.apply(v).to_floats() for v in outline]
         want.append("M " + " L ".join(f"{x.hex()} {(-y).hex()}"
                                       for x, y in pts) + " Z")
     assert [path.get("d") for path in _tags(svg, "path")] == want
@@ -217,7 +216,7 @@ def test_viewbox_covers_the_figure(layout, hat_p, monkeypatch):
     # with the floats written in hex, the box is exactly the extremes of
     # every drawn point widened by the margin
     monkeypatch.setattr(render, "_fmt", float.hex)
-    off_hat = make_params(qs3(7, 0) / 3, qs3(1, 0) / 2)
+    off_hat = make_params(QSqrt3(7, 0) / 3, QSqrt3(1, 0) / 2)
     for kind, p, opts in [
             (HAT, hat_p, RenderOptions(show_grid=True, show_supervectors=2)),
             (THC, off_hat, RenderOptions(margin=0))]:

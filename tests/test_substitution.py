@@ -8,7 +8,7 @@ import pytest
 
 from hatfam import substitution
 from hatfam.configfile import load_text
-from hatfam.exactnum import VEC_ZERO, VecE, qs3
+from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE
 from hatfam.geometry import (
     IDENTITY,
     LatticeError,
@@ -38,9 +38,9 @@ from hatfam.substitution import (
 from hatfam.supervectors import make_params, v_closed
 
 VARIED = [
-    (qs3(1), qs3(0, 1)),
-    (qs3(2), qs3(3)),
-    (qs3(Fraction(7, 3)), qs3(Fraction(1, 2))),
+    (QSqrt3(1), QSqrt3(0, 1)),
+    (QSqrt3(2), QSqrt3(3)),
+    (QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2))),
 ]
 
 
@@ -59,9 +59,9 @@ def test_layout_table_shape(layout):
 
 
 def test_form_vec():
-    form = FormVec(VecE.of(1, 2), VecE.of(0, qs3(0, 1)))
-    p = make_params(qs3(5), qs3(7))
-    assert form.at(p) == VecE.of(5, qs3(10, 7))
+    form = FormVec(VecE(QSqrt3(1), QSqrt3(2)), VecE(QSqrt3(0), QSqrt3(0, 1)))
+    p = make_params(QSqrt3(5), QSqrt3(7))
+    assert form.at(p) == VecE(QSqrt3(5), QSqrt3(10, 7))
 
 
 def test_generation_one(layout, hat_p):
@@ -155,7 +155,7 @@ def test_meeting_slot_mismatch(layout, hat_p):
 
 def test_anchor_mismatch(layout, hat_p):
     shifted = dataclasses.replace(
-        layout, tail2=FormVec(layout.tail2.u + VecE.of(1, 0),
+        layout, tail2=FormVec(layout.tail2.u + VecE(QSqrt3(1), QSqrt3(0)),
                               layout.tail2.w))
     with pytest.raises(ConstructionError, match="anchor mismatch"):
         build(HAT, 2, hat_p, shifted)
@@ -218,7 +218,7 @@ def _lattice_miss_layout(layout):
     """The configured layout with the generation-2 fourth piece pushed off
     the hexagon lattice by (1, 0)."""
     return dataclasses.replace(layout, p4_gen2=FormVec(
-        layout.p4_gen2.u + VecE.of(1, 0), layout.p4_gen2.w))
+        layout.p4_gen2.u + VecE(QSqrt3(1), QSqrt3(0)), layout.p4_gen2.w))
 
 
 def test_lattice_miss_names_the_piece(layout, tile, hat_p):
@@ -322,9 +322,9 @@ def test_layout_validation_assembles_each_generation_once(tile, monkeypatch):
 def test_search_recovers_configured_offset(layout, tile, hat_p):
     found = search_layout(hat_p, layout, tile, window=2)
     assert {cand.p4_gen2.u for cand in found} == {
-        VecE.of(-3, qs3(0, -4)),
-        VecE.of(0, qs3(0, 3)),
-        VecE.of(3, 0),
+        VecE(QSqrt3(-3), QSqrt3(0, -4)),
+        VecE(QSqrt3(0), QSqrt3(0, 3)),
+        VecE(QSqrt3(3), QSqrt3(0)),
     }
     assert layout.p4_gen2 in [cand.p4_gen2 for cand in found]
 
@@ -348,7 +348,7 @@ def test_configured_offset_is_the_generation_three_survivor(
 
 def test_search_guards(layout, tile):
     with pytest.raises(ConstructionError, match="hat proportions"):
-        search_layout(make_params(qs3(2), qs3(3)), layout, tile)
+        search_layout(make_params(QSqrt3(2), QSqrt3(3)), layout, tile)
 
 
 def test_search_reports_empty_window(layout, tile, hat_p):
@@ -488,7 +488,7 @@ def test_search_candidates_match_the_flat_check(layout, tile, hat_p):
     # the search window, and offsets off the lattice, at generations 2-4:
     # clashes, disconnected patches and lattice misses
     shifts = [U1 * dm + U2 * dn for dm in range(-2, 3) for dn in range(-2, 3)]
-    shifts += [VecE.of(1, 0), VecE.of(0, qs3(0, 1))]
+    shifts += [VecE(QSqrt3(1), QSqrt3(0)), VecE(QSqrt3(0), QSqrt3(0, 1))]
     verdicts = set()
     for shift in shifts:
         cand = dataclasses.replace(layout, p4_gen2=FormVec(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hatfam.exactnum import VecE, qs3
+from hatfam.exactnum import QSqrt3, VecE
 from hatfam.sequences import fib, g_closed, lucas
 from hatfam.supervectors import (
     DomainError,
@@ -21,20 +21,20 @@ from hatfam.supervectors import (
 
 
 def _p(a, b):
-    return make_params(qs3(a), qs3(b))
+    return make_params(QSqrt3(a), QSqrt3(b))
 
 
 @pytest.fixture
 def varied_params():
     return [hat_params(), _p(2, 3), _p(1, 1), turtle_params(),
-            make_params(qs3(Fraction(7, 3)), qs3(Fraction(1, 2)))]
+            make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))]
 
 
 def test_hat_first_vectors(hat_p):
-    assert v_closed(0, hat_p) == VecE(qs3(0), qs3(0, 2))
-    assert v_closed(1, hat_p) == VecE(qs3(1), qs3(0, 3))
-    assert v_closed(2, hat_p) == VecE(qs3(3), qs3(0, 7))
-    assert v_closed(3, hat_p) == VecE(qs3(8), qs3(0, 18))
+    assert v_closed(0, hat_p) == VecE(QSqrt3(0), QSqrt3(0, 2))
+    assert v_closed(1, hat_p) == VecE(QSqrt3(1), QSqrt3(0, 3))
+    assert v_closed(2, hat_p) == VecE(QSqrt3(3), QSqrt3(0, 7))
+    assert v_closed(3, hat_p) == VecE(QSqrt3(8), QSqrt3(0, 18))
 
 
 def test_recurrence_agrees_with_closed_form(varied_params):
@@ -65,11 +65,11 @@ def test_components_are_fib_lucas():
 
 def test_s_t_derivation():
     p = hat_params()
-    assert p.s == qs3(1)
-    assert p.t == qs3(0, 1)
+    assert p.s == QSqrt3(1)
+    assert p.t == QSqrt3(0, 1)
     q = turtle_params()
-    assert q.s == qs3(0)
-    assert q.t == qs3(2)
+    assert q.s == QSqrt3(0)
+    assert q.t == QSqrt3(2)
 
 
 def test_domain_rejects_nonpositive():
@@ -79,24 +79,31 @@ def test_domain_rejects_nonpositive():
         _p(1, -2)
 
 
+def test_params_refuse_floats():
+    # 0.1 would otherwise build a tile at its binary value
+    with pytest.raises(TypeError):
+        make_params(0.1, 2)
+    assert make_params(1, 3) == _p(1, 3)
+
+
 def test_has_hat_proportion():
     assert has_hat_proportion(hat_params())
-    assert has_hat_proportion(make_params(qs3(5), qs3(0, 5)))
+    assert has_hat_proportion(make_params(QSqrt3(5), QSqrt3(0, 5)))
     assert not has_hat_proportion(_p(2, 3))
     assert not has_hat_proportion(turtle_params())
 
 
 def test_tan_theta_values(hat_p):
-    assert tan_theta(0, hat_p).value == qs3(0)
+    assert tan_theta(0, hat_p).value == QSqrt3(0)
     # tan(theta_1) = 1/(3*sqrt(3)) = sqrt(3)/9
-    assert tan_theta(1, hat_p).value == qs3(0, Fraction(1, 9))
-    assert tan_theta(2, hat_p).value == qs3(0, Fraction(1, 7))
+    assert tan_theta(1, hat_p).value == QSqrt3(0, Fraction(1, 9))
+    assert tan_theta(2, hat_p).value == QSqrt3(0, Fraction(1, 7))
 
 
 def test_angle_product_identity_hat_family():
     # tan(alpha_n) * g(n) = s/t = tan(beta) whenever b = sqrt(3)*a
-    for p in (hat_params(), make_params(qs3(2), qs3(0, 2)),
-              make_params(qs3(Fraction(1, 3)), qs3(0, Fraction(1, 3)))):
+    for p in (hat_params(), make_params(QSqrt3(2), QSqrt3(0, 2)),
+              make_params(QSqrt3(Fraction(1, 3)), QSqrt3(0, Fraction(1, 3)))):
         tb = p.s / p.t
         for n in range(1, 51):
             assert tan_alpha(n, p).value * g_closed(n) == tb
@@ -105,7 +112,7 @@ def test_angle_product_identity_hat_family():
 def test_angle_product_identity_aligned():
     p = turtle_params()
     for n in range(1, 20):
-        assert tan_alpha(n, p).value == qs3(0)
+        assert tan_alpha(n, p).value == QSqrt3(0)
 
 
 def test_angle_product_identity_fails_off_proportion():
