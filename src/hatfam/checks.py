@@ -1,0 +1,277 @@
+"""The verify suite: one item per invariant of the construction.
+
+Each item takes the deepest generation to build and the run's context
+(the tile, the layout, and the supertile chains built so far) and
+returns a detail line, or raises VerifyFailure.  `run` times each item
+and reports it as passed or failed.  Only `verify` imports this module,
+and with it `render`, which the renderer item draws with.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import time
+from fractions import Fraction
+
+from .configfile import ConfigError
+from .exactnum import QSqrt3, render_scalar
+from .geometry import GeometryError, shoelace_area
+from .render import RenderOptions, render_supertile
+from .sequences import g_closed, g_recurrence, lucas, tile_counts
+from .substitution import (
+    HAT,
+    ConstructionError,
+    build,
+    check_kites,
+    generations,
+    measured_supervector,
+    search_layout,
+)
+from .supervectors import (
+    TileParams,
+    hat_params,
+    make_params,
+    tan_alpha,
+    tan_between,
+    tan_theta,
+    total_rotation_float,
+    turtle_params,
+    v3_buildup,
+    v_closed,
+    v_recurrence,
+)
+
+_PHI = (1 + math.sqrt(5)) / 2
+
+
+class VerifyFailure(Exception):
+    """One verification item did not hold."""
+
+
+def _require(cond: bool, detail: str) -> None:
+    if not cond:
+        raise VerifyFailure(detail)
+
+
+def _sample_params(count: int, seed: int = 20230306) -> list[TileParams]:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        b = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        if a == b:
+            continue
+        out.append(make_params(QSqrt3(a), QSqrt3(b)))
+    return out
+
+
+def _chain(env, p: TileParams, top: int) -> list:
+    """Generations 1..top at p as (hat, thc), built once per verify run."""
+    key = (p, top)
+    if key not in env:
+        env[key] = list(generations(top, p, env["layout"]))
+    return env[key]
+
+
+def _check_closed_forms(max_gen: int, env) -> str:
+    hp = hat_params()
+    want = [(0, 2), (1, 3), (3, 7), (8, 18)]
+    for n, (x, y3) in enumerate(want):
+        v = v_closed(n, hp)
+        _require(v.x == QSqrt3(x) and v.y == QSqrt3(0, y3),
+                 f"V_{n} = ({render_scalar(v.x)}, {render_scalar(v.y)})")
+        _require(v_recurrence(n, hp) == v, f"recurrence V_{n} differs")
+    for p in (hp, make_params(QSqrt3(2), QSqrt3(3))):
+        _require(v3_buildup(p) == v_closed(3, p), "stepwise V_3 differs")
+    return "V_0..V_3 exact, stepwise V_3 matches"
+
+
+def _check_recurrence(max_gen: int, env) -> str:
+    sets = [hat_params(), make_params(QSqrt3(2), QSqrt3(3)),
+            make_params(QSqrt3(1), QSqrt3(1)),
+            make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))]
+    for p in sets:
+        prev2, prev = v_closed(0, p), v_closed(1, p)
+        for n in range(2, 201):
+            cur = v_closed(n, p)
+            _require(cur == 3 * prev - prev2, f"n={n} recurrence breaks")
+            prev2, prev = prev, cur
+    return "V_n = 3V_(n-1) - V_(n-2) for n <= 200 at 4 parameter sets"
+
+
+def _check_g_sequence(max_gen: int, env) -> str:
+    listed = [3, 11, 67, 451, 3083, 21123, 144771, 992267, 6801091,
+              46615363, 319506443, 2189929731, 15010001667]
+    closed = [g_closed(i) for i in range(1, 14)]
+    _require(closed == listed, f"13-term table differs: {closed}")
+    # one pass over the Lucas numbers: after step i, cur = lucas(i), and
+    # at i = 4n - 2 the closed form g(n) = (8*cur + 21)/15
+    terms = []
+    cur, nxt = lucas(0), lucas(1)
+    for i in range(1, 4 * 1000 - 1):
+        cur, nxt = nxt, cur + nxt
+        if i % 4 == 2:
+            _require((8 * cur + 21) % 15 == 0,
+                     f"8*lucas({i}) + 21 not divisible by 15")
+            if i < 4 * 500:
+                terms.append((8 * cur + 21) // 15)
+    _require(g_recurrence(500) == terms,
+             "closed form and recurrence disagree below n=500")
+    return "13 listed terms, recurrence to n=500, divisibility to n=1000"
+
+
+def _check_angle_identity(max_gen: int, env) -> str:
+    # (shape, check the exact factor X_n, check g(n)): g(n) holds only at
+    # hat proportions
+    walks = [(hat_params(), True, True), (turtle_params(), True, False),
+             *((p, True, False) for p in _sample_params(3)),
+             (make_params(QSqrt3(5), QSqrt3(0, 5)), False, True)]
+    for p, exact, hat_ratio in walks:
+        tb, s2, t2 = p.s / p.t, p.s * p.s, p.t * p.t
+        vs = [v_closed(n, p) for n in range(51)]
+        # (F_2n-2, L_2n-2, F_2n, L_2n), stepped by x_n = 3x_(n-1) - x_(n-2)
+        f0, l0, f1, l1 = 0, 2, 1, 3
+        for n in range(1, 51):
+            tan = tan_between(vs[n - 1], vs[n]).value
+            if exact:  # X_n = (t^2 L_2n L_2n-2 + s^2 F_2n F_2n-2) / 2t^2
+                x_n = (t2 * (l1 * l0) + s2 * (f1 * f0)) / (t2 * 2)
+                _require(tan * x_n == tb,
+                         f"exact factor identity fails at n={n}")
+            if hat_ratio:
+                _require(tan * g_closed(n) == tb,
+                         f"g(n) identity fails at n={n}")
+            f0, l0, f1, l1 = f1, l1, 3 * f1 - f0, 3 * l1 - l0
+    return ("tan(alpha_n) times the exact factor is tan(beta) everywhere; "
+            "the g(n) factor works at hat proportions")
+
+
+def _check_angle_limit(max_gen: int, env) -> str:
+    hp = hat_params()
+    limit = math.asin(0.25)
+    thetas = [tan_theta(n, hp) for n in range(41)]
+    angles = [theta.to_float() for theta in thetas]
+    _require(abs(angles[40] - limit) < 1e-12, f"theta_40 = {angles[40]}")
+    _require(abs(total_rotation_float(hp) - limit) < 1e-12,
+             f"total rotation = {total_rotation_float(hp)}")
+    tans = [theta.value for theta in thetas]
+    _require(all((b - a).sign() > 0 for a, b in zip(tans, tans[1:])),
+             "exact tan(theta_n) is not strictly increasing")
+    _require(all(b >= a for a, b in zip(angles, angles[1:])),
+             "float theta_n decreases somewhere")
+    return "theta_40 and the limit equal arcsin(1/4); theta_n monotone"
+
+
+def _check_scaling(max_gen: int, env) -> str:
+    hp = hat_params()
+    v20 = v_closed(20, hp).to_floats()
+    v19 = v_closed(19, hp).to_floats()
+    ratio = math.hypot(*v20) / math.hypot(*v19)
+    _require(abs(ratio - _PHI ** 2) < 1e-9, f"|V_20|/|V_19| = {ratio}")
+    r = (float(tan_alpha(10, hp).value) / float(tan_alpha(11, hp).value))
+    _require(abs(r - _PHI ** 4) < 1e-6, f"alpha ratio = {r}")
+    return "supervector growth phi^2, angle decay phi^4"
+
+
+def _check_supervector_construction(max_gen: int, env) -> str:
+    hp = hat_params()
+    p23 = make_params(QSqrt3(2), QSqrt3(3))
+    for p, top, where in ((hp, max_gen, "hat params"),
+                          (p23, min(4, max_gen), "Tile(2,3)")):
+        for n, nodes in enumerate(_chain(env, p, top), 1):
+            for node in nodes:
+                _require(measured_supervector(node) == v_closed(n, p),
+                         f"{node.kind}-{n} supervector differs at {where}")
+    return (f"measured = closed form, both kinds, n <= {max_gen} "
+            f"plus a rational shape")
+
+
+def _check_tile_counts(max_gen: int, env) -> str:
+    for n, nodes in enumerate(_chain(env, hat_params(), max_gen), 1):
+        for node in nodes:
+            _require(node.hats == tile_counts(node.kind, n),
+                     f"{node.kind}-{n} has {node.hats} hats")
+    return f"expansion sizes match the count recurrence, n <= {max_gen}"
+
+
+def _check_non_overlap(max_gen: int, env) -> str:
+    tile = env["tile"]
+    for n, (hat, _) in enumerate(_chain(env, hat_params(), max_gen), 1):
+        ok, detail = check_kites(hat, tile)
+        _require(ok, f"generation {n}: {detail}")
+        want = 8 * tile_counts(HAT, n)
+        _require(detail == f"{want} kite cells, no overlap",
+                 f"generation {n} covers {detail}, expected {want} cells")
+    return f"all hats on distinct kites, 8 cells per hat, n <= {max_gen}"
+
+
+def _check_outline(max_gen: int, env) -> str:
+    tile = env["tile"]
+    varied = [hat_params(), make_params(QSqrt3(2), QSqrt3(3)),
+              make_params(QSqrt3(1), QSqrt3(1)), turtle_params(),
+              make_params(QSqrt3(5), QSqrt3(2))]
+    # building an outline checks edge lengths and simplicity
+    outlines = {p: tile.outline(p) for p in varied}
+    for k in (1, 2, 3, 5, 7):
+        p = make_params(QSqrt3(k), QSqrt3(0, k))
+        outline = outlines[p] if p in outlines else tile.outline(p)
+        _require(shoelace_area(outline) == p.a * p.b * 8,
+                 f"area != 8ab at a={k}")
+    return "closes and stays simple at 5 shapes; area 8ab at hat proportions"
+
+
+def _check_renderer(max_gen: int, env) -> str:
+    import xml.etree.ElementTree as ET  # only this item parses XML
+    tile, layout = env["tile"], env["layout"]
+    hp = hat_params()
+    gen = min(3, max_gen)
+    node = _chain(env, hp, max_gen)[gen - 1][0]
+    svg1 = render_supertile(node, hp, RenderOptions(), tile)
+    svg2 = render_supertile(build(HAT, gen, hp, layout), hp,
+                            RenderOptions(), tile)
+    _require(svg1 == svg2, "two renders differ")
+    root = ET.fromstring(svg1)
+    paths = sum(1 for _ in root.iter("{http://www.w3.org/2000/svg}path"))
+    _require(paths == tile_counts(HAT, gen), f"{paths} paths")
+    return f"hat-{gen} SVG deterministic, {paths} paths, parses as XML"
+
+
+def _check_layout_config(max_gen: int, env) -> str:
+    tile, layout = env["tile"], env["layout"]
+    found = search_layout(hat_params(), layout, tile, window=1)
+    _require(any(c.p4_gen2 == layout.p4_gen2 for c in found),
+             "configured fourth-piece offset not found by search")
+    return ("layout config passes construction validation; search refinds "
+            "the configured offset")
+
+
+_VERIFY_ITEMS = (
+    ("closed-forms", _check_closed_forms),
+    ("recurrence", _check_recurrence),
+    ("g-sequence", _check_g_sequence),
+    ("angle-identity", _check_angle_identity),
+    ("angle-limit", _check_angle_limit),
+    ("scaling", _check_scaling),
+    ("supervector-construction", _check_supervector_construction),
+    ("tile-counts", _check_tile_counts),
+    ("non-overlap", _check_non_overlap),
+    ("outline", _check_outline),
+    ("renderer", _check_renderer),
+    ("layout-config", _check_layout_config),
+)
+
+
+def run(max_gen: int, tile, layout) -> list[tuple[str, bool, str, float]]:
+    """Run every item; return (name, passed, detail, seconds) for each."""
+    env = {"tile": tile, "layout": layout}
+    items = []
+    for name, fn in _VERIFY_ITEMS:
+        t0 = time.perf_counter()
+        try:
+            detail = fn(max_gen, env)
+            ok = True
+        except (VerifyFailure, ConstructionError, GeometryError,
+                ConfigError) as e:
+            detail, ok = str(e), False
+        items.append((name, ok, detail, time.perf_counter() - t0))
+    return items

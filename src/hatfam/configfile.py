@@ -8,8 +8,8 @@ callers parse them with the exact-scalar grammar where needed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .exactnum import VecE, parse_scalar
 
@@ -18,8 +18,7 @@ class ConfigError(ValueError):
     """The config text is malformed or has the wrong version."""
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     sections: dict
 
     def get(self, section: str, key: str) -> str:

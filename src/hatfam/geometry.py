@@ -14,7 +14,6 @@ contact rule (`cells_connected`) reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import lcm
@@ -447,8 +446,7 @@ def disjoint_cells(placements, base_cells):
     return True, seen.keys()
 
 
-@dataclass(frozen=True)
-class TileData:
+class TileData(NamedTuple):
     """Tile description loaded from a config file: the boundary walk as
     TurtleSteps plus the kite cells the tile covers at hat parameters."""
 

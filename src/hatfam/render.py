@@ -12,7 +12,6 @@ moved by each hat's lattice step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .configfile import load_text
@@ -53,7 +52,6 @@ class RenderError(ValueError):
     """The requested figure cannot be drawn."""
 
 
-@dataclass(frozen=True)
 class RenderOptions:
     """Figure styling.
 
@@ -63,26 +61,27 @@ class RenderOptions:
     max_svg_nodes caps the number of hats the figure may expand to.
     """
 
-    show_grid: bool = False
-    show_supervectors: int = 0
-    scheme: str = SCHEME_ROTATION
-    stroke_width: float = 0.06
-    margin: float = 1.0
-    max_svg_nodes: int = 20000
-
-    def __post_init__(self):
-        if self.scheme not in (SCHEME_ROTATION, SCHEME_PLAIN):
-            raise RenderError(f"unknown color scheme {self.scheme!r}")
+    def __init__(self, show_grid: bool = False, show_supervectors: int = 0,
+                 scheme: str = SCHEME_ROTATION, stroke_width: float = 0.06,
+                 margin: float = 1.0, max_svg_nodes: int = 20000):
+        if scheme not in (SCHEME_ROTATION, SCHEME_PLAIN):
+            raise RenderError(f"unknown color scheme {scheme!r}")
         # nan fails every comparison and inf passes them, so both are
         # excluded by name
-        if not (self.stroke_width > 0 and math.isfinite(self.stroke_width)):
+        if not (stroke_width > 0 and math.isfinite(stroke_width)):
             raise RenderError("stroke_width must be positive and finite")
-        if not (self.margin >= 0 and math.isfinite(self.margin)):
+        if not (margin >= 0 and math.isfinite(margin)):
             raise RenderError("margin must be finite and not negative")
-        if self.max_svg_nodes < 1:
+        if max_svg_nodes < 1:
             raise RenderError("max_svg_nodes must be positive")
-        if self.show_supervectors < 0:
+        if show_supervectors < 0:
             raise RenderError("show_supervectors must not be negative")
+        self.show_grid = show_grid
+        self.show_supervectors = show_supervectors
+        self.scheme = scheme
+        self.stroke_width = stroke_width
+        self.margin = margin
+        self.max_svg_nodes = max_svg_nodes
 
 
 def _fmt(x: float) -> str:

@@ -19,10 +19,8 @@ failure names the label path of the node or piece at fault.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .configfile import (
     ConfigError,
@@ -65,8 +63,7 @@ class ConstructionError(ValueError):
     """The layout data cannot be assembled into consistent supertiles."""
 
 
-@dataclass(frozen=True)
-class FormVec:
+class FormVec(NamedTuple):
     """Vector depending linearly on the edge lengths: a*u + b*w."""
 
     u: VecE
@@ -76,8 +73,7 @@ class FormVec:
         return self.u * p.a + self.w * p.b
 
 
-@dataclass(frozen=True)
-class LayoutTable:
+class LayoutTable(NamedTuple):
     """Placement data driving the assembly.
 
     ring: rotation_k of the six surrounding pieces, in order.  The rule
@@ -111,7 +107,6 @@ class LayoutTable:
                 "compound omits")
 
 
-@dataclass(frozen=True, eq=False)
 class SupertileNode:
     """One supertile in the assembly DAG.
 
@@ -119,14 +114,17 @@ class SupertileNode:
     node objects are shared between parents, so the tree is materialized
     in O(generation) space.  A single hat is the only leaf: the
     generation-1 compound holds two of it, labelled hat and partner.
+    Nodes compare by identity.
     """
 
-    kind: str
-    generation: int
-    children: tuple
-    labels: tuple
-    v_tail: VecE
-    v_head: VecE
+    def __init__(self, kind: str, generation: int, children: tuple,
+                 labels: tuple, v_tail: VecE, v_head: VecE):
+        self.kind = kind
+        self.generation = generation
+        self.children = children
+        self.labels = labels
+        self.v_tail = v_tail
+        self.v_head = v_head
 
     @cached_property
     def _kites(self) -> dict:
@@ -443,8 +441,7 @@ def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
     for dm in range(-window, window + 1):
         for dn in range(-window, window + 1):
             shift = U1 * dm + U2 * dn
-            cand = dataclasses.replace(
-                layout,
+            cand = layout._replace(
                 p4_gen2=FormVec(layout.p4_gen2.u + shift, layout.p4_gen2.w))
             if check_kites(build(HAT, 2, p, cand), tile, connected=True)[0]:
                 found.append(cand)

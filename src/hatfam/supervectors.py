@@ -14,7 +14,7 @@ the *_float helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactnum import ONE, SQRT3, QSqrt3, VecE
 from .sequences import fib_lucas
@@ -24,8 +24,7 @@ class DomainError(ValueError):
     """Tile parameters outside the supported domain."""
 
 
-@dataclass(frozen=True)
-class TileParams:
+class TileParams(NamedTuple):
     a: QSqrt3
     b: QSqrt3
     s: QSqrt3
@@ -88,8 +87,7 @@ def v3_buildup(p: TileParams) -> VecE:
     return v2 + 4 * v1 + VecE(p.s, -p.t)
 
 
-@dataclass(frozen=True)
-class AngleTan:
+class AngleTan(NamedTuple):
     """An angle carried exactly by its tangent."""
 
     value: QSqrt3

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hatfam import cli, configfile
+from hatfam import checks, configfile
 from hatfam.cli import main
 from hatfam.exactnum import QSqrt3, VecE
 from hatfam.sequences import g_recurrence
@@ -306,6 +306,15 @@ def test_render_respects_node_cap(capsys):
     assert "max_svg_nodes" in capsys.readouterr().err
 
 
+def test_render_grid_off_hat_is_refused(tmp_path, capsys):
+    out = tmp_path / "hat.svg"
+    assert main(["render", "hat", "2", "--grid", "-a", "1", "-b", "1",
+                 "-o", str(out)]) == 2
+    assert "error: the kite grid exists only at hat proportions" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_passes(capsys):
@@ -335,7 +344,7 @@ def test_verify_fails_on_one_wrong_supervector(monkeypatch, capsys):
         v = v_closed(n, q)
         return v + VecE(QSqrt3(1), QSqrt3(0)) if (n, q) == (150, p) else v
 
-    monkeypatch.setattr("hatfam.cli.v_closed", wrong)
+    monkeypatch.setattr("hatfam.checks.v_closed", wrong)
     assert main(["verify", "--max-gen", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("FAIL recurrence: n=150 recurrence breaks ")
@@ -351,7 +360,7 @@ def test_verify_fails_on_one_wrong_g_term(monkeypatch, capsys):
             terms[399] += 1
         return terms
 
-    monkeypatch.setattr("hatfam.cli.g_recurrence", wrong)
+    monkeypatch.setattr("hatfam.checks.g_recurrence", wrong)
     assert main(["verify", "--max-gen", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[2].startswith("FAIL g-sequence: closed form and recurrence "
@@ -362,14 +371,14 @@ def test_verify_fails_on_one_wrong_g_term(monkeypatch, capsys):
 def test_verify_fails_on_one_wrong_rotation_tangent(monkeypatch, capsys):
     # tan(alpha_37) off by one at a sampled shape, which only the exact
     # factor identity checks
-    q = cli._sample_params(3)[1]
+    q = checks._sample_params(3)[1]
     v36, v37 = v_closed(36, q), v_closed(37, q)
 
     def wrong(v, w):
         tan = tan_between(v, w)
         return AngleTan(tan.value + 1) if (v, w) == (v36, v37) else tan
 
-    monkeypatch.setattr("hatfam.cli.tan_between", wrong)
+    monkeypatch.setattr("hatfam.checks.tan_between", wrong)
     assert main(["verify", "--max-gen", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[3].startswith(

@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,3 +61,25 @@ def test_every_top_level_name_has_a_caller_outside_the_tests():
                     defined.add((path.name, own))
             used |= _names(stmt) - {own}
     assert sorted(d for d in defined if d[1] not in used) == []
+
+
+# a cold `hatfam build` loads neither the verify suite nor the SVG writer,
+# nor `dataclasses` (which pulls in `inspect`); `render` loads on use
+_COLD_START = """
+import sys
+from hatfam.cli import main
+assert main(["build", "hat", "2"]) == 0
+loaded = [name for name in ("dataclasses", "inspect", "hatfam.render",
+                            "hatfam.checks") if name in sys.modules]
+assert not loaded, loaded
+assert main(["render", "hat", "1", "-o", sys.argv[1]]) == 0
+assert "hatfam.render" in sys.modules
+"""
+
+
+def test_cold_start_loads_only_what_the_command_runs(tmp_path):
+    run = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path / "hat.svg")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert run.returncode == 0, run.stderr

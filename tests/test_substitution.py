@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import tracemalloc
 from collections import Counter
@@ -47,7 +46,7 @@ VARIED = [
 def _ring_with(layout, index, rotation_k):
     ring = list(layout.ring)
     ring[index] = rotation_k
-    return dataclasses.replace(layout, ring=tuple(ring))
+    return layout._replace(ring=tuple(ring))
 
 
 # ------------------------------------------------------------------ structure
@@ -62,6 +61,24 @@ def test_form_vec():
     form = FormVec(VecE(QSqrt3(1), QSqrt3(2)), VecE(QSqrt3(0), QSqrt3(0, 1)))
     p = make_params(QSqrt3(5), QSqrt3(7))
     assert form.at(p) == VecE(QSqrt3(5), QSqrt3(10, 7))
+
+
+def test_layout_round_trips_through_replace(layout):
+    form = layout.p4_gen2
+    moved = form._replace(u=form.u + U1)
+    assert moved != form and moved.w == form.w
+    assert moved._replace(u=form.u) == form
+    cand = layout._replace(p4_gen2=moved)
+    assert cand != layout and cand.ring == layout.ring
+    assert cand._replace(p4_gen2=form) == layout
+
+
+def test_supertile_nodes_compare_by_identity(layout, hat_p):
+    node = build(HAT, 2, hat_p, layout)
+    twin = SupertileNode(node.kind, node.generation, node.children,
+                         node.labels, node.v_tail, node.v_head)
+    assert twin != node and len({node, twin}) == 2
+    assert twin.hats == node.hats
 
 
 def test_generation_one(layout, hat_p):
@@ -132,7 +149,7 @@ def test_expand_rerooted(layout, hat_p):
 # ---------------------------------------------------------------- bad layouts
 
 def test_validate_structure_rejections(layout):
-    short = dataclasses.replace(layout, ring=layout.ring[:5])
+    short = layout._replace(ring=layout.ring[:5])
     with pytest.raises(ConstructionError, match="6 ring pieces"):
         short.validate_structure()
 
@@ -154,9 +171,8 @@ def test_meeting_slot_mismatch(layout, hat_p):
 
 
 def test_anchor_mismatch(layout, hat_p):
-    shifted = dataclasses.replace(
-        layout, tail2=FormVec(layout.tail2.u + VecE(QSqrt3(1), QSqrt3(0)),
-                              layout.tail2.w))
+    shifted = layout._replace(tail2=FormVec(
+        layout.tail2.u + VecE(QSqrt3(1), QSqrt3(0)), layout.tail2.w))
     with pytest.raises(ConstructionError, match="anchor mismatch"):
         build(HAT, 2, hat_p, shifted)
 
@@ -217,7 +233,7 @@ def test_offset_perturbation_messages(tile, offset, message):
 def _lattice_miss_layout(layout):
     """The configured layout with the generation-2 fourth piece pushed off
     the hexagon lattice by (1, 0)."""
-    return dataclasses.replace(layout, p4_gen2=FormVec(
+    return layout._replace(p4_gen2=FormVec(
         layout.p4_gen2.u + VecE(QSqrt3(1), QSqrt3(0)), layout.p4_gen2.w))
 
 
@@ -235,7 +251,8 @@ def _p2_on_p1(hat_p, layout) -> SupertileNode:
     children = list(hat5.children)
     p1, p2 = hat5.labels.index("P1"), hat5.labels.index("P2")
     children[p2] = children[p2][0], children[p1][1]
-    return dataclasses.replace(hat5, children=tuple(children))
+    return SupertileNode(hat5.kind, hat5.generation, tuple(children),
+                         hat5.labels, hat5.v_tail, hat5.v_head)
 
 
 def _bridged_compound() -> SupertileNode:
@@ -352,8 +369,8 @@ def test_search_guards(layout, tile):
 
 
 def test_search_reports_empty_window(layout, tile, hat_p):
-    nudged = dataclasses.replace(
-        layout, p4_gen2=FormVec(layout.p4_gen2.u + U1, layout.p4_gen2.w))
+    nudged = layout._replace(
+        p4_gen2=FormVec(layout.p4_gen2.u + U1, layout.p4_gen2.w))
     with pytest.raises(ConstructionError, match="no workable"):
         search_layout(hat_p, nudged, tile, window=0)
 
@@ -491,7 +508,7 @@ def test_search_candidates_match_the_flat_check(layout, tile, hat_p):
     shifts += [VecE(QSqrt3(1), QSqrt3(0)), VecE(QSqrt3(0), QSqrt3(0, 1))]
     verdicts = set()
     for shift in shifts:
-        cand = dataclasses.replace(layout, p4_gen2=FormVec(
+        cand = layout._replace(p4_gen2=FormVec(
             layout.p4_gen2.u + shift, layout.p4_gen2.w))
         for gen in (2, 3, 4):
             try:

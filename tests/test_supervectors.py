@@ -86,6 +86,15 @@ def test_params_refuse_floats():
     assert make_params(1, 3) == _p(1, 3)
 
 
+def test_equal_params_are_one_key():
+    # verify keys the supertile chains it builds by TileParams
+    p = make_params(QSqrt3(2), QSqrt3(3))
+    q = make_params(QSqrt3(Fraction(4, 2)), QSqrt3(3))
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert {(p, 4): "chain"}[(q, 4)] == "chain"
+    assert p != make_params(QSqrt3(3), QSqrt3(2))
+
+
 def test_has_hat_proportion():
     assert has_hat_proportion(hat_params())
     assert has_hat_proportion(make_params(QSqrt3(5), QSqrt3(0, 5)))
