@@ -5,17 +5,22 @@ optional kite-grid layer, and supervector arrows for the top generations.
 All geometry stays exact until the final float formatting, and identical
 inputs produce byte-identical documents.  Every distinct coordinate is
 formatted once per figure and axis, and the viewBox spans those
-coordinates; the grid is one template of kite edges per orientation,
-moved by each hat's lattice step.
+coordinates.
+
+Each hat is one `str.format` call: its orientation's template holds the
+class, the fill and the path, and takes the x and y columns of texts,
+each made once per orientation and the matching part of the translation.
+The grid is one list of kite edges per orientation, moved by each hat's
+lattice step; an edge two kites of one hat share is listed once, and only
+edges on the hat's boundary are checked against those already drawn.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from operator import itemgetter
 
 from .configfile import load_text
-from .exactnum import VecE
 from .geometry import (
     KiteCell,
     Placement,
@@ -46,6 +51,9 @@ _ARROW_COLORS = ("#1d3557", "#9d0208", "#1b4332", "#6a040f", "#3c096c",
 # k) adds its hexagon centre (6q, 2(q + 2r)) to the corners of cell (0, 0, k)
 _KITE_OFFSETS = [[(int(2 * v.x.r), int(2 * v.y.s))
                   for v in kite_corners(KiteCell(0, 0, k))] for k in range(6)]
+_SQRT3 = 3.0 ** 0.5
+# orientation k turns (x, y) into ((c x - s sqrt3 y)/2, (s sqrt3 x + c y)/2)
+_TURNS = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
 
 
 class RenderError(ValueError):
@@ -117,17 +125,12 @@ def _check_built(node: SupertileNode) -> None:
 
 
 def _arrow_nodes(node: SupertileNode, placement: Placement, floor: int):
-    if node.generation < floor:
-        return
+    # node is at or above the floor; its children are one generation
+    # down, except the generation-1 compound's two hats, which are skipped
     yield node, placement
-    if node.generation > 1:
+    if node.generation > max(floor, 1):
         for child, q in node.children:
             yield from _arrow_nodes(child, placement.compose(q), floor)
-
-
-def _svg_point(v: VecE) -> tuple[float, float]:
-    x, y = v.to_floats()
-    return x, -y
 
 
 def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
@@ -135,75 +138,136 @@ def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
     # float(QSqrt3) of the corner scaled by a = (aa + ab*sqrt3)/ad: int /
     # int rounds correctly, so unreduced quotients give the same floats
     aa, ab, den = p.a.a, p.a.b, 2 * p.a.d
-    sqrt3 = 3.0 ** 0.5
-    x_text = _Memo(lambda X: fx[X * aa / den + X * ab / den * sqrt3])
-    y_text = _Memo(lambda Y: fy[-(3 * Y * ab / den + Y * aa / den * sqrt3)])
-    # per orientation, the edges (X1, Y1, X2, Y2, end before start) of the
-    # hat's sorted cells; a lattice step moves every corner alike, which
-    # keeps the cell order and each edge's end order, so lines and the
-    # first-seen dedup are those of the placed hat's sorted cells
+    x_text = _Memo(lambda X: fx[X * aa / den + X * ab / den * _SQRT3])
+    y_text = _Memo(lambda Y: fy[-(3 * Y * ab / den + Y * aa / den * _SQRT3)])
+    # per orientation, the distinct edges (X1, Y1, X2, Y2, end before
+    # start, on the boundary) of the hat's sorted cells, each as first met;
+    # a lattice step moves every corner alike, which keeps the cell order
+    # and each edge's end order, so lines and the first-seen dedup are
+    # those of the placed hat's sorted cells.  An edge that two kites of
+    # the hat share is inside it, and no other hat has it, since hats
+    # cover distinct kites: only edges met once, on the boundary, can
+    # have been drawn before
     shapes = []
     for o in range(12):
-        edges = []
+        edges = {}
         for hq, hr, k in sorted(hat_kite_cells(Placement(o % 6, o >= 6),
                                                tile.cells)):
             cx, cy = 6 * hq, 2 * (hq + 2 * hr)
             pts = [(cx + dx, cy + dy) for dx, dy in _KITE_OFFSETS[k]]
-            edges += [(*u, *v, v < u) for u, v in zip(pts, pts[1:] + pts[:1])]
-        shapes.append(edges)
+            for u, v in zip(pts, pts[1:] + pts[:1]):
+                key = (*v, *u) if v < u else (*u, *v)
+                if key in edges:
+                    edges[key][-1] = False
+                else:
+                    edges[key] = [*u, *v, v < u, True]
+        shapes.append([tuple(edge) for edge in edges.values()])
     seen = set()
     lines = []
     for q in placed:
         m, n = lattice_shift(q)
         sx, sy = 6 * m, 2 * (m + 2 * n)
-        for x1, y1, x2, y2, flip in shapes[q.orientation]:
+        for x1, y1, x2, y2, flip, outer in shapes[q.orientation]:
             x1, y1, x2, y2 = x1 + sx, y1 + sy, x2 + sx, y2 + sy
-            key = (x2, y2, x1, y1) if flip else (x1, y1, x2, y2)
-            if key not in seen:
+            if outer:
+                key = (x2, y2, x1, y1) if flip else (x1, y1, x2, y2)
+                if key in seen:
+                    continue
                 seen.add(key)
-                lines.append(f'<line x1="{x_text[x1]}" y1="{y_text[y1]}" '
-                             f'x2="{x_text[x2]}" y2="{y_text[y2]}"/>')
+            lines.append(f'<line x1="{x_text[x1]}" y1="{y_text[y1]}" '
+                         f'x2="{x_text[x2]}" y2="{y_text[y2]}"/>')
     return lines
 
 
-@lru_cache(maxsize=8)
-def _oriented_outlines(outline) -> tuple[tuple[list, int], ...]:
-    """The outline under each of the 12 placement orientations, as the
-    `int_points` of its vertices and their denominator."""
-    return tuple(int_points([Placement(o % 6, o >= 6).apply(v)
-                             for v in outline]) for o in range(12))
+def _oriented(pts, o: int) -> list[tuple[int, int, int, int]]:
+    """`int_points` points over D under orientation o, before translation,
+    as `int_points` over 2D: reflected across the y axis for o >= 6, then
+    turned o % 6 times by 60 degrees, as `Placement.apply` does."""
+    c, s = _TURNS[o % 6]
+    m = -1 if o >= 6 else 1
+    # sqrt3*(ya + yb*sqrt3) = 3yb + ya*sqrt3, and likewise for x
+    return [(c * m * xa - 3 * s * yb, c * m * xb - s * ya,
+             3 * s * m * xb + c * ya, s * m * xa + c * yb)
+            for xa, xb, ya, yb in pts]
+
+
+def _floats(t: int, t3: int, d: int, offsets, vd: int) -> list[float]:
+    """The float of (u + u3*sqrt3)/vd + (t + t3*sqrt3)/2d for each offset
+    (u, u3): one axis of points over vd moved by a translation.
+
+    Over den = 2d*vd each part is one int / int, which rounds correctly,
+    so reduced or not the floats are float(QSqrt3)'s bit for bit.
+    """
+    td = 2 * d
+    den, t, t3 = vd * td, t * vd, t3 * vd
+    return [(u * td + t) / den + (u3 * td + t3) / den * _SQRT3
+            for u, u3 in offsets]
+
+
+def _svg_floats(q: Placement, pts, vd: int) -> list[tuple[float, float]]:
+    """The SVG floats (x, -y) of the `int_points` points over vd placed by
+    q, whose translation, the Q(zeta) point t/d, has x = (2 t0 + t2 +
+    t1*sqrt3)/2d and y = (t1 + 2 t3 + t2*sqrt3)/2d."""
+    pts = _oriented(pts, q.orientation)
+    t0, t1, t2, t3 = q.coords
+    xs = _floats(2 * t0 + t2, t1, q.den, [v[:2] for v in pts], 2 * vd)
+    ys = _floats(t1 + 2 * t3, t2, q.den, [v[2:] for v in pts], 2 * vd)
+    return [(x, -y) for x, y in zip(xs, ys)]
+
+
+def _columns(shapes, axis: slice, vd: int, texts: _Memo,
+             negate: bool) -> _Memo:
+    """The texts of one axis of a hat's vertices, per key (orientation,
+    t, t3, d): the axis's coordinate is the vertex's, from `shapes` over
+    vd, plus the translation part (t + t3*sqrt3)/2d, negated for y.
+
+    The floats are computed once per part and distinct vertex offset, and
+    each key's texts are looked up in `texts` once: only drawn
+    coordinates reach it, and its keys span the viewBox.
+    """
+    column = [[v[axis] for v in shape] for shape in shapes]
+    offsets = sorted({u for c in column for u in c})
+    at = {u: i for i, u in enumerate(offsets)}
+    picks = [itemgetter(*map(at.__getitem__, c)) for c in column]
+
+    def floats(part):
+        fs = _floats(*part, offsets, vd)
+        return [-f for f in fs] if negate else fs
+
+    parts = _Memo(floats)
+    return _Memo(lambda k: [*map(texts.__getitem__,
+                                 picks[k[0]](parts[k[1:]]))])
 
 
 def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
                fx: _Memo, fy: _Memo) -> list[str]:
-    shapes = _oriented_outlines(outline)
-    sqrt3 = 3.0 ** 0.5
-    paths = []
-    for q, reflected in placed:
-        verts, vd = shapes[q.orientation]
-        # the vertices are over vd, and the translation, the Q(zeta) point
-        # t/d, has x = (2 t0 + t2 + t1*sqrt3)/2d and y = (t1 + 2 t3 +
-        # t2*sqrt3)/2d: over den = 2d*vd each part of a placed vertex is
-        # one int / int, which rounds correctly, so reduced or not the
-        # floats are float(QSqrt3)'s bit for bit
-        td = 2 * q.den
-        t0, t1, t2, t3 = q.coords
-        tx, tx3 = (2 * t0 + t2) * vd, t1 * vd
-        ty, ty3 = (t1 + 2 * t3) * vd, t2 * vd
-        den = vd * td
-        xs = [(x0 * td + tx) / den + (x3 * td + tx3) / den * sqrt3
-              for x0, x3, _, _ in verts]
-        ys = [-((y0 * td + ty) / den + (y3 * td + ty3) / den * sqrt3)
-              for _, _, y0, y3 in verts]
-        d = "M " + " L ".join(f"{fx[x]} {fy[y]}" for x, y in zip(xs, ys)) \
-            + " Z"
+    pts, vd = int_points(outline)
+    shapes = [_oriented(pts, o) for o in range(12)]
+    # as in `_svg_floats`, a hat's x column depends only on its
+    # orientation and the x part (2 t0 + t2, t1, d) of its translation,
+    # and its y column on the y part (t1 + 2 t3, t2, d)
+    xs = _columns(shapes, slice(0, 2), 2 * vd, fx, False)
+    ys = _columns(shapes, slice(2, 4), 2 * vd, fy, True)
+    # one template per orientation, which fixes the class and the fill:
+    # fields 0..n-1 are the vertices' x and n..2n-1 their y
+    n = len(pts)
+    d = "M " + " L ".join(f"{{{i}}} {{{n + i}}}" for i in range(n)) + " Z"
+    templates = []
+    for o in range(12):
+        reflected = o >= 6
         if scheme == SCHEME_ROTATION:
-            fills = _ROT_FILLS_DARK if reflected else _ROT_FILLS
-            fill = fills[q.rotation_k]
+            fill = (_ROT_FILLS_DARK if reflected else _ROT_FILLS)[o % 6]
         else:
             fill = _PLAIN_FILL_DARK if reflected else _PLAIN_FILL
         cls = "hat reflected" if reflected else "hat"
-        paths.append(f'<path class="{cls}" fill="{fill}" d="{d}"/>')
+        templates.append(f'<path class="{cls}" fill="{fill}" d="{d}"/>'.format)
+    # expand flags a hat reflected exactly when its orientation is >= 6
+    paths = []
+    for q, _ in placed:
+        o, den = q.orientation, q.den
+        t0, t1, t2, t3 = q.coords
+        paths.append(templates[o](*xs[o, 2 * t0 + t2, t1, den],
+                                  *ys[o, t1 + 2 * t3, t2, den]))
     return paths
 
 
@@ -212,8 +276,8 @@ def _arrows(node: SupertileNode, opts: RenderOptions, fx: _Memo,
     floor = node.generation - opts.show_supervectors + 1
     parts = []
     for sub, q in _arrow_nodes(node, Placement(), floor):
-        ax, ay = _svg_point(q.apply(sub.v_tail))
-        bx, by = _svg_point(q.apply(sub.v_head))
+        (ax, ay), (bx, by) = _svg_floats(
+            q, *int_points([sub.v_tail, sub.v_head]))
         length = math.hypot(bx - ax, by - ay)
         if length == 0:
             continue

@@ -1,14 +1,17 @@
 import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
 from hatfam import render
 from hatfam.cli import main
-from hatfam.exactnum import QSqrt3, VEC_ZERO, parse_scalar
+from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE, parse_scalar
 from hatfam.geometry import (
     KiteCell,
+    Placement,
     hat_kite_cells,
+    int_points,
     kite_corners,
 )
 from hatfam.render import RenderError, RenderOptions, render_supertile
@@ -160,13 +163,11 @@ def test_plain_scheme_uses_two_fills(layout, hat_p):
     assert len(rot_fills) > 2
 
 
-@pytest.mark.parametrize("a,b", [("1", "r3"), ("2+r3", "3+2*r3"),
-                                 ("7/3", "1/2")])
-def test_hat_vertices_are_the_exact_floats(a, b, layout, tile, monkeypatch):
+def _check_hat_vertices(kind, gen, a, b, layout, tile, monkeypatch):
     # every vertex float, written in hex, equals the float of the exactly
     # placed outline vertex
     p = make_params(parse_scalar(a), parse_scalar(b))
-    node = build(THC, 3, p, layout)
+    node = build(kind, gen, p, layout)
     monkeypatch.setattr(render, "_fmt", float.hex)
     svg = render_supertile(node, p, RenderOptions(), tile)
     outline = tile.outline(p)
@@ -178,14 +179,42 @@ def test_hat_vertices_are_the_exact_floats(a, b, layout, tile, monkeypatch):
     assert [path.get("d") for path in _tags(svg, "path")] == want
 
 
-@pytest.mark.parametrize("kind", [HAT, THC])
-def test_grid_corners_are_the_exact_floats(kind, layout, tile, hat_p,
-                                           monkeypatch):
+@pytest.mark.parametrize("a,b", [("1", "r3"), ("2+r3", "3+2*r3"),
+                                 ("7/3", "1/2")])
+def test_hat_vertices_are_the_exact_floats(a, b, layout, tile, monkeypatch):
+    _check_hat_vertices(THC, 3, a, b, layout, tile, monkeypatch)
+
+
+@pytest.mark.parametrize("a,b", [("7/3", "1/2"), ("3", "3*r3")])
+def test_hat_vertices_are_the_exact_floats_at_generation_4(
+        a, b, layout, tile, monkeypatch):
+    # deeper, many hats share a translation part, so the renderer's
+    # per-part floats and per-orientation columns are reused
+    _check_hat_vertices(HAT, 4, a, b, layout, tile, monkeypatch)
+
+
+@pytest.mark.parametrize("o", range(12))
+def test_placed_floats_are_the_exact_floats(o, tile):
+    # the integer turn, reflection and translation of points, as arrows and
+    # hats use them, give the floats of the exactly placed points, also
+    # with denominators in the points and in the translation
+    p = make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))
+    pts = tile.outline(p)
+    for t in [VEC_ZERO, VecE(QSqrt3(Fraction(5, 6), Fraction(-1, 4)),
+                             QSqrt3(Fraction(-2, 9), 3))]:
+        q = Placement(o % 6, o >= 6, t)
+        want = [(x.hex(), (-y).hex())
+                for x, y in (q.apply(v).to_floats() for v in pts)]
+        got = render._svg_floats(q, *int_points(pts))
+        assert [(x.hex(), y.hex()) for x, y in got] == want
+
+
+def _check_grid_corners(kind, gen, layout, tile, p, monkeypatch):
     # every grid line, in order, joins the floats of the exact kite
     # corners; an edge shared by two kites is drawn once, where first seen
-    node = build(kind, 3, hat_p, layout)
+    node = build(kind, gen, p, layout)
     monkeypatch.setattr(render, "_fmt", float.hex)
-    svg = render_supertile(node, hat_p, RenderOptions(show_grid=True), tile)
+    svg = render_supertile(node, p, RenderOptions(show_grid=True), tile)
     want, seen = [], set()
     for q, _ in expand(node):
         for cell in sorted(hat_kite_cells(q, tile.cells)):
@@ -200,6 +229,20 @@ def test_grid_corners_are_the_exact_floats(kind, layout, tile, hat_p,
     got = [tuple(line.get(k) for k in ("x1", "y1", "x2", "y2"))
            for line in _tags(svg, "line")]
     assert got == want
+
+
+@pytest.mark.parametrize("kind", [HAT, THC])
+def test_grid_corners_are_the_exact_floats(kind, layout, tile, hat_p,
+                                           monkeypatch):
+    _check_grid_corners(kind, 3, layout, tile, hat_p, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", [HAT, THC])
+def test_grid_corners_are_the_exact_floats_at_generation_4(
+        kind, layout, tile, hat_p, monkeypatch):
+    # deeper, more boundary edges are shared with a neighbour drawn
+    # earlier, while the edges inside a hat skip the renderer's dedup
+    _check_grid_corners(kind, 4, layout, tile, hat_p, monkeypatch)
 
 
 def test_viewbox_covers_the_figure(layout, hat_p, monkeypatch):
