@@ -405,7 +405,7 @@ def lattice_shift(q: Placement) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=8)
-def _oriented_cells(cells: frozenset) -> tuple[tuple, ...]:
+def _oriented_cells(cells: frozenset | tuple) -> tuple[tuple, ...]:
     """The cell set under each of the 12 orientations, before translation:
     rotation_k turns for orientation k, a reflection first for 6 + k."""
     out = []

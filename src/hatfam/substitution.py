@@ -8,12 +8,12 @@ head-to-tail onto their predecessor, and the fourth drops into the open
 slot left by the core's missing piece.  Tail and head anchor vertices are
 traced for the first two generations and propagate by a fixed interior
 coincidence from then on, so every generation's head minus tail can be
-checked against the closed-form supervector.  A node's hat count is a sum
-over its children, once per shared node, and `check_kites` decides kite
-disjointness and contact on the same DAG: each (node, orientation) holds
-its cells as one int, the OR of its children's ints shifted into place,
-kept on the node; connected pieces that touch make a connected node; a
-failure names the label path of the node or piece at fault.
+checked against the closed-form supervector.  Hat counts sum over the
+children, once per shared node.  `check_kites` decides kite disjointness
+and contact on the same DAG in ints: each edge is one lattice step, which
+a table turns per orientation; each (node, orientation) keeps its cells
+as one int, the OR of its children's shifted ints; touching connected
+pieces make a connected node; a failure's path is joined as it unwinds.
 `expand` walks every single hat; it runs only to draw.
 """
 
@@ -39,6 +39,8 @@ from .geometry import (
     TileData,
     U1,
     U2,
+    _PRODUCT,
+    _oriented_cells,
     cells_connected,
     hat_kite_cells,
     lattice_shift,
@@ -234,96 +236,117 @@ def generations(n: int, p: TileParams, layout: LayoutTable):
 
 def expand(node: SupertileNode,
            placement: Placement = IDENTITY) -> Iterator[tuple[Placement, bool]]:
-    """Yield (absolute placement, is_reflected) for every single hat."""
-    if not node.children:
-        yield placement, placement.reflected
-        return
-    for child, q in node.children:
-        yield from expand(child, placement.compose(q))
+    """Yield (absolute placement, is_reflected) for every hat, depth first."""
+    stack = [(node, placement)]
+    while stack:
+        node, placement = stack.pop()
+        if not node.children:
+            yield placement, placement.orientation >= 6
+        else:
+            stack += [(child, placement.compose(q))
+                      for child, q in reversed(node.children)]
 
 
-class _Clash(Exception):
-    """Two pieces of a node share a kite: args are the wording up to the
-    kite and the kite's bit in the root's int."""
+# _TURNS[o]: the cells at (1, 0) and (0, 1) turned by orientation o, as
+# (a, c, _) and (b, d, _); o turns a step (m, n) to m*(a, c) + n*(b, d)
+_TURNS = _oriented_cells((KiteCell(1, 0, 0), KiteCell(0, 1, 0)))
 
 
-class _Disconnected(Exception):
-    """The pieces of a node do not touch as one patch: args are its path."""
+class _Fault(Exception):
+    """A kite check failure at one node: args are the wording before and
+    after its label path, which `labels` gathers deepest first as the walk
+    unwinds, lifting a clash's kite `bit` into each ancestor's int."""
+
+    def __init__(self, before: str, after: str, bit=None):
+        super().__init__(before, after)
+        self.labels, self.bit = [], bit
 
 
-def _kite_box(node: SupertileNode, o: int, base_cells, path: str):
+def _kite_box(node: SupertileNode, o: int, base_cells):
     """(box, parts) for `node` at orientation o about its own origin: box
-    = (q_lo, q_hi, r_lo, r_hi) bounds its kite cells' hex coordinates,
-    and parts holds each child's node, orientation and placed (q_lo, r_lo),
-    or a single hat's cells.  Memoized on the node; raises LatticeError
-    naming the label path of a piece off the hexagon lattice, `path`
-    being the node's own.
-    """
+    = (q_lo, q_hi, r_lo, r_hi) bounds its kite cells' hex coordinates, and
+    parts holds each child's label, node, orientation and placed (q_lo,
+    r_lo), or a single hat's cells.  Memoized on the node with its "steps",
+    each child's lattice step from one `lattice_shift`, which `_TURNS[o]`
+    turns; a miss raises _Fault where the walk reaches it."""
     memo = node._kites
     key = o, base_cells
     if key not in memo:
-        turn = Placement(o % 6, o >= 6)
         if not node.children:
-            parts = hat_kite_cells(turn, base_cells)
+            parts = hat_kite_cells(Placement(o % 6, o >= 6), base_cells)
             spans = [(q, q, r, r) for q, r, _ in parts]
         else:
-            parts, spans = [], []
-            for label, (child, q) in zip(node.labels, node.children):
-                q = turn.compose(q)
-                at = f"{path}/{label}"
-                try:
-                    m, n = lattice_shift(q)
-                except LatticeError as e:
-                    raise LatticeError(
-                        f"piece {at} is off the kite lattice: {e}") from None
-                (a, b, c, d), _ = _kite_box(child, q.orientation, base_cells,
-                                            at)
-                parts.append((child, q.orientation, a + m, c + n))
-                spans.append((a + m, b + m, c + n, d + n))
+            if "steps" not in memo:
+                memo["steps"] = steps = []
+                for label, (child, q) in zip(node.labels, node.children):
+                    try:
+                        steps.append((label, child, q.orientation,
+                                      *lattice_shift(q)))
+                    except LatticeError:  # off the lattice at every turn
+                        steps.append((label, child, q, None, None))
+            (a, c, _), (b, d, _) = _TURNS[o]
+            turn, parts, spans = _PRODUCT[o], [], []
+            try:
+                for label, child, co, m, n in memo["steps"]:
+                    if m is None:  # co is the placement
+                        v = Placement(o % 6, o >= 6).compose(co).translation
+                        raise _Fault("piece ", f" is off the kite lattice: "
+                                     f"{v!r} is not on the hexagon lattice")
+                    co = turn[co]
+                    (q0, q1, r0, r1), _ = _kite_box(child, co, base_cells)
+                    m, n = a * m + b * n, c * m + d * n
+                    parts.append((label, child, co, q0 + m, r0 + n))
+                    spans.append((q0 + m, q1 + m, r0 + n, r1 + n))
+            except _Fault as e:
+                e.labels.append(label)
+                raise
         q_lo, q_hi, r_lo, r_hi = zip(*spans)
         memo[key] = (min(q_lo), max(q_hi), min(r_lo), max(r_hi)), parts
     return memo[key]
 
 
 def _kite_bits(node: SupertileNode, o: int, width: int, base_cells,
-               path: str, base: int, connected: bool = False) -> int:
+               connected: bool = False) -> int:
     """The kite cells of `node` at orientation o about its own origin as
     one int, packed about the low corner of the node's box (see
     `packing_width`): the OR of its pieces' ints, each shifted into place
     (a single hat's pieces are its kites); memoized on the node.  Raises
-    _Clash where a piece's int meets the earlier pieces', the kite lifted
-    into the root's int by `base`, this node's offset there.  If
-    `connected`, raises _Disconnected unless the pieces, each checked
-    first, touch as one patch; a pass is memoized on the node once per
-    tile, since a rigid motion keeps it.
-    """
+    _Fault where a piece's int meets the earlier pieces', or if `connected`
+    unless the pieces, each checked first, touch as one patch; a pass is
+    memoized on the node once per tile, since a rigid motion keeps it."""
     memo = node._kites
     key = o, width, base_cells
     if key not in memo or connected and base_cells not in memo:
-        (q_lo, _, r_lo, _), parts = _kite_box(node, o, base_cells, path)
-
-        def placed():
-            if not node.children:
-                for q, r, k in parts:
-                    yield None, 1 << 6 * ((q - q_lo) * width + r - r_lo) + k
-            for label, (child, co, cq, cr) in zip(node.labels, parts):
-                shift = 6 * ((cq - q_lo) * width + cr - r_lo)
+        (q_lo, _, r_lo, _), parts = _kite_box(node, o, base_cells)
+        if node.children:
+            acc, pieces = 0, []
+        else:  # a single hat: its kites are its pieces, distinct bits
+            pieces = [1 << 6 * ((q - q_lo) * width + r - r_lo) + k
+                      for q, r, k in parts]
+            acc, parts = sum(pieces), ()
+        for label, child, co, cq, cr in parts:
+            shift = 6 * ((cq - q_lo) * width + cr - r_lo)
+            try:
                 bits = _kite_bits(child, co, width, base_cells,
-                                  f"{path}/{label}", base + shift, connected)
-                yield label, bits << shift
-        acc, pieces = 0, []
-        for label, bits in placed():
-            clash = acc & bits
-            if clash:
+                                  connected) << shift
+            except _Fault as e:
+                e.labels.append(label)
+                e.bit = None if e.bit is None else e.bit + shift
+                raise
+            if clash := acc & bits:  # name the first piece, lowest kite
                 bit = (clash & -clash).bit_length() - 1
-                first = next(lab for lab, b in placed() if b >> bit & 1)
-                raise _Clash(f"{path}: pieces {first} and {label}", base + bit)
+                first = next(lab for lab, piece, po, pq, pr in parts
+                             if _kite_bits(piece, po, width, base_cells)
+                             << 6 * ((pq - q_lo) * width + pr - r_lo)
+                             >> bit & 1)
+                raise _Fault("", f": pieces {first} and {label} overlap on "
+                             "kite", bit)
             acc |= bits
             if connected:  # else each shifted int is dropped once ORed
                 pieces.append(bits)
         if connected:
             if not cells_connected(pieces, width):
-                raise _Disconnected(path)
+                raise _Fault("", ": patch is disconnected")
             memo[base_cells] = True
         memo[key] = acc
     return memo[key]
@@ -340,30 +363,27 @@ def check_kites(node: SupertileNode, tile: TileData,
     failure names the label path from the root, as in `hat-3/T/P4`: of
     the node where a piece meets the earlier ones, with the lowest kite
     they share, of a piece off the kite lattice, or of the first
-    disconnected node.  A patch whose int would hold more than
-    _MAX_BITS_PER_HAT bits per hat is refused before any int is made.
+    disconnected node.  A patch over _MAX_BITS_PER_HAT bits per hat is
+    refused before any int is made.
     """
     root = f"{node.kind}-{node.generation}"
     try:
-        (q_lo, q_hi, r_lo, r_hi), _ = _kite_box(node, 0, tile.cells, root)
+        (q_lo, q_hi, r_lo, r_hi), _ = _kite_box(node, 0, tile.cells)
         width = packing_width(r_hi - r_lo)
         size = 6 * (q_hi - q_lo + 1) * width
         if size > _MAX_BITS_PER_HAT * node.hats:
             return False, (f"{root}: patch too sparse for the kite check: "
                            f"{size} bits for {node.hats} hats, over "
                            f"{_MAX_BITS_PER_HAT} per hat")
-        bits = _kite_bits(node, 0, width, tile.cells, root, 0)
+        bits = _kite_bits(node, 0, width, tile.cells)
         if connected:  # once no pieces overlap anywhere
-            _kite_bits(node, 0, width, tile.cells, root, 0, connected=True)
-    except LatticeError as e:
-        return False, str(e)
-    except _Disconnected as e:
-        return False, f"{e}: patch is disconnected"
-    except _Clash as e:
-        where, bit = e.args
-        v, k = divmod(bit, 6)
-        cell = KiteCell(q_lo + v // width, r_lo + v % width, k)
-        return False, f"{where} overlap on kite {cell}"
+            _kite_bits(node, 0, width, tile.cells, connected=True)
+    except _Fault as e:
+        (before, after), where = e.args, "/".join([root, *e.labels[::-1]])
+        if e.bit is not None:
+            v, k = divmod(e.bit, 6)
+            after += f" {KiteCell(q_lo + v // width, r_lo + v % width, k)}"
+        return False, f"{before}{where}{after}"
     return True, f"{bits.bit_count()} kite cells, no overlap"
 
 

@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatfam import substitution
 from hatfam.configfile import load_text
@@ -14,9 +16,11 @@ from hatfam.geometry import (
     Placement,
     U1,
     U2,
+    _PRODUCT,
     disjoint_cells,
     hat_kite_cells,
     kite_corners,
+    lattice_shift,
     packing_width,
 )
 from hatfam.sequences import tile_counts
@@ -242,6 +246,84 @@ def test_lattice_miss_names_the_piece(layout, tile, hat_p):
     assert check_kites(node, tile) == (
         False, "piece hat-3/T/P4 is off the kite lattice: VecE(7, 0) is "
                "not on the hexagon lattice")
+
+
+_STEPS = st.integers(-10 ** 40, 10 ** 40) | st.integers(-3, 3)
+
+
+@pytest.mark.parametrize("o", range(12))
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(rotation_k=st.integers(0, 5), reflected=st.booleans(), m=_STEPS,
+       n=_STEPS)
+def test_turn_table_matches_the_composed_placement(o, rotation_k, reflected,
+                                                   m, n):
+    # the kite check turns a child's lattice step by an int table and its
+    # orientation by _PRODUCT, in place of composing the placement
+    q = Placement(rotation_k, reflected, U1 * m + U2 * n)
+    turned = Placement(o % 6, o >= 6).compose(q)
+    (a, c, _), (b, d, _) = substitution._TURNS[o]
+    assert lattice_shift(q) == (m, n)
+    assert lattice_shift(turned) == (a * m + b * n, c * m + d * n)
+    assert turned.orientation == _PRODUCT[o][q.orientation]
+
+
+def _turned_miss(rotation_k, reflected) -> SupertileNode:
+    """A hand-made generation-2 node whose compound piece P1, placed by
+    (rotation_k, reflected), holds a partner off the hexagon lattice; a
+    third hat after it is off the lattice too."""
+    hat = SupertileNode(HAT, 1, (), (), VEC_ZERO, VEC_ZERO)
+    off = Placement(1, False, VecE(QSqrt3(1), QSqrt3(0, 1)))
+    pair = SupertileNode(THC, 1, ((hat, IDENTITY), (hat, off)),
+                         ("hat", "partner"), VEC_ZERO, VEC_ZERO)
+    return SupertileNode(
+        HAT, 2, ((hat, IDENTITY),
+                 (pair, Placement(rotation_k, reflected, U1 * 2 - U2)),
+                 (hat, Placement(0, False, VecE(QSqrt3(1), QSqrt3(0))))),
+        ("T", "P1", "P2"), VEC_ZERO, VEC_ZERO)
+
+
+@pytest.mark.parametrize("rotation_k,reflected,vector", [
+    (2, True, "VecE(-1, -1*r3)"),
+    (1, False, "VecE(-1, 1*r3)"),
+    (0, True, "VecE(-1, 1*r3)"),
+    (5, False, "VecE(2, 0)"),
+])
+def test_lattice_miss_under_a_turned_piece(tile, rotation_k, reflected,
+                                           vector):
+    # the miss is named where the walk first reaches it, inside P1 before
+    # the root's own P2, with the partner's vector turned into the root's
+    # frame
+    node = _turned_miss(rotation_k, reflected)
+    for connected in (False, True):
+        assert check_kites(node, tile, connected) == (
+            False, f"piece hat-2/P1/partner is off the kite lattice: "
+                   f"{vector} is not on the hexagon lattice")
+
+
+def test_passing_check_composes_no_placement(layout, tile, hat_p,
+                                             monkeypatch):
+    # a pass takes one lattice step per DAG edge and turns it in ints
+    calls, shifts = [], []
+    compose, shift = Placement.compose, substitution.lattice_shift
+
+    def counted(self, inner):
+        calls.append(inner)
+        return compose(self, inner)
+
+    def counted_shift(q):
+        shifts.append(q)
+        return shift(q)
+
+    monkeypatch.setattr(substitution, "lattice_shift", counted_shift)
+    for connected in (False, True):
+        node = build(HAT, 6, hat_p, layout)
+        edges = sum(len(sub.children) for sub in _distinct_nodes(node))
+        shifts.clear()
+        monkeypatch.setattr(Placement, "compose", counted)
+        assert check_kites(node, tile, connected) == \
+            (True, "141688 kite cells, no overlap")
+        monkeypatch.setattr(Placement, "compose", compose)
+        assert calls == [] and len(shifts) <= edges == 61
 
 
 def _p2_on_p1(hat_p, layout) -> SupertileNode:
@@ -471,10 +553,9 @@ def _matches_flat(node, tile, connected):
 def _root_cells(node, tile):
     """The root's kite bitset decoded to (hex_q, hex_r, corner_k) cells:
     bit 6*(q*width + r) + k is the cell (q_lo + q, r_lo + r, k)."""
-    (q_lo, _, r_lo, r_hi), _ = substitution._kite_box(node, 0, tile.cells,
-                                                      "root")
+    (q_lo, _, r_lo, r_hi), _ = substitution._kite_box(node, 0, tile.cells)
     width = packing_width(r_hi - r_lo)
-    bits = substitution._kite_bits(node, 0, width, tile.cells, "root", 0)
+    bits = substitution._kite_bits(node, 0, width, tile.cells)
     out = set()
     for i, bit in enumerate(reversed(bin(bits)[2:])):
         if bit == "1":
