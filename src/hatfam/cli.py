@@ -286,58 +286,70 @@ def _add_common(sub, params=True):
                           "(or set HATFAM_DATA_DIR)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for `argv`: every command is listed, but only the one
+    argv names, its first item not starting with "-", gets its arguments.
+    The top level takes no option with a value, so argparse reads the
+    command from that item or fails before any command's arguments."""
     parser = argparse.ArgumentParser(
         prog="hatfam",
         description="Supertiles, supervectors, and rotation angles of the "
                     "Tile(a,b) hat family.")
     subs = parser.add_subparsers(dest="command", required=True)
+    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
 
-    seq = subs.add_parser("sequence", help="print fib, lucas, or g terms")
-    seq.add_argument("kind", choices=("fib", "lucas", "g"))
-    seq.add_argument("count", type=_positive_int)
-    _add_common(seq, params=False)
-    seq.set_defaults(func=cmd_sequence)
+    def command(name, text):
+        # a command not invoked is never parsed or shown, so it needs no -h
+        sub = subs.add_parser(name, help=text, add_help=name == invoked)
+        return sub if name == invoked else None
 
-    vec = subs.add_parser("vectors",
-                          help="supervector table with rotation angles")
-    vec.add_argument("-n", "--max", type=_positive_int, default=8,
-                     help="largest generation to list (default 8)")
-    _add_common(vec)
-    vec.set_defaults(func=cmd_vectors)
+    if seq := command("sequence", "print fib, lucas, or g terms"):
+        seq.add_argument("kind", choices=("fib", "lucas", "g"))
+        seq.add_argument("count", type=_positive_int)
+        _add_common(seq, params=False)
+        seq.set_defaults(func=cmd_sequence)
 
-    bld = subs.add_parser("build", help="assemble a supertile and check it")
-    bld.add_argument("kind", choices=(HAT, THC))
-    bld.add_argument("gen", type=_positive_int)
-    _add_common(bld)
-    bld.set_defaults(func=cmd_build)
+    if vec := command("vectors", "supervector table with rotation angles"):
+        vec.add_argument("-n", "--max", type=_positive_int, default=8,
+                         help="largest generation to list (default 8)")
+        _add_common(vec)
+        vec.set_defaults(func=cmd_vectors)
 
-    ren = subs.add_parser("render", help="write a supertile SVG figure")
-    ren.add_argument("kind", choices=(HAT, THC))
-    ren.add_argument("gen", type=_positive_int)
-    ren.add_argument("--grid", action="store_true",
-                     help="draw the kite grid under the hats")
-    ren.add_argument("--supervectors", type=int, default=0, metavar="LEVELS",
-                     help="draw anchor arrows for this many top generations")
-    ren.add_argument("--scheme", choices=("rotation", "plain"),
-                     default="rotation")
-    ren.add_argument("--stroke-width", type=float, default=0.06)
-    ren.add_argument("--margin", type=float, default=1.0)
-    ren.add_argument("--max-nodes", type=_positive_int, default=20000,
-                     help="refuse figures expanding past this many hats")
-    _add_common(ren)
-    ren.set_defaults(func=cmd_render)
+    if bld := command("build", "assemble a supertile and check it"):
+        bld.add_argument("kind", choices=(HAT, THC))
+        bld.add_argument("gen", type=_positive_int)
+        _add_common(bld)
+        bld.set_defaults(func=cmd_build)
 
-    ver = subs.add_parser("verify", help="run the full invariant suite")
-    ver.add_argument("--max-gen", type=_positive_int, default=5,
-                     help="deepest generation the construction checks build")
-    _add_common(ver, params=False)
-    ver.set_defaults(func=cmd_verify)
+    if ren := command("render", "write a supertile SVG figure"):
+        ren.add_argument("kind", choices=(HAT, THC))
+        ren.add_argument("gen", type=_positive_int)
+        ren.add_argument("--grid", action="store_true",
+                         help="draw the kite grid under the hats")
+        ren.add_argument("--supervectors", type=int, default=0,
+                         metavar="LEVELS", help="draw anchor arrows for this "
+                                                "many top generations")
+        ren.add_argument("--scheme", choices=("rotation", "plain"),
+                         default="rotation")
+        ren.add_argument("--stroke-width", type=float, default=0.06)
+        ren.add_argument("--margin", type=float, default=1.0)
+        ren.add_argument("--max-nodes", type=_positive_int, default=20000,
+                         help="refuse figures expanding past this many hats")
+        _add_common(ren)
+        ren.set_defaults(func=cmd_render)
+
+    if ver := command("verify", "run the full invariant suite"):
+        ver.add_argument("--max-gen", type=_positive_int, default=5,
+                         help="deepest generation the construction checks "
+                              "build")
+        _add_common(ver, params=False)
+        ver.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, DomainError) as e:

@@ -10,11 +10,13 @@ traced for the first two generations and propagate by a fixed interior
 coincidence from then on, so every generation's head minus tail can be
 checked against the closed-form supervector.  Hat counts sum over the
 children, once per shared node.  `check_kites` decides kite disjointness
-and contact on the same DAG in ints: each edge is one lattice step, which
-a table turns per orientation; each (node, orientation) keeps its cells
-as one int, the OR of its children's shifted ints; touching connected
-pieces make a connected node; a failure's path is joined as it unwinds.
-`expand` walks every single hat; it runs only to draw.
+and contact on the same DAG in ints, in one pass: each edge is one
+lattice step, which a table turns per orientation; each (node,
+orientation) keeps its cells as one int, the OR of its children's shifted
+ints; touching connected pieces make a connected node; a failure's path
+is joined as it unwinds.  `layout_from_config` checks generations 1-4
+with one such pass over hat-4 and thc-4.  `expand` walks every single
+hat; it runs only to draw.
 """
 
 from __future__ import annotations
@@ -311,12 +313,15 @@ def _kite_bits(node: SupertileNode, o: int, width: int, base_cells,
     one int, packed about the low corner of the node's box (see
     `packing_width`): the OR of its pieces' ints, each shifted into place
     (a single hat's pieces are its kites); memoized on the node.  Raises
-    _Fault where a piece's int meets the earlier pieces', or if `connected`
-    unless the pieces, each checked first, touch as one patch; a pass is
-    memoized on the node once per tile, since a rigid motion keeps it."""
+    _Fault where a piece's int meets the earlier pieces'.  If `connected`,
+    the same pass also tests, once per node and tile since a rigid motion
+    keeps it, that the pieces touch as one patch, and memoizes whether
+    this node and every node under it do; a disconnection raises nothing,
+    so an overlap anywhere is still found first."""
     memo = node._kites
     key = o, width, base_cells
-    if key not in memo or connected and base_cells not in memo:
+    contact = connected and base_cells not in memo
+    if key not in memo or contact:
         (q_lo, _, r_lo, _), parts = _kite_box(node, o, base_cells)
         if node.children:
             acc, pieces = 0, []
@@ -342,14 +347,40 @@ def _kite_bits(node: SupertileNode, o: int, width: int, base_cells,
                 raise _Fault("", f": pieces {first} and {label} overlap on "
                              "kite", bit)
             acc |= bits
-            if connected:  # else each shifted int is dropped once ORed
+            if contact:  # else each shifted int is dropped once ORed
                 pieces.append(bits)
-        if connected:
-            if not cells_connected(pieces, width):
-                raise _Fault("", ": patch is disconnected")
-            memo[base_cells] = True
+        if contact:
+            memo[base_cells] = (
+                all(child._kites[base_cells] for _, child, *_ in parts)
+                and cells_connected(pieces, width))
         memo[key] = acc
     return memo[key]
+
+
+def _disconnected_path(node: SupertileNode, base_cells) -> list[str]:
+    """The labels from `node`, whose memoized contact verdict failed, down
+    to the node `_kite_bits` found disconnected first: each step enters
+    the first piece whose verdict failed, and the walk stops at a node
+    whose pieces all passed."""
+    labels = []
+    while step := next(((label, child) for label, (child, _)
+                        in zip(node.labels, node.children)
+                        if not child._kites[base_cells]), None):
+        label, node = step
+        labels.append(label)
+    return labels
+
+
+def _too_sparse(node: SupertileNode, base_cells) -> str:
+    """The refusal of `node` when its kites at orientation 0 pack to over
+    _MAX_BITS_PER_HAT bits per hat, else ""; made from boxes alone."""
+    (q_lo, q_hi, r_lo, r_hi), _ = _kite_box(node, 0, base_cells)
+    size = 6 * (q_hi - q_lo + 1) * packing_width(r_hi - r_lo)
+    if size <= _MAX_BITS_PER_HAT * node.hats:
+        return ""
+    return (f"{node.kind}-{node.generation}: patch too sparse for the kite "
+            f"check: {size} bits for {node.hats} hats, over "
+            f"{_MAX_BITS_PER_HAT} per hat")
 
 
 def check_kites(node: SupertileNode, tile: TileData,
@@ -359,31 +390,30 @@ def check_kites(node: SupertileNode, tile: TileData,
     supertile of its DAG is one edge-connected patch); returns (passed,
     detail).
 
-    The cells are one int per (node, orientation) (see `_kite_bits`).  A
-    failure names the label path from the root, as in `hat-3/T/P4`: of
-    the node where a piece meets the earlier ones, with the lowest kite
-    they share, of a piece off the kite lattice, or of the first
-    disconnected node.  A patch over _MAX_BITS_PER_HAT bits per hat is
-    refused before any int is made.
+    The cells are one int per (node, orientation) (see `_kite_bits`),
+    made in one pass that also tests contact.  A failure names the label
+    path from the root, as in `hat-3/T/P4`: of a piece off the kite
+    lattice, else of the node where a piece meets the earlier ones, with
+    the lowest kite they share, else of the first disconnected node.  A
+    patch over _MAX_BITS_PER_HAT bits per hat is refused before any int
+    is made.
     """
     root = f"{node.kind}-{node.generation}"
     try:
-        (q_lo, q_hi, r_lo, r_hi), _ = _kite_box(node, 0, tile.cells)
+        if refusal := _too_sparse(node, tile.cells):
+            return False, refusal
+        (q_lo, _, r_lo, r_hi), _ = _kite_box(node, 0, tile.cells)
         width = packing_width(r_hi - r_lo)
-        size = 6 * (q_hi - q_lo + 1) * width
-        if size > _MAX_BITS_PER_HAT * node.hats:
-            return False, (f"{root}: patch too sparse for the kite check: "
-                           f"{size} bits for {node.hats} hats, over "
-                           f"{_MAX_BITS_PER_HAT} per hat")
-        bits = _kite_bits(node, 0, width, tile.cells)
-        if connected:  # once no pieces overlap anywhere
-            _kite_bits(node, 0, width, tile.cells, connected=True)
+        bits = _kite_bits(node, 0, width, tile.cells, connected)
     except _Fault as e:
         (before, after), where = e.args, "/".join([root, *e.labels[::-1]])
         if e.bit is not None:
             v, k = divmod(e.bit, 6)
             after += f" {KiteCell(q_lo + v // width, r_lo + v % width, k)}"
         return False, f"{before}{where}{after}"
+    if connected and not node._kites[tile.cells]:
+        where = "/".join([root, *_disconnected_path(node, tile.cells)])
+        return False, f"{where}: patch is disconnected"
     return True, f"{bits.bit_count()} kite cells, no overlap"
 
 
@@ -398,13 +428,42 @@ def _rotation_k(deg: int) -> int:
     return (deg // 60) % 6
 
 
+def _passes_at_once(p: TileParams, layout: LayoutTable,
+                    tile: TileData) -> bool:
+    """True if generations 1-4 assemble with their hat counts, every one
+    of their eight supertiles passes the size guard, and one connected
+    kite pass over hat-4 and thc-4, at one packing width, finds no fault:
+    every node of generations 1-4 lies under those two, and the 12 turns
+    keep overlap, lattice membership and contact."""
+    try:
+        nodes = []
+        for gen, pair in enumerate(generations(4, p, layout), 1):
+            if any(node.hats != tile_counts(node.kind, gen) for node in pair):
+                return False
+            nodes += pair
+        if any(_too_sparse(node, tile.cells) for node in nodes):
+            return False
+        boxes = [_kite_box(node, 0, tile.cells)[0] for node in nodes[-2:]]
+        width = packing_width(max(r_hi - r_lo for _, _, r_lo, r_hi in boxes))
+        for node in nodes[-2:]:
+            _kite_bits(node, 0, width, tile.cells, connected=True)
+            if not node._kites[tile.cells]:
+                return False
+    except (ConstructionError, _Fault):
+        return False
+    return True
+
+
 def layout_from_config(text: str, tile: TileData) -> LayoutTable:
     """Parse and fully validate a layout config.
 
     Validation is structural (ring size, rotation multiples) and then
     constructive: generations 1 through 4 are assembled at hat proportions
     and checked for tile counts, kite disjointness, connectivity, and the
-    closed-form supervector.
+    closed-form supervector.  The kites of all four generations are
+    checked in one pass over hat-4 and thc-4; only if assembly or that
+    pass fails is each generation checked in turn, so a fault is worded,
+    ordered and bounded in memory as by a check of each supertile.
     """
     cfg = parse_config(text)
     layout = LayoutTable(
@@ -428,7 +487,10 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
         raise ConstructionError(
             f"tile outline area {area} is not 8 kite units at hat "
             f"proportions")
-    # one lazy chain: each generation is checked before the next is made
+    if _passes_at_once(p, layout, tile):
+        return layout
+    # a fault: a fresh lazy chain finds the first one, each generation
+    # checked in full before the next is made
     for gen, nodes in enumerate(generations(4, p, layout), 1):
         for node in nodes:
             want = tile_counts(node.kind, gen)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -145,6 +146,22 @@ def test_build_json(capsys):
     assert doc["kind"] == "thc" and doc["generation"] == 2
     assert doc["hats"] == 7
     assert [c["pass"] for c in doc["checks"]] == [True, True, True]
+
+
+def test_a_call_adds_arguments_only_for_its_command(monkeypatch, capsys):
+    # every command is listed, but only build gets its arguments: with
+    # all five commands' arguments the parser made 41 add_argument calls
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(["build", "hat", "1"]) == 0
+    assert "PASS counts" in capsys.readouterr().out
+    assert len(calls) <= 15
 
 
 @pytest.mark.parametrize("a,b", [("1/2", "1/2*r3"), ("2+r3", "3+2*r3")])

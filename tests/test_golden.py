@@ -13,6 +13,7 @@ under `perfbench/`.
 import hashlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,42 @@ VECTORS = {
 }
 
 
+# the CLI surface at COLUMNS=80 as (exit code, stdout, stderr) digests,
+# recorded at commit 278a451, before the parser gave arguments only to
+# the invoked command; argparse words help and errors differently across
+# Python versions, so these hold for the one they were recorded under
+CLI_SURFACE_PYTHON = (3, 11)
+CLI_SURFACE = {
+    ("-h",): (
+        0, "9c50409f15df8351faaff58008e7408e53cc25f24876bba19568eea390da4dfa",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("sequence", "-h"): (
+        0, "a49bdb67451679724a99f1723a1e9e32b1305a2a2dfb6290fe2668484c93ca99",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("vectors", "-h"): (
+        0, "37e3ea44ebe76d44b6152377c68c6750af49f153393f5eee5ac1499dc5553e24",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("build", "-h"): (
+        0, "70120ce24b9d156a313f3ae0c0e396b3e992d0a1f2c3c70da27d22497d3ee889",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("render", "-h"): (
+        0, "26977978a917f5b8961912a59cacb46881bf39c32b490b45224e47b056607546",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("verify", "-h"): (
+        0, "8afe83de8b56a0ce6a70b8664572f8ebded63b247cade39c1e114b5aa9ae8c55",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("bogus",): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "57b748d120f14b04f065e9d27a7946c2e2689a16434a5e5d838de9505327f55e"),
+    ("build",): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "390784b9e5fb92709cda0893d48cb11ae28f28f042bf05e24634a1fc833fc6ca"),
+    ("build", "hat", "x"): (
+        2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bc04efb2233b158d92df5d66b79beaa36f09066c5a21376e37904226c328cac7"),
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -138,3 +175,15 @@ def test_benchmark_render_bytes(argv, tmp_path, capsys):
     assert main([*argv[:i], str(out), *argv[i + 1:]]) == 0
     want = workloads.load_refs()["outputs"][workloads.key(argv)]
     assert _sha256(out.read_bytes()) == want
+
+
+@pytest.mark.skipif(sys.version_info[:2] != CLI_SURFACE_PYTHON,
+                    reason="argparse wording differs across Python versions")
+@pytest.mark.parametrize("argv", sorted(CLI_SURFACE))
+def test_cli_surface_bytes(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as caught:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert (caught.value.code, _sha256(out.encode("utf-8")),
+            _sha256(err.encode("utf-8"))) == CLI_SURFACE[argv]

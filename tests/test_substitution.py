@@ -382,6 +382,21 @@ def test_disconnected_piece_fails_inside_a_connected_patch(tile):
         (False, "thc-1: patch is disconnected")
 
 
+def test_overlap_is_named_before_an_earlier_disconnection(tile):
+    # the disconnected compound T is reached first, but the two copies of
+    # the bridging hat after it overlap: a clash anywhere is named before
+    # any disconnection
+    (pair, core), piece = _bridged_compound().children
+    node = SupertileNode(HAT, 2, ((pair, core), piece, piece),
+                         ("T", "P1", "P2"), VEC_ZERO, VEC_ZERO)
+    message = ("hat-2: pieces P1 and P2 overlap on kite "
+               "KiteCell(hex_q=-2, hex_r=1, corner_k=0)")
+    assert _matches_flat(node, tile, True) == (False, message)
+    assert check_kites(node, tile) == (False, message)
+    assert check_kites(pair, tile, connected=True) == \
+        (False, "thc-1: patch is disconnected")
+
+
 def test_far_partner_is_disconnected_without_a_large_allocation(tile):
     # the partner 10^6 lattice steps away in q and -10^6 in r: a bitset
     # over the generation-1 compound would span about 6*10^12 bits, so the
@@ -414,6 +429,25 @@ def test_layout_validation_assembles_each_generation_once(tile, monkeypatch):
     monkeypatch.setattr(substitution, "_assemble", counted)
     layout_from_config(load_text("layout.cfg"), tile)
     assert calls == [2, 3, 4]
+
+
+def test_layout_validation_makes_each_kite_int_once(tile, monkeypatch):
+    # one pass over hat-4 and thc-4, at one packing width, tests overlap
+    # and contact together: each (node, orientation) int is stored once
+    stored = []
+
+    class Stores(dict):
+        def __setitem__(self, key, value):
+            stored.append((self, key))
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(SupertileNode, "_kites", property(
+        lambda node: node.__dict__.setdefault("_stores", Stores())))
+    layout_from_config(load_text("layout.cfg"), tile)
+    ints = [(id(memo), key) for memo, key in stored
+            if isinstance(key, tuple) and len(key) == 3]  # (o, width, cells)
+    assert ints and len(set(ints)) == len(ints)
+    assert len({width for _, (_, width, _) in ints}) == 1
 
 
 # -------------------------------------------------------------------- search
