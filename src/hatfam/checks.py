@@ -23,8 +23,8 @@ from .substitution import (
     HAT,
     ConstructionError,
     build,
+    chain_at,
     check_kites,
-    generations,
     measured_supervector,
     search_layout,
 )
@@ -67,11 +67,10 @@ def _sample_params(count: int, seed: int = 20230306) -> list[TileParams]:
 
 
 def _chain(env, p: TileParams, top: int) -> list:
-    """Generations 1..top at p as (hat, thc), built once per verify run."""
-    key = (p, top)
-    if key not in env:
-        env[key] = list(generations(top, p, env["layout"]))
-    return env[key]
+    """Generations 1..top at p as (hat, thc), from the run's chain at p:
+    each is built once per verify run, and at the hat layout validation
+    built generations 1-4."""
+    return list(chain_at(p, env["layout"], env["chains"]).upto(top))
 
 
 def _check_closed_forms(max_gen: int, env) -> str:
@@ -261,9 +260,12 @@ _VERIFY_ITEMS = (
 )
 
 
-def run(max_gen: int, tile, layout) -> list[tuple[str, bool, str, float]]:
-    """Run every item; return (name, passed, detail, seconds) for each."""
-    env = {"tile": tile, "layout": layout}
+def run(max_gen: int, tile, layout,
+        chains: dict) -> list[tuple[str, bool, str, float]]:
+    """Run every item; return (name, passed, detail, seconds) for each.
+    `chains`, the call's chains of `layout` by shape (see
+    `substitution.chain_at`), is read and extended."""
+    env = {"tile": tile, "layout": layout, "chains": chains}
     items = []
     for name, fn in _VERIFY_ITEMS:
         t0 = time.perf_counter()

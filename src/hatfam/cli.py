@@ -25,6 +25,7 @@ from .substitution import (
     THC,
     ConstructionError,
     build,
+    chain_at,
     check_kites,
     layout_from_config,
     measured_supervector,
@@ -80,9 +81,14 @@ def _params(args) -> TileParams:
 
 
 def _load_tile_layout(args):
+    """The tile, the validated layout, and the call's chains of it by
+    shape (see `substitution.chain_at`), which hold the one layout
+    validation checked at hat proportions."""
     tile = tile_from_config(load_text("tile.cfg", args.data_dir))
-    layout = layout_from_config(load_text("layout.cfg", args.data_dir), tile)
-    return tile, layout
+    chains = {}
+    layout = layout_from_config(load_text("layout.cfg", args.data_dir), tile,
+                                chains)
+    return tile, layout, chains
 
 
 def _too_many_hats(kind: str, gen: int) -> bool:
@@ -166,9 +172,9 @@ def cmd_build(args) -> int:
     if _too_many_hats(args.kind, args.gen):
         return 2
 
-    tile, layout = _load_tile_layout(args)
+    tile, layout, chains = _load_tile_layout(args)
     t0 = time.perf_counter()
-    node = build(args.kind, args.gen, p, layout)
+    node = build(args.kind, args.gen, p, layout, chains)
     want = tile_counts(args.kind, args.gen)
     got_v = measured_supervector(node)
     want_v = v_closed(args.gen, p)
@@ -176,9 +182,10 @@ def cmd_build(args) -> int:
         disjoint = True, "skipped: needs hat proportions"
     else:
         # kites exist at the hat itself; Tile(a, sqrt(3)*a) is that patch
-        # scaled by a, so check the a = 1 supertile
-        unit = node if p.a == 1 else build(args.kind, args.gen, hat_params(),
-                                           layout)
+        # scaled by a, so check the a = 1 supertile, which extends the
+        # chain layout validation checked (at a = 1, it is `node`)
+        unit = chain_at(hat_params(), layout, chains).node(args.kind,
+                                                           args.gen)
         disjoint = check_kites(unit, tile)
     results = [
         ("counts", node.hats == want, f"{node.hats} hats, expected {want}"),
@@ -213,8 +220,8 @@ def cmd_render(args) -> int:
         render_supertile,
     )
     p = _params(args)
-    tile, layout = _load_tile_layout(args)
-    node = build(args.kind, args.gen, p, layout)
+    tile, layout, chains = _load_tile_layout(args)
+    node = build(args.kind, args.gen, p, layout, chains)
     try:
         opts = RenderOptions(
             show_grid=args.grid,
@@ -247,13 +254,13 @@ def cmd_verify(args) -> int:
         return 2
     t0 = time.perf_counter()
     try:
-        tile, layout = _load_tile_layout(args)
+        tile, layout, chains = _load_tile_layout(args)
     except (ConstructionError, GeometryError) as e:
         # a layout that fails to load is the one item reported
         items = [("layout-config", False, str(e), time.perf_counter() - t0)]
     else:
         from . import checks  # only verify loads the suite and render
-        items = checks.run(args.max_gen, tile, layout)
+        items = checks.run(args.max_gen, tile, layout, chains)
     all_ok = all(ok for _, ok, _, _ in items)
     if args.format == "json":
         doc = {"max_gen": args.max_gen,

@@ -8,20 +8,26 @@ head-to-tail onto their predecessor, and the fourth drops into the open
 slot left by the core's missing piece.  Tail and head anchor vertices are
 traced for the first two generations and propagate by a fixed interior
 coincidence from then on, so every generation's head minus tail can be
-checked against the closed-form supervector.  Hat counts sum over the
-children, once per shared node.  `check_kites` decides kite disjointness
-and contact on the same DAG in ints, in one pass: each edge is one
-lattice step, which a table turns per orientation; each (node,
-orientation) keeps its cells as one int, the OR of its children's shifted
-ints; touching connected pieces make a connected node; a failure's path
-is joined as it unwinds.  `layout_from_config` checks generations 1-4
-with one such pass over hat-4 and thc-4.  `expand` walks every single
-hat; it runs only to draw.
+checked against the closed-form supervector.  A `Chain` holds the
+generations of one layout at one shape, in Q(zeta) integers over one
+denominator, and a command keeps its chains for the call, so each
+supertile is assembled once per call.  Hat counts sum over the children,
+once per shared node.  `check_kites` decides kite disjointness and
+contact on the same DAG in ints, in one pass: each edge is one lattice
+step, which a table turns per orientation; each (node, orientation)
+keeps its cells as one int, the OR of its children's shifted ints, whose
+bit count shows whether they overlap; touching connected pieces make a
+connected node; a failure's path is joined as it unwinds.
+`layout_from_config` checks generations 1-4 with one such pass over
+hat-4 and thc-4, and hands that chain to the call.  `expand` walks every
+single hat; it runs only to draw.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from math import lcm
+from operator import sub
 from typing import Iterator, NamedTuple
 
 from .configfile import (
@@ -32,7 +38,7 @@ from .configfile import (
     value_ints,
     value_vector,
 )
-from .exactnum import VecE, rotate60
+from .exactnum import VecE, reduced_coords, zeta_coords, zeta_vector
 from .geometry import (
     IDENTITY,
     KiteCell,
@@ -41,8 +47,10 @@ from .geometry import (
     TileData,
     U1,
     U2,
+    _MATRICES,
     _PRODUCT,
     _oriented_cells,
+    _placement,
     cells_connected,
     hat_kite_cells,
     lattice_shift,
@@ -118,17 +126,28 @@ class SupertileNode:
     node objects are shared between parents, so the tree is materialized
     in O(generation) space.  A single hat is the only leaf: the
     generation-1 compound holds two of it, labelled hat and partner.
-    Nodes compare by identity.
+    tail and head, the anchor vertices, are Q(zeta) coordinates (see
+    `exactnum.zeta_coords`) over den, unreduced; v_tail and v_head give
+    them as VecE.  Nodes compare by identity.
     """
 
     def __init__(self, kind: str, generation: int, children: tuple,
-                 labels: tuple, v_tail: VecE, v_head: VecE):
+                 labels: tuple, tail: tuple, head: tuple, den: int = 1):
         self.kind = kind
         self.generation = generation
         self.children = children
         self.labels = labels
-        self.v_tail = v_tail
-        self.v_head = v_head
+        self.tail = tail
+        self.head = head
+        self.den = den
+
+    @property
+    def v_tail(self) -> VecE:
+        return zeta_vector(self.tail, self.den)
+
+    @property
+    def v_head(self) -> VecE:
+        return zeta_vector(self.head, self.den)
 
     @cached_property
     def _kites(self) -> dict:
@@ -145,31 +164,92 @@ class SupertileNode:
 
 def measured_supervector(node: SupertileNode) -> VecE:
     """Head anchor minus tail anchor of an assembled supertile."""
-    return node.v_head - node.v_tail
+    return zeta_vector(tuple(map(sub, node.head, node.tail)), node.den)
 
 
-def _check_anchor(kind: str, n: int, tail: VecE, head: VecE,
-                  p: TileParams) -> None:
-    want = v_closed(n, p)
-    got = head - tail
-    if got != want:
+def _moved(o: int, c: tuple, t: tuple) -> tuple:
+    """The Q(zeta) point c turned by orientation o, then moved by t, all
+    over one denominator."""
+    (m00, m01, m02, m03, m10, m11, m12, m13,
+     m20, m21, m22, m23, m30, m31, m32, m33) = _MATRICES[o]
+    c0, c1, c2, c3 = c
+    t0, t1, t2, t3 = t
+    return (t0 + m00 * c0 + m01 * c1 + m02 * c2 + m03 * c3,
+            t1 + m10 * c0 + m11 * c1 + m12 * c2 + m13 * c3,
+            t2 + m20 * c0 + m21 * c1 + m22 * c2 + m23 * c3,
+            t3 + m30 * c0 + m31 * c1 + m32 * c2 + m33 * c3)
+
+
+def _over(q: Placement, den: int) -> tuple:
+    """q's translation over den, a multiple of q.den."""
+    return tuple(c * (den // q.den) for c in q.coords)
+
+
+class Chain:
+    """The supertiles of one layout at one shape p: `pairs[n - 1]` is
+    (hat, thc) of generation n, each generation assembled from the last
+    once, when first asked for.  Anchors and translations are Q(zeta)
+    coordinates over `den`, one denominator for the chain, so assembly is
+    int sums and `_MATRICES` turns; the layout's six forms are evaluated
+    at p once, here, where generation 1 is made.  A command holds its
+    chains for one call, by shape (see `chain_at`)."""
+
+    def __init__(self, p: TileParams, layout: LayoutTable):
+        self.p, self.layout = p, layout
+        points = [zeta_coords(form.at(p)) for form in (
+            layout.tail1, layout.head1, layout.partner_offset,
+            layout.p4_gen2, layout.tail2, layout.head2)]
+        self.den = den = lcm(*(d for _, d in points))
+        tail, head, partner, self.p4_gen2, self.tail2, self.head2 = [
+            tuple(x * (den // d) for x in c) for c, d in points]
+        _check_anchor(1, tail, head, self)
+        hat = SupertileNode(HAT, 1, (), (), tail, head, den)
+        partner = _placement(layout.partner_rotation_k % 6
+                             + 6 * layout.partner_reflected,
+                             *reduced_coords(*partner, den))
+        thc = SupertileNode(THC, 1, ((hat, IDENTITY), (hat, partner)),
+                            ("hat", "partner"), tail, head, den)
+        self.pairs = [(hat, thc)]
+
+    def upto(self, n: int) -> Iterator[tuple]:
+        """Yield (hat, thc) for generations 1..n, assembling each one not
+        made yet after the one before it is yielded."""
+        for gen in range(1, n + 1):
+            if gen > len(self.pairs):
+                self.pairs.append(_assemble(gen, self))
+            yield self.pairs[gen - 1]
+
+    def node(self, kind: str, n: int) -> SupertileNode:
+        """The generation-n supertile of the given kind."""
+        *_, (hat, thc) = self.upto(n)
+        return hat if kind == HAT else thc
+
+
+def _check_anchor(n: int, tail: tuple, head: tuple, chain: Chain) -> None:
+    want = v_closed(n, chain.p)
+    got = reduced_coords(*map(sub, head, tail), chain.den)
+    if got != zeta_coords(want):
         raise ConstructionError(
-            f"generation {n}: anchor mismatch: {kind} head minus tail is "
-            f"{got}, closed form gives {want}")
+            f"generation {n}: anchor mismatch: {HAT} head minus tail is "
+            f"{zeta_vector(*got)}, closed form gives {want}")
 
 
-def _assemble(n: int, prev_hat: SupertileNode, prev_thc: SupertileNode,
-              p: TileParams, layout: LayoutTable):
-    """Place the core and ring for generation n; return both kinds."""
-    placements = [IDENTITY]
+def _assemble(n: int, chain: Chain):
+    """Place the core and ring for generation n of the chain on its
+    generation n - 1; return both kinds."""
+    prev_hat, prev_thc = chain.pairs[n - 2]
+    den, ring = chain.den, chain.layout.ring
+    back = tuple(-c for c in prev_hat.tail)
+    placements, taus = [IDENTITY], []
     head_world = None
-    for i, k in enumerate(layout.ring):
+    for i, k in enumerate(ring):
+        o = k % 6
         if i == 0:
-            tau = prev_thc.v_tail - rotate60(prev_hat.v_tail, k)
+            tau = _moved(o, back, prev_thc.tail)
         elif i != _MEETING_INDEX:
-            tau = head_world - rotate60(prev_hat.v_tail, k)
+            tau = _moved(o, back, head_world)
         elif n == 2:
-            tau = layout.p4_gen2.at(p)
+            tau = chain.p4_gen2
         else:
             _, slot = prev_hat.children[_OMITTED_INDEX + 1]
             if slot.reflected or slot.rotation_k != k:
@@ -177,36 +257,47 @@ def _assemble(n: int, prev_hat: SupertileNode, prev_thc: SupertileNode,
                     f"generation {n}: meeting rule unsatisfiable: piece "
                     f"rotation {k * 60} does not match the open slot "
                     f"rotation {slot.rotation_k * 60}")
-            tau = slot.translation
-        q = Placement(k, False, tau)
-        placements.append(q)
-        head_world = tau + rotate60(prev_hat.v_head, k)
+            tau = _over(slot, den)
+        placements.append(_placement(o, *reduced_coords(*tau, den)))
+        taus.append(tau)
+        head_world = _moved(o, prev_hat.head, tau)
 
     if n == 2:
-        tail = layout.tail2.at(p)
-        head = layout.head2.at(p)
+        tail, head = chain.tail2, chain.head2
     else:
-        sub, sub_q = prev_hat.children[_OMITTED_INDEX + 1]
-        point = sub_q.apply(sub.v_head)
-        tail = placements[1].apply(point)
-        head = placements[5].apply(point)
-    _check_anchor(HAT, n, tail, head, p)
+        sub_node, sub_q = prev_hat.children[_OMITTED_INDEX + 1]
+        point = _moved(sub_q.orientation, sub_node.head, _over(sub_q, den))
+        tail = _moved(ring[0] % 6, point, taus[0])
+        head = _moved(ring[4] % 6, point, taus[4])
+    _check_anchor(n, tail, head, chain)
 
     children = tuple((prev_thc if i == 0 else prev_hat, q)
                      for i, q in enumerate(placements))
-    hat = SupertileNode(HAT, n, children, _LABELS, tail, head)
+    hat = SupertileNode(HAT, n, children, _LABELS, tail, head, den)
     drop = _OMITTED_INDEX + 1  # child index: core at 0, ring from 1
     thc = SupertileNode(
         THC, n,
         children[:drop] + children[drop + 1:],
         _LABELS[:drop] + _LABELS[drop + 1:],
-        tail, head)
+        tail, head, den)
     return hat, thc
 
 
-def build(kind: str, n: int, p: TileParams,
-          layout: LayoutTable) -> SupertileNode:
-    """Assemble the generation-n supertile of the given kind.
+def chain_at(p: TileParams, layout: LayoutTable,
+             chains: dict | None = None) -> Chain:
+    """The chain of `layout` at p: the one `chains`, a call's chains of
+    this layout by shape, holds, else a new one, which `chains` keeps."""
+    if chains is None:
+        return Chain(p, layout)
+    if p not in chains:
+        chains[p] = Chain(p, layout)
+    return chains[p]
+
+
+def build(kind: str, n: int, p: TileParams, layout: LayoutTable,
+          chains: dict | None = None) -> SupertileNode:
+    """Assemble the generation-n supertile of the given kind, extending
+    the chain at p that `chains` holds, if given (see `chain_at`).
 
     Raises ConstructionError when the layout produces anchors that
     disagree with the closed-form supervector or a meeting-rule slot the
@@ -216,24 +307,13 @@ def build(kind: str, n: int, p: TileParams,
         raise ValueError(f"kind must be 'hat' or 'thc', got {kind!r}")
     if n < 1:
         raise ValueError(f"generation must be >= 1, got {n}")
-    *_, (hat, thc) = generations(n, p, layout)
-    return hat if kind == HAT else thc
+    return chain_at(p, layout, chains).node(kind, n)
 
 
 def generations(n: int, p: TileParams, layout: LayoutTable):
-    """Yield (hat, thc) for generations 1..n, each built from the last."""
-    tail = layout.tail1.at(p)
-    head = layout.head1.at(p)
-    _check_anchor(HAT, 1, tail, head, p)
-    hat = SupertileNode(HAT, 1, (), (), tail, head)
-    partner = Placement(layout.partner_rotation_k, layout.partner_reflected,
-                        layout.partner_offset.at(p))
-    thc = SupertileNode(THC, 1, ((hat, IDENTITY), (hat, partner)),
-                        ("hat", "partner"), tail, head)
-    yield hat, thc
-    for gen in range(2, n + 1):
-        hat, thc = _assemble(gen, hat, thc, p, layout)
-        yield hat, thc
+    """Yield (hat, thc) for generations 1..n of a new chain, each built
+    from the last."""
+    return Chain(p, layout).upto(n)
 
 
 def expand(node: SupertileNode,
@@ -312,12 +392,16 @@ def _kite_bits(node: SupertileNode, o: int, width: int, base_cells,
     """The kite cells of `node` at orientation o about its own origin as
     one int, packed about the low corner of the node's box (see
     `packing_width`): the OR of its pieces' ints, each shifted into place
-    (a single hat's pieces are its kites); memoized on the node.  Raises
-    _Fault where a piece's int meets the earlier pieces'.  If `connected`,
-    the same pass also tests, once per node and tile since a rigid motion
-    keeps it, that the pieces touch as one patch, and memoizes whether
-    this node and every node under it do; a disconnection raises nothing,
-    so an overlap anywhere is still found first."""
+    (a single hat's pieces are its kites); memoized on the node.  Each
+    piece's own bits are distinct, so the pieces share no kite exactly
+    when the OR keeps all of them: one `bit_count` against the node's
+    hats per node, and only on a shortfall, or on a fault inside a later
+    piece, does `_name_clash` look for the clash piece by piece.  If
+    `connected`, the same pass also tests, once per node and tile since a
+    rigid motion keeps it, that the pieces touch as one patch, and
+    memoizes whether this node and every node under it do; a
+    disconnection raises nothing, so an overlap anywhere is still found
+    first."""
     memo = node._kites
     key = o, width, base_cells
     contact = connected and base_cells not in memo
@@ -329,32 +413,45 @@ def _kite_bits(node: SupertileNode, o: int, width: int, base_cells,
             pieces = [1 << 6 * ((q - q_lo) * width + r - r_lo) + k
                       for q, r, k in parts]
             acc, parts = sum(pieces), ()
-        for label, child, co, cq, cr in parts:
+        for i, (label, child, co, cq, cr) in enumerate(parts):
             shift = 6 * ((cq - q_lo) * width + cr - r_lo)
             try:
                 bits = _kite_bits(child, co, width, base_cells,
                                   connected) << shift
-            except _Fault as e:
+            except _Fault as e:  # a clash among the earlier pieces is first
+                _name_clash(parts[:i], q_lo, r_lo, width, base_cells)
                 e.labels.append(label)
                 e.bit = None if e.bit is None else e.bit + shift
                 raise
-            if clash := acc & bits:  # name the first piece, lowest kite
-                bit = (clash & -clash).bit_length() - 1
-                first = next(lab for lab, piece, po, pq, pr in parts
-                             if _kite_bits(piece, po, width, base_cells)
-                             << 6 * ((pq - q_lo) * width + pr - r_lo)
-                             >> bit & 1)
-                raise _Fault("", f": pieces {first} and {label} overlap on "
-                             "kite", bit)
             acc |= bits
             if contact:  # else each shifted int is dropped once ORed
                 pieces.append(bits)
+        if acc.bit_count() != len(base_cells) * node.hats:
+            _name_clash(parts, q_lo, r_lo, width, base_cells)
         if contact:
             memo[base_cells] = (
                 all(child._kites[base_cells] for _, child, *_ in parts)
                 and cells_connected(pieces, width))
         memo[key] = acc
     return memo[key]
+
+
+def _name_clash(parts, q_lo: int, r_lo: int, width: int,
+                base_cells) -> None:
+    """Raise _Fault at the first of `parts`, whose ints are made, that
+    meets the ones before it, naming the first piece that holds the
+    lowest kite they share; return if no two meet."""
+    placed = [(label, _kite_bits(child, co, width, base_cells)
+               << 6 * ((cq - q_lo) * width + cr - r_lo))
+              for label, child, co, cq, cr in parts]
+    acc = 0
+    for label, bits in placed:
+        if clash := acc & bits:
+            bit = (clash & -clash).bit_length() - 1
+            first = next(lab for lab, other in placed if other >> bit & 1)
+            raise _Fault("", f": pieces {first} and {label} overlap on "
+                         "kite", bit)
+        acc |= bits
 
 
 def _disconnected_path(node: SupertileNode, base_cells) -> list[str]:
@@ -428,33 +525,36 @@ def _rotation_k(deg: int) -> int:
     return (deg // 60) % 6
 
 
-def _passes_at_once(p: TileParams, layout: LayoutTable,
-                    tile: TileData) -> bool:
-    """True if generations 1-4 assemble with their hat counts, every one
-    of their eight supertiles passes the size guard, and one connected
-    kite pass over hat-4 and thc-4, at one packing width, finds no fault:
-    every node of generations 1-4 lies under those two, and the 12 turns
-    keep overlap, lattice membership and contact."""
+def _checked_chain(p: TileParams, layout: LayoutTable,
+                   tile: TileData) -> Chain | None:
+    """The chain of generations 1-4 if they assemble with their hat
+    counts, every one of their eight supertiles passes the size guard,
+    and one connected kite pass over hat-4 and thc-4, at one packing
+    width, finds no fault, else None: every node of generations 1-4 lies
+    under those two, and the 12 turns keep overlap, lattice membership
+    and contact."""
     try:
+        chain = Chain(p, layout)
         nodes = []
-        for gen, pair in enumerate(generations(4, p, layout), 1):
+        for gen, pair in enumerate(chain.upto(4), 1):
             if any(node.hats != tile_counts(node.kind, gen) for node in pair):
-                return False
+                return None
             nodes += pair
         if any(_too_sparse(node, tile.cells) for node in nodes):
-            return False
+            return None
         boxes = [_kite_box(node, 0, tile.cells)[0] for node in nodes[-2:]]
         width = packing_width(max(r_hi - r_lo for _, _, r_lo, r_hi in boxes))
         for node in nodes[-2:]:
             _kite_bits(node, 0, width, tile.cells, connected=True)
             if not node._kites[tile.cells]:
-                return False
+                return None
     except (ConstructionError, _Fault):
-        return False
-    return True
+        return None
+    return chain
 
 
-def layout_from_config(text: str, tile: TileData) -> LayoutTable:
+def layout_from_config(text: str, tile: TileData,
+                       chains: dict | None = None) -> LayoutTable:
     """Parse and fully validate a layout config.
 
     Validation is structural (ring size, rotation multiples) and then
@@ -462,8 +562,10 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
     and checked for tile counts, kite disjointness, connectivity, and the
     closed-form supervector.  The kites of all four generations are
     checked in one pass over hat-4 and thc-4; only if assembly or that
-    pass fails is each generation checked in turn, so a fault is worded,
-    ordered and bounded in memory as by a check of each supertile.
+    pass fails is each generation checked in turn, on a fresh chain, so a
+    fault is worded, ordered and bounded in memory as by a check of each
+    supertile.  `chains`, if given, keeps the checked chain under its
+    shape (see `chain_at`), for the call to extend.
     """
     cfg = parse_config(text)
     layout = LayoutTable(
@@ -487,7 +589,9 @@ def layout_from_config(text: str, tile: TileData) -> LayoutTable:
         raise ConstructionError(
             f"tile outline area {area} is not 8 kite units at hat "
             f"proportions")
-    if _passes_at_once(p, layout, tile):
+    if chain := _checked_chain(p, layout, tile):
+        if chains is not None:
+            chains[p] = chain
         return layout
     # a fault: a fresh lazy chain finds the first one, each generation
     # checked in full before the next is made

@@ -8,18 +8,20 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hatfam import checks, configfile
+from hatfam import checks, configfile, substitution
 from hatfam.cli import main
 from hatfam.exactnum import QSqrt3, VecE
 from hatfam.sequences import g_recurrence
 from hatfam.substitution import check_kites, expand, measured_supervector
 from hatfam.supervectors import (
     AngleTan,
+    TileParams,
     hat_params,
     make_params,
     tan_between,
@@ -185,6 +187,44 @@ def test_build_checks_the_unit_patch_at_any_hat_scale(monkeypatch, capsys):
     assert measured_supervector(seen[0]) == v_closed(3, hat_params())
     assert "PASS disjoint: 440 kite cells, no overlap" in \
         capsys.readouterr().out
+
+
+def test_a_build_call_assembles_each_supertile_once(monkeypatch, capsys):
+    # layout validation's chain at the hat is the one the kite check
+    # extends, and the chain at the asked shape is a second: no (generation,
+    # shape) is assembled twice in one call, and a second call starts over
+    made = []
+    assemble = substitution._assemble
+
+    def spy(n, *args):
+        pair = assemble(n, *args)
+        # the shape is the chain's, or an argument of its own
+        shape = next(getattr(arg, "p", arg) for arg in args
+                     if isinstance(getattr(arg, "p", arg), TileParams))
+        made.append(((n, shape), pair))
+        return pair
+
+    def reached(pairs):
+        found, stack = {}, [node for _, pair in pairs for node in pair]
+        while stack:
+            node = stack.pop()
+            if id(node) not in found:
+                found[id(node)] = node
+                stack += [child for child, _ in node.children]
+        return found
+
+    monkeypatch.setattr(substitution, "_assemble", spy)
+    argv = ["build", "hat", "5", "-a", "2", "-b", "2*r3"]
+    assert main(argv) == 0
+    assert "PASS disjoint: 20672 kite cells, no overlap" in \
+        capsys.readouterr().out
+    scaled = make_params(QSqrt3(2), QSqrt3(0, 2))
+    assert sorted(Counter(key for key, _ in made).items(), key=str) == \
+        sorted([((n, p), 1) for n in range(2, 6)
+                for p in (hat_params(), scaled)], key=str)
+    first, made[:] = list(made), []
+    assert main(argv) == 0
+    assert not reached(first).keys() & reached(made).keys()
 
 
 def test_build_skips_disjoint_off_proportion(capsys):

@@ -48,6 +48,9 @@ from hatfam.substitution import HAT, THC, SupertileNode, build, \
     check_kites, expand
 from hatfam.supervectors import hat_params, make_params
 
+# a hand-made node's anchors, as Q(zeta) coordinates
+ORIGIN = (0, 0, 0, 0)
+
 
 def _poly(*xy):
     """The polygon with these integer vertex coordinates."""
@@ -632,9 +635,9 @@ def test_disjoint_cells_returns_the_covered_cells(layout, tile):
 
 def _compound(partner: Placement) -> SupertileNode:
     """A generation-1 compound: a hat at the origin and one at partner."""
-    hat = SupertileNode(HAT, 1, (), (), VEC_ZERO, VEC_ZERO)
+    hat = SupertileNode(HAT, 1, (), (), ORIGIN, ORIGIN)
     return SupertileNode(THC, 1, ((hat, IDENTITY), (hat, partner)),
-                         ("hat", "partner"), VEC_ZERO, VEC_ZERO)
+                         ("hat", "partner"), ORIGIN, ORIGIN)
 
 
 def test_check_kites_names_the_clash(tile):

@@ -19,6 +19,8 @@ from hatfam.substitution import HAT, THC, SupertileNode, build, expand
 from hatfam.supervectors import make_params
 
 FLOAT = re.compile(r"-?\d+\.\d+")
+# a hand-made node's anchors, as Q(zeta) coordinates
+ORIGIN = (0, 0, 0, 0)
 
 
 def _tags(svg: str, name: str) -> list[ET.Element]:
@@ -123,7 +125,7 @@ def test_options_reject_non_finite(field, flag, value, tmp_path, capsys):
 
 
 def test_rejects_hand_made_nodes(hat_p):
-    bare = SupertileNode(THC, 1, (), (), VEC_ZERO, VEC_ZERO)
+    bare = SupertileNode(THC, 1, (), (), ORIGIN, ORIGIN)
     with pytest.raises(ValueError, match="build"):
         render_supertile(bare, hat_p)
 

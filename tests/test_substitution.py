@@ -2,6 +2,7 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from hatfam import substitution
 from hatfam.configfile import load_text
-from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE
+from hatfam.exactnum import SQRT3, QSqrt3, VecE, rotate60
 from hatfam.geometry import (
     IDENTITY,
     LatticeError,
@@ -39,6 +40,9 @@ from hatfam.substitution import (
     search_layout,
 )
 from hatfam.supervectors import make_params, v_closed
+
+# a hand-made node's anchors, as Q(zeta) coordinates
+ORIGIN = (0, 0, 0, 0)
 
 VARIED = [
     (QSqrt3(1), QSqrt3(0, 1)),
@@ -80,7 +84,7 @@ def test_layout_round_trips_through_replace(layout):
 def test_supertile_nodes_compare_by_identity(layout, hat_p):
     node = build(HAT, 2, hat_p, layout)
     twin = SupertileNode(node.kind, node.generation, node.children,
-                         node.labels, node.v_tail, node.v_head)
+                         node.labels, node.tail, node.head, node.den)
     assert twin != node and len({node, twin}) == 2
     assert twin.hats == node.hats
 
@@ -174,11 +178,20 @@ def test_meeting_slot_mismatch(layout, hat_p):
         build(HAT, 3, hat_p, turned)
 
 
-def test_anchor_mismatch(layout, hat_p):
+def test_anchor_mismatch(layout):
+    # the integer anchors are worded as the VecE they stand for
     shifted = layout._replace(tail2=FormVec(
         layout.tail2.u + VecE(QSqrt3(1), QSqrt3(0)), layout.tail2.w))
-    with pytest.raises(ConstructionError, match="anchor mismatch"):
-        build(HAT, 2, hat_p, shifted)
+    for (a, b), got, want in zip(VARIED, [
+            "VecE(2, 7*r3)", "VecE(-5+9/2*r3, 21/2+7*r3)",
+            "VecE(-35/6+3/4*r3, 7/4+49/6*r3)"], [
+            "VecE(3, 7*r3)", "VecE(-3+9/2*r3, 21/2+7*r3)",
+            "VecE(-7/2+3/4*r3, 7/4+49/6*r3)"]):
+        with pytest.raises(ConstructionError) as caught:
+            build(HAT, 2, make_params(a, b), shifted)
+        assert str(caught.value) == (
+            f"generation 2: anchor mismatch: hat head minus tail is {got}, "
+            f"closed form gives {want}")
 
 
 def test_build_input_validation(layout, hat_p):
@@ -271,15 +284,15 @@ def _turned_miss(rotation_k, reflected) -> SupertileNode:
     """A hand-made generation-2 node whose compound piece P1, placed by
     (rotation_k, reflected), holds a partner off the hexagon lattice; a
     third hat after it is off the lattice too."""
-    hat = SupertileNode(HAT, 1, (), (), VEC_ZERO, VEC_ZERO)
+    hat = SupertileNode(HAT, 1, (), (), ORIGIN, ORIGIN)
     off = Placement(1, False, VecE(QSqrt3(1), QSqrt3(0, 1)))
     pair = SupertileNode(THC, 1, ((hat, IDENTITY), (hat, off)),
-                         ("hat", "partner"), VEC_ZERO, VEC_ZERO)
+                         ("hat", "partner"), ORIGIN, ORIGIN)
     return SupertileNode(
         HAT, 2, ((hat, IDENTITY),
                  (pair, Placement(rotation_k, reflected, U1 * 2 - U2)),
                  (hat, Placement(0, False, VecE(QSqrt3(1), QSqrt3(0))))),
-        ("T", "P1", "P2"), VEC_ZERO, VEC_ZERO)
+        ("T", "P1", "P2"), ORIGIN, ORIGIN)
 
 
 @pytest.mark.parametrize("rotation_k,reflected,vector", [
@@ -326,6 +339,52 @@ def test_passing_check_composes_no_placement(layout, tile, hat_p,
         assert calls == [] and len(shifts) <= edges == 61
 
 
+def test_two_clashes_are_named_in_piece_order(layout, tile, hat_p):
+    # the generation-2 fourth piece moved by U1 - U2 meets P3, and the
+    # ring's last piece meets the core: the clash named is the one a
+    # check piece by piece meets first, on either kind
+    cand = layout._replace(p4_gen2=FormVec(
+        layout.p4_gen2.u + U1 - U2, layout.p4_gen2.w))
+    for connected in (False, True):
+        assert check_kites(build(HAT, 2, hat_p, cand), tile, connected) == (
+            False, "hat-2: pieces P3 and P4 overlap on kite "
+                   "KiteCell(hex_q=3, hex_r=-2, corner_k=0)")
+        assert check_kites(build(THC, 2, hat_p, cand), tile, connected) == (
+            False, "thc-2: pieces T and P6 overlap on kite "
+                   "KiteCell(hex_q=1, hex_r=0, corner_k=0)")
+
+
+def test_a_clash_is_named_before_a_fault_in_a_later_piece(tile):
+    # T and P1 overlap, and the later piece P2, a compound of its own,
+    # holds a clash inside: the earlier clash comes first, as it would
+    # piece by piece, whichever piece the count check meets
+    hat = SupertileNode(HAT, 1, (), (), ORIGIN, ORIGIN)
+    bad = SupertileNode(THC, 1, ((hat, IDENTITY), (hat, IDENTITY)),
+                        ("hat", "partner"), ORIGIN, ORIGIN)
+    node = SupertileNode(
+        HAT, 2, ((hat, IDENTITY), (hat, Placement(0, False, U2)),
+                 (bad, Placement(0, False, U1 * 5))),
+        ("T", "P1", "P2"), ORIGIN, ORIGIN)
+    for connected in (False, True):
+        assert _matches_flat(node, tile, connected) == (
+            False, "hat-2: pieces T and P1 overlap on kite "
+                   "KiteCell(hex_q=0, hex_r=1, corner_k=5)")
+    assert check_kites(bad, tile) == (
+        False, "thc-1: pieces hat and partner overlap on kite "
+               "KiteCell(hex_q=0, hex_r=0, corner_k=0)")
+
+
+def test_a_passing_check_looks_for_no_clash(layout, tile, hat_p,
+                                             monkeypatch):
+    # one bit count per int decides a pass: no piece is ANDed
+    def never(*args):
+        raise AssertionError("a passing check looked for a clash")
+    monkeypatch.setattr(substitution, "_name_clash", never)
+    for connected in (False, True):
+        assert check_kites(build(HAT, 6, hat_p, layout), tile, connected) \
+            == (True, "141688 kite cells, no overlap")
+
+
 def _p2_on_p1(hat_p, layout) -> SupertileNode:
     """Hat 5 with P2 put on P1's placement: the clash lies between two
     generation-4 pieces, above any shared sub-supertile."""
@@ -334,19 +393,19 @@ def _p2_on_p1(hat_p, layout) -> SupertileNode:
     p1, p2 = hat5.labels.index("P1"), hat5.labels.index("P2")
     children[p2] = children[p2][0], children[p1][1]
     return SupertileNode(hat5.kind, hat5.generation, tuple(children),
-                         hat5.labels, hat5.v_tail, hat5.v_head)
+                         hat5.labels, hat5.tail, hat5.head, hat5.den)
 
 
 def _bridged_compound() -> SupertileNode:
     """A hand-made generation-2 node: a compound whose partner lies three
     lattice steps from its hat, beside a third hat that touches both."""
-    hat = SupertileNode(HAT, 1, (), (), VEC_ZERO, VEC_ZERO)
+    hat = SupertileNode(HAT, 1, (), (), ORIGIN, ORIGIN)
     pair = SupertileNode(
         THC, 1, ((hat, IDENTITY), (hat, Placement(0, False, U2 - U1 * 3))),
-        ("hat", "partner"), VEC_ZERO, VEC_ZERO)
+        ("hat", "partner"), ORIGIN, ORIGIN)
     return SupertileNode(
         HAT, 2, ((pair, IDENTITY), (hat, Placement(2, True, U2 - U1))),
-        ("T", "P1"), VEC_ZERO, VEC_ZERO)
+        ("T", "P1"), ORIGIN, ORIGIN)
 
 
 def test_check_kites_expands_no_hat(layout, tile, hat_p, monkeypatch):
@@ -388,7 +447,7 @@ def test_overlap_is_named_before_an_earlier_disconnection(tile):
     # any disconnection
     (pair, core), piece = _bridged_compound().children
     node = SupertileNode(HAT, 2, ((pair, core), piece, piece),
-                         ("T", "P1", "P2"), VEC_ZERO, VEC_ZERO)
+                         ("T", "P1", "P2"), ORIGIN, ORIGIN)
     message = ("hat-2: pieces P1 and P2 overlap on kite "
                "KiteCell(hex_q=-2, hex_r=1, corner_k=0)")
     assert _matches_flat(node, tile, True) == (False, message)
@@ -645,9 +704,9 @@ def test_far_compound_matches_the_flat_check(tile, monkeypatch, m, n):
     # refused before any bitset is made
     monkeypatch.setattr(substitution, "_kite_bits", None)
     partner = Placement(0, False, U1 * m + U2 * n)
-    hat = SupertileNode(HAT, 1, (), (), VEC_ZERO, VEC_ZERO)
+    hat = SupertileNode(HAT, 1, (), (), ORIGIN, ORIGIN)
     node = SupertileNode(THC, 1, ((hat, IDENTITY), (hat, partner)),
-                         ("hat", "partner"), VEC_ZERO, VEC_ZERO)
+                         ("hat", "partner"), ORIGIN, ORIGIN)
     assert _flat_check(node, tile, False) == \
         (True, "16 kite cells, no overlap")
     for connected in (False, True):
@@ -655,3 +714,85 @@ def test_far_compound_matches_the_flat_check(tile, monkeypatch, m, n):
         assert not ok and re.fullmatch(
             r"thc-1: patch too sparse for the kite check: \d+ bits for 2 "
             r"hats, over 256 per hat", detail)
+
+
+# ------------------------------------------ integer assembly against VecE
+
+# The reference below assembles as `substitution` did before its anchors
+# and ring translations were Q(zeta) integers: VecE sums, turned by
+# rotate60, each form evaluated where it is used.
+
+class _RefNode(NamedTuple):
+    children: tuple  # (node, placement) pairs
+    v_tail: VecE
+    v_head: VecE
+    hats: int
+
+
+def _ref_node(children, tail, head):
+    return _RefNode(children, tail, head,
+                    sum(child.hats for child, _ in children))
+
+
+def _ref_assemble(n, prev_hat, prev_thc, p, layout):
+    placements, head_world = [IDENTITY], None
+    for i, k in enumerate(layout.ring):
+        if i == 0:
+            tau = prev_thc.v_tail - rotate60(prev_hat.v_tail, k)
+        elif i != 3:
+            tau = head_world - rotate60(prev_hat.v_tail, k)
+        elif n == 2:
+            tau = layout.p4_gen2.at(p)
+        else:
+            tau = prev_hat.children[3][1].translation
+        placements.append(Placement(k, False, tau))
+        head_world = tau + rotate60(prev_hat.v_head, k)
+    if n == 2:
+        tail, head = layout.tail2.at(p), layout.head2.at(p)
+    else:
+        sub, sub_q = prev_hat.children[3]
+        point = sub_q.apply(sub.v_head)
+        tail, head = placements[1].apply(point), placements[5].apply(point)
+    assert head - tail == v_closed(n, p)
+    children = tuple((prev_thc if i == 0 else prev_hat, q)
+                     for i, q in enumerate(placements))
+    return (_ref_node(children, tail, head),
+            _ref_node(children[:3] + children[4:], tail, head))
+
+
+def _ref_generations(n, p, layout):
+    tail, head = layout.tail1.at(p), layout.head1.at(p)
+    assert head - tail == v_closed(1, p)
+    hat = _RefNode((), tail, head, 1)
+    partner = Placement(layout.partner_rotation_k, layout.partner_reflected,
+                        layout.partner_offset.at(p))
+    out = [(hat, _ref_node(((hat, IDENTITY), (hat, partner)), tail, head))]
+    for gen in range(2, n + 1):
+        out.append(_ref_assemble(gen, *out[-1], p, layout))
+    return out
+
+
+_RATIONAL = st.builds(Fraction, st.integers(1, 60), st.integers(1, 12))
+_SIGNED = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+_FIELD = st.builds(QSqrt3, _SIGNED, _SIGNED).filter(lambda x: x.sign() > 0)
+_SHAPES = st.one_of(
+    st.tuples(_RATIONAL.map(QSqrt3), _RATIONAL.map(QSqrt3)),
+    st.tuples(_FIELD, _FIELD),
+    # b = k*sqrt(3)*a: hat proportions at k = 1
+    st.builds(lambda a, k: (a, a * SQRT3 * k), _FIELD, _RATIONAL))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_SHAPES)
+def test_integer_assembly_matches_the_vece_reference(layout, shape):
+    p = make_params(*shape)
+    got = list(generations(5, p, layout))
+    want = _ref_generations(5, p, layout)
+    for gen, (pair, ref_pair) in enumerate(zip(got, want), 1):
+        for node, ref in zip(pair, ref_pair):
+            assert node.hats == ref.hats == tile_counts(node.kind, gen)
+            assert (node.v_tail, node.v_head) == (ref.v_tail, ref.v_head)
+            assert [(q.orientation, q.coords, q.den, child.hats)
+                    for child, q in node.children] == \
+                [(q.orientation, q.coords, q.den, child.hats)
+                 for child, q in ref.children]
