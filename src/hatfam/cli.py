@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from .configfile import ConfigError, load_text
-from .exactnum import QSqrt3, parse_scalar, render_scalar
+from .exactnum import ONE, SQRT3, QSqrt3, parse_scalar, render_scalar
 from .geometry import GeometryError, tile_from_config
 from .sequences import fib, g_closed, g_recurrence, lucas, tile_counts
 from .substitution import (
@@ -279,10 +279,10 @@ def cmd_verify(args) -> int:
 
 def _add_common(sub, params=True):
     if params:
-        sub.add_argument("-a", type=_scalar, default=parse_scalar("1"),
+        sub.add_argument("-a", type=_scalar, default=ONE,
                          metavar="SCALAR",
                          help="edge length a (default 1)")
-        sub.add_argument("-b", type=_scalar, default=parse_scalar("r3"),
+        sub.add_argument("-b", type=_scalar, default=SQRT3,
                          metavar="SCALAR",
                          help="edge length b (default r3, the hat)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
@@ -293,22 +293,33 @@ def _add_common(sub, params=True):
                           "(or set HATFAM_DATA_DIR)")
 
 
+def _command_parser(parse: bool, **kwargs) -> argparse.ArgumentParser | None:
+    """The `parser_class` of the command subparsers.  argparse asks it for
+    one parser per command, but keeps each command's choice and help line
+    in a pseudo-action of its own, so a command that is not invoked, and
+    is never parsed or shown, gets None (`parse` is False) and no parser."""
+    return argparse.ArgumentParser(**kwargs) if parse else None
+
+
 def _build_parser(argv) -> argparse.ArgumentParser:
     """The parser for `argv`: every command is listed, but only the one
-    argv names, its first item not starting with "-", gets its arguments.
-    The top level takes no option with a value, so argparse reads the
-    command from that item or fails before any command's arguments."""
+    argv names, its first item not starting with "-", gets a parser and
+    its arguments.  The top level takes no option with a value, so
+    argparse reads the command from that item or fails before any
+    command's arguments."""
     parser = argparse.ArgumentParser(
         prog="hatfam",
         description="Supertiles, supervectors, and rotation angles of the "
                     "Tile(a,b) hat family.")
-    subs = parser.add_subparsers(dest="command", required=True)
+    # prog is the prefix argparse would format from the top level's usage,
+    # which has no positionals
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 prog=parser.prog,
+                                 parser_class=_command_parser)
     invoked = next((arg for arg in argv if not arg.startswith("-")), None)
 
     def command(name, text):
-        # a command not invoked is never parsed or shown, so it needs no -h
-        sub = subs.add_parser(name, help=text, add_help=name == invoked)
-        return sub if name == invoked else None
+        return subs.add_parser(name, help=text, parse=name == invoked)
 
     if seq := command("sequence", "print fib, lucas, or g terms"):
         seq.add_argument("kind", choices=("fib", "lucas", "g"))

@@ -6,11 +6,12 @@ d > 0 and gcd(a, b, d) = 1, so each value has exactly one stored form.
 At hat scale d is 1 or 2: sums of equal denominators skip the
 cross-multiplication, products skip the gcd when d = 1, and signs compare
 a^2 with 3 b^2 on ints.  The rational parts r = a/d and s = b/d are
-Fractions, made on request for the parse and render edges.  Nothing here
-ever rounds; floats only appear on explicit conversion at the edges
-(angle evaluation, SVG emission).  QSqrt3(r, s) is the one constructor
-and takes only ints and Fractions, so no float or string enters the
-field.  There is no ordering: x < y is written (x - y).sign() < 0.
+Fractions, made on request for the render edge; `parse_scalar` reads its
+text straight to (a, b, d).  Nothing here ever rounds; floats only
+appear on explicit conversion at the edges (angle evaluation, SVG
+emission).  QSqrt3(r, s) is the one constructor and takes only ints and
+Fractions, so no float or string enters the field.  There is no
+ordering: x < y is written (x - y).sign() < 0.
 """
 
 from __future__ import annotations
@@ -200,66 +201,55 @@ SQRT3 = QSqrt3(0, 1)
 _RAT_RE = re.compile(r"-?\d+(?:/\d+)?")
 
 
-def _parse_rational(text: str, pos: int) -> tuple[Fraction, int]:
+def _parse_term(text: str, pos: int) -> tuple[int, int, bool, int]:
+    """One term: RAT, RAT [*] r3, or bare [-]r3.  Returns (numerator,
+    denominator, is_root, end), the denominator positive."""
+    if text.startswith("r3", pos):
+        return 1, 1, True, pos + 2
+    if text.startswith("-r3", pos):
+        return -1, 1, True, pos + 3
     m = _RAT_RE.match(text, pos)
     if m is None:
         raise ScalarParseError(text, pos, "expected a rational number")
-    token = m.group()
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise ScalarParseError(text, pos, "zero denominator")
-        value = Fraction(int(num), int(den))
-    else:
-        value = Fraction(int(token))
-    return value, m.end()
-
-
-def _parse_term(text: str, pos: int) -> tuple[Fraction, bool, int]:
-    """One term: RAT, RAT [*] r3, or bare [-]r3.  Returns (coef, is_root, end)."""
-    if text.startswith("r3", pos):
-        return Fraction(1), True, pos + 2
-    if text.startswith("-r3", pos):
-        return Fraction(-1), True, pos + 3
-    value, pos = _parse_rational(text, pos)
-    if pos < len(text) and text[pos] == "*":
+    num, _, den = m.group().partition("/")
+    den = int(den) if den else 1
+    if not den:
+        raise ScalarParseError(text, pos, "zero denominator")
+    num, pos = int(num), m.end()
+    if text.startswith("*", pos):
         if not text.startswith("r3", pos + 1):
             raise ScalarParseError(text, pos + 1, "expected 'r3' after '*'")
-        return value, True, pos + 3
+        return num, den, True, pos + 3
     if text.startswith("r3", pos):
-        return value, True, pos + 2
-    return value, False, pos
+        return num, den, True, pos + 2
+    return num, den, False, pos
 
 
 def parse_scalar(text: str) -> QSqrt3:
-    """Parse 'p/q', 'r/s*r3' or 'p/q+r/s*r3' ('r3' denotes sqrt(3))."""
+    """Parse 'p/q', 'r/s*r3' or 'p/q+r/s*r3' ('r3' denotes sqrt(3)): the
+    terms are read as int fractions and put over one denominator, which
+    `_reduced` brings to lowest terms once."""
     if not text:
         raise ScalarParseError(text, 0, "empty scalar")
-    coef, is_root, pos = _parse_term(text, 0)
-    rat_part = Fraction(0)
-    root_part = Fraction(0)
-    if is_root:
-        root_part = coef
-    else:
-        rat_part = coef
+    num, den, is_root, pos = _parse_term(text, 0)
+    a, ad, b, bd = (0, 1, num, den) if is_root else (num, den, 0, 1)
     if pos < len(text):
         op = text[pos]
         if op not in "+-":
             raise ScalarParseError(text, pos, "expected '+', '-' or end of input")
         start = pos + 1
-        coef, is_root2, pos = _parse_term(text, start)
-        if op == "-":
-            coef = -coef
+        b, bd, is_root2, pos = _parse_term(text, start)
         if not is_root2:
             if is_root:
                 raise ScalarParseError(text, start, "rational term must come first")
             raise ScalarParseError(text, start, "duplicate rational term")
         if is_root:
             raise ScalarParseError(text, start, "duplicate sqrt(3) term")
-        root_part = coef
+        if op == "-":
+            b = -b
     if pos != len(text):
         raise ScalarParseError(text, pos, "trailing input")
-    return QSqrt3(rat_part, root_part)
+    return _reduced(a * bd, b * ad, ad * bd)
 
 
 def _render_rational(value: Fraction) -> str:

@@ -108,11 +108,6 @@ class Placement:
     def translation(self) -> VecE:
         return zeta_vector(self.coords, self.den)
 
-    def apply(self, v: VecE) -> VecE:
-        if self.reflected:
-            v = reflect_y_axis(v)
-        return rotate60(v, self.rotation_k) + self.translation
-
     def compose(self, inner: "Placement") -> "Placement":
         """The motion equal to applying `inner` first, then `self`."""
         o = self.orientation
@@ -446,13 +441,21 @@ def disjoint_cells(placements, base_cells):
     return True, seen.keys()
 
 
-class TileData(NamedTuple):
+class TileData:
     """Tile description loaded from a config file: the boundary walk as
-    TurtleSteps plus the kite cells the tile covers at hat parameters."""
+    TurtleSteps plus the kite cells the tile covers at hat parameters.
 
-    steps: tuple
-    heading_k30: int
-    cells: frozenset
+    `outline(p)` traces and validates the boundary at p; `kept_outline(p)`
+    traces each shape once per TileData and keeps it, so a command, which
+    loads its tile once, traces the outline layout validation checked
+    only once.
+    """
+
+    def __init__(self, steps: tuple, heading_k30: int, cells: frozenset):
+        self.steps = steps
+        self.heading_k30 = heading_k30
+        self.cells = cells
+        self._outlines = {}
 
     def outline(self, p: TileParams) -> Outline:
         """Trace and validate the tile boundary at the given parameters."""
@@ -461,6 +464,12 @@ class TileData(NamedTuple):
         if shoelace_area(o).sign() <= 0:
             raise GeometryError("tile outline is not counterclockwise")
         return o
+
+    def kept_outline(self, p: TileParams) -> Outline:
+        """`outline(p)`, traced the first time this tile is asked for it."""
+        if p not in self._outlines:
+            self._outlines[p] = self.outline(p)
+        return self._outlines[p]
 
 
 def tile_from_config(text: str) -> TileData:

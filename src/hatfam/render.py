@@ -182,7 +182,7 @@ def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
 def _oriented(pts, o: int) -> list[tuple[int, int, int, int]]:
     """`int_points` points over D under orientation o, before translation,
     as `int_points` over 2D: reflected across the y axis for o >= 6, then
-    turned o % 6 times by 60 degrees, as `Placement.apply` does."""
+    turned o % 6 times by 60 degrees, as a placement moves a point."""
     c, s = _TURNS[o % 6]
     m = -1 if o >= 6 else 1
     # sqrt3*(ya + yb*sqrt3) = 3yb + ya*sqrt3, and likewise for x
@@ -318,7 +318,7 @@ def render_supertile(node: SupertileNode, p: TileParams,
             "the kite grid exists only at hat proportions (b = sqrt(3)*a)")
     if tile is None:
         tile = tile_from_config(load_text("tile.cfg"))
-    outline = tile.outline(p)
+    outline = tile.kept_outline(p)
 
     placed = list(expand(node))
     # each distinct coordinate is formatted once per figure and axis.  A

@@ -20,7 +20,8 @@ bit count shows whether they overlap; touching connected pieces make a
 connected node; a failure's path is joined as it unwinds.
 `layout_from_config` checks generations 1-4 with one such pass over
 hat-4 and thc-4, and hands that chain to the call.  `expand` walks every
-single hat; it runs only to draw.
+single hat, only to draw: on Q(zeta) int steps, which it turns once per
+(node, orientation), making a Placement per hat and none per edge.
 """
 
 from __future__ import annotations
@@ -182,6 +183,8 @@ def _moved(o: int, c: tuple, t: tuple) -> tuple:
 
 def _over(q: Placement, den: int) -> tuple:
     """q's translation over den, a multiple of q.den."""
+    if q.den == den:
+        return q.coords
     return tuple(c * (den // q.den) for c in q.coords)
 
 
@@ -318,15 +321,42 @@ def generations(n: int, p: TileParams, layout: LayoutTable):
 
 def expand(node: SupertileNode,
            placement: Placement = IDENTITY) -> Iterator[tuple[Placement, bool]]:
-    """Yield (absolute placement, is_reflected) for every hat, depth first."""
-    stack = [(node, placement)]
+    """Yield (absolute placement, is_reflected) for every hat, depth first.
+
+    Translations are Q(zeta) ints over one denominator, the lcm of the
+    placements' in the DAG, so a hat's is its start's plus one step per
+    edge on its path: each (node, orientation) turns its children's steps
+    once per call, and each edge costs four int adds.  A Placement is made
+    only for each hat."""
+    den, seen, todo = placement.den, set(), [node]
+    while todo:
+        cur = todo.pop()
+        if id(cur) not in seen:
+            seen.add(id(cur))
+            for child, q in cur.children:
+                den = lcm(den, q.den)
+                todo.append(child)
+    # per node, its children last first with their translations over den;
+    # per (node, orientation), the same with each translation turned
+    over, turned = {}, {}
+    stack = [(node, placement.orientation, *_over(placement, den))]
     while stack:
-        node, placement = stack.pop()
+        node, o, t0, t1, t2, t3 = stack.pop()
         if not node.children:
-            yield placement, placement.orientation >= 6
-        else:
-            stack += [(child, placement.compose(q))
-                      for child, q in reversed(node.children)]
+            yield (_placement(o, (t0, t1, t2, t3), 1) if den == 1 else
+                   _placement(o, *reduced_coords(t0, t1, t2, t3, den))), o >= 6
+            continue
+        steps = turned.get((node, o))
+        if steps is None:
+            if node not in over:
+                over[node] = [(child, q.orientation, _over(q, den))
+                              for child, q in reversed(node.children)]
+            turn = _PRODUCT[o]
+            steps = turned[node, o] = [
+                (child, turn[co], *_moved(o, c, (0, 0, 0, 0)))
+                for child, co, c in over[node]]
+        stack += [(child, co, t0 + s0, t1 + s1, t2 + s2, t3 + s3)
+                  for child, co, s0, s1, s2, s3 in steps]
 
 
 # _TURNS[o]: the cells at (1, 0) and (0, 1) turned by orientation o, as
@@ -584,7 +614,7 @@ def layout_from_config(text: str, tile: TileData,
     layout.validate_structure()
     # the constructive half: generations 1..4 at hat proportions
     p = hat_params()
-    area = shoelace_area(tile.outline(p))
+    area = shoelace_area(tile.kept_outline(p))
     if area != p.a * p.b * 8:
         raise ConstructionError(
             f"tile outline area {area} is not 8 kite units at hat "

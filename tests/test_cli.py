@@ -17,6 +17,7 @@ import pytest
 from hatfam import checks, configfile, substitution
 from hatfam.cli import main
 from hatfam.exactnum import QSqrt3, VecE
+from hatfam.geometry import TileData
 from hatfam.sequences import g_recurrence
 from hatfam.substitution import check_kites, expand, measured_supervector
 from hatfam.supervectors import (
@@ -164,6 +165,45 @@ def test_a_call_adds_arguments_only_for_its_command(monkeypatch, capsys):
     assert main(["build", "hat", "1"]) == 0
     assert "PASS counts" in capsys.readouterr().out
     assert len(calls) <= 15
+
+
+def test_a_call_makes_a_parser_only_for_its_command(monkeypatch, capsys):
+    # the top level and build: the four commands not invoked get no
+    # parser object, and with one each a call made six
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["build", "hat", "1"]) == 0
+    assert "PASS counts" in capsys.readouterr().out
+    assert made == ["hatfam", "hatfam build"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "hat", "3"],
+    ["verify", "--max-gen", "3"],
+])
+def test_a_call_traces_the_hat_outline_once(argv, monkeypatch, tmp_path,
+                                            capsys):
+    # layout validation traces the outline at the hat; render at a = 1,
+    # and verify's outline and renderer items, reuse it.  A trace per use
+    # made two for render and four for verify
+    traced = []
+    outline = TileData.outline
+
+    def spy(self, p):
+        traced.append(p)
+        return outline(self, p)
+
+    monkeypatch.setattr(TileData, "outline", spy)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert traced.count(hat_params()) == 1
 
 
 @pytest.mark.parametrize("a,b", [("1/2", "1/2*r3"), ("2+r3", "3+2*r3")])

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,114 @@ def test_parse_scalar_grammar(text, r, s):
 def test_parse_scalar_rejects(bad):
     with pytest.raises(ScalarParseError):
         parse_scalar(bad)
+
+
+def _fraction_parse_scalar(text: str) -> QSqrt3:
+    """The Fraction-based parser that `parse_scalar` replaced, kept as its
+    oracle: one Fraction per term, one QSqrt3(r, s) at the end."""
+    def rational(pos):
+        m = re.compile(r"-?\d+(?:/\d+)?").match(text, pos)
+        if m is None:
+            raise ScalarParseError(text, pos, "expected a rational number")
+        token = m.group()
+        if "/" in token:
+            num, den = token.split("/")
+            if int(den) == 0:
+                raise ScalarParseError(text, pos, "zero denominator")
+            return Fraction(int(num), int(den)), m.end()
+        return Fraction(int(token)), m.end()
+
+    def term(pos):
+        if text.startswith("r3", pos):
+            return Fraction(1), True, pos + 2
+        if text.startswith("-r3", pos):
+            return Fraction(-1), True, pos + 3
+        value, pos = rational(pos)
+        if pos < len(text) and text[pos] == "*":
+            if not text.startswith("r3", pos + 1):
+                raise ScalarParseError(text, pos + 1,
+                                       "expected 'r3' after '*'")
+            return value, True, pos + 3
+        if text.startswith("r3", pos):
+            return value, True, pos + 2
+        return value, False, pos
+
+    if not text:
+        raise ScalarParseError(text, 0, "empty scalar")
+    coef, is_root, pos = term(0)
+    rat_part, root_part = (Fraction(0), coef) if is_root else (coef, 0)
+    if pos < len(text):
+        op = text[pos]
+        if op not in "+-":
+            raise ScalarParseError(text, pos,
+                                   "expected '+', '-' or end of input")
+        start = pos + 1
+        coef, is_root2, pos = term(start)
+        if op == "-":
+            coef = -coef
+        if not is_root2:
+            if is_root:
+                raise ScalarParseError(text, start,
+                                       "rational term must come first")
+            raise ScalarParseError(text, start, "duplicate rational term")
+        if is_root:
+            raise ScalarParseError(text, start, "duplicate sqrt(3) term")
+        root_part = coef
+    if pos != len(text):
+        raise ScalarParseError(text, pos, "trailing input")
+    return QSqrt3(rat_part, root_part)
+
+
+def _outcome(parse, text):
+    """(a, b, d) of the parsed value, or the error's type, text and
+    position."""
+    try:
+        x = parse(text)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "pos", None)
+    return x.a, x.b, x.d
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=6)
+_RATIONAL = st.builds("{}{}{}".format, st.sampled_from(["", "-"]), _DIGITS,
+                      st.one_of(st.just(""), _DIGITS.map("/{}".format)))
+_TERM = st.one_of(st.sampled_from(["r3", "-r3"]), _RATIONAL,
+                  st.builds("{}{}".format, _RATIONAL,
+                            st.sampled_from(["*r3", "r3"])))
+_SCALAR = st.one_of(_TERM, st.builds("{}{}{}".format, _TERM,
+                                     st.sampled_from("+-"), _TERM))
+
+
+@st.composite
+def _near_miss(draw):
+    """A grammar string with one character inserted, dropped or replaced,
+    from an alphabet that holds every token piece, a space, a letter and a
+    non-ASCII digit (which `\\d` and int() accept)."""
+    text = draw(_SCALAR)
+    i = draw(st.integers(0, len(text)))
+    c = draw(st.sampled_from(list("0123456789-+/*r3 x\u0663")))
+    edit = draw(st.sampled_from(("insert", "drop", "replace")))
+    if edit == "insert":
+        return text[:i] + c + text[i:]
+    return text[:i] + (c if edit == "replace" else "") + text[i + 1:]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.one_of(_SCALAR, _near_miss(),
+                 st.text("0123456789-+/*r3", max_size=8)))
+def test_parse_scalar_matches_the_fraction_parser(text):
+    assert _outcome(parse_scalar, text) == \
+        _outcome(_fraction_parse_scalar, text)
+
+
+@pytest.mark.parametrize("text", [
+    "1/0", "-0/00*r3", "2/4+6/8r3", "0/5-0/7*r3", "-r3+1", "r3r3",
+    "1*", "1*r", "1+2", "1+r3+r3", "\u0663/\u0662", "7" * 4301,
+    "1/" + "0" * 4301, "0" * 4301 + "/0",
+])
+def test_parse_scalar_matches_the_fraction_parser_at_edges(text):
+    assert _outcome(parse_scalar, text) == \
+        _outcome(_fraction_parse_scalar, text)
 
 
 def test_render_canonical():

@@ -18,6 +18,8 @@ from hatfam.render import RenderError, RenderOptions, render_supertile
 from hatfam.substitution import HAT, THC, SupertileNode, build, expand
 from hatfam.supervectors import make_params
 
+from placements import apply
+
 FLOAT = re.compile(r"-?\d+\.\d+")
 # a hand-made node's anchors, as Q(zeta) coordinates
 ORIGIN = (0, 0, 0, 0)
@@ -175,7 +177,7 @@ def _check_hat_vertices(kind, gen, a, b, layout, tile, monkeypatch):
     outline = tile.outline(p)
     want = []
     for q, _ in expand(node):
-        pts = [q.apply(v).to_floats() for v in outline]
+        pts = [apply(q, v).to_floats() for v in outline]
         want.append("M " + " L ".join(f"{x.hex()} {(-y).hex()}"
                                       for x, y in pts) + " Z")
     assert [path.get("d") for path in _tags(svg, "path")] == want
@@ -206,7 +208,7 @@ def test_placed_floats_are_the_exact_floats(o, tile):
                              QSqrt3(Fraction(-2, 9), 3))]:
         q = Placement(o % 6, o >= 6, t)
         want = [(x.hex(), (-y).hex())
-                for x, y in (q.apply(v).to_floats() for v in pts)]
+                for x, y in (apply(q, v).to_floats() for v in pts)]
         got = render._svg_floats(q, *int_points(pts))
         assert [(x.hex(), y.hex()) for x, y in got] == want
 

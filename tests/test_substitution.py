@@ -41,6 +41,8 @@ from hatfam.substitution import (
 )
 from hatfam.supervectors import make_params, v_closed
 
+from placements import apply
+
 # a hand-made node's anchors, as Q(zeta) coordinates
 ORIGIN = (0, 0, 0, 0)
 
@@ -152,6 +154,78 @@ def test_expand_rerooted(layout, hat_p):
     moved = list(expand(node, q))
     assert moved == [(q.compose(qq), q.compose(qq).reflected)
                      for qq, _ in base]
+
+
+# ------------------------------------------ expand against a composing walk
+
+def _ref_expand(node, placement=IDENTITY):
+    """The walk `expand` made before its integer steps: one composed
+    Placement per DAG edge, depth first, children in order."""
+    stack = [(node, placement)]
+    while stack:
+        node, placement = stack.pop()
+        if not node.children:
+            yield placement, placement.orientation >= 6
+        else:
+            stack += [(child, placement.compose(q))
+                      for child, q in reversed(node.children)]
+
+
+def _fields(placed):
+    return [(q.orientation, q.coords, q.den, reflected)
+            for q, reflected in placed]
+
+
+# start placements: the identity, a reflected lattice motion, and a motion
+# with denominators in every part of its translation
+_STARTS = [IDENTITY, Placement(2, True, U1 * 4),
+           Placement(5, False, VecE(QSqrt3(Fraction(5, 6), Fraction(-1, 4)),
+                                    QSqrt3(Fraction(-2, 9), 3)))]
+
+
+@pytest.mark.parametrize("a,b", [
+    (QSqrt3(1), QSqrt3(0, 1)), (QSqrt3(2), QSqrt3(3)),
+    (QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(5, 2))),
+    (QSqrt3(7, 1), QSqrt3(1, 2)),
+])
+def test_expand_matches_the_composing_walk(layout, a, b):
+    p = make_params(a, b)
+    for gen, pair in enumerate(generations(5, p, layout), 1):
+        for node in pair:
+            for start in _STARTS:
+                got = _fields(expand(node, start))
+                assert got == _fields(_ref_expand(node, start))
+                assert len(got) == tile_counts(node.kind, gen)
+
+
+_PART = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+_HAND_PLACEMENTS = st.builds(
+    Placement, st.integers(0, 5), st.booleans(),
+    st.builds(lambda x, y: VecE(QSqrt3(*x), QSqrt3(*y)),
+              st.tuples(_PART, _PART), st.tuples(_PART, _PART)))
+
+
+@st.composite
+def _hand_made_dag(draw):
+    """A DAG of up to four levels over one hat, each node holding one to
+    three earlier nodes, shared, under placements with any denominators."""
+    hat = SupertileNode(HAT, 1, (), (), ORIGIN, ORIGIN)
+    nodes = [hat]
+    for gen in range(2, draw(st.integers(2, 5)) + 1):
+        picks = draw(st.lists(st.tuples(st.sampled_from(nodes),
+                                        _HAND_PLACEMENTS),
+                              min_size=1, max_size=3))
+        nodes.append(SupertileNode(HAT, gen, tuple(picks),
+                                   tuple(map(str, range(len(picks)))),
+                                   ORIGIN, ORIGIN))
+    return nodes[-1]
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_hand_made_dag(), _HAND_PLACEMENTS)
+def test_expand_matches_the_composing_walk_on_hand_made_nodes(node, start):
+    for q in (IDENTITY, start):
+        assert _fields(expand(node, q)) == _fields(_ref_expand(node, q))
 
 
 # ---------------------------------------------------------------- bad layouts
@@ -751,8 +825,8 @@ def _ref_assemble(n, prev_hat, prev_thc, p, layout):
         tail, head = layout.tail2.at(p), layout.head2.at(p)
     else:
         sub, sub_q = prev_hat.children[3]
-        point = sub_q.apply(sub.v_head)
-        tail, head = placements[1].apply(point), placements[5].apply(point)
+        point = apply(sub_q, sub.v_head)
+        tail, head = apply(placements[1], point), apply(placements[5], point)
     assert head - tail == v_closed(n, p)
     children = tuple((prev_thc if i == 0 else prev_hat, q)
                      for i, q in enumerate(placements))
