@@ -5,6 +5,9 @@ Each item takes the deepest generation to build and the run's context
 returns a detail line, or raises VerifyFailure.  `run` times each item
 and reports it as passed or failed.  Only `verify` imports this module,
 and with it `render`, which the renderer item draws with.
+
+`recurrence` and `angle-identity` compare on stored ints (`_same`), so
+no QSqrt3 is made only to be compared.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 
 from .configfile import ConfigError
 from .exactnum import QSqrt3, render_scalar
-from .geometry import GeometryError, shoelace_area
+from .geometry import GeometryError
 from .render import RenderOptions, render_supertile
 from .sequences import g_closed, g_recurrence, lucas, tile_counts
 from .substitution import (
@@ -52,6 +55,12 @@ class VerifyFailure(Exception):
 def _require(cond: bool, detail: str) -> None:
     if not cond:
         raise VerifyFailure(detail)
+
+
+def _same(x: QSqrt3, a: int, b: int, d: int) -> bool:
+    """x == (a + b*sqrt(3))/d for ints a, b and d > 0, cross-multiplied
+    on x's stored ints: no gcd runs and no QSqrt3 is made."""
+    return x.a * d == a * x.d and x.b * d == b * x.d
 
 
 def _sample_params(count: int, seed: int = 20230306) -> list[TileParams]:
@@ -94,7 +103,11 @@ def _check_recurrence(max_gen: int, env) -> str:
         prev2, prev = v_closed(0, p), v_closed(1, p)
         for n in range(2, 201):
             cur = v_closed(n, p)
-            _require(cur == 3 * prev - prev2, f"n={n} recurrence breaks")
+            for c, x, y in ((cur.x, prev.x, prev2.x),
+                            (cur.y, prev.y, prev2.y)):  # c == 3x - y
+                _require(_same(c, 3 * x.a * y.d - y.a * x.d,
+                               3 * x.b * y.d - y.b * x.d, x.d * y.d),
+                         f"n={n} recurrence breaks")
             prev2, prev = prev, cur
     return "V_n = 3V_(n-1) - V_(n-2) for n <= 200 at 4 parameter sets"
 
@@ -128,17 +141,24 @@ def _check_angle_identity(max_gen: int, env) -> str:
              (make_params(QSqrt3(5), QSqrt3(0, 5)), False, True)]
     for p, exact, hat_ratio in walks:
         tb, s2, t2 = p.s / p.t, p.s * p.s, p.t * p.t
+        # tan * X_n == tb times 2t^2 is tan * (t2 L_2n L_2n-2 + s2 F_2n
+        # F_2n-2) == 2 t2 tb, with t2 and s2 put over one denominator d
+        rhs, d = t2 * tb * 2, t2.d * s2.d
+        ta, tr, sa, sr = t2.a * s2.d, t2.b * s2.d, s2.a * t2.d, s2.b * t2.d
         vs = [v_closed(n, p) for n in range(51)]
         # (F_2n-2, L_2n-2, F_2n, L_2n), stepped by x_n = 3x_(n-1) - x_(n-2)
         f0, l0, f1, l1 = 0, 2, 1, 3
         for n in range(1, 51):
             tan = tan_between(vs[n - 1], vs[n]).value
             if exact:  # X_n = (t^2 L_2n L_2n-2 + s^2 F_2n F_2n-2) / 2t^2
-                x_n = (t2 * (l1 * l0) + s2 * (f1 * f0)) / (t2 * 2)
-                _require(tan * x_n == tb,
+                ll, ff = l1 * l0, f1 * f0
+                xa, xb = ta * ll + sa * ff, tr * ll + sr * ff
+                _require(_same(rhs, tan.a * xa + 3 * tan.b * xb,
+                               tan.a * xb + tan.b * xa, tan.d * d),
                          f"exact factor identity fails at n={n}")
             if hat_ratio:
-                _require(tan * g_closed(n) == tb,
+                g = g_closed(n)
+                _require(_same(tb, tan.a * g, tan.b * g, tan.d),
                          f"g(n) identity fails at n={n}")
             f0, l0, f1, l1 = f1, l1, 3 * f1 - f0, 3 * l1 - l0
     return ("tan(alpha_n) times the exact factor is tan(beta) everywhere; "
@@ -215,7 +235,7 @@ def _check_outline(max_gen: int, env) -> str:
         tile.kept_outline(p)
     for k in (1, 2, 3, 5, 7):
         p = make_params(QSqrt3(k), QSqrt3(0, k))
-        _require(shoelace_area(tile.kept_outline(p)) == p.a * p.b * 8,
+        _require(tile.kept_area(p) == p.a * p.b * 8,
                  f"area != 8ab at a={k}")
     return "closes and stays simple at 5 shapes; area 8ab at hat proportions"
 

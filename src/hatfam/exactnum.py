@@ -5,7 +5,9 @@ Q(sqrt(3)).  A QSqrt3 holds three Python ints, (a + b*sqrt(3))/d with
 d > 0 and gcd(a, b, d) = 1, so each value has exactly one stored form.
 At hat scale d is 1 or 2: sums of equal denominators skip the
 cross-multiplication, products skip the gcd when d = 1, and signs compare
-a^2 with 3 b^2 on ints.  The rational parts r = a/d and s = b/d are
+a^2 with 3 b^2 on ints.  `VecE.dot` and `.cross` are fused: p*q +- r*u
+on the stored ints (`_pair`), reduced once; `tan_between` divides those
+ints (`_quotient`).  The rational parts r = a/d and s = b/d are
 Fractions, made on request for the render edge; `parse_scalar` reads its
 text straight to (a, b, d).  Nothing here ever rounds; floats only
 appear on explicit conversion at the edges (angle evaluation, SVG
@@ -40,7 +42,8 @@ class ScalarParseError(ValueError):
 def _reduced(a: int, b: int, d: int) -> "QSqrt3":
     """(a + b*sqrt(3))/d for d > 0, with gcd(a, b, d) divided out."""
     if d != 1:
-        g = gcd(a, b, d)
+        # d first: it is small, and gcd stops at 1 before the big parts
+        g = gcd(d, a, b)
         if g != 1:
             a //= g
             b //= g
@@ -62,6 +65,32 @@ def _sign(a: int, b: int) -> int:
     # a and b*sqrt(3) pull in opposite directions: compare a^2 with 3 b^2.
     # They cannot be equal for nonzero integers (sqrt(3) is irrational).
     return -sb if a * a > 3 * b * b else sb
+
+
+def _quotient(a: int, b: int, d: int, oa: int, ob: int, od: int) -> "QSqrt3":
+    """((a + b*sqrt(3))/d) / ((oa + ob*sqrt(3))/od) for d, od > 0."""
+    if ob == 0:
+        if oa == 0:
+            raise ZeroDivisionError("inverse of zero in Q(sqrt(3))")
+        num_a, num_b, den = a * od, b * od, d * oa
+    else:
+        # multiply through by the conjugate oa - ob*sqrt3; the norm
+        # oa^2 - 3 ob^2 is nonzero because sqrt(3) is irrational
+        num_a = (a * oa - 3 * b * ob) * od
+        num_b = (b * oa - a * ob) * od
+        den = d * (oa * oa - 3 * ob * ob)
+    if den < 0:
+        return _reduced(-num_a, -num_b, -den)
+    return _reduced(num_a, num_b, den)
+
+
+def _pair(p: "QSqrt3", q: "QSqrt3", r: "QSqrt3", u: "QSqrt3",
+          sign: int) -> tuple[int, int, int]:
+    """p*q + sign*r*u, sign = +-1, as unreduced ints (a, b, d), d > 0."""
+    d, f = p.d * q.d, r.d * u.d
+    k, m, d = (1, sign, d) if d == f else (f, sign * d, d * f)
+    return ((p.a * q.a + 3 * p.b * q.b) * k + (r.a * u.a + 3 * r.b * u.b) * m,
+            (p.a * q.b + p.b * q.a) * k + (r.a * u.b + r.b * u.a) * m, d)
 
 
 def _coerce(value: _ScalarLike) -> "QSqrt3":
@@ -144,21 +173,7 @@ class QSqrt3:
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        # the norm oa^2 - 3 ob^2 is zero only for oa = ob = 0 because sqrt(3)
-        # is irrational
-        a, b, oa, ob, od = self.a, self.b, other.a, other.b, other.d
-        if ob == 0:
-            if oa == 0:
-                raise ZeroDivisionError("inverse of zero in Q(sqrt(3))")
-            num_a, num_b, den = a * od, b * od, self.d * oa
-        else:
-            # multiply through by the conjugate oa - ob*sqrt3
-            num_a = (a * oa - 3 * b * ob) * od
-            num_b = (b * oa - a * ob) * od
-            den = self.d * (oa * oa - 3 * ob * ob)
-        if den < 0:
-            return _reduced(-num_a, -num_b, -den)
-        return _reduced(num_a, num_b, den)
+        return _quotient(self.a, self.b, self.d, other.a, other.b, other.d)
 
     def __neg__(self) -> "QSqrt3":
         return _reduced(-self.a, -self.b, self.d)
@@ -310,10 +325,10 @@ class VecE:
         return hash((self.x, self.y))
 
     def dot(self, other: "VecE") -> QSqrt3:
-        return self.x * other.x + self.y * other.y
+        return _reduced(*_pair(self.x, other.x, self.y, other.y, 1))
 
     def cross(self, other: "VecE") -> QSqrt3:
-        return self.x * other.y - self.y * other.x
+        return _reduced(*_pair(self.x, other.y, self.y, other.x, -1))
 
     def to_floats(self) -> tuple[float, float]:
         return float(self.x), float(self.y)

@@ -456,12 +456,15 @@ class TileData:
         self.heading_k30 = heading_k30
         self.cells = cells
         self._outlines = {}
+        self._areas = {}
 
     def outline(self, p: TileParams) -> Outline:
-        """Trace and validate the tile boundary at the given parameters."""
+        """Trace and validate the tile boundary at the given parameters,
+        keeping its signed area for `kept_area`."""
         o = outline_from_turtle(self.steps, p, self.heading_k30)
         validate_outline(o, p)
-        if shoelace_area(o).sign() <= 0:
+        area = self._areas[p] = shoelace_area(o)
+        if area.sign() <= 0:
             raise GeometryError("tile outline is not counterclockwise")
         return o
 
@@ -470,6 +473,11 @@ class TileData:
         if p not in self._outlines:
             self._outlines[p] = self.outline(p)
         return self._outlines[p]
+
+    def kept_area(self, p: TileParams) -> QSqrt3:
+        """Signed area of `kept_outline(p)`."""
+        self.kept_outline(p)
+        return self._areas[p]
 
 
 def tile_from_config(text: str) -> TileData:

@@ -56,7 +56,6 @@ from .geometry import (
     hat_kite_cells,
     lattice_shift,
     packing_width,
-    shoelace_area,
 )
 from .sequences import tile_counts
 from .supervectors import TileParams, hat_params, v_closed
@@ -614,7 +613,7 @@ def layout_from_config(text: str, tile: TileData,
     layout.validate_structure()
     # the constructive half: generations 1..4 at hat proportions
     p = hat_params()
-    area = shoelace_area(tile.kept_outline(p))
+    area = tile.kept_area(p)
     if area != p.a * p.b * 8:
         raise ConstructionError(
             f"tile outline area {area} is not 8 kite units at hat "

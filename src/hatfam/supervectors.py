@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .exactnum import ONE, SQRT3, QSqrt3, VecE
+from .exactnum import ONE, SQRT3, QSqrt3, VecE, _pair, _quotient, _vec
 from .sequences import fib_lucas
 
 
@@ -64,7 +64,7 @@ def v_closed(n: int, p: TileParams) -> VecE:
     if n < 0:
         raise ValueError(f"generation must be >= 0, got {n}")
     fib_2n, lucas_2n = fib_lucas(2 * n)
-    return VecE(p.s * fib_2n, p.t * lucas_2n)
+    return _vec(p.s * fib_2n, p.t * lucas_2n)
 
 
 def v_recurrence(n: int, p: TileParams) -> VecE:
@@ -106,8 +106,10 @@ def tan_theta(n: int, p: TileParams) -> AngleTan:
 
 def tan_between(v: VecE, w: VecE) -> AngleTan:
     """Exact tangent of the clockwise angle from v to w, (w x v)/(w . v):
-    tan(alpha_n) for consecutive supervectors v = V_(n-1) and w = V_n."""
-    return AngleTan(w.cross(v) / w.dot(v))
+    tan(alpha_n) for consecutive supervectors v = V_(n-1) and w = V_n.
+    Cross and dot stay unreduced ints, divided with one reduction."""
+    return AngleTan(_quotient(*_pair(w.x, v.y, w.y, v.x, -1),
+                              *_pair(w.x, v.x, w.y, v.y, 1)))
 
 
 def tan_alpha(n: int, p: TileParams) -> AngleTan:

@@ -18,7 +18,7 @@ from hatfam import checks, configfile, substitution
 from hatfam.cli import main
 from hatfam.exactnum import QSqrt3, VecE
 from hatfam.geometry import TileData
-from hatfam.sequences import g_recurrence
+from hatfam.sequences import g_closed, g_recurrence
 from hatfam.substitution import check_kites, expand, measured_supervector
 from hatfam.supervectors import (
     AngleTan,
@@ -445,6 +445,37 @@ def test_verify_fails_on_one_wrong_supervector(monkeypatch, capsys):
     assert main(["verify", "--max-gen", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("FAIL recurrence: n=150 recurrence breaks ")
+    assert lines[-1] == "11/12 items passed"
+
+
+def test_verify_fails_on_a_supervector_moved_in_y_only(monkeypatch,
+                                                      capsys):
+    # the recurrence compares each component on its own ints, so a move of
+    # V_150 in y alone at Tile(7/3, 1/2) fails there too
+    p = make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))
+
+    def wrong(n, q):
+        v = v_closed(n, q)
+        return v + VecE(QSqrt3(0), QSqrt3(1)) if (n, q) == (150, p) else v
+
+    monkeypatch.setattr("hatfam.checks.v_closed", wrong)
+    assert main(["verify", "--max-gen", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("FAIL recurrence: n=150 recurrence breaks ")
+    assert lines[-1] == "11/12 items passed"
+
+
+def test_verify_fails_on_one_wrong_g_factor(monkeypatch, capsys):
+    # g(30) off by one, which only the angle identity's g(n) branch reads:
+    # the g-sequence item calls g_closed for the 13 listed terms only
+    def wrong(n):
+        return g_closed(n) + (n == 30)
+
+    monkeypatch.setattr("hatfam.checks.g_closed", wrong)
+    assert main(["verify", "--max-gen", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].startswith(
+        "FAIL angle-identity: g(n) identity fails at n=30 ")
     assert lines[-1] == "11/12 items passed"
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hatfam.checks import _same
 from hatfam.exactnum import (
     ONE,
     QSqrt3,
@@ -18,6 +19,7 @@ from hatfam.exactnum import (
     render_scalar,
     rotate60,
 )
+from hatfam.supervectors import tan_between
 
 
 def _random_scalar(rng: random.Random) -> QSqrt3:
@@ -374,3 +376,41 @@ def test_int_products_match_the_field_product(x, k):
         assert got == want and hash(got) == hash(want)
     assert qx * True == qx and True * qx == qx
     assert qx * False == 0
+
+
+# w as drawn, along v, across v, or zero: the last three give a zero
+# cross product, dot product, or both
+_RELATIONS = ("free", "parallel", "perpendicular", "zero")
+
+
+@_PROPERTY
+@given(_PAIRS, _PAIRS, _PAIRS, _PAIRS, _PAIRS, st.sampled_from(_RELATIONS))
+def test_fused_kernels_match_the_field_formulas(vx, vy, wx, wy, k, relation):
+    v, k = VecE(_of(vx), _of(vy)), _of(k)
+    w = {"free": VecE(_of(wx), _of(wy)),
+         "parallel": VecE(v.x * k, v.y * k),
+         "perpendicular": VecE(-v.y * k, v.x * k),
+         "zero": VEC_ZERO}[relation]
+    # the oracle: one QSqrt3 operation, and one reduction, at a time
+    cross = v.x * w.y - v.y * w.x
+    dot = v.x * w.x + v.y * w.y
+    for got, want in ((v.cross(w), cross), (v.dot(w), dot)):
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+    # tan_between(w, v) is (v x w)/(v . w)
+    if dot:
+        got, want = tan_between(w, v).value, cross / dot
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            tan_between(w, v)
+
+
+@_PROPERTY
+@given(_PAIRS, _PAIRS, st.integers(1, 10 ** 20),
+       st.sampled_from(("equal", "other", "rational part", "root part")))
+def test_same_agrees_with_equality(x, y, k, relation):
+    qx = _of(x)
+    qy = {"equal": qx, "other": _of(y), "rational part": _of((y[0], x[1])),
+          "root part": _of((x[0], y[1]))}[relation]
+    # qy's stored ints times k: the same value, out of lowest terms
+    assert _same(qx, qy.a * k, qy.b * k, qy.d * k) == (qx == qy)
