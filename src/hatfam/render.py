@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from .configfile import load_text
 from .geometry import (
     KiteCell,
     Placement,
@@ -29,7 +28,6 @@ from .geometry import (
     int_points,
     kite_corners,
     lattice_shift,
-    tile_from_config,
 )
 from .sequences import tile_counts
 from .substitution import SupertileNode, expand
@@ -299,13 +297,12 @@ def _arrows(node: SupertileNode, opts: RenderOptions, fx: _Memo,
 
 
 def render_supertile(node: SupertileNode, p: TileParams,
-                     opts: RenderOptions = RenderOptions(),
-                     tile: TileData | None = None) -> str:
-    """Draw an assembled supertile as an SVG 1.1 document.
+                     opts: RenderOptions, tile: TileData) -> str:
+    """Draw an assembled supertile as an SVG 1.1 document, each hat the
+    outline of `tile` (and its grid cells).
 
-    The tile outline (and grid cells) come from the shipped tile config
-    unless one is passed in.  Raises RenderError when the expansion would
-    exceed max_svg_nodes or the grid is requested off hat proportions.
+    Raises RenderError when the expansion would exceed max_svg_nodes or
+    the grid is requested off hat proportions.
     """
     _check_built(node)
     if node.hats > opts.max_svg_nodes:
@@ -316,8 +313,6 @@ def render_supertile(node: SupertileNode, p: TileParams,
     if opts.show_grid and not has_hat_proportion(p):
         raise RenderError(
             "the kite grid exists only at hat proportions (b = sqrt(3)*a)")
-    if tile is None:
-        tile = tile_from_config(load_text("tile.cfg"))
     outline = tile.kept_outline(p)
 
     placed = list(expand(node))

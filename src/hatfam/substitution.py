@@ -18,8 +18,9 @@ step, which a table turns per orientation; each (node, orientation)
 keeps its cells as one int, the OR of its children's shifted ints, whose
 bit count shows whether they overlap; touching connected pieces make a
 connected node; a failure's path is joined as it unwinds.
-`layout_from_config` checks generations 1-4 with one such pass over
-hat-4 and thc-4, and hands that chain to the call.  `expand` walks every
+The pass takes supertiles in order, at one packing width, and names the
+first that fails: `layout_from_config` checks the eight of generations
+1-4 in one pass, and hands that chain to the call.  `expand` walks every
 single hat, only to draw: on Q(zeta) int steps, which it turns once per
 (node, orientation), making a Placement per hat and none per edge.
 """
@@ -57,7 +58,6 @@ from .geometry import (
     lattice_shift,
     packing_width,
 )
-from .sequences import tile_counts
 from .supervectors import TileParams, hat_params, v_closed
 
 HAT = "hat"
@@ -312,22 +312,16 @@ def build(kind: str, n: int, p: TileParams, layout: LayoutTable,
     return chain_at(p, layout, chains).node(kind, n)
 
 
-def generations(n: int, p: TileParams, layout: LayoutTable):
-    """Yield (hat, thc) for generations 1..n of a new chain, each built
-    from the last."""
-    return Chain(p, layout).upto(n)
-
-
-def expand(node: SupertileNode,
-           placement: Placement = IDENTITY) -> Iterator[tuple[Placement, bool]]:
-    """Yield (absolute placement, is_reflected) for every hat, depth first.
+def expand(node: SupertileNode) -> Iterator[tuple[Placement, bool]]:
+    """Yield (placement, is_reflected) for every hat, depth first, with
+    `node` at the identity.
 
     Translations are Q(zeta) ints over one denominator, the lcm of the
-    placements' in the DAG, so a hat's is its start's plus one step per
-    edge on its path: each (node, orientation) turns its children's steps
-    once per call, and each edge costs four int adds.  A Placement is made
-    only for each hat."""
-    den, seen, todo = placement.den, set(), [node]
+    placements' in the DAG, so a hat's is the sum of one step per edge on
+    its path: each (node, orientation) turns its children's steps once per
+    call, and each edge costs four int adds.  A Placement is made only for
+    each hat."""
+    den, seen, todo = 1, set(), [node]
     while todo:
         cur = todo.pop()
         if id(cur) not in seen:
@@ -338,7 +332,7 @@ def expand(node: SupertileNode,
     # per node, its children last first with their translations over den;
     # per (node, orientation), the same with each translation turned
     over, turned = {}, {}
-    stack = [(node, placement.orientation, *_over(placement, den))]
+    stack = [(node, 0, 0, 0, 0, 0)]
     while stack:
         node, o, t0, t1, t2, t3 = stack.pop()
         if not node.children:
@@ -497,16 +491,49 @@ def _disconnected_path(node: SupertileNode, base_cells) -> list[str]:
     return labels
 
 
-def _too_sparse(node: SupertileNode, base_cells) -> str:
-    """The refusal of `node` when its kites at orientation 0 pack to over
-    _MAX_BITS_PER_HAT bits per hat, else ""; made from boxes alone."""
-    (q_lo, q_hi, r_lo, r_hi), _ = _kite_box(node, 0, base_cells)
-    size = 6 * (q_hi - q_lo + 1) * packing_width(r_hi - r_lo)
-    if size <= _MAX_BITS_PER_HAT * node.hats:
-        return ""
-    return (f"{node.kind}-{node.generation}: patch too sparse for the kite "
-            f"check: {size} bits for {node.hats} hats, over "
-            f"{_MAX_BITS_PER_HAT} per hat")
+def _worded(name: str, e: _Fault, q_lo=0, r_lo=0, width=1) -> str:
+    """The detail of a fault under the root `name`, whose kite int, if
+    made, was packed about (q_lo, r_lo) at `width`."""
+    (before, after), where = e.args, "/".join([name, *e.labels[::-1]])
+    if e.bit is not None:
+        v, k = divmod(e.bit, 6)
+        after += f" {KiteCell(q_lo + v // width, r_lo + v % width, k)}"
+    return f"{before}{where}{after}"
+
+
+def _first_kite_fault(roots, tile: TileData, connected: bool):
+    """(root, detail) for the first of `roots` that fails the kite check,
+    worded as `check_kites(root)` words it, else (None, the last root's
+    detail).  Each root's box and size guard are taken in turn, up to the
+    first lattice miss or refusal; the roots before it are then checked in
+    turn at one packing width, the widest their boxes need, so no int is
+    made for a refused patch and the nodes they share make each int once."""
+    cells, boxes, stop = tile.cells, [], None
+    for root in roots:
+        name = f"{root.kind}-{root.generation}"
+        try:
+            (q_lo, q_hi, r_lo, r_hi), _ = _kite_box(root, 0, cells)
+        except _Fault as e:
+            stop = root, _worded(name, e)
+            break
+        size = 6 * (q_hi - q_lo + 1) * packing_width(r_hi - r_lo)
+        if size > _MAX_BITS_PER_HAT * root.hats:
+            stop = root, (f"{name}: patch too sparse for the kite check: "
+                          f"{size} bits for {root.hats} hats, over "
+                          f"{_MAX_BITS_PER_HAT} per hat")
+            break
+        boxes.append((name, q_lo, r_lo, r_hi))
+    width = packing_width(max((r_hi - r_lo for *_, r_lo, r_hi in boxes),
+                              default=0))
+    for root, (name, q_lo, r_lo, _) in zip(roots, boxes):
+        try:
+            bits = _kite_bits(root, 0, width, cells, connected)
+        except _Fault as e:
+            return root, _worded(name, e, q_lo, r_lo, width)
+        if connected and not root._kites[cells]:
+            where = "/".join([name, *_disconnected_path(root, cells)])
+            return root, f"{where}: patch is disconnected"
+    return stop or (None, f"{bits.bit_count()} kite cells, no overlap")
 
 
 def check_kites(node: SupertileNode, tile: TileData,
@@ -522,25 +549,10 @@ def check_kites(node: SupertileNode, tile: TileData,
     lattice, else of the node where a piece meets the earlier ones, with
     the lowest kite they share, else of the first disconnected node.  A
     patch over _MAX_BITS_PER_HAT bits per hat is refused before any int
-    is made.
+    is made.  `_first_kite_fault` checks several supertiles in one pass.
     """
-    root = f"{node.kind}-{node.generation}"
-    try:
-        if refusal := _too_sparse(node, tile.cells):
-            return False, refusal
-        (q_lo, _, r_lo, r_hi), _ = _kite_box(node, 0, tile.cells)
-        width = packing_width(r_hi - r_lo)
-        bits = _kite_bits(node, 0, width, tile.cells, connected)
-    except _Fault as e:
-        (before, after), where = e.args, "/".join([root, *e.labels[::-1]])
-        if e.bit is not None:
-            v, k = divmod(e.bit, 6)
-            after += f" {KiteCell(q_lo + v // width, r_lo + v % width, k)}"
-        return False, f"{before}{where}{after}"
-    if connected and not node._kites[tile.cells]:
-        where = "/".join([root, *_disconnected_path(node, tile.cells)])
-        return False, f"{where}: patch is disconnected"
-    return True, f"{bits.bit_count()} kite cells, no overlap"
+    failed, detail = _first_kite_fault([node], tile, connected)
+    return failed is None, detail
 
 
 def _value_form(cfg, section: str, stem: str) -> FormVec:
@@ -554,47 +566,20 @@ def _rotation_k(deg: int) -> int:
     return (deg // 60) % 6
 
 
-def _checked_chain(p: TileParams, layout: LayoutTable,
-                   tile: TileData) -> Chain | None:
-    """The chain of generations 1-4 if they assemble with their hat
-    counts, every one of their eight supertiles passes the size guard,
-    and one connected kite pass over hat-4 and thc-4, at one packing
-    width, finds no fault, else None: every node of generations 1-4 lies
-    under those two, and the 12 turns keep overlap, lattice membership
-    and contact."""
-    try:
-        chain = Chain(p, layout)
-        nodes = []
-        for gen, pair in enumerate(chain.upto(4), 1):
-            if any(node.hats != tile_counts(node.kind, gen) for node in pair):
-                return None
-            nodes += pair
-        if any(_too_sparse(node, tile.cells) for node in nodes):
-            return None
-        boxes = [_kite_box(node, 0, tile.cells)[0] for node in nodes[-2:]]
-        width = packing_width(max(r_hi - r_lo for _, _, r_lo, r_hi in boxes))
-        for node in nodes[-2:]:
-            _kite_bits(node, 0, width, tile.cells, connected=True)
-            if not node._kites[tile.cells]:
-                return None
-    except (ConstructionError, _Fault):
-        return None
-    return chain
-
-
 def layout_from_config(text: str, tile: TileData,
                        chains: dict | None = None) -> LayoutTable:
     """Parse and fully validate a layout config.
 
     Validation is structural (ring size, rotation multiples) and then
-    constructive: generations 1 through 4 are assembled at hat proportions
-    and checked for tile counts, kite disjointness, connectivity, and the
-    closed-form supervector.  The kites of all four generations are
-    checked in one pass over hat-4 and thc-4; only if assembly or that
-    pass fails is each generation checked in turn, on a fresh chain, so a
-    fault is worded, ordered and bounded in memory as by a check of each
-    supertile.  `chains`, if given, keeps the checked chain under its
-    shape (see `chain_at`), for the call to extend.
+    constructive: generations 1 through 4 are assembled at hat proportions,
+    each anchor checked against the closed-form supervector, and their
+    eight supertiles, hat-1, thc-1, ..., thc-4, are checked for kite
+    disjointness and connectivity in that order, in one pass (see
+    `_first_kite_fault`).  The first fault is raised, worded as by
+    `check_kites` on its supertile; an assembly fault at generation n
+    only once the generations below n pass.  `chains`, if given, keeps
+    the checked chain under its shape (see `chain_at`), for the call to
+    extend.
     """
     cfg = parse_config(text)
     layout = LayoutTable(
@@ -618,22 +603,19 @@ def layout_from_config(text: str, tile: TileData,
         raise ConstructionError(
             f"tile outline area {area} is not 8 kite units at hat "
             f"proportions")
-    if chain := _checked_chain(p, layout, tile):
-        if chains is not None:
-            chains[p] = chain
-        return layout
-    # a fault: a fresh lazy chain finds the first one, each generation
-    # checked in full before the next is made
-    for gen, nodes in enumerate(generations(4, p, layout), 1):
-        for node in nodes:
-            want = tile_counts(node.kind, gen)
-            if node.hats != want:
-                raise ConstructionError(
-                    f"generation {gen}: expected {want} {node.kind} hats, "
-                    f"assembled {node.hats}")
-            ok, detail = check_kites(node, tile, connected=True)
-            if not ok:
-                raise ConstructionError(f"generation {gen}: {detail}")
+    chain, nodes, late = Chain(p, layout), [], None
+    try:
+        for pair in chain.upto(4):
+            nodes += pair
+    except ConstructionError as e:
+        late = e
+    failed, detail = _first_kite_fault(nodes, tile, connected=True)
+    if failed:
+        raise ConstructionError(f"generation {failed.generation}: {detail}")
+    if late:
+        raise late
+    if chains is not None:
+        chains[p] = chain
     return layout
 
 

@@ -17,7 +17,7 @@ from hatfam.cli import main
 from hatfam.exactnum import QSqrt3, VecE
 from hatfam.geometry import hat_kite_cells, disjoint_cells, is_simple, \
     shoelace_area
-from hatfam.render import render_supertile
+from hatfam.render import RenderOptions, render_supertile
 from hatfam.sequences import fib, g_closed, g_recurrence, lucas, tile_counts
 from hatfam.substitution import HAT, THC, build, expand, measured_supervector
 from hatfam.supervectors import (
@@ -271,10 +271,12 @@ def test_criterion_10_outline(tile):
         f"5 parameter sets in {dt:.3f}s")
 
 
-def test_criterion_11_renderer(layout, hat_p):
+def test_criterion_11_renderer(layout, tile, hat_p):
     t0 = time.perf_counter()
-    first = render_supertile(build(HAT, 3, hat_p, layout), hat_p)
-    second = render_supertile(build(HAT, 3, hat_p, layout), hat_p)
+    first = render_supertile(build(HAT, 3, hat_p, layout), hat_p,
+                             RenderOptions(), tile)
+    second = render_supertile(build(HAT, 3, hat_p, layout), hat_p,
+                              RenderOptions(), tile)
     root = ET.fromstring(first)
     paths = [el for el in root.iter() if el.tag.endswith("path")]
     ok = len(paths) == 55 and first.encode() == second.encode()

@@ -294,10 +294,10 @@ def test_deep_supertiles_are_counted_and_checked_without_expanding(
     # nothing; verify's renderer item draws a generation-3 supertile
     deepest = 3 if argv[0] == "verify" else 0
 
-    def shallow(node, *args):
+    def shallow(node):
         if node.generation > deepest:
             pytest.fail(f"expanded a generation-{node.generation} node")
-        return expand(node, *args)
+        return expand(node)
     # in its home module and in any module that imports it by name
     for module in ("substitution", "render", "cli"):
         monkeypatch.setattr(f"hatfam.{module}.expand", shallow,

@@ -35,18 +35,19 @@ def _groups(svg: str) -> list[str]:
     return [g.get("class") for g in _tags(svg, "g")]
 
 
-def test_single_hat_with_arrow(layout, hat_p):
+def test_single_hat_with_arrow(layout, tile, hat_p):
     node = build(HAT, 1, hat_p, layout)
     svg = render_supertile(node, hat_p,
-                           RenderOptions(show_supervectors=1))
+                           RenderOptions(show_supervectors=1), tile)
     assert len(_tags(svg, "path")) == 1
     assert len(_tags(svg, "line")) == 1
     assert len(_tags(svg, "polygon")) == 1
     assert _groups(svg) == ["hats", "supervectors"]
 
 
-def test_third_generation_counts(layout, hat_p):
-    svg = render_supertile(build(HAT, 3, hat_p, layout), hat_p)
+def test_third_generation_counts(layout, tile, hat_p):
+    svg = render_supertile(build(HAT, 3, hat_p, layout), hat_p,
+                           RenderOptions(), tile)
     paths = _tags(svg, "path")
     assert len(paths) == 55
     reflected = [p for p in paths if p.get("class") == "hat reflected"]
@@ -54,24 +55,26 @@ def test_third_generation_counts(layout, hat_p):
     assert _groups(svg) == ["hats"]
 
 
-def test_compound_counts(layout, hat_p):
-    svg = render_supertile(build(THC, 2, hat_p, layout), hat_p)
+def test_compound_counts(layout, tile, hat_p):
+    svg = render_supertile(build(THC, 2, hat_p, layout), hat_p,
+                           RenderOptions(), tile)
     paths = _tags(svg, "path")
     assert len(paths) == 7
     assert sum(1 for p in paths if p.get("class") == "hat reflected") == 1
 
 
-def test_deterministic_output(layout, hat_p):
+def test_deterministic_output(layout, tile, hat_p):
     node = build(HAT, 3, hat_p, layout)
-    first = render_supertile(node, hat_p)
-    again = render_supertile(build(HAT, 3, hat_p, layout), hat_p)
+    first = render_supertile(node, hat_p, RenderOptions(), tile)
+    again = render_supertile(build(HAT, 3, hat_p, layout), hat_p,
+                             RenderOptions(), tile)
     assert first == again
 
 
-def test_grid_and_arrow_layers(layout, hat_p):
+def test_grid_and_arrow_layers(layout, tile, hat_p):
     node = build(HAT, 2, hat_p, layout)
     opts = RenderOptions(show_grid=True, show_supervectors=2)
-    svg = render_supertile(node, hat_p, opts)
+    svg = render_supertile(node, hat_p, opts, tile)
     assert _groups(svg) == ["grid", "hats", "supervectors"]
     assert len(_tags(svg, "path")) == 8
     # 149 deduplicated kite edges plus one arrow shaft per drawn vector
@@ -79,23 +82,25 @@ def test_grid_and_arrow_layers(layout, hat_p):
     assert len(_tags(svg, "polygon")) == 8
 
 
-def test_grid_needs_hat_proportions(layout):
+def test_grid_needs_hat_proportions(layout, tile):
     p = make_params(QSqrt3(2), QSqrt3(3))
     node = build(HAT, 2, p, layout)
     with pytest.raises(RenderError, match="hat proportions"):
-        render_supertile(node, p, RenderOptions(show_grid=True))
+        render_supertile(node, p, RenderOptions(show_grid=True), tile)
 
 
-def test_node_cap(layout, hat_p):
+def test_node_cap(layout, tile, hat_p):
     node = build(HAT, 7, hat_p, layout)
     with pytest.raises(RenderError, match="121393"):
-        render_supertile(node, hat_p)
+        render_supertile(node, hat_p, RenderOptions(), tile)
     # the cap counts hats before expanding, so adjusting it both ways
     # is cheap to observe on a small figure
     small = build(HAT, 4, hat_p, layout)
     with pytest.raises(RenderError, match="377"):
-        render_supertile(small, hat_p, RenderOptions(max_svg_nodes=100))
-    svg = render_supertile(small, hat_p, RenderOptions(max_svg_nodes=377))
+        render_supertile(small, hat_p, RenderOptions(max_svg_nodes=100),
+                         tile)
+    svg = render_supertile(small, hat_p, RenderOptions(max_svg_nodes=377),
+                           tile)
     assert len(_tags(svg, "path")) == 377
 
 
@@ -126,43 +131,39 @@ def test_options_reject_non_finite(field, flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_rejects_hand_made_nodes(hat_p):
+def test_rejects_hand_made_nodes(tile, hat_p):
     bare = SupertileNode(THC, 1, (), (), ORIGIN, ORIGIN)
     with pytest.raises(ValueError, match="build"):
-        render_supertile(bare, hat_p)
+        render_supertile(bare, hat_p, RenderOptions(), tile)
 
 
-def test_number_formatting(layout, hat_p):
+def test_number_formatting(layout, tile, hat_p):
     svg = render_supertile(build(HAT, 3, hat_p, layout), hat_p,
-                           RenderOptions(show_supervectors=3))
+                           RenderOptions(show_supervectors=3), tile)
     for m in FLOAT.finditer(svg):
         assert len(m.group().split(".")[1]) <= 9
     # negative zero must never survive rounding
     assert not re.search(r'-0(?=[ ",])', svg)
 
 
-def test_y_axis_points_up(layout, hat_p):
+def test_y_axis_points_up(layout, tile, hat_p):
     # the generation-1 supervector points up and to the right, so the
     # arrow shaft must end at a smaller SVG y than it starts
     node = build(HAT, 1, hat_p, layout)
-    svg = render_supertile(node, hat_p, RenderOptions(show_supervectors=1))
+    svg = render_supertile(node, hat_p, RenderOptions(show_supervectors=1),
+                           tile)
     line = _tags(svg, "line")[0]
     assert float(line.get("y2")) < float(line.get("y1"))
     assert float(line.get("x2")) > float(line.get("x1"))
 
 
-def test_default_tile_matches_shipped_config(layout, tile, hat_p):
-    node = build(HAT, 2, hat_p, layout)
-    assert render_supertile(node, hat_p) == \
-        render_supertile(node, hat_p, tile=tile)
-
-
-def test_plain_scheme_uses_two_fills(layout, hat_p):
+def test_plain_scheme_uses_two_fills(layout, tile, hat_p):
     svg = render_supertile(build(HAT, 3, hat_p, layout), hat_p,
-                           RenderOptions(scheme="plain"))
+                           RenderOptions(scheme="plain"), tile)
     fills = {p.get("fill") for p in _tags(svg, "path")}
     assert len(fills) == 2
-    rotation = render_supertile(build(HAT, 3, hat_p, layout), hat_p)
+    rotation = render_supertile(build(HAT, 3, hat_p, layout), hat_p,
+                                RenderOptions(), tile)
     rot_fills = {p.get("fill") for p in _tags(rotation, "path")}
     assert len(rot_fills) > 2
 
@@ -249,8 +250,9 @@ def test_grid_corners_are_the_exact_floats_at_generation_4(
     _check_grid_corners(kind, 4, layout, tile, hat_p, monkeypatch)
 
 
-def test_viewbox_covers_the_figure(layout, hat_p, monkeypatch):
-    svg = render_supertile(build(HAT, 2, hat_p, layout), hat_p)
+def test_viewbox_covers_the_figure(layout, tile, hat_p, monkeypatch):
+    svg = render_supertile(build(HAT, 2, hat_p, layout), hat_p,
+                           RenderOptions(), tile)
     root = ET.fromstring(svg)
     x, y, w, h = (float(tok) for tok in root.get("viewBox").split())
     assert w > 0 and h > 0
@@ -267,7 +269,7 @@ def test_viewbox_covers_the_figure(layout, hat_p, monkeypatch):
     for kind, p, opts in [
             (HAT, hat_p, RenderOptions(show_grid=True, show_supervectors=2)),
             (THC, off_hat, RenderOptions(margin=0))]:
-        svg = render_supertile(build(kind, 3, p, layout), p, opts)
+        svg = render_supertile(build(kind, 3, p, layout), p, opts, tile)
         pts = []
         for path in _tags(svg, "path"):
             nums = [float.fromhex(t) for t in path.get("d").split()

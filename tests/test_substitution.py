@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from hatfam import substitution
 from hatfam.configfile import load_text
-from hatfam.exactnum import SQRT3, QSqrt3, VecE, rotate60
+from hatfam.exactnum import (
+    SQRT3,
+    VEC_ZERO,
+    QSqrt3,
+    VecE,
+    render_scalar,
+    rotate60,
+)
 from hatfam.geometry import (
     IDENTITY,
     LatticeError,
@@ -28,18 +35,18 @@ from hatfam.sequences import tile_counts
 from hatfam.substitution import (
     HAT,
     THC,
+    Chain,
     ConstructionError,
     FormVec,
     SupertileNode,
     build,
     check_kites,
     expand,
-    generations,
     layout_from_config,
     measured_supervector,
     search_layout,
 )
-from hatfam.supervectors import make_params, v_closed
+from hatfam.supervectors import hat_params, make_params, v_closed
 
 from placements import apply
 
@@ -138,7 +145,7 @@ def test_supervector_matches_closed_form(layout, a, b):
 
 
 def test_compound_drops_the_third_piece(layout, hat_p):
-    for hat, thc in list(generations(4, hat_p, layout))[1:]:
+    for hat, thc in list(Chain(hat_p, layout).upto(4))[1:]:
         assert len(hat.children) == 7
         assert len(thc.children) == 6
         assert "P3" not in thc.labels
@@ -147,11 +154,17 @@ def test_compound_drops_the_third_piece(layout, hat_p):
         assert thc.children == hat.children[:drop] + hat.children[drop + 1:]
 
 
+def _under(node, q) -> SupertileNode:
+    """A hand-made node holding `node` alone, placed by q."""
+    return SupertileNode(node.kind, node.generation + 1, ((node, q),),
+                         ("T",), ORIGIN, ORIGIN)
+
+
 def test_expand_rerooted(layout, hat_p):
     node = build(THC, 3, hat_p, layout)
     q = Placement(2, True, U1 * 4)
     base = list(expand(node))
-    moved = list(expand(node, q))
+    moved = list(expand(_under(node, q)))
     assert moved == [(q.compose(qq), q.compose(qq).reflected)
                      for qq, _ in base]
 
@@ -190,10 +203,10 @@ _STARTS = [IDENTITY, Placement(2, True, U1 * 4),
 ])
 def test_expand_matches_the_composing_walk(layout, a, b):
     p = make_params(a, b)
-    for gen, pair in enumerate(generations(5, p, layout), 1):
+    for gen, pair in enumerate(Chain(p, layout).upto(5), 1):
         for node in pair:
             for start in _STARTS:
-                got = _fields(expand(node, start))
+                got = _fields(expand(_under(node, start)))
                 assert got == _fields(_ref_expand(node, start))
                 assert len(got) == tile_counts(node.kind, gen)
 
@@ -225,7 +238,8 @@ def _hand_made_dag(draw):
 @given(_hand_made_dag(), _HAND_PLACEMENTS)
 def test_expand_matches_the_composing_walk_on_hand_made_nodes(node, start):
     for q in (IDENTITY, start):
-        assert _fields(expand(node, q)) == _fields(_ref_expand(node, q))
+        assert _fields(expand(_under(node, q))) == \
+            _fields(_ref_expand(node, q))
 
 
 # ---------------------------------------------------------------- bad layouts
@@ -551,6 +565,42 @@ def test_far_partner_is_disconnected_without_a_large_allocation(tile):
     assert peak < 4 * 2 ** 20
 
 
+def test_a_compound_clash_is_named_before_a_later_lattice_miss(
+        layout, tile, hat_p):
+    # the partner on top of the first hat makes thc-1 clash, and the
+    # generation-2 fourth piece lies off the hexagon lattice: thc-1 comes
+    # first, as it would checking each supertile in turn
+    case = _lattice_miss_layout(layout)._replace(
+        partner_rotation_k=0, partner_reflected=False,
+        partner_offset=FormVec(VEC_ZERO, VEC_ZERO))
+    assert check_kites(build(HAT, 2, hat_p, case), tile)[1].startswith(
+        "piece hat-2/P4 is off the kite lattice")
+    with pytest.raises(ConstructionError) as caught:
+        layout_from_config(_layout_text(case), tile)
+    assert str(caught.value) == (
+        "generation 1: thc-1: pieces hat and partner overlap on kite "
+        "KiteCell(hex_q=0, hex_r=0, corner_k=0)")
+
+
+def test_a_clash_is_named_before_a_later_anchor_mismatch(
+        layout, tile, hat_p, monkeypatch):
+    # a generation-3 anchor off the closed form is raised only once the
+    # generations below it pass, so a generation-2 clash comes first
+    closed = substitution.v_closed
+    monkeypatch.setattr(substitution, "v_closed", lambda n, p: closed(
+        n, p) + (U1 if n == 3 else VEC_ZERO))
+    offset, message = PERTURBED[0]
+    assert offset == "6, 1*r3"
+    shifted = layout._replace(p4_gen2=FormVec(
+        VecE(QSqrt3(6), QSqrt3(0, 1)), layout.p4_gen2.w))
+    for case in (layout, shifted):
+        with pytest.raises(ConstructionError,
+                           match="^generation 3: anchor mismatch"):
+            build(HAT, 3, hat_p, case)
+    assert message.startswith("generation 2: hat-2: pieces")
+    assert _perturbed_failure(tile, offset) == message
+
+
 def test_layout_validation_assembles_each_generation_once(tile, monkeypatch):
     calls = []
     assemble = substitution._assemble
@@ -565,8 +615,9 @@ def test_layout_validation_assembles_each_generation_once(tile, monkeypatch):
 
 
 def test_layout_validation_makes_each_kite_int_once(tile, monkeypatch):
-    # one pass over hat-4 and thc-4, at one packing width, tests overlap
-    # and contact together: each (node, orientation) int is stored once
+    # one ordered pass over the eight supertiles of generations 1-4, at
+    # one packing width, tests overlap and contact together: each (node,
+    # orientation) int is stored once
     stored = []
 
     class Stores(dict):
@@ -581,6 +632,86 @@ def test_layout_validation_makes_each_kite_int_once(tile, monkeypatch):
             if isinstance(key, tuple) and len(key) == 3]  # (o, width, cells)
     assert ints and len(set(ints)) == len(ints)
     assert len({width for _, (_, width, _) in ints}) == 1
+
+
+# ------------------------------------- validation against a check per node
+
+def _layout_text(layout) -> str:
+    """`layout` written as a layout config."""
+    def form(key, value):
+        return [f"{key}_{part} = {render_scalar(v.x)}, {render_scalar(v.y)}"
+                for part, v in zip("uw", value)]
+    return "\n".join([
+        "version = 1", "[partner]",
+        f"rotation = {layout.partner_rotation_k * 60}",
+        f"reflected = {'yes' if layout.partner_reflected else 'no'}",
+        *form("offset", layout.partner_offset),
+        "[ring]", "rotations = " + " ".join(str(k * 60) for k in layout.ring),
+        "[gen2]", *form("p4_offset", layout.p4_gen2),
+        "[anchors]", *(line for key in ("tail1", "head1", "tail2", "head2")
+                       for line in form(key, getattr(layout, key)))])
+
+
+def _reference_fault(layout, tile):
+    """The first fault of `layout` at hat proportions, found by checking
+    each supertile of generations 1-4 in turn on a fresh chain, each
+    generation assembled once the one before it passes; None if none
+    fails."""
+    try:
+        for gen, nodes in enumerate(Chain(hat_params(), layout).upto(4), 1):
+            for node in nodes:
+                ok, detail = check_kites(node, tile, connected=True)
+                if not ok:
+                    return f"generation {gen}: {detail}"
+    except ConstructionError as e:
+        return str(e)
+    return None
+
+
+def _half_step(m, n) -> VecE:
+    """(m*U1 + n*U2)/2: a lattice point when m and n are even."""
+    return VecE(QSqrt3(Fraction(3 * m, 2)), QSqrt3(0, Fraction(m + 2 * n, 2)))
+
+
+# (id, edits): fields of the shipped layout to replace, a form shifted by
+# the VecE given
+_SWEEP = (
+    [(f"p4({m},{n})", {"p4_gen2": _half_step(m, n)})
+     for m in range(-4, 5) for n in range(-4, 5)]
+    + [(f"partner({m},{n})", {"partner_offset": _half_step(m, n)})
+       for m in range(-2, 3) for n in range(-2, 3)]
+    + [(f"partner-rot{k}-{r}", {"partner_rotation_k": k,
+                                "partner_reflected": r})
+       for k in range(6) for r in (False, True)]
+    + [(f"ring{list(i)}={k}",
+        {"ring": tuple(k if j in i else rot
+                       for j, rot in enumerate((4, 5, 0, 0, 1, 2)))})
+       for i in ((0,), (1,), (2, 3), (4,), (5,)) for k in range(6)]
+    + [(f"{keys}+{v!r}", dict.fromkeys(keys.split("&"), v))
+       for keys in ("tail1", "head1", "tail2", "head2", "tail1&head1",
+                    "tail2&head2")
+       for v in (VecE(QSqrt3(1), QSqrt3(0)), U1, U2)]
+    + [(f"far-partner({m},{n})", {"partner_offset": _half_step(m, n)})
+       for m, n in ((10 ** 6, 0), (0, 10 ** 6), (2 * 10 ** 6, -10 ** 6))])
+
+
+@pytest.mark.parametrize("edits", [edits for _, edits in _SWEEP],
+                         ids=[name for name, _ in _SWEEP])
+def test_validation_words_a_fault_as_a_check_of_each_supertile(
+        layout, tile, edits):
+    # one ordered pass over the eight supertiles raises exactly what
+    # checking each in turn, assembling each generation after the last
+    # passed, finds first
+    case = layout._replace(**{
+        key: FormVec(getattr(layout, key).u + v, getattr(layout, key).w)
+        if isinstance(v, VecE) else v for key, v in edits.items()})
+    want = _reference_fault(case, tile)
+    if want is None:
+        assert layout_from_config(_layout_text(case), tile) == case
+    else:
+        with pytest.raises(ConstructionError) as caught:
+            layout_from_config(_layout_text(case), tile)
+        assert str(caught.value) == want
 
 
 # -------------------------------------------------------------------- search
@@ -702,8 +833,9 @@ def _assert_clash_is_real(node, tile, detail):
         at = at.compose(q)
     for label in (first, second):
         piece, q = node.children[node.labels.index(label)]
-        assert any(cell in hat_kite_cells(h, tile.cells)
-                   for h, _ in expand(piece, at.compose(q)))
+        assert any(cell in hat_kite_cells(at.compose(q).compose(h),
+                                          tile.cells)
+                   for h, _ in expand(piece))
 
 
 def _matches_flat(node, tile, connected):
@@ -734,7 +866,7 @@ def _root_cells(node, tile):
 
 @pytest.mark.parametrize("kind", [HAT, THC])
 def test_packed_cells_equal_the_flat_cells(layout, tile, hat_p, kind):
-    for gen, nodes in enumerate(generations(6, hat_p, layout), 1):
+    for gen, nodes in enumerate(Chain(hat_p, layout).upto(6), 1):
         node = nodes[kind == THC]
         ok, flat = disjoint_cells([q for q, _ in expand(node)], tile.cells)
         assert ok and len(flat) == 8 * tile_counts(kind, gen)
@@ -860,7 +992,7 @@ _SHAPES = st.one_of(
 @given(_SHAPES)
 def test_integer_assembly_matches_the_vece_reference(layout, shape):
     p = make_params(*shape)
-    got = list(generations(5, p, layout))
+    got = list(Chain(p, layout).upto(5))
     want = _ref_generations(5, p, layout)
     for gen, (pair, ref_pair) in enumerate(zip(got, want), 1):
         for node, ref in zip(pair, ref_pair):
