@@ -3,9 +3,10 @@ trihexagonal kite-cell lattice.
 
 Outlines are traced by walking edges of the two tile edge classes (length a
 or b) with headings at multiples of 30 degrees, so every vertex stays in
-Q(sqrt(3)).  At hat parameters (a=1, b=sqrt(3)) each hat covers exactly 8
-kites of the hexagon grid with edge 2.  This module places hats on that
-grid (`hat_kite_cells`), keeps a flat per-hat disjointness check
+Q(sqrt(3)); `is_simple` tests them on ints, only where two edges' exact
+integer boxes meet.  At hat parameters (a=1, b=sqrt(3)) each hat covers
+exactly 8 kites of the hexagon grid with edge 2.  This module places hats
+on that grid (`hat_kite_cells`), keeps a flat per-hat disjointness check
 (`disjoint_cells`, an oracle the supertile check does not call), and
 packs a patch's cells into one int (`packing_width`), the form that
 `substitution.check_kites` composes on a supertile's assembly DAG and the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import NamedTuple
 
 from .configfile import ConfigError, parse_config, value_int, value_ints
@@ -225,14 +226,6 @@ def _side(p, q, r) -> int:
                  ux * vyr + uxr * vy - uy * vxr - uyr * vx)
 
 
-def _turn_back(p, q, r) -> bool:
-    """True if (q - p) . (r - q) < 0 for `int_points` points."""
-    ux, uxr, uy, uyr = q[0] - p[0], q[1] - p[1], q[2] - p[2], q[3] - p[3]
-    vx, vxr, vy, vyr = r[0] - q[0], r[1] - q[1], r[2] - q[2], r[3] - q[3]
-    return _sign(ux * vx + 3 * uxr * vxr + uy * vy + 3 * uyr * vyr,
-                 ux * vxr + uxr * vx + uy * vyr + uyr * vy) < 0
-
-
 def _in_box(u, p, v) -> bool:
     """True if p lies in the closed axis-parallel box spanned by u and v,
     for `int_points` points."""
@@ -242,33 +235,45 @@ def _in_box(u, p, v) -> bool:
             * _sign(p[2] - v[2], p[3] - v[3]) <= 0)
 
 
+def _bounds(c: int, r: int) -> tuple[int, int]:
+    """The integer floor and ceiling of c + r*sqrt3, exact: 3r^2 is never
+    a perfect square for r != 0."""
+    if not r:
+        return c, c
+    f = isqrt(3 * r * r)
+    return (c + f, c + f + 1) if r > 0 else (c - f - 1, c - f)
+
+
 def is_simple(o: Outline) -> bool:
     """Exact check that no two non-adjacent edges intersect and adjacent
     edges share only their common vertex.
 
-    The vertices are scaled once to `int_points`, and every test is the
-    sign of an integer combination: side[i][k] is the side of vertex k
-    relative to edge i.
+    The vertices are scaled once to `int_points`, and each edge gets the
+    integer box of its ends' `_bounds`; the side tests, each the sign of
+    an integer combination, run only for edge pairs whose boxes meet.
     """
     pts = int_points(o)[0]
     n = len(pts)
     nxt = pts[1:] + pts[:1]
-    side = [[_side(a, b, r) for r in pts] for a, b in zip(pts, nxt)]
-    for i in range(n):
+    ends = [(*_bounds(x, xr), *_bounds(y, yr)) for x, xr, y, yr in pts]
+    boxes = [(min(u[0], v[0]), max(u[1], v[1]), min(u[2], v[2]),
+              max(u[3], v[3])) for u, v in zip(ends, ends[1:] + ends[:1])]
+    for i, (x0, x1, y0, y1) in enumerate(boxes):
         a, b = pts[i], nxt[i]
         if a == b:
             return False
-        side_i, i1 = side[i], (i + 1) % n
-        # adjacent edges may only fold back onto each other when collinear
-        # and reversed; straight-through (turn 0) is fine
-        if not side_i[(i + 2) % n] and _turn_back(a, b, nxt[i1]):
+        # collinear adjacent edges fold back when the far end of one lies
+        # on the other; straight-through (turn 0) is fine
+        c = nxt[(i + 1) % n]
+        if not _side(a, b, c) and (_in_box(a, c, b) or _in_box(b, a, c)):
             return False
-        for j in range(i + 2, n):
-            if i == 0 and j == n - 1:
+        for j in range(i + 2, n - (i == 0)):
+            u0, u1, v0, v1 = boxes[j]
+            if u0 > x1 or x0 > u1 or v0 > y1 or y0 > v1:
                 continue
-            k = (j + 1) % n
-            c, d = pts[j], pts[k]
-            d1, d2, d3, d4 = side_i[j], side_i[k], side[j][i], side[j][i1]
+            c, d = pts[j], nxt[j]
+            d1, d2 = _side(a, b, c), _side(a, b, d)
+            d3, d4 = _side(c, d, a), _side(c, d, b)
             # a proper crossing, or an endpoint on the other edge
             if d1 * d2 < 0 and d3 * d4 < 0:
                 return False

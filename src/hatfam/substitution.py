@@ -11,13 +11,14 @@ coincidence from then on, so every generation's head minus tail can be
 checked against the closed-form supervector.  A `Chain` holds the
 generations of one layout at one shape, in Q(zeta) integers over one
 denominator, and a command keeps its chains for the call, so each
-supertile is assembled once per call.  Hat counts sum over the children,
-once per shared node.  `check_kites` decides kite disjointness and
-contact on the same DAG in ints, in one pass: each edge is one lattice
-step, which a table turns per orientation; each (node, orientation)
-keeps its cells as one int, the OR of its children's shifted ints, whose
-bit count shows whether they overlap; touching connected pieces make a
-connected node; a failure's path is joined as it unwinds.
+supertile is assembled once per call; `search_layout`'s candidates share
+one chain's generation 1 (`Chain.moved_p4`) and its kite memos.  Hat
+counts sum over the children, once per shared node.  `check_kites` decides
+kite disjointness and contact on the same DAG in ints, in one pass: each
+edge is one lattice step, which a table turns per orientation; each (node,
+orientation) keeps its cells as one int, the OR of its children's shifted
+ints, whose bit count shows whether they overlap; touching connected pieces
+make a connected node; a failure's path is joined as it unwinds.
 The pass takes supertiles in order, at one packing width, and names the
 first that fails: `layout_from_config` checks the eight of generations
 1-4 in one pass, and hands that chain to the call.  `expand` walks every
@@ -40,7 +41,8 @@ from .configfile import (
     value_ints,
     value_vector,
 )
-from .exactnum import VecE, reduced_coords, zeta_coords, zeta_vector
+from .exactnum import (VecE, reduced_coords, render_scalar, zeta_coords,
+                       zeta_vector)
 from .geometry import (
     IDENTITY,
     KiteCell,
@@ -213,6 +215,15 @@ class Chain:
                             ("hat", "partner"), tail, head, den)
         self.pairs = [(hat, thc)]
 
+    def moved_p4(self, layout: LayoutTable, shift: tuple) -> "Chain":
+        """The chain of `layout`, this one's with p4_gen2 moved by the
+        Q(zeta) int point `shift`, on this chain's generation-1 nodes."""
+        chain = Chain.__new__(Chain)
+        vars(chain).update(vars(self), layout=layout, pairs=self.pairs[:1])
+        chain.p4_gen2 = tuple(c + x * self.den
+                              for c, x in zip(self.p4_gen2, shift))
+        return chain
+
     def upto(self, n: int) -> Iterator[tuple]:
         """Yield (hat, thc) for generations 1..n, assembling each one not
         made yet after the one before it is yielded."""
@@ -288,11 +299,15 @@ def _assemble(n: int, chain: Chain):
 def chain_at(p: TileParams, layout: LayoutTable,
              chains: dict | None = None) -> Chain:
     """The chain of `layout` at p: the one `chains`, a call's chains of
-    this layout by shape, holds, else a new one, which `chains` keeps."""
+    this layout by shape, holds, else a new one, which `chains` keeps.
+    A held chain of another layout raises ValueError."""
     if chains is None:
         return Chain(p, layout)
     if p not in chains:
         chains[p] = Chain(p, layout)
+    elif chains[p].layout != layout:
+        raise ValueError(f"the chain held at Tile({render_scalar(p.a)}, "
+                         f"{render_scalar(p.b)}) is of another layout")
     return chains[p]
 
 
@@ -628,19 +643,23 @@ def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
     assembled hat lies on the kite lattice, on kites of its own, and the
     hats form one connected patch.  Runs on hat proportions only, where
     the kite decomposition exists; offsets are recorded on the a-edge
-    component of the form.
+    component of the form.  The candidates' chains share one generation
+    1, assembled and checked once; each `build` adds a generation 2.
     """
     if p != hat_params():
         raise ConstructionError(
             "the fourth-piece search needs hat proportions (kite cells "
             "exist only there)")
-    found = []
+    found, base = [], Chain(p, layout)
     for dm in range(-window, window + 1):
         for dn in range(-window, window + 1):
             shift = U1 * dm + U2 * dn
             cand = layout._replace(
                 p4_gen2=FormVec(layout.p4_gen2.u + shift, layout.p4_gen2.w))
-            if check_kites(build(HAT, 2, p, cand), tile, connected=True)[0]:
+            # a = 1, so the form's value moves by shift, a lattice point
+            chain = base.moved_p4(cand, zeta_coords(shift)[0])
+            if check_kites(build(HAT, 2, p, cand, {p: chain}), tile,
+                           connected=True)[0]:
                 found.append(cand)
     if not found:
         raise ConstructionError(

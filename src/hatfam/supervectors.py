@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .exactnum import ONE, SQRT3, QSqrt3, VecE, _pair, _quotient, _vec
-from .sequences import fib_lucas
+from .exactnum import ONE, SQRT3, QSqrt3, VecE, _pair, _quotient, _reduced
+from .sequences import _fib_pair
 
 
 class DomainError(ValueError):
@@ -60,11 +60,16 @@ def has_hat_proportion(p: TileParams) -> bool:
 
 
 def v_closed(n: int, p: TileParams) -> VecE:
-    """V_n = (fib(2n)*s, lucas(2n)*t)."""
+    """V_n = (fib(2n)*s, lucas(2n)*t), from one fast-doubling pass to n:
+    fib(2n) = fib(n)*lucas(n) and lucas(2n) = lucas(n)^2 - 2(-1)^n, each
+    scaling the stored ints of s or t."""
     if n < 0:
         raise ValueError(f"generation must be >= 0, got {n}")
-    fib_2n, lucas_2n = fib_lucas(2 * n)
-    return _vec(p.s * fib_2n, p.t * lucas_2n)
+    f, g = _fib_pair(n)
+    lucas_n = 2 * g - f
+    fib_2n, lucas_2n = f * lucas_n, lucas_n * lucas_n + (2 if n & 1 else -2)
+    return VecE(_reduced(p.s.a * fib_2n, p.s.b * fib_2n, p.s.d),
+                _reduced(p.t.a * lucas_2n, p.t.b * lucas_2n, p.t.d))
 
 
 def v_recurrence(n: int, p: TileParams) -> VecE:

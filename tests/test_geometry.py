@@ -326,17 +326,41 @@ _HALVES = st.builds(lambda i, j: QSqrt3(Fraction(i, 2), Fraction(j, 2)),
 _POINTS = st.builds(VecE, _HALVES, _HALVES)
 
 
+_HALF_STEPS = st.integers(-2, 10).map(lambda i: Fraction(i, 2))
+_RATIONAL_POINTS = st.builds(VecE, *[_HALF_STEPS.map(QSqrt3)] * 2)
+
+
+@st.composite
+def _pinched(draw):
+    """A w x h rectangle whose top edge dips to one or two vertices at
+    height y in {-1/2, 0, 1/2}, turned by 30*k degrees and moved by a
+    rational point.  At y = 0 the dip touches the bottom edge at a vertex
+    or overlaps it collinearly, and when k is a multiple of 3 the integer
+    boxes of the edges that meet share exactly one bound; elsewhere boxes
+    touch or overlap without their edges meeting, or the dip crosses."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    y = Fraction(draw(st.integers(-1, 1)), 2)
+    xs = draw(st.lists(_HALF_STEPS, min_size=1, max_size=2))
+    corners = [(0, 0), (w, 0), (w, h), *((x, y) for x in xs), (0, h)]
+    k, shift = draw(st.integers(0, 11)), draw(_RATIONAL_POINTS)
+    return tuple(unit_k30(k) * QSqrt3(u) + unit_k30(k + 3) * QSqrt3(v)
+                 + shift for u, v in corners)
+
+
 @st.composite
 def _polygons(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("free", "pool", "pinched")))
+    if kind == "free":
         return tuple(draw(st.lists(_POINTS, min_size=3, max_size=8)))
+    if kind == "pinched":
+        return draw(_pinched())
     # vertices drawn from a small pool repeat and line up more often
     pool = draw(st.lists(_POINTS, min_size=2, max_size=5, unique=True))
     return tuple(draw(st.lists(st.sampled_from(pool), min_size=3,
                                max_size=8)))
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(_polygons())
 @example(PINCHED)
 @example(BOWTIE)

@@ -17,6 +17,7 @@ from hatfam.exactnum import (
     VecE,
     render_scalar,
     rotate60,
+    zeta_coords,
 )
 from hatfam.geometry import (
     IDENTITY,
@@ -40,6 +41,7 @@ from hatfam.substitution import (
     FormVec,
     SupertileNode,
     build,
+    chain_at,
     check_kites,
     expand,
     layout_from_config,
@@ -753,6 +755,100 @@ def test_search_reports_empty_window(layout, tile, hat_p):
         p4_gen2=FormVec(layout.p4_gen2.u + U1, layout.p4_gen2.w))
     with pytest.raises(ConstructionError, match="no workable"):
         search_layout(hat_p, nudged, tile, window=0)
+
+
+def _reference_search(p, layout, tile, window):
+    """The search as a fresh build and kite check per offset: each
+    candidate assembles and checks a generation 1 of its own."""
+    found = []
+    for dm in range(-window, window + 1):
+        for dn in range(-window, window + 1):
+            shift = U1 * dm + U2 * dn
+            cand = layout._replace(
+                p4_gen2=FormVec(layout.p4_gen2.u + shift, layout.p4_gen2.w))
+            if check_kites(build(HAT, 2, p, cand), tile, connected=True)[0]:
+                found.append(cand)
+    if not found:
+        raise ConstructionError(
+            f"no workable fourth-piece offset within {window} lattice "
+            f"steps of the configured one")
+    return found
+
+
+def _outcome(search, *args):
+    """What `search` returns, or the text of the ConstructionError it
+    raises."""
+    try:
+        return search(*args)
+    except ConstructionError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("key,move", [
+    (None, None),
+    ("p4_gen2", VecE(QSqrt3(1), QSqrt3(0))),
+    ("partner_offset", U1),
+    ("tail1", U2),
+    ("head2", U1),
+], ids=["shipped", "p4-off-lattice", "partner-moved", "tail1-moved",
+        "head2-moved"])
+def test_search_on_a_shared_generation_one_matches_a_build_per_offset(
+        layout, tile, hat_p, key, move):
+    if key:
+        form = getattr(layout, key)
+        layout = layout._replace(**{key: FormVec(form.u + move, form.w)})
+    got = _outcome(search_layout, hat_p, layout, tile, 2)
+    assert got == _outcome(_reference_search, hat_p, layout, tile, 2)
+
+
+def test_search_builds_each_candidate_on_one_generation_one(
+        layout, tile, hat_p, monkeypatch):
+    builds, anchors = [], []
+    real_build, real_check = substitution.build, substitution._check_anchor
+
+    def spied_build(kind, n, p, cand, chains=None):
+        node = real_build(kind, n, p, cand, chains)
+        builds.append((kind, n, cand, chains, node))
+        return node
+
+    def spied_check(n, *args):
+        anchors.append(n)
+        return real_check(n, *args)
+
+    monkeypatch.setattr(substitution, "build", spied_build)
+    monkeypatch.setattr(substitution, "_check_anchor", spied_check)
+    found = search_layout(hat_p, layout, tile, window=1)
+    assert len(builds) == 9
+    # one candidate chain per build, held under the shape as `chain_at`
+    # reads it, all on the search's one generation 1
+    for kind, n, cand, chains, node in builds:
+        assert (kind, n, list(chains)) == (HAT, 2, [hat_p])
+        assert chains[hat_p].layout is cand
+        assert chain_at(hat_p, cand, chains) is chains[hat_p]
+    assert len({id(chains[hat_p].pairs[0]) for *_, chains, _ in builds}) == 1
+    assert len({id(node.children[0][0]) for *_, node in builds}) == 1
+    assert anchors == [1] + [2] * 9
+    assert [cand.p4_gen2 for cand in found] == [layout.p4_gen2]
+
+
+def test_chain_at_refuses_a_chain_of_another_layout(layout, hat_p):
+    other = layout._replace(
+        p4_gen2=FormVec(layout.p4_gen2.u + U1, layout.p4_gen2.w))
+    chains = {hat_p: Chain(hat_p, layout)}
+    for ask in (lambda: chain_at(hat_p, other, chains),
+                lambda: build(HAT, 2, hat_p, other, chains)):
+        with pytest.raises(ValueError, match=re.escape(
+                "the chain held at Tile(1, 1*r3) is of another layout")):
+            ask()
+    assert chain_at(hat_p, layout, chains) is chains[hat_p]
+    # a chain moved to the other layout is read as its own, and assembles
+    # what a fresh chain of it does
+    moved = chains[hat_p].moved_p4(other, zeta_coords(U1)[0])
+    assert chain_at(hat_p, other, {hat_p: moved}) is moved
+    got, want = moved.node(HAT, 2), Chain(hat_p, other).node(HAT, 2)
+    assert got.children[0][0] is chains[hat_p].node(THC, 1)
+    assert [q for _, q in got.children] == [q for _, q in want.children]
+    assert (got.tail, got.head, got.den) == (want.tail, want.head, want.den)
 
 
 # ------------------------------------------------ bitset against flat check

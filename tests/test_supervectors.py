@@ -56,11 +56,14 @@ def test_v3_buildup(varied_params):
 
 
 def test_components_are_fib_lucas():
-    p = _p(2, 3)
-    for n in range(0, 30):
-        v = v_closed(n, p)
-        assert v.x == p.s * fib(2 * n)
-        assert v.y == p.t * lucas(2 * n)
+    # v_closed doubles from fib(n) and lucas(n); this reads fib(2n) and
+    # lucas(2n) straight off their own sequences
+    for p in (hat_params(), turtle_params(), _p(2, 3),
+              make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))):
+        for n in range(0, 301):
+            v = v_closed(n, p)
+            assert v.x == p.s * fib(2 * n)
+            assert v.y == p.t * lucas(2 * n)
 
 
 def test_s_t_derivation():
