@@ -232,10 +232,10 @@ def _check_outline(max_gen: int, env) -> str:
     # tracing an outline checks edge lengths and simplicity; the one at
     # the hat is the one layout validation traced
     for p in varied:
-        tile.kept_outline(p)
+        tile.outline(p)
     for k in (1, 2, 3, 5, 7):
         p = make_params(QSqrt3(k), QSqrt3(0, k))
-        _require(tile.kept_area(p) == p.a * p.b * 8,
+        _require(tile.area(p) == p.a * p.b * 8,
                  f"area != 8ab at a={k}")
     return "closes and stays simple at 5 shapes; area 8ab at hat proportions"
 

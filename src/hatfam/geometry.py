@@ -1,6 +1,10 @@
 """Exact tile geometry: turtle-program outlines, rigid placements, and the
 trihexagonal kite-cell lattice.
 
+Every turn in the package is one of 12 orientations, applied to Q(zeta)
+ints by `moved`; the kite lattice's turns (`LATTICE_TURNS`) are read off
+its basis turned by it.
+
 Outlines are traced by walking edges of the two tile edge classes (length a
 or b) with headings at multiples of 30 degrees, so every vertex stays in
 Q(sqrt(3)); `is_simple` tests them on ints, only where two edges' exact
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 from typing import NamedTuple
 
 from .configfile import ConfigError, parse_config, value_int, value_ints
@@ -30,6 +34,7 @@ from .exactnum import (
     reflect_y_axis,
     rotate60,
     zeta_coords,
+    zeta_points,
     zeta_vector,
 )
 from .supervectors import TileParams
@@ -50,7 +55,8 @@ class LatticeError(GeometryError):
 #
 # A placement's linear part is one of 12 orientations o = rotation_k +
 # 6*reflected, and its translation is a Q(zeta) point (see exactnum), so
-# composing two placements is an integer 4x4 map plus four int adds.
+# turning a point is an integer 4x4 map (`moved`), built from exactnum's
+# rotate60 and reflect_y_axis.
 
 def _orientation_matrix(o: int) -> tuple[int, ...]:
     """Row-major 4x4 integer matrix of orientation o on Q(zeta)
@@ -70,6 +76,19 @@ _PRODUCT = tuple(
     tuple((o % 6 + (-(p % 6) if o >= 6 else p % 6)) % 6
           + 6 * ((o >= 6) != (p >= 6)) for p in range(12))
     for o in range(12))
+
+
+def moved(o: int, c, t) -> tuple:
+    """The Q(zeta) point c turned by orientation o, then moved by t, all
+    four ints over one denominator."""
+    (m00, m01, m02, m03, m10, m11, m12, m13,
+     m20, m21, m22, m23, m30, m31, m32, m33) = _MATRICES[o]
+    c0, c1, c2, c3 = c
+    t0, t1, t2, t3 = t
+    return (t0 + m00 * c0 + m01 * c1 + m02 * c2 + m03 * c3,
+            t1 + m10 * c0 + m11 * c1 + m12 * c2 + m13 * c3,
+            t2 + m20 * c0 + m21 * c1 + m22 * c2 + m23 * c3,
+            t3 + m30 * c0 + m31 * c1 + m32 * c2 + m33 * c3)
 
 
 def _placement(o: int, coords: tuple, den: int) -> "Placement":
@@ -111,25 +130,10 @@ class Placement:
 
     def compose(self, inner: "Placement") -> "Placement":
         """The motion equal to applying `inner` first, then `self`."""
-        o = self.orientation
-        (m00, m01, m02, m03, m10, m11, m12, m13,
-         m20, m21, m22, m23, m30, m31, m32, m33) = _MATRICES[o]
-        c0, c1, c2, c3 = inner.coords
-        r0 = m00 * c0 + m01 * c1 + m02 * c2 + m03 * c3
-        r1 = m10 * c0 + m11 * c1 + m12 * c2 + m13 * c3
-        r2 = m20 * c0 + m21 * c1 + m22 * c2 + m23 * c3
-        r3 = m30 * c0 + m31 * c1 + m32 * c2 + m33 * c3
-        t0, t1, t2, t3 = self.coords
-        d, e = self.den, inner.den
-        o = _PRODUCT[o][inner.orientation]
-        if d == e:
-            if d == 1:
-                return _placement(o, (t0 + r0, t1 + r1, t2 + r2, t3 + r3), 1)
-            return _placement(o, *reduced_coords(
-                t0 + r0, t1 + r1, t2 + r2, t3 + r3, d))
-        return _placement(o, *reduced_coords(
-            t0 * e + r0 * d, t1 * e + r1 * d, t2 * e + r2 * d,
-            t3 * e + r3 * d, d * e))
+        o, d, e = self.orientation, self.den, inner.den
+        return _placement(_PRODUCT[o][inner.orientation], *reduced_coords(
+            *moved(o, [c * d for c in inner.coords],
+                   [t * e for t in self.coords]), d * e))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Placement:
@@ -203,21 +207,16 @@ def shoelace_area(o: Outline) -> QSqrt3:
     return total / 2
 
 
-def int_points(o) -> tuple[list[tuple[int, int, int, int]], int]:
-    """The points, each (x, y) as ints (xa, xb, ya, yb) with x = (xa +
-    xb*sqrt3)/D and y = (ya + yb*sqrt3)/D, and their one common D > 0:
-    differences, products and signs of the points need no gcd."""
-    den = lcm(*(c.d for v in o for c in (v.x, v.y)))
-    out = []
-    for v in o:
-        x, y = v.x, v.y
-        kx, ky = den // x.d, den // y.d
-        out.append((x.a * kx, x.b * kx, y.a * ky, y.b * ky))
-    return out, den
+def xy_parts(c) -> tuple[int, int, int, int]:
+    """(x, x3, y, y3) of the Q(zeta) point c over d: its x is (x +
+    x3*sqrt3)/2d and its y (y + y3*sqrt3)/2d (see `exactnum.zeta_vector`),
+    so differences, products and signs of points over one d need no gcd."""
+    c0, c1, c2, c3 = c
+    return 2 * c0 + c2, c1, c1 + 2 * c3, c2
 
 
 def _side(p, q, r) -> int:
-    """Sign of (q - p) x (r - p) for `int_points` points: +1 when r lies
+    """Sign of (q - p) x (r - p) for `xy_parts` points: +1 when r lies
     left of the line from p to q, 0 on it."""
     ux, uxr, uy, uyr = q[0] - p[0], q[1] - p[1], q[2] - p[2], q[3] - p[3]
     vx, vxr, vy, vyr = r[0] - p[0], r[1] - p[1], r[2] - p[2], r[3] - p[3]
@@ -228,7 +227,7 @@ def _side(p, q, r) -> int:
 
 def _in_box(u, p, v) -> bool:
     """True if p lies in the closed axis-parallel box spanned by u and v,
-    for `int_points` points."""
+    for `xy_parts` points."""
     return (_sign(p[0] - u[0], p[1] - u[1])
             * _sign(p[0] - v[0], p[1] - v[1]) <= 0
             and _sign(p[2] - u[2], p[3] - u[3])
@@ -248,11 +247,12 @@ def is_simple(o: Outline) -> bool:
     """Exact check that no two non-adjacent edges intersect and adjacent
     edges share only their common vertex.
 
-    The vertices are scaled once to `int_points`, and each edge gets the
-    integer box of its ends' `_bounds`; the side tests, each the sign of
-    an integer combination, run only for edge pairs whose boxes meet.
+    The vertices are put once over one denominator as `xy_parts`, and
+    each edge gets the integer box of its ends' `_bounds`; the side tests,
+    each the sign of an integer combination, run only for edge pairs whose
+    boxes meet.
     """
-    pts = int_points(o)[0]
+    pts = [xy_parts(c) for c in zeta_points(o)[0]]
     n = len(pts)
     nxt = pts[1:] + pts[:1]
     ends = [(*_bounds(x, xr), *_bounds(y, yr)) for x, xr, y, yr in pts]
@@ -338,16 +338,6 @@ def kite_corners(cell: KiteCell) -> tuple[VecE, VecE, VecE, VecE]:
             c + _mid_offset(k))
 
 
-def cell_rotate60(cell: KiteCell) -> KiteCell:
-    q, r, k = cell
-    return KiteCell(-r, q + r, (k + 1) % 6)
-
-
-def cell_reflect(cell: KiteCell) -> KiteCell:
-    q, r, k = cell
-    return KiteCell(-q, q + r, (3 - k) % 6)
-
-
 def packing_width(r_span: int) -> int:
     """The row width at which cells with r_lo <= hex_r <= r_lo + r_span,
     and their neighbours, pack to distinct bits: in a patch whose hex box
@@ -404,16 +394,24 @@ def lattice_shift(q: Placement) -> tuple[int, int]:
         f"{zeta_vector(c, q.den)!r} is not on the hexagon lattice")
 
 
+# LATTICE_TURNS[o]: U1 and U2 turned by orientation o, as lattice steps
+# (a, c) and (b, d); o turns a step (m, n) to (a*m + b*n, c*m + d*n)
+LATTICE_TURNS = tuple(
+    tuple(lattice_shift(_placement(0, moved(o, zeta_coords(u)[0],
+                                            (0, 0, 0, 0)), 1))
+          for u in (U1, U2))
+    for o in range(12))
+
+
 @lru_cache(maxsize=8)
-def _oriented_cells(cells: frozenset | tuple) -> tuple[tuple, ...]:
+def _oriented_cells(cells: frozenset) -> tuple[tuple, ...]:
     """The cell set under each of the 12 orientations, before translation:
-    rotation_k turns for orientation k, a reflection first for 6 + k."""
-    out = []
-    for turned in (tuple(cells), tuple(map(cell_reflect, cells))):
-        for _ in range(6):
-            out.append(turned)
-            turned = tuple(map(cell_rotate60, turned))
-    return tuple(out)
+    each hexagon turned by `LATTICE_TURNS`, and each corner k reflected to
+    3 - k for a reflected orientation, then turned o % 6 times."""
+    return tuple(
+        tuple((a * q + b * r, c * q + d * r,
+               ((3 - k if o >= 6 else k) + o) % 6) for q, r, k in cells)
+        for o, ((a, c), (b, d)) in enumerate(LATTICE_TURNS))
 
 
 def hat_kite_cells(q: Placement, base_cells) -> frozenset:
@@ -450,10 +448,9 @@ class TileData:
     """Tile description loaded from a config file: the boundary walk as
     TurtleSteps plus the kite cells the tile covers at hat parameters.
 
-    `outline(p)` traces and validates the boundary at p; `kept_outline(p)`
-    traces each shape once per TileData and keeps it, so a command, which
-    loads its tile once, traces the outline layout validation checked
-    only once.
+    `outline(p)` traces each shape once per TileData and keeps it, so a
+    command, which loads its tile once, traces the outline layout
+    validation checked only once.
     """
 
     def __init__(self, steps: tuple, heading_k30: int, cells: frozenset):
@@ -461,28 +458,24 @@ class TileData:
         self.heading_k30 = heading_k30
         self.cells = cells
         self._outlines = {}
-        self._areas = {}
 
     def outline(self, p: TileParams) -> Outline:
-        """Trace and validate the tile boundary at the given parameters,
-        keeping its signed area for `kept_area`."""
-        o = outline_from_turtle(self.steps, p, self.heading_k30)
-        validate_outline(o, p)
-        area = self._areas[p] = shoelace_area(o)
-        if area.sign() <= 0:
-            raise GeometryError("tile outline is not counterclockwise")
-        return o
-
-    def kept_outline(self, p: TileParams) -> Outline:
-        """`outline(p)`, traced the first time this tile is asked for it."""
+        """The tile boundary at p, traced and validated (edge lengths,
+        simplicity, counterclockwise) the first time this tile is asked
+        for it, and kept with its signed area."""
         if p not in self._outlines:
-            self._outlines[p] = self.outline(p)
-        return self._outlines[p]
+            o = outline_from_turtle(self.steps, p, self.heading_k30)
+            validate_outline(o, p)
+            area = shoelace_area(o)
+            if area.sign() <= 0:
+                raise GeometryError("tile outline is not counterclockwise")
+            self._outlines[p] = o, area
+        return self._outlines[p][0]
 
-    def kept_area(self, p: TileParams) -> QSqrt3:
-        """Signed area of `kept_outline(p)`."""
-        self.kept_outline(p)
-        return self._areas[p]
+    def area(self, p: TileParams) -> QSqrt3:
+        """Signed area of `outline(p)`."""
+        self.outline(p)
+        return self._outlines[p][1]
 
 
 def tile_from_config(text: str) -> TileData:
@@ -512,10 +505,10 @@ def tile_from_config(text: str) -> TileData:
 
     cells = []
     for item in cfg.get("cells", "items").split():
-        parts = item.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"bad cell {item!r}, expected q,r,k")
-        q, r, k = (int(x) for x in parts)
+        try:
+            q, r, k = map(int, item.split(","))
+        except ValueError:
+            raise ConfigError(f"bad cell {item!r}, expected q,r,k") from None
         if not 0 <= k < 6:
             raise ConfigError(f"bad cell {item!r}, corner must be 0..5")
         cells.append(KiteCell(q, r, k))

@@ -7,9 +7,12 @@ inputs produce byte-identical documents.  Every distinct coordinate is
 formatted once per figure and axis, and the viewBox spans those
 coordinates.
 
-Each hat is one `str.format` call: its orientation's template holds the
-class, the fill and the path, and takes the x and y columns of texts,
-each made once per orientation and the matching part of the translation.
+Points are Q(zeta) ints (the outline over one denominator, translations,
+arrow anchors), turned by `geometry.moved` and read as x and y parts by
+`geometry.xy_parts`.  Each hat is one `str.format` call: its
+orientation's template holds the class, the fill and the path, and takes
+the x and y columns of texts, each made once per orientation and the
+matching part of the translation.
 The grid is one list of kite edges per orientation, moved by each hat's
 lattice step; an edge two kites of one hat share is listed once, and only
 edges on the hat's boundary are checked against those already drawn.
@@ -20,14 +23,17 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
+from .exactnum import zeta_points
 from .geometry import (
+    IDENTITY,
     KiteCell,
     Placement,
     TileData,
     hat_kite_cells,
-    int_points,
     kite_corners,
     lattice_shift,
+    moved,
+    xy_parts,
 )
 from .sequences import tile_counts
 from .substitution import SupertileNode, expand
@@ -50,8 +56,6 @@ _ARROW_COLORS = ("#1d3557", "#9d0208", "#1b4332", "#6a040f", "#3c096c",
 _KITE_OFFSETS = [[(int(2 * v.x.r), int(2 * v.y.s))
                   for v in kite_corners(KiteCell(0, 0, k))] for k in range(6)]
 _SQRT3 = 3.0 ** 0.5
-# orientation k turns (x, y) into ((c x - s sqrt3 y)/2, (s sqrt3 x + c y)/2)
-_TURNS = ((2, 0), (1, 1), (-1, 1), (-2, 0), (-1, -1), (1, -1))
 
 
 class RenderError(ValueError):
@@ -177,18 +181,6 @@ def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
     return lines
 
 
-def _oriented(pts, o: int) -> list[tuple[int, int, int, int]]:
-    """`int_points` points over D under orientation o, before translation,
-    as `int_points` over 2D: reflected across the y axis for o >= 6, then
-    turned o % 6 times by 60 degrees, as a placement moves a point."""
-    c, s = _TURNS[o % 6]
-    m = -1 if o >= 6 else 1
-    # sqrt3*(ya + yb*sqrt3) = 3yb + ya*sqrt3, and likewise for x
-    return [(c * m * xa - 3 * s * yb, c * m * xb - s * ya,
-             3 * s * m * xb + c * ya, s * m * xa + c * yb)
-            for xa, xb, ya, yb in pts]
-
-
 def _floats(t: int, t3: int, d: int, offsets, vd: int) -> list[float]:
     """The float of (u + u3*sqrt3)/vd + (t + t3*sqrt3)/2d for each offset
     (u, u3): one axis of points over vd moved by a translation.
@@ -202,14 +194,12 @@ def _floats(t: int, t3: int, d: int, offsets, vd: int) -> list[float]:
             for u, u3 in offsets]
 
 
-def _svg_floats(q: Placement, pts, vd: int) -> list[tuple[float, float]]:
-    """The SVG floats (x, -y) of the `int_points` points over vd placed by
-    q, whose translation, the Q(zeta) point t/d, has x = (2 t0 + t2 +
-    t1*sqrt3)/2d and y = (t1 + 2 t3 + t2*sqrt3)/2d."""
-    pts = _oriented(pts, q.orientation)
-    t0, t1, t2, t3 = q.coords
-    xs = _floats(2 * t0 + t2, t1, q.den, [v[:2] for v in pts], 2 * vd)
-    ys = _floats(t1 + 2 * t3, t2, q.den, [v[2:] for v in pts], 2 * vd)
+def _svg_floats(q: Placement, pts, den: int) -> list[tuple[float, float]]:
+    """The SVG floats (x, -y) of the Q(zeta) points over den placed by q."""
+    pts = [xy_parts(moved(q.orientation, c, (0, 0, 0, 0))) for c in pts]
+    tx, tx3, ty, ty3 = xy_parts(q.coords)
+    xs = _floats(tx, tx3, q.den, [v[:2] for v in pts], 2 * den)
+    ys = _floats(ty, ty3, q.den, [v[2:] for v in pts], 2 * den)
     return [(x, -y) for x, y in zip(xs, ys)]
 
 
@@ -239,11 +229,12 @@ def _columns(shapes, axis: slice, vd: int, texts: _Memo,
 
 def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
                fx: _Memo, fy: _Memo) -> list[str]:
-    pts, vd = int_points(outline)
-    shapes = [_oriented(pts, o) for o in range(12)]
+    pts, vd = zeta_points(outline)
+    shapes = [[xy_parts(moved(o, c, (0, 0, 0, 0))) for c in pts]
+              for o in range(12)]
     # as in `_svg_floats`, a hat's x column depends only on its
-    # orientation and the x part (2 t0 + t2, t1, d) of its translation,
-    # and its y column on the y part (t1 + 2 t3, t2, d)
+    # orientation and the x parts (x, x3, d) of its translation, and its
+    # y column on the y parts (y, y3, d)
     xs = _columns(shapes, slice(0, 2), 2 * vd, fx, False)
     ys = _columns(shapes, slice(2, 4), 2 * vd, fy, True)
     # one template per orientation, which fixes the class and the fill:
@@ -263,9 +254,8 @@ def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
     paths = []
     for q, _ in placed:
         o, den = q.orientation, q.den
-        t0, t1, t2, t3 = q.coords
-        paths.append(templates[o](*xs[o, 2 * t0 + t2, t1, den],
-                                  *ys[o, t1 + 2 * t3, t2, den]))
+        x, x3, y, y3 = xy_parts(q.coords)
+        paths.append(templates[o](*xs[o, x, x3, den], *ys[o, y, y3, den]))
     return paths
 
 
@@ -273,9 +263,8 @@ def _arrows(node: SupertileNode, opts: RenderOptions, fx: _Memo,
             fy: _Memo) -> list[str]:
     floor = node.generation - opts.show_supervectors + 1
     parts = []
-    for sub, q in _arrow_nodes(node, Placement(), floor):
-        (ax, ay), (bx, by) = _svg_floats(
-            q, *int_points([sub.v_tail, sub.v_head]))
+    for sub, q in _arrow_nodes(node, IDENTITY, floor):
+        (ax, ay), (bx, by) = _svg_floats(q, (sub.tail, sub.head), sub.den)
         length = math.hypot(bx - ax, by - ay)
         if length == 0:
             continue
@@ -313,7 +302,7 @@ def render_supertile(node: SupertileNode, p: TileParams,
     if opts.show_grid and not has_hat_proportion(p):
         raise RenderError(
             "the kite grid exists only at hat proportions (b = sqrt(3)*a)")
-    outline = tile.kept_outline(p)
+    outline = tile.outline(p)
 
     placed = list(expand(node))
     # each distinct coordinate is formatted once per figure and axis.  A

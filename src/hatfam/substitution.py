@@ -15,15 +15,16 @@ supertile is assembled once per call; `search_layout`'s candidates share
 one chain's generation 1 (`Chain.moved_p4`) and its kite memos.  Hat
 counts sum over the children, once per shared node.  `check_kites` decides
 kite disjointness and contact on the same DAG in ints, in one pass: each
-edge is one lattice step, which a table turns per orientation; each (node,
-orientation) keeps its cells as one int, the OR of its children's shifted
-ints, whose bit count shows whether they overlap; touching connected pieces
-make a connected node; a failure's path is joined as it unwinds.
-The pass takes supertiles in order, at one packing width, and names the
-first that fails: `layout_from_config` checks the eight of generations
-1-4 in one pass, and hands that chain to the call.  `expand` walks every
-single hat, only to draw: on Q(zeta) int steps, which it turns once per
-(node, orientation), making a Placement per hat and none per edge.
+edge is one lattice step, turned per orientation by `LATTICE_TURNS`; each
+(node, orientation) keeps its cells as one int, the OR of its children's
+shifted ints, whose bit count shows whether they overlap; touching
+connected pieces make a connected node; a failure's path is joined as it
+unwinds.  The pass takes supertiles in order, at one packing width, and
+names the first that fails: `layout_from_config` checks the eight of
+generations 1-4 in one pass, and hands that chain to the call.  `expand`
+walks every single hat, only to draw: on Q(zeta) int steps, which it
+turns once per (node, orientation), making a Placement per hat and none
+per edge.  Every turn here is geometry's `moved`.
 """
 
 from __future__ import annotations
@@ -42,22 +43,22 @@ from .configfile import (
     value_vector,
 )
 from .exactnum import (VecE, reduced_coords, render_scalar, zeta_coords,
-                       zeta_vector)
+                       zeta_points, zeta_vector)
 from .geometry import (
     IDENTITY,
     KiteCell,
+    LATTICE_TURNS,
     LatticeError,
     Placement,
     TileData,
     U1,
     U2,
-    _MATRICES,
     _PRODUCT,
-    _oriented_cells,
     _placement,
     cells_connected,
     hat_kite_cells,
     lattice_shift,
+    moved,
     packing_width,
 )
 from .supervectors import TileParams, hat_params, v_closed
@@ -129,8 +130,8 @@ class SupertileNode:
     in O(generation) space.  A single hat is the only leaf: the
     generation-1 compound holds two of it, labelled hat and partner.
     tail and head, the anchor vertices, are Q(zeta) coordinates (see
-    `exactnum.zeta_coords`) over den, unreduced; v_tail and v_head give
-    them as VecE.  Nodes compare by identity.
+    `exactnum.zeta_coords`) over den, unreduced.  Nodes compare by
+    identity.
     """
 
     def __init__(self, kind: str, generation: int, children: tuple,
@@ -142,14 +143,6 @@ class SupertileNode:
         self.tail = tail
         self.head = head
         self.den = den
-
-    @property
-    def v_tail(self) -> VecE:
-        return zeta_vector(self.tail, self.den)
-
-    @property
-    def v_head(self) -> VecE:
-        return zeta_vector(self.head, self.den)
 
     @cached_property
     def _kites(self) -> dict:
@@ -169,19 +162,6 @@ def measured_supervector(node: SupertileNode) -> VecE:
     return zeta_vector(tuple(map(sub, node.head, node.tail)), node.den)
 
 
-def _moved(o: int, c: tuple, t: tuple) -> tuple:
-    """The Q(zeta) point c turned by orientation o, then moved by t, all
-    over one denominator."""
-    (m00, m01, m02, m03, m10, m11, m12, m13,
-     m20, m21, m22, m23, m30, m31, m32, m33) = _MATRICES[o]
-    c0, c1, c2, c3 = c
-    t0, t1, t2, t3 = t
-    return (t0 + m00 * c0 + m01 * c1 + m02 * c2 + m03 * c3,
-            t1 + m10 * c0 + m11 * c1 + m12 * c2 + m13 * c3,
-            t2 + m20 * c0 + m21 * c1 + m22 * c2 + m23 * c3,
-            t3 + m30 * c0 + m31 * c1 + m32 * c2 + m33 * c3)
-
-
 def _over(q: Placement, den: int) -> tuple:
     """q's translation over den, a multiple of q.den."""
     if q.den == den:
@@ -194,25 +174,23 @@ class Chain:
     (hat, thc) of generation n, each generation assembled from the last
     once, when first asked for.  Anchors and translations are Q(zeta)
     coordinates over `den`, one denominator for the chain, so assembly is
-    int sums and `_MATRICES` turns; the layout's six forms are evaluated
+    int sums and `moved` turns; the layout's six forms are evaluated
     at p once, here, where generation 1 is made.  A command holds its
     chains for one call, by shape (see `chain_at`)."""
 
     def __init__(self, p: TileParams, layout: LayoutTable):
         self.p, self.layout = p, layout
-        points = [zeta_coords(form.at(p)) for form in (
+        points, self.den = zeta_points(form.at(p) for form in (
             layout.tail1, layout.head1, layout.partner_offset,
-            layout.p4_gen2, layout.tail2, layout.head2)]
-        self.den = den = lcm(*(d for _, d in points))
-        tail, head, partner, self.p4_gen2, self.tail2, self.head2 = [
-            tuple(x * (den // d) for x in c) for c, d in points]
+            layout.p4_gen2, layout.tail2, layout.head2))
+        tail, head, partner, self.p4_gen2, self.tail2, self.head2 = points
         _check_anchor(1, tail, head, self)
-        hat = SupertileNode(HAT, 1, (), (), tail, head, den)
+        hat = SupertileNode(HAT, 1, (), (), tail, head, self.den)
         partner = _placement(layout.partner_rotation_k % 6
                              + 6 * layout.partner_reflected,
-                             *reduced_coords(*partner, den))
+                             *reduced_coords(*partner, self.den))
         thc = SupertileNode(THC, 1, ((hat, IDENTITY), (hat, partner)),
-                            ("hat", "partner"), tail, head, den)
+                            ("hat", "partner"), tail, head, self.den)
         self.pairs = [(hat, thc)]
 
     def moved_p4(self, layout: LayoutTable, shift: tuple) -> "Chain":
@@ -258,9 +236,9 @@ def _assemble(n: int, chain: Chain):
     for i, k in enumerate(ring):
         o = k % 6
         if i == 0:
-            tau = _moved(o, back, prev_thc.tail)
+            tau = moved(o, back, prev_thc.tail)
         elif i != _MEETING_INDEX:
-            tau = _moved(o, back, head_world)
+            tau = moved(o, back, head_world)
         elif n == 2:
             tau = chain.p4_gen2
         else:
@@ -273,15 +251,15 @@ def _assemble(n: int, chain: Chain):
             tau = _over(slot, den)
         placements.append(_placement(o, *reduced_coords(*tau, den)))
         taus.append(tau)
-        head_world = _moved(o, prev_hat.head, tau)
+        head_world = moved(o, prev_hat.head, tau)
 
     if n == 2:
         tail, head = chain.tail2, chain.head2
     else:
         sub_node, sub_q = prev_hat.children[_OMITTED_INDEX + 1]
-        point = _moved(sub_q.orientation, sub_node.head, _over(sub_q, den))
-        tail = _moved(ring[0] % 6, point, taus[0])
-        head = _moved(ring[4] % 6, point, taus[4])
+        point = moved(sub_q.orientation, sub_node.head, _over(sub_q, den))
+        tail = moved(ring[0] % 6, point, taus[0])
+        head = moved(ring[4] % 6, point, taus[4])
     _check_anchor(n, tail, head, chain)
 
     children = tuple((prev_thc if i == 0 else prev_hat, q)
@@ -361,15 +339,10 @@ def expand(node: SupertileNode) -> Iterator[tuple[Placement, bool]]:
                               for child, q in reversed(node.children)]
             turn = _PRODUCT[o]
             steps = turned[node, o] = [
-                (child, turn[co], *_moved(o, c, (0, 0, 0, 0)))
+                (child, turn[co], *moved(o, c, (0, 0, 0, 0)))
                 for child, co, c in over[node]]
         stack += [(child, co, t0 + s0, t1 + s1, t2 + s2, t3 + s3)
                   for child, co, s0, s1, s2, s3 in steps]
-
-
-# _TURNS[o]: the cells at (1, 0) and (0, 1) turned by orientation o, as
-# (a, c, _) and (b, d, _); o turns a step (m, n) to m*(a, c) + n*(b, d)
-_TURNS = _oriented_cells((KiteCell(1, 0, 0), KiteCell(0, 1, 0)))
 
 
 class _Fault(Exception):
@@ -387,8 +360,9 @@ def _kite_box(node: SupertileNode, o: int, base_cells):
     = (q_lo, q_hi, r_lo, r_hi) bounds its kite cells' hex coordinates, and
     parts holds each child's label, node, orientation and placed (q_lo,
     r_lo), or a single hat's cells.  Memoized on the node with its "steps",
-    each child's lattice step from one `lattice_shift`, which `_TURNS[o]`
-    turns; a miss raises _Fault where the walk reaches it."""
+    each child's lattice step from one `lattice_shift`, which
+    `LATTICE_TURNS[o]` turns; a miss raises _Fault where the walk reaches
+    it."""
     memo = node._kites
     key = o, base_cells
     if key not in memo:
@@ -404,7 +378,7 @@ def _kite_box(node: SupertileNode, o: int, base_cells):
                                       *lattice_shift(q)))
                     except LatticeError:  # off the lattice at every turn
                         steps.append((label, child, q, None, None))
-            (a, c, _), (b, d, _) = _TURNS[o]
+            (a, c), (b, d) = LATTICE_TURNS[o]
             turn, parts, spans = _PRODUCT[o], [], []
             try:
                 for label, child, co, m, n in memo["steps"]:
@@ -613,7 +587,7 @@ def layout_from_config(text: str, tile: TileData,
     layout.validate_structure()
     # the constructive half: generations 1..4 at hat proportions
     p = hat_params()
-    area = tile.kept_area(p)
+    area = tile.area(p)
     if area != p.a * p.b * 8:
         raise ConstructionError(
             f"tile outline area {area} is not 8 kite units at hat "

@@ -14,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from hatfam import checks, configfile, substitution
+from hatfam import checks, configfile, geometry, substitution
 from hatfam.cli import main
 from hatfam.exactnum import QSqrt3, VecE
-from hatfam.geometry import TileData
 from hatfam.sequences import g_closed, g_recurrence
 from hatfam.substitution import check_kites, expand, measured_supervector
 from hatfam.supervectors import (
@@ -193,13 +192,13 @@ def test_a_call_traces_the_hat_outline_once(argv, monkeypatch, tmp_path,
     # and verify's outline and renderer items, reuse it.  A trace per use
     # made two for render and four for verify
     traced = []
-    outline = TileData.outline
+    trace = geometry.outline_from_turtle
 
-    def spy(self, p):
+    def spy(steps, p, heading_k30):
         traced.append(p)
-        return outline(self, p)
+        return trace(steps, p, heading_k30)
 
-    monkeypatch.setattr(TileData, "outline", spy)
+    monkeypatch.setattr(geometry, "outline_from_turtle", spy)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0
     capsys.readouterr()
@@ -549,6 +548,18 @@ def test_verify_missing_config_is_a_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "cannot read config" in captured.err
     assert captured.out == ""
+
+
+def test_a_non_integer_cell_is_a_config_error(tmp_path, capsys):
+    work = tmp_path / "data"
+    shutil.copytree(SHIPPED_DATA, work)
+    cfg = work / "tile.cfg"
+    text = cfg.read_text(encoding="utf-8")
+    assert "items = 0,0,0 " in text
+    cfg.write_text(text.replace("items = 0,0,0 ", "items = x,0,0 "),
+                   encoding="utf-8")
+    assert main(["build", "hat", "1", "--data-dir", str(work)]) == 2
+    assert "bad cell 'x,0,0', expected q,r,k" in capsys.readouterr().err
 
 
 def test_data_dir_env_var(tmp_path, monkeypatch, capsys):

@@ -30,8 +30,7 @@ from hatfam.geometry import (
     TurtleStep,
     U1,
     U2,
-    cell_reflect,
-    cell_rotate60,
+    _oriented_cells,
     cells_connected,
     disjoint_cells,
     hat_kite_cells,
@@ -423,6 +422,12 @@ def test_canonical_outline_area(tile, a, b, area):
     assert shoelace_area(tile.outline(p)) == parse_scalar(area)
 
 
+def test_outline_is_traced_once_per_shape(tile):
+    p = _p(3, 4)
+    assert tile.outline(p) is tile.outline(p)
+    assert tile.area(p) == shoelace_area(tile.outline(p))
+
+
 def test_canonical_outline_simple_at_many_shapes(tile):
     for a, b in [(1, 2), (3, 1), (7, 2), (1, 5)]:
         assert is_simple(tile.outline(_p(a, b)))
@@ -444,6 +449,19 @@ def test_cells_match_outline_by_centroid(tile, hat_p):
 
 # ------------------------------------------------------------ the kite grid
 
+# the kite-cell actions of a 60-degree turn and of the reflection across
+# the y axis, written out by hand: the oracle for the turns geometry reads
+# off its orientation matrices
+def cell_rotate60(cell: KiteCell) -> KiteCell:
+    q, r, k = cell
+    return KiteCell(-r, q + r, (k + 1) % 6)
+
+
+def cell_reflect(cell: KiteCell) -> KiteCell:
+    q, r, k = cell
+    return KiteCell(-q, q + r, (3 - k) % 6)
+
+
 def test_cell_rotate_matches_centroid_rotation():
     for cell in (KiteCell(0, 0, 0), KiteCell(2, -1, 3), KiteCell(-1, 4, 5)):
         assert kite_centroid(cell_rotate60(cell)) == \
@@ -459,6 +477,16 @@ def test_cell_reflect_matches_centroid_reflection():
         assert kite_centroid(cell_reflect(cell)) == \
             reflect_y_axis(kite_centroid(cell))
         assert cell_reflect(cell_reflect(cell)) == cell
+
+
+@pytest.mark.parametrize("o", range(12))
+def test_oriented_cells_compose_the_cell_actions(tile, o):
+    # orientation o reflects first if o >= 6, then turns o % 6 times
+    cells = frozenset(tile.cells | {KiteCell(3, -2, 4), KiteCell(-5, 1, 1)})
+    want = [cell_reflect(c) if o >= 6 else c for c in cells]
+    for _ in range(o % 6):
+        want = [cell_rotate60(c) for c in want]
+    assert list(_oriented_cells(cells)[o]) == want
 
 
 def _packing(cells):
@@ -700,6 +728,10 @@ def test_tile_from_config_rejects_bad_cells():
     short = text.replace("1,0,3", "0,0,0")
     with pytest.raises(ConfigError, match="duplicate"):
         tile_from_config(short)
+    for item in ("x,0,0", "0,0", "0,0,0,0"):
+        with pytest.raises(ConfigError,
+                           match=f"bad cell '{item}', expected q,r,k"):
+            tile_from_config(text.replace("0,0,0", item, 1))
 
 
 def test_tile_from_config_rejects_bad_turns():

@@ -63,6 +63,15 @@ def test_every_top_level_name_has_a_caller_outside_the_tests():
     assert sorted(d for d in defined if d[1] not in used) == []
 
 
+def test_only_geometry_holds_the_orientation_matrices():
+    # every turn goes through geometry's kernel, so no other module reads
+    # its matrices
+    users = [path.name for path in sorted(SRC.glob("*.py"))
+             if "_MATRICES" in _names(ast.parse(
+                 path.read_text(encoding="utf-8")))]
+    assert users == ["geometry.py"]
+
+
 # a cold `hatfam build` loads neither the verify suite nor the SVG writer,
 # nor `dataclasses` (which pulls in `inspect`); `render` loads on use
 _COLD_START = """

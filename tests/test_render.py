@@ -6,12 +6,11 @@ import pytest
 
 from hatfam import render
 from hatfam.cli import main
-from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE, parse_scalar
+from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE, parse_scalar, zeta_points
 from hatfam.geometry import (
     KiteCell,
     Placement,
     hat_kite_cells,
-    int_points,
     kite_corners,
 )
 from hatfam.render import RenderError, RenderOptions, render_supertile
@@ -205,12 +204,14 @@ def test_placed_floats_are_the_exact_floats(o, tile):
     # with denominators in the points and in the translation
     p = make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))
     pts = tile.outline(p)
+    coords, den = zeta_points(pts)
+    assert den == 6
     for t in [VEC_ZERO, VecE(QSqrt3(Fraction(5, 6), Fraction(-1, 4)),
                              QSqrt3(Fraction(-2, 9), 3))]:
         q = Placement(o % 6, o >= 6, t)
         want = [(x.hex(), (-y).hex())
                 for x, y in (apply(q, v).to_floats() for v in pts)]
-        got = render._svg_floats(q, *int_points(pts))
+        got = render._svg_floats(q, coords, den)
         assert [(x.hex(), y.hex()) for x, y in got] == want
 
 

@@ -18,9 +18,11 @@ from hatfam.exactnum import (
     render_scalar,
     rotate60,
     zeta_coords,
+    zeta_vector,
 )
 from hatfam.geometry import (
     IDENTITY,
+    LATTICE_TURNS,
     LatticeError,
     Placement,
     U1,
@@ -360,11 +362,11 @@ _STEPS = st.integers(-10 ** 40, 10 ** 40) | st.integers(-3, 3)
        n=_STEPS)
 def test_turn_table_matches_the_composed_placement(o, rotation_k, reflected,
                                                    m, n):
-    # the kite check turns a child's lattice step by an int table and its
+    # the kite check turns a child's lattice step by LATTICE_TURNS and its
     # orientation by _PRODUCT, in place of composing the placement
     q = Placement(rotation_k, reflected, U1 * m + U2 * n)
     turned = Placement(o % 6, o >= 6).compose(q)
-    (a, c, _), (b, d, _) = substitution._TURNS[o]
+    (a, c), (b, d) = LATTICE_TURNS[o]
     assert lattice_shift(q) == (m, n)
     assert lattice_shift(turned) == (a * m + b * n, c * m + d * n)
     assert turned.orientation == _PRODUCT[o][q.orientation]
@@ -1093,7 +1095,8 @@ def test_integer_assembly_matches_the_vece_reference(layout, shape):
     for gen, (pair, ref_pair) in enumerate(zip(got, want), 1):
         for node, ref in zip(pair, ref_pair):
             assert node.hats == ref.hats == tile_counts(node.kind, gen)
-            assert (node.v_tail, node.v_head) == (ref.v_tail, ref.v_head)
+            assert zeta_vector(node.tail, node.den) == ref.v_tail
+            assert zeta_vector(node.head, node.den) == ref.v_head
             assert [(q.orientation, q.coords, q.den, child.hats)
                     for child, q in node.children] == \
                 [(q.orientation, q.coords, q.den, child.hats)
