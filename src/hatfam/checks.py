@@ -229,8 +229,8 @@ def _check_outline(max_gen: int, env) -> str:
     varied = [hat_params(), make_params(QSqrt3(2), QSqrt3(3)),
               make_params(QSqrt3(1), QSqrt3(1)), turtle_params(),
               make_params(QSqrt3(5), QSqrt3(2))]
-    # tracing an outline checks edge lengths and simplicity; the one at
-    # the hat is the one layout validation traced
+    # tracing an outline checks that it closes and stays simple at its
+    # shape; the one at the hat is the one tile_from_config checked
     for p in varied:
         tile.outline(p)
     for k in (1, 2, 3, 5, 7):

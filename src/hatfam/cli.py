@@ -5,7 +5,7 @@ rotation angles), build (assemble supertiles and check them), render
 (SVG figures), verify (the invariant suite in `checks`).  `render` and
 `checks` are imported by the commands that use them, so the others do
 not pay to load them.  Exit codes: 0 on success, 1 when a verification
-fails, 2 for usage or config problems.
+fails, 2 for usage or config problems, every fault of tile.cfg included.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     try:
         tile, layout, chains = _load_tile_layout(args)
-    except (ConstructionError, GeometryError) as e:
+    except ConstructionError as e:
         # a layout that fails to load is the one item reported
         items = [("layout-config", False, str(e), time.perf_counter() - t0)]
     else:

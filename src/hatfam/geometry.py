@@ -8,18 +8,19 @@ its basis turned by it.
 Outlines are traced by walking edges of the two tile edge classes (length a
 or b) with headings at multiples of 30 degrees, so every vertex stays in
 Q(sqrt(3)); `is_simple` tests them on ints, only where two edges' exact
-integer boxes meet.  At hat parameters (a=1, b=sqrt(3)) each hat covers
-exactly 8 kites of the hexagon grid with edge 2.  This module places hats
-on that grid (`hat_kite_cells`), keeps a flat per-hat disjointness check
+integer boxes meet.  `tile_from_config` alone validates a tile, the
+outline it traces at the hat included, and raises ConfigError for every
+fault.  At hat parameters (a=1, b=sqrt(3)) each hat covers exactly 8
+kites of the hexagon grid with edge 2.  This module places hats on that
+grid (`hat_kite_cells`), keeps a flat per-hat disjointness check
 (`disjoint_cells`, an oracle the supertile check does not call), and
 packs a patch's cells into one int (`packing_width`), the form that
-`substitution.check_kites` composes on a supertile's assembly DAG and the
-contact rule (`cells_connected`) reads.
+`substitution.check_kites` composes on a supertile's assembly DAG and
+the contact rule (`cells_connected`) reads.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
@@ -37,7 +38,7 @@ from .exactnum import (
     zeta_points,
     zeta_vector,
 )
-from .supervectors import TileParams
+from .supervectors import TileParams, hat_params
 
 _new = object.__new__
 
@@ -284,20 +285,6 @@ def is_simple(o: Outline) -> bool:
     return True
 
 
-def validate_outline(o: Outline, p: TileParams) -> None:
-    """Check edge lengths (each exactly a or b) and simplicity."""
-    a2 = p.a * p.a
-    b2 = p.b * p.b
-    for i, v in enumerate(o):
-        e = o[(i + 1) % len(o)] - v
-        l2 = e.dot(e)
-        if l2 != a2 and l2 != b2:
-            raise GeometryError(f"edge {i} has squared length {l2!r}, "
-                                "which is neither a^2 nor b^2")
-    if not is_simple(o):
-        raise GeometryError("outline is not a simple polygon")
-
-
 # ---------------------------------------------------------------------------
 # kite-cell lattice (hat parameters: hexagon edge 2, kite = 1/6 hexagon)
 
@@ -403,27 +390,21 @@ LATTICE_TURNS = tuple(
     for o in range(12))
 
 
-@lru_cache(maxsize=8)
-def _oriented_cells(cells: frozenset) -> tuple[tuple, ...]:
-    """The cell set under each of the 12 orientations, before translation:
-    each hexagon turned by `LATTICE_TURNS`, and each corner k reflected to
-    3 - k for a reflected orientation, then turned o % 6 times."""
-    return tuple(
-        tuple((a * q + b * r, c * q + d * r,
-               ((3 - k if o >= 6 else k) + o) % 6) for q, r, k in cells)
-        for o, ((a, c), (b, d)) in enumerate(LATTICE_TURNS))
-
-
 def hat_kite_cells(q: Placement, base_cells) -> frozenset:
     """The kite cells of a hat placed by q, from the canonical cell set;
     raises LatticeError when q's translation is off the hexagon lattice.
 
-    The cells come back as plain (hex_q, hex_r, corner_k) tuples, which
+    Each hexagon is turned by `LATTICE_TURNS`, and each corner k reflected
+    to 3 - k for a reflected orientation, then turned o % 6 times.  The
+    cells come back as plain (hex_q, hex_r, corner_k) tuples, which
     compare and hash as the equal KiteCells and cost half as much to make.
     """
     m, n = lattice_shift(q)
-    return frozenset([(hq + m, hr + n, k) for hq, hr, k in
-                      _oriented_cells(frozenset(base_cells))[q.orientation]])
+    o = q.orientation
+    (a, c), (b, d) = LATTICE_TURNS[o]
+    return frozenset([(a * hq + b * hr + m, c * hq + d * hr + n,
+                       ((3 - k if o >= 6 else k) + o) % 6)
+                      for hq, hr, k in base_cells])
 
 
 def disjoint_cells(placements, base_cells):
@@ -445,13 +426,9 @@ def disjoint_cells(placements, base_cells):
 
 
 class TileData:
-    """Tile description loaded from a config file: the boundary walk as
-    TurtleSteps plus the kite cells the tile covers at hat parameters.
-
-    `outline(p)` traces each shape once per TileData and keeps it, so a
-    command, which loads its tile once, traces the outline layout
-    validation checked only once.
-    """
+    """A tile as `tile_from_config` loads and checks it: the boundary walk
+    as TurtleSteps plus the kite cells the tile covers at hat parameters.
+    A command loads its tile once, so it traces each shape once."""
 
     def __init__(self, steps: tuple, heading_k30: int, cells: frozenset):
         self.steps = steps
@@ -460,26 +437,28 @@ class TileData:
         self._outlines = {}
 
     def outline(self, p: TileParams) -> Outline:
-        """The tile boundary at p, traced and validated (edge lengths,
-        simplicity, counterclockwise) the first time this tile is asked
-        for it, and kept with its signed area."""
+        """The tile boundary at p, traced once per TileData and shape.
+        Raises GeometryError if the walk does not close at p or is not
+        simple there, the only checks a shape can fail: each edge is a
+        unit vector times a or b, and a simple walk whose turns sum to
+        +360 runs counterclockwise."""
         if p not in self._outlines:
             o = outline_from_turtle(self.steps, p, self.heading_k30)
-            validate_outline(o, p)
-            area = shoelace_area(o)
-            if area.sign() <= 0:
-                raise GeometryError("tile outline is not counterclockwise")
-            self._outlines[p] = o, area
-        return self._outlines[p][0]
+            if not is_simple(o):
+                raise GeometryError("outline is not a simple polygon")
+            self._outlines[p] = o
+        return self._outlines[p]
 
     def area(self, p: TileParams) -> QSqrt3:
-        """Signed area of `outline(p)`."""
-        self.outline(p)
-        return self._outlines[p][1]
+        """Signed area of `outline(p)`, positive."""
+        return shoelace_area(self.outline(p))
 
 
 def tile_from_config(text: str) -> TileData:
-    """Parse a tile config: [outline] edges/turns/heading and [cells] items."""
+    """Parse and fully validate a tile config: [outline] edges/turns/heading
+    and [cells] items.  Every fault raises ConfigError, those of the
+    outline traced at the hat included: it must close, be simple and
+    cover the area of its 8 kites."""
     cfg = parse_config(text)
     edges = cfg.get("outline", "edges").split()
     turns = value_ints(cfg.get("outline", "turns"))
@@ -487,19 +466,19 @@ def tile_from_config(text: str) -> TileData:
         raise ConfigError(
             f"outline has {len(edges)} edges but {len(turns)} turns")
     if len(edges) < 3:
-        raise GeometryError("turtle program needs at least 3 edges")
+        raise ConfigError("turtle program needs at least 3 edges")
     steps = []
     for i, (sym, deg) in enumerate(zip(edges, turns)):
         if deg % 30:
             raise ConfigError(f"turn {deg} is not a multiple of 30 degrees")
         if sym not in (EDGE_A, EDGE_B):
-            raise GeometryError(f"edge {i}: unknown symbol {sym!r}")
+            raise ConfigError(f"edge {i}: unknown symbol {sym!r}")
         if abs(deg) >= 180:
-            raise GeometryError(f"edge {i}: turn {deg} degrees reverses or "
-                                "exceeds the walk")
+            raise ConfigError(f"edge {i}: turn {deg} degrees reverses or "
+                              "exceeds the walk")
         steps.append(TurtleStep(sym, deg // 30))
     if sum(turns) != 360:
-        raise GeometryError(
+        raise ConfigError(
             f"exterior turns sum to {sum(turns)} degrees, expected +360")
     heading = value_int(cfg.get("outline", "heading"))
 
@@ -516,9 +495,23 @@ def tile_from_config(text: str) -> TileData:
         raise ConfigError("duplicate kite cells")
     if len(cells) != 8:
         raise ConfigError(f"expected 8 kite cells, got {len(cells)}")
-    bound = max(abs(v) for q, r, _ in cells for v in (q, r))
-    width = packing_width(2 * bound)
-    if not cells_connected([1 << 6 * ((q + bound) * width + r + bound) + k
-                            for q, r, k in cells], width):
+    qs, rs = [c.hex_q for c in cells], [c.hex_r for c in cells]
+    q_lo, r_lo = min(qs), min(rs)
+    width = packing_width(max(rs) - r_lo)
+    # eight edge-connected kites span at most 7 hexagon steps each way; a
+    # wider box is refused before its cells are packed into ints
+    if max(qs) - q_lo > 7 or max(rs) - r_lo > 7 or not cells_connected(
+            [1 << 6 * ((q - q_lo) * width + r - r_lo) + k
+             for q, r, k in cells], width):
         raise ConfigError("kite cells do not form a connected patch")
-    return TileData(tuple(steps), heading, frozenset(cells))
+
+    tile = TileData(tuple(steps), heading, frozenset(cells))
+    p = hat_params()
+    try:
+        area = tile.area(p)
+    except GeometryError as e:
+        raise ConfigError(str(e)) from None
+    if area != p.a * p.b * 8:
+        raise ConfigError(f"tile outline area {area} is not 8 kite units "
+                          "at hat proportions")
+    return tile

@@ -557,7 +557,7 @@ def _rotation_k(deg: int) -> int:
 
 def layout_from_config(text: str, tile: TileData,
                        chains: dict | None = None) -> LayoutTable:
-    """Parse and fully validate a layout config.
+    """Parse and fully validate a layout config against `tile`'s cells.
 
     Validation is structural (ring size, rotation multiples) and then
     constructive: generations 1 through 4 are assembled at hat proportions,
@@ -587,11 +587,6 @@ def layout_from_config(text: str, tile: TileData,
     layout.validate_structure()
     # the constructive half: generations 1..4 at hat proportions
     p = hat_params()
-    area = tile.area(p)
-    if area != p.a * p.b * 8:
-        raise ConstructionError(
-            f"tile outline area {area} is not 8 kite units at hat "
-            f"proportions")
     chain, nodes, late = Chain(p, layout), [], None
     try:
         for pair in chain.upto(4):

@@ -188,7 +188,7 @@ def test_a_call_makes_a_parser_only_for_its_command(monkeypatch, capsys):
 ])
 def test_a_call_traces_the_hat_outline_once(argv, monkeypatch, tmp_path,
                                             capsys):
-    # layout validation traces the outline at the hat; render at a = 1,
+    # tile_from_config traces the outline at the hat; render at a = 1,
     # and verify's outline and renderer items, reuse it.  A trace per use
     # made two for render and four for verify
     traced = []
@@ -560,6 +560,30 @@ def test_a_non_integer_cell_is_a_config_error(tmp_path, capsys):
                    encoding="utf-8")
     assert main(["build", "hat", "1", "--data-dir", str(work)]) == 2
     assert "bad cell 'x,0,0', expected q,r,k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "hat", "1"],
+    ["render", "hat", "1"],
+    ["verify", "--max-gen", "2"],
+])
+@pytest.mark.parametrize("old,new,error", [
+    ("edges = B A ", "edges = C A ", "edge 0: unknown symbol 'C'\n"),
+    # the last edge shortened from b to a leaves the walk open at the hat
+    ("A A B\n", "A A A\n", "outline does not close; residual "),
+], ids=["unknown-symbol", "open-walk"])
+def test_a_tile_fault_is_a_config_error(argv, old, new, error, tmp_path,
+                                        capsys):
+    work = tmp_path / "data"
+    shutil.copytree(SHIPPED_DATA, work)
+    cfg = work / "tile.cfg"
+    text = cfg.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(argv + ["--data-dir", str(work)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: " + error)
+    assert captured.out == ""
 
 
 def test_data_dir_env_var(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,8 @@ import functools
 import math
 import random
 import re
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,10 +29,10 @@ from hatfam.geometry import (
     KiteCell,
     LatticeError,
     Placement,
+    TileData,
     TurtleStep,
     U1,
     U2,
-    _oriented_cells,
     cells_connected,
     disjoint_cells,
     hat_kite_cells,
@@ -41,7 +43,6 @@ from hatfam.geometry import (
     shoelace_area,
     tile_from_config,
     unit_k30,
-    validate_outline,
 )
 from hatfam.substitution import HAT, THC, SupertileNode, build, \
     check_kites, expand
@@ -235,17 +236,20 @@ def _tile_with_walk(edges: str, turns: str):
 
 def test_turtle_square():
     steps = tuple(TurtleStep(EDGE_A, 3) for _ in range(4))
-    assert _tile_with_walk("A A A A", "90 90 90 90").steps == steps
-    o = outline_from_turtle(steps, _p(1, 2), 0)
+    tile = TileData(steps, 0, frozenset())
+    assert tile.steps == steps
+    o = tile.outline(_p(1, 2))
+    assert o == outline_from_turtle(steps, _p(1, 2), 0)
     assert len(o) == 4
     assert shoelace_area(o) == QSqrt3(1)
     assert is_simple(o)
 
 
 def test_turtle_requires_closure():
-    # the walk loads, with exterior turns summing to 360, but an a-edge
-    # does not cancel the b-edge at a != b
-    tile = _tile_with_walk("A A B A", "90 90 90 90")
+    # exterior turns sum to 360, but an a-edge does not cancel the b-edge
+    # at a != b
+    tile = TileData(tuple(TurtleStep(sym, 3) for sym in "AABA"), 0,
+                    frozenset())
     with pytest.raises(GeometryError, match="outline does not close"):
         tile.outline(_p(1, 2))
 
@@ -255,9 +259,40 @@ def test_turtle_spec_validation():
             ("A A", "180 180", "needs at least 3 edges"),
             ("C A A", "120 120 120", "edge 0: unknown symbol 'C'"),
             ("A A A A", "90 90 90 60", "exterior turns sum to 330 degrees"),
-            ("A A A", "180 90 90", "edge 0: turn 180 degrees reverses")):
-        with pytest.raises(GeometryError, match=message):
+            ("A A A", "180 90 90", "edge 0: turn 180 degrees reverses"),
+            # faults of the outline traced at the hat
+            ("A A B A", "90 90 90 90", "outline does not close"),
+            ("A A A A", "90 90 90 90",
+             "is not 8 kite units at hat proportions")):
+        with pytest.raises(ConfigError, match=message):
             _tile_with_walk(edges, turns)
+
+
+def test_a_self_crossing_walk_is_a_config_error():
+    # at the hat, edge 3, the b-edge, crosses edge 1 inside both
+    with pytest.raises(ConfigError, match="simple"):
+        _tile_with_walk("A A A B A A", "-90 90 150 -60 150 120")
+
+
+_SHAPE_SCALARS = st.one_of(
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)).map(QSqrt3),
+    st.builds(lambda r, s: QSqrt3(Fraction(r, 2), Fraction(s, 2)),
+              st.integers(-6, 12), st.integers(1, 8)).filter(
+        lambda x: x.sign() > 0))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_SHAPE_SCALARS, _SHAPE_SCALARS)
+def test_traced_edges_are_a_or_b_long_and_the_area_is_positive(tile, a, b):
+    # the invariants no runtime check holds: each traced edge is a unit
+    # vector times a or b, and a simple walk whose exterior turns sum to
+    # +360 runs counterclockwise
+    p = make_params(a, b)
+    o = tile.outline(p)
+    lengths = {p.a * p.a, p.b * p.b}
+    for u, v in zip(o, o[1:] + o[:1]):
+        assert (v - u).dot(v - u) in lengths
+    assert tile.area(p).sign() > 0
 
 
 def test_is_simple():
@@ -381,16 +416,6 @@ def test_is_simple_matches_the_oracle_on_the_tile(tile, a, b):
         assert not is_simple(bad) and not _oracle_is_simple(bad)
 
 
-def test_validate_outline_checks_edge_lengths():
-    with pytest.raises(GeometryError, match="edge"):
-        validate_outline(SQUARE, _p(2, 3))
-    validate_outline(SQUARE, _p(1, 2))
-    # vertical edge crosses the bottom edge at (1, 0)
-    crossed = _poly((0, 0), (2, 0), (2, 1), (1, 1), (1, -1), (0, -1))
-    with pytest.raises(GeometryError, match="simple"):
-        validate_outline(crossed, _p(2, 1))
-
-
 def test_apply_placement_preserves_area():
     q = Placement(2, False, VecE(QSqrt3(5), QSqrt3(0, -3)))
     assert shoelace_area(tuple(apply(q, v) for v in SQUARE)) == QSqrt3(1)
@@ -486,7 +511,7 @@ def test_oriented_cells_compose_the_cell_actions(tile, o):
     want = [cell_reflect(c) if o >= 6 else c for c in cells]
     for _ in range(o % 6):
         want = [cell_rotate60(c) for c in want]
-    assert list(_oriented_cells(cells)[o]) == want
+    assert hat_kite_cells(Placement(o % 6, o >= 6), cells) == set(want)
 
 
 def _packing(cells):
@@ -734,6 +759,23 @@ def test_tile_from_config_rejects_bad_cells():
             tile_from_config(text.replace("0,0,0", item, 1))
 
 
+@pytest.mark.parametrize("far", ["3,0,3", "2000,2000,3"])
+def test_tile_from_config_refuses_a_disconnected_cell_at_once(far):
+    # eight connected kites span at most 7 hexagon steps, so a cell 2000
+    # steps away is refused before any int the size of its box is made
+    text = load_text("tile.cfg").replace("1,0,3", far)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match="connected patch"):
+            tile_from_config(text)
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.1 and peak < 1 << 20
+
+
 def test_tile_from_config_rejects_bad_turns():
     text = load_text("tile.cfg").replace("turns = 90", "turns = 45")
     with pytest.raises(ConfigError, match="30"):
@@ -754,5 +796,5 @@ def test_tile_config_rejects_reversed_walk():
     flipped = "turns = " + " ".join(
         str(-int(t)) for t in orig.split("=")[1].split())
     assert orig in text
-    with pytest.raises(GeometryError, match="360"):
+    with pytest.raises(ConfigError, match="360"):
         tile_from_config(text.replace(orig, flipped))
