@@ -258,7 +258,7 @@ def _check_renderer(max_gen: int, env) -> str:
 
 def _check_layout_config(max_gen: int, env) -> str:
     tile, layout = env["tile"], env["layout"]
-    found = search_layout(hat_params(), layout, tile, window=1)
+    found = search_layout(hat_params(), layout, tile, 1, env["chains"])
     _require(any(c.p4_gen2 == layout.p4_gen2 for c in found),
              "configured fourth-piece offset not found by search")
     return ("layout config passes construction validation; search refinds "

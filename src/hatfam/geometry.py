@@ -301,28 +301,24 @@ class KiteCell(NamedTuple):
     corner_k: int  # 0..5, the hexagon corner the kite points at
 
 
-def hex_center(q: int, r: int) -> VecE:
-    return q * U1 + r * U2
+# a hexagon's corners and edge midpoints as int pairs (X, Y), the point
+# (X/2, Y*sqrt3/2): corner k at 60k degrees, midpoint k on edge (k, k + 1)
+_CORNERS = ((4, 0), (2, 2), (-2, 2), (-4, 0), (-2, -2), (2, -2))
+_MIDS = ((3, 1), (0, 2), (-3, 1), (-3, -1), (0, -2), (3, -1))
+# the corners of cell (0, 0, k), counterclockwise: centre, midpoint k - 1,
+# corner k, midpoint k; cell (q, r, k) adds its hexagon centre (6q, 2(q +
+# 2r)), which is q*U1 + r*U2
+KITE_OFFSETS = [((0, 0), _MIDS[k - 1], _CORNERS[k], _MIDS[k])
+                for k in range(6)]
 
 
-def _vertex_offset(k: int) -> VecE:
-    return rotate60(VecE(QSqrt3(2), QSqrt3(0)), k)
+def _edges(pts) -> set:
+    """The edges (X1, Y1, X2, Y2), lower end first, of the walk round pts."""
+    return {(*u, *v) if u < v else (*v, *u)
+            for u, v in zip(pts, pts[1:] + pts[:1])}
 
 
-def _mid_offset(k: int) -> VecE:
-    # midpoint of the hexagon edge between corners k and k+1
-    half = Fraction(1, 2)
-    return rotate60(VecE(QSqrt3(3 * half), QSqrt3(0, half)), k)
-
-
-def kite_corners(cell: KiteCell) -> tuple[VecE, VecE, VecE, VecE]:
-    """Corners (center, midpoint, vertex, midpoint), counterclockwise."""
-    q, r, k = cell
-    c = hex_center(q, r)
-    return (c,
-            c + _mid_offset(k - 1),
-            c + _vertex_offset(k),
-            c + _mid_offset(k))
+_KITE_EDGES = [_edges(pts) for pts in KITE_OFFSETS]
 
 
 def packing_width(r_span: int) -> int:
@@ -457,8 +453,8 @@ class TileData:
 def tile_from_config(text: str) -> TileData:
     """Parse and fully validate a tile config: [outline] edges/turns/heading
     and [cells] items.  Every fault raises ConfigError, those of the
-    outline traced at the hat included: it must close, be simple and
-    cover the area of its 8 kites."""
+    outline traced at the hat included: it must close, be simple and be
+    the boundary of its 8 kites."""
     cfg = parse_config(text)
     edges = cfg.get("outline", "edges").split()
     turns = value_ints(cfg.get("outline", "turns"))
@@ -506,12 +502,21 @@ def tile_from_config(text: str) -> TileData:
         raise ConfigError("kite cells do not form a connected patch")
 
     tile = TileData(tuple(steps), heading, frozenset(cells))
-    p = hat_params()
     try:
-        area = tile.area(p)
+        outline = tile.outline(hat_params())
     except GeometryError as e:
         raise ConfigError(str(e)) from None
-    if area != p.a * p.b * 8:
-        raise ConfigError(f"tile outline area {area} is not 8 kite units "
-                          "at hat proportions")
+    # each outline edge is one kite edge at the hat: the outline must be the
+    # 8 kites' boundary, the edges no two of them share
+    boundary = set()
+    for q, r, k in cells:
+        cx, cy = 6 * q, 2 * (q + 2 * r)
+        boundary ^= {(x1 + cx, y1 + cy, x2 + cx, y2 + cy)
+                     for x1, y1, x2, y2 in _KITE_EDGES[k]}
+    # the vertices that are kite corners (X/2, Y*sqrt3/2), X and Y ints
+    pts = [(2 * v.x.a // v.x.d, 2 * v.y.b // v.y.d) for v in outline
+           if not (v.x.b or v.y.a or 2 * v.x.a % v.x.d or 2 * v.y.b % v.y.d)]
+    if len(pts) < len(outline) or boundary != _edges(pts):
+        raise ConfigError("tile outline is not the boundary of its 8 kite "
+                          "cells at hat proportions")
     return tile

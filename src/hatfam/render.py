@@ -9,13 +9,14 @@ coordinates.
 
 Points are Q(zeta) ints (the outline over one denominator, translations,
 arrow anchors), turned by `geometry.moved` and read as x and y parts by
-`geometry.xy_parts`.  Each hat is one `str.format` call: its
-orientation's template holds the class, the fill and the path, and takes
-the x and y columns of texts, each made once per orientation and the
-matching part of the translation.
+`geometry.xy_parts`.  Each hat's path is one `str.join` of one
+`operator.itemgetter` pick from its orientation's constant pieces (class,
+fill, separators) and the x and y columns of texts, each made once per
+orientation and the matching part of the translation.
 The grid is one list of kite edges per orientation, moved by each hat's
-lattice step; an edge two kites of one hat share is listed once, and only
-edges on the hat's boundary are checked against those already drawn.
+lattice step; only edges on the hat's boundary are checked against those
+already drawn, and a hat's lines are one join too, of a pick per
+orientation and set of boundary edges left to draw, from its corners.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from operator import itemgetter
 from .exactnum import zeta_points
 from .geometry import (
     IDENTITY,
-    KiteCell,
+    KITE_OFFSETS,
     Placement,
     TileData,
     hat_kite_cells,
-    kite_corners,
     lattice_shift,
     moved,
     xy_parts,
@@ -51,11 +51,9 @@ _PLAIN_FILL_DARK = "#6f6f6f"
 # arrow color cycles with the supertile generation
 _ARROW_COLORS = ("#1d3557", "#9d0208", "#1b4332", "#6a040f", "#3c096c",
                  "#7f4f24")
-# grid corners are int pairs (X, Y), the point (X/2, Y*sqrt3/2); cell (q, r,
-# k) adds its hexagon centre (6q, 2(q + 2r)) to the corners of cell (0, 0, k)
-_KITE_OFFSETS = [[(int(2 * v.x.r), int(2 * v.y.s))
-                  for v in kite_corners(KiteCell(0, 0, k))] for k in range(6)]
 _SQRT3 = 3.0 ** 0.5
+# a hat's grid lines: these pieces around each line's x1, y1, x2 and y2
+_LINE = ('<line x1="', '" y1="', '" x2="', '" y2="', '"/>\n<line x1="', '"/>')
 
 
 class RenderError(ValueError):
@@ -135,6 +133,16 @@ def _arrow_nodes(node: SupertileNode, placement: Placement, floor: int):
             yield from _arrow_nodes(child, placement.compose(q), floor)
 
 
+def _pick(groups) -> itemgetter:
+    """The pick of piece 0 and the groups' indices, each group ending in
+    the piece that joins it to the next; the last ends in the one after."""
+    order = [0]
+    for group in groups:
+        order += group
+    order[-1] += 1
+    return itemgetter(*order)
+
+
 def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
                 fx: _Memo, fy: _Memo) -> list[str]:
     # float(QSqrt3) of the corner scaled by a = (aa + ab*sqrt3)/ad: int /
@@ -142,42 +150,55 @@ def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
     aa, ab, den = p.a.a, p.a.b, 2 * p.a.d
     x_text = _Memo(lambda X: fx[X * aa / den + X * ab / den * _SQRT3])
     y_text = _Memo(lambda Y: fy[-(3 * Y * ab / den + Y * aa / den * _SQRT3)])
-    # per orientation, the distinct edges (X1, Y1, X2, Y2, end before
-    # start, on the boundary) of the hat's sorted cells, each as first met;
-    # a lattice step moves every corner alike, which keeps the cell order
-    # and each edge's end order, so lines and the first-seen dedup are
-    # those of the placed hat's sorted cells.  An edge that two kites of
-    # the hat share is inside it, and no other hat has it, since hats
-    # cover distinct kites: only edges met once, on the boundary, can
-    # have been drawn before
+    # per orientation, the hat's distinct corner X and Y, and its edges [u,
+    # v, kites that have it] from corner u to v, each a pair of X and Y
+    # indices, as first met in its sorted cells, which a lattice step keeps.
+    # An edge two kites of the hat share is inside it, and no other hat has
+    # it, since hats cover distinct kites: only boundary edges repeat
     shapes = []
     for o in range(12):
-        edges = {}
-        for hq, hr, k in sorted(hat_kite_cells(Placement(o % 6, o >= 6),
-                                               tile.cells)):
-            cx, cy = 6 * hq, 2 * (hq + 2 * hr)
-            pts = [(cx + dx, cy + dy) for dx, dy in _KITE_OFFSETS[k]]
-            for u, v in zip(pts, pts[1:] + pts[:1]):
-                key = (*v, *u) if v < u else (*u, *v)
-                if key in edges:
-                    edges[key][-1] = False
-                else:
-                    edges[key] = [*u, *v, v < u, True]
-        shapes.append([tuple(edge) for edge in edges.values()])
-    seen = set()
-    lines = []
-    for q in placed:
-        m, n = lattice_shift(q)
-        sx, sy = 6 * m, 2 * (m + 2 * n)
-        for x1, y1, x2, y2, flip, outer in shapes[q.orientation]:
-            x1, y1, x2, y2 = x1 + sx, y1 + sy, x2 + sx, y2 + sy
-            if outer:
-                key = (x2, y2, x1, y1) if flip else (x1, y1, x2, y2)
-                if key in seen:
-                    continue
+        xids, yids, edges = {}, {}, {}
+        for q, r, k in sorted(hat_kite_cells(Placement(o % 6, o >= 6),
+                                             tile.cells)):
+            cx, cy = 6 * q, 2 * (q + 2 * r)
+            ids = [(xids.setdefault(cx + dx, len(xids)),
+                    yids.setdefault(cy + dy, len(yids)))
+                   for dx, dy in KITE_OFFSETS[k]]
+            for u, v in zip(ids, ids[1:] + ids[:1]):
+                edges.setdefault((min(u, v), max(u, v)), [u, v, 0])[2] += 1
+        shapes.append((list(xids), list(yids), list(edges.values())))
+    # each hat's orientation and lattice step, added to its corners
+    steps = [(q.orientation, 6 * m, 2 * (m + 2 * n))
+             for q in placed for m, n in [lattice_shift(q)]]
+    # kite edges meet only at their ends, so an edge is known by its
+    # doubled midpoint, packed as (X1 + X2)*width + Y1 + Y2: one to one,
+    # since |Y1 + Y2| <= 2*(max |Y| + max |sy|) < width/2 in this figure
+    width = 4 * (max(abs(Y) for _, ys, _ in shapes for Y in ys)
+                 + max(abs(sy) for _, _, sy in steps)) + 1
+    outer, picks, xcols, ycols = [], [], [], []
+    for xs, ys, edges in shapes:
+        n = 6 + len(xs)  # the pick's source: _LINE, X texts, Y texts
+        groups = [(6 + u[0], 1, n + u[1], 2, 6 + v[0], 3, n + v[1], 4)
+                  for u, v, _ in edges]
+        bits = [(kites == 1) << b for b, (_, _, kites) in enumerate(edges)]
+        outer.append([(bit, (xs[x1] + xs[x2]) * width + ys[y1] + ys[y2])
+                      for bit, ((x1, y1), (x2, y2), _) in zip(bits, edges)
+                      if bit])
+        # by the mask of the hat's boundary edges not drawn before it
+        picks.append(_Memo(lambda mask, g=groups, b=bits: _pick(
+            [group for group, bit in zip(g, b) if mask & bit or not bit])))
+        xcols.append(_Memo(lambda s, c=xs: tuple([x_text[X + s] for X in c])))
+        ycols.append(_Memo(lambda s, c=ys: tuple([y_text[Y + s] for Y in c])))
+    seen, lines = set(), []
+    for o, sx, sy in steps:
+        shift, mask = 2 * (sx * width + sy), 0
+        for bit, key in outer[o]:
+            key += shift
+            if key not in seen:
                 seen.add(key)
-            lines.append(f'<line x1="{x_text[x1]}" y1="{y_text[y1]}" '
-                         f'x2="{x_text[x2]}" y2="{y_text[y2]}"/>')
+                mask |= bit
+        lines.append("".join(picks[o][mask](_LINE + xcols[o][sx]
+                                            + ycols[o][sy])))
     return lines
 
 
@@ -223,8 +244,8 @@ def _columns(shapes, axis: slice, vd: int, texts: _Memo,
         return [-f for f in fs] if negate else fs
 
     parts = _Memo(floats)
-    return _Memo(lambda k: [*map(texts.__getitem__,
-                                 picks[k[0]](parts[k[1:]]))])
+    return _Memo(lambda k: tuple(map(texts.__getitem__,
+                                     picks[k[0]](parts[k[1:]]))))
 
 
 def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
@@ -237,25 +258,21 @@ def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
     # y column on the y parts (y, y3, d)
     xs = _columns(shapes, slice(0, 2), 2 * vd, fx, False)
     ys = _columns(shapes, slice(2, 4), 2 * vd, fy, True)
-    # one template per orientation, which fixes the class and the fill:
-    # fields 0..n-1 are the vertices' x and n..2n-1 their y
+    # per orientation, its paths' start (class and fill), separators and
+    # end; in the pick's source vertex i's x is at 4 + i, its y at 4 + n + i
     n = len(pts)
-    d = "M " + " L ".join(f"{{{i}}} {{{n + i}}}" for i in range(n)) + " Z"
-    templates = []
-    for o in range(12):
-        reflected = o >= 6
-        if scheme == SCHEME_ROTATION:
-            fill = (_ROT_FILLS_DARK if reflected else _ROT_FILLS)[o % 6]
-        else:
-            fill = _PLAIN_FILL_DARK if reflected else _PLAIN_FILL
-        cls = "hat reflected" if reflected else "hat"
-        templates.append(f'<path class="{cls}" fill="{fill}" d="{d}"/>'.format)
+    fills = (_ROT_FILLS + _ROT_FILLS_DARK if scheme == SCHEME_ROTATION
+             else (_PLAIN_FILL,) * 6 + (_PLAIN_FILL_DARK,) * 6)
+    heads = [(f'<path class="hat{" reflected" * (o >= 6)}" fill="{fills[o]}" '
+              'd="M ', " ", " L ", ' Z"/>') for o in range(12)]
+    pick = _pick((4 + i, 1, 4 + n + i, 2) for i in range(n))
     # expand flags a hat reflected exactly when its orientation is >= 6
     paths = []
     for q, _ in placed:
         o, den = q.orientation, q.den
         x, x3, y, y3 = xy_parts(q.coords)
-        paths.append(templates[o](*xs[o, x, x3, den], *ys[o, y, y3, den]))
+        paths.append("".join(pick(heads[o] + xs[o, x, x3, den]
+                                  + ys[o, y, y3, den])))
     return paths
 
 
@@ -322,10 +339,8 @@ def render_supertile(node: SupertileNode, p: TileParams,
     m = opts.margin
     vb = (min(fx) - m, min(fy) - m,
           max(fx) - min(fx) + 2 * m, max(fy) - min(fy) + 2 * m)
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{" ".join(_fmt(v) for v in vb)}">'
-    ]
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+           f'viewBox="{" ".join(_fmt(v) for v in vb)}">']
     if grid:
         out.append(f'<g class="grid" stroke="#9a9a9a" '
                    f'stroke-width="{_fmt(opts.stroke_width / 2)}" '
@@ -341,8 +356,8 @@ def render_supertile(node: SupertileNode, p: TileParams,
         out.append('<g class="supervectors">')
         out.extend(arrows)
         out.append('</g>')
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
+    out.append('</svg>\n')
+    return "\n".join(out)
 
 
 def element_count(svg: str) -> int:

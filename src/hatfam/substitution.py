@@ -604,7 +604,8 @@ def layout_from_config(text: str, tile: TileData,
 
 
 def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
-                  window: int = 8) -> list[LayoutTable]:
+                  window: int = 8,
+                  chains: dict | None = None) -> list[LayoutTable]:
     """Search fourth-piece offsets that complete a valid generation 2.
 
     Candidate translations sweep a (2*window+1)^2 patch of the hexagon
@@ -612,14 +613,14 @@ def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
     assembled hat lies on the kite lattice, on kites of its own, and the
     hats form one connected patch.  Runs on hat proportions only, where
     the kite decomposition exists; offsets are recorded on the a-edge
-    component of the form.  The candidates' chains share one generation
-    1, assembled and checked once; each `build` adds a generation 2.
+    component of the form.  The candidates share the checked generation 1
+    of `chain_at(p, layout, chains)`; each `build` adds a generation 2.
     """
     if p != hat_params():
         raise ConstructionError(
             "the fourth-piece search needs hat proportions (kite cells "
             "exist only there)")
-    found, base = [], Chain(p, layout)
+    found, base = [], chain_at(p, layout, chains)
     for dm in range(-window, window + 1):
         for dn in range(-window, window + 1):
             shift = U1 * dm + U2 * dn

@@ -266,6 +266,25 @@ def test_a_build_call_assembles_each_supertile_once(monkeypatch, capsys):
     assert not reached(first).keys() & reached(made).keys()
 
 
+def test_verify_searches_on_the_chain_validation_checked(monkeypatch,
+                                                         capsys):
+    # at the hat, a verify call makes two chains: layout validation's,
+    # which every item that builds at the hat extends, the fourth-piece
+    # search included, and the renderer item's second build, which it
+    # compares with a render of the first
+    made = []
+    init = substitution.Chain.__init__
+
+    def spy(self, p, layout):
+        made.append(p)
+        init(self, p, layout)
+
+    monkeypatch.setattr(substitution.Chain, "__init__", spy)
+    assert main(["verify", "--max-gen", "2"]) == 0
+    assert "PASS layout-config" in capsys.readouterr().out
+    assert made.count(hat_params()) == 2
+
+
 def test_build_skips_disjoint_off_proportion(capsys):
     assert main(["build", "hat", "2", "-a", "2", "-b", "3"]) == 0
     assert "skipped: needs hat proportions" in capsys.readouterr().out
@@ -571,7 +590,10 @@ def test_a_non_integer_cell_is_a_config_error(tmp_path, capsys):
     ("edges = B A ", "edges = C A ", "edge 0: unknown symbol 'C'\n"),
     # the last edge shortened from b to a leaves the walk open at the hat
     ("A A B\n", "A A A\n", "outline does not close; residual "),
-], ids=["unknown-symbol", "open-walk"])
+    # 8 connected kites of the outline's area, not the ones it covers
+    ("0,0,5 0,1,4 0,1,5 1,0,2 1,0,3", "0,0,3 0,0,4 0,0,5 0,1,4 0,1,5",
+     "tile outline is not the boundary of its 8 kite cells"),
+], ids=["unknown-symbol", "open-walk", "wrong-cells"])
 def test_a_tile_fault_is_a_config_error(argv, old, new, error, tmp_path,
                                         capsys):
     work = tmp_path / "data"

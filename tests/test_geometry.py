@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from hatfam.configfile import ConfigError, load_text
 from hatfam.exactnum import (
+    SQRT3,
     QSqrt3,
     VEC_ZERO,
     VecE,
@@ -26,6 +27,7 @@ from hatfam.geometry import (
     EDGE_B,
     GeometryError,
     IDENTITY,
+    KITE_OFFSETS,
     KiteCell,
     LatticeError,
     Placement,
@@ -37,7 +39,6 @@ from hatfam.geometry import (
     disjoint_cells,
     hat_kite_cells,
     is_simple,
-    kite_corners,
     outline_from_turtle,
     packing_width,
     shoelace_area,
@@ -48,7 +49,7 @@ from hatfam.substitution import HAT, THC, SupertileNode, build, \
     check_kites, expand
 from hatfam.supervectors import hat_params, make_params
 
-from placements import apply
+from placements import apply, kite_corners
 
 # a hand-made node's anchors, as Q(zeta) coordinates
 ORIGIN = (0, 0, 0, 0)
@@ -262,8 +263,9 @@ def test_turtle_spec_validation():
             ("A A A", "180 90 90", "edge 0: turn 180 degrees reverses"),
             # faults of the outline traced at the hat
             ("A A B A", "90 90 90 90", "outline does not close"),
+            # a unit square, whose corners are off the kite grid
             ("A A A A", "90 90 90 90",
-             "is not 8 kite units at hat proportions")):
+             "is not the boundary of its 8 kite cells")):
         with pytest.raises(ConfigError, match=message):
             _tile_with_walk(edges, turns)
 
@@ -548,6 +550,19 @@ def _edge_connected(cells) -> bool:
     return not todo
 
 
+@pytest.mark.parametrize("cell", [(0, 0, k) for k in range(6)]
+                         + [(1, -1, 3), (-2, 3, 0)])
+def test_kite_offsets_are_the_exact_corners(cell):
+    # KITE_OFFSETS plus the hexagon centre (6q, 2(q + 2r)) are the exact
+    # corners (X/2, Y*sqrt3/2), in order
+    q, r, k = cell
+    want = [(2 * v.x, 2 * v.y / SQRT3)
+            for v in kite_corners(KiteCell(*cell))]
+    got = [(QSqrt3(6 * q + X), QSqrt3(2 * (q + 2 * r) + Y))
+           for X, Y in KITE_OFFSETS[k]]
+    assert got == want
+
+
 def test_cell_neighbors_share_an_edge():
     # two kites are connected exactly when they share an edge
     for cell in (KiteCell(0, 0, 0), KiteCell(1, -1, 3), KiteCell(2, 2, 5)):
@@ -757,6 +772,21 @@ def test_tile_from_config_rejects_bad_cells():
         with pytest.raises(ConfigError,
                            match=f"bad cell '{item}', expected q,r,k"):
             tile_from_config(text.replace("0,0,0", item, 1))
+
+
+@pytest.mark.parametrize("items", [
+    # 8 connected kites, 6 of them one hexagon, of the outline's area
+    "0,0,0 0,0,1 0,0,2 0,0,3 0,0,4 0,0,5 0,1,4 0,1,5",
+    # the shipped cells one hexagon step away
+    "1,0,0 1,0,1 1,0,2 1,0,5 1,1,4 1,1,5 2,0,2 2,0,3",
+])
+def test_tile_from_config_refuses_cells_the_outline_does_not_bound(items):
+    text = load_text("tile.cfg")
+    shipped = "items = 0,0,0 0,0,1 0,0,2 0,0,5 0,1,4 0,1,5 1,0,2 1,0,3"
+    assert shipped in text
+    with pytest.raises(ConfigError,
+                       match="is not the boundary of its 8 kite cells"):
+        tile_from_config(text.replace(shipped, "items = " + items))
 
 
 @pytest.mark.parametrize("far", ["3,0,3", "2000,2000,3"])

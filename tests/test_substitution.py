@@ -30,7 +30,6 @@ from hatfam.geometry import (
     _PRODUCT,
     disjoint_cells,
     hat_kite_cells,
-    kite_corners,
     lattice_shift,
     packing_width,
 )
@@ -52,7 +51,7 @@ from hatfam.substitution import (
 )
 from hatfam.supervectors import hat_params, make_params, v_closed
 
-from placements import apply
+from placements import apply, kite_corners
 
 # a hand-made node's anchors, as Q(zeta) coordinates
 ORIGIN = (0, 0, 0, 0)
@@ -831,6 +830,43 @@ def test_search_builds_each_candidate_on_one_generation_one(
     assert len({id(node.children[0][0]) for *_, node in builds}) == 1
     assert anchors == [1] + [2] * 9
     assert [cand.p4_gen2 for cand in found] == [layout.p4_gen2]
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_search_on_the_call_chain_reuses_its_generation_one(
+        tile, hat_p, window, monkeypatch):
+    # given the call's chains, the candidates are built on the generation
+    # 1 that layout validation assembled and checked, and find what a
+    # search on a generation 1 of its own finds
+    text = load_text("layout.cfg")
+    want = search_layout(hat_p, layout_from_config(text, tile), tile, window)
+    chains = {}
+    layout = layout_from_config(text, tile, chains)
+    held = chains[hat_p]
+    gen1 = held.pairs[0]
+    builds, anchors = [], []
+    real_build, real_check = substitution.build, substitution._check_anchor
+
+    def spied_build(kind, n, p, cand, chains=None):
+        node = real_build(kind, n, p, cand, chains)
+        builds.append(node)
+        return node
+
+    def spied_check(n, *args):
+        anchors.append(n)
+        return real_check(n, *args)
+
+    monkeypatch.setattr(substitution, "build", spied_build)
+    monkeypatch.setattr(substitution, "_check_anchor", spied_check)
+    got = search_layout(hat_p, layout, tile, window, chains)
+    assert got == want
+    assert anchors == [2] * (2 * window + 1) ** 2
+    # hat-2's core is thc-1, and its ring pieces hat-1
+    assert all(node.children[0][0] is gen1[1]
+               and node.children[1][0] is gen1[0] for node in builds)
+    # the call's chain is left as validation made it
+    assert chains == {hat_p: held} and held.layout is layout
+    assert len(held.pairs) == 4 and held.pairs[0] is gen1
 
 
 def test_chain_at_refuses_a_chain_of_another_layout(layout, hat_p):
