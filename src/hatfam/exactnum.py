@@ -5,15 +5,17 @@ Q(sqrt(3)).  A QSqrt3 holds three Python ints, (a + b*sqrt(3))/d with
 d > 0 and gcd(a, b, d) = 1, so each value has exactly one stored form.
 At hat scale d is 1 or 2: sums of equal denominators skip the
 cross-multiplication, products skip the gcd when d = 1, and signs compare
-a^2 with 3 b^2 on ints.  `VecE.dot` and `.cross` are fused: p*q +- r*u
-on the stored ints (`_pair`), reduced once; `tan_between` divides those
-ints (`_quotient`).  The rational parts r = a/d and s = b/d are
-Fractions, made on request for the render edge; `parse_scalar` reads its
-text straight to (a, b, d).  Nothing here ever rounds; floats only
-appear on explicit conversion at the edges (angle evaluation, SVG
-emission).  QSqrt3(r, s) is the one constructor and takes only ints and
-Fractions, so no float or string enters the field.  There is no
-ordering: x < y is written (x - y).sign() < 0.
+a^2 with 3 b^2 on ints.  `_pair` is the fused kernel p*q +- r*u on the
+stored ints, unreduced: `supervectors.tan_between` makes a cross and a
+dot with it and divides those ints (`_quotient`), reduced once.  The
+rational parts r = a/d and s = b/d are Fractions, made on request for the
+render edge; `parse_scalar` reads its text straight to (a, b, d).
+Nothing here ever rounds; floats only appear on explicit conversion at
+the edges (angle evaluation, SVG emission).  QSqrt3(r, s) is the one
+constructor and takes only ints and Fractions, so no float or string
+enters the field.  There is no ordering: x < y is written
+(x - y).sign() < 0.  A VecE is a point at the edges (configs, closed
+forms, error texts); inside, points are Q(zeta) ints (`zeta_coords`).
 """
 
 from __future__ import annotations
@@ -324,12 +326,6 @@ class VecE:
     def __hash__(self) -> int:
         return hash((self.x, self.y))
 
-    def dot(self, other: "VecE") -> QSqrt3:
-        return _reduced(*_pair(self.x, other.x, self.y, other.y, 1))
-
-    def cross(self, other: "VecE") -> QSqrt3:
-        return _reduced(*_pair(self.x, other.y, self.y, other.x, -1))
-
     def to_floats(self) -> tuple[float, float]:
         return float(self.x), float(self.y)
 
@@ -345,37 +341,6 @@ def _vec(x: QSqrt3, y: QSqrt3) -> VecE:
 
 
 VEC_ZERO = VecE(ZERO, ZERO)
-
-# signs (c, s) of cos = c/2 and sin = s*sqrt(3)/2 at 60*k degrees, k = 1, 2,
-# 4, 5; k = 0 and k = 3 are the identity and the negation
-_ROT60_SIGNS = {1: (1, 1), 2: (-1, 1), 4: (-1, -1), 5: (1, -1)}
-
-
-def rotate60(v: VecE, k: int) -> VecE:
-    """Rotate v counterclockwise by k steps of 60 degrees (k may be negative)."""
-    k %= 6
-    if k == 0:
-        return v
-    if k == 3:
-        return -v
-    x, y = v.x, v.y
-    c, s = _ROT60_SIGNS[k]
-    # x' = (c*x - s*sqrt3*y)/2 and y' = (s*sqrt3*x + c*y)/2, with
-    # sqrt3*(a + b*sqrt3) = 3b + a*sqrt3, over one common denominator
-    xa, xb, xd, ya, yb, yd = x.a, x.b, x.d, y.a, y.b, y.d
-    if xd == yd:
-        d = 2 * xd
-    else:
-        xa, xb, ya, yb = xa * yd, xb * yd, ya * xd, yb * xd
-        d = 2 * xd * yd
-    return _vec(_reduced(c * xa - 3 * s * yb, c * xb - s * ya, d),
-                _reduced(3 * s * xb + c * ya, s * xa + c * yb, d))
-
-
-def reflect_y_axis(v: VecE) -> VecE:
-    """Mirror across the y axis: (x, y) -> (-x, y)."""
-    return _vec(-v.x, v.y)
-
 
 # ---------------------------------------------------------------------------
 # Q(zeta) coordinates, zeta = e^(i*pi/6)

@@ -1,17 +1,19 @@
 """Exact tile geometry: turtle-program outlines, rigid placements, and the
 trihexagonal kite-cell lattice.
 
-Every turn in the package is one of 12 orientations, applied to Q(zeta)
-ints by `moved`; the kite lattice's turns (`LATTICE_TURNS`) are read off
-its basis turned by it.
+Points are Q(zeta) ints, zeta = e^(i*pi/6).  Every turn in the package
+is one of 12 orientations, applied to them by `moved`, whose matrices are
+read off the powers of zeta (`_ZETA`); the kite lattice's turns
+(`LATTICE_TURNS`) are read off its basis turned by it.
 
 Outlines are traced by walking edges of the two tile edge classes (length a
-or b) with headings at multiples of 30 degrees, so every vertex stays in
-Q(sqrt(3)); `is_simple` tests them on ints, only where two edges' exact
-integer boxes meet.  `tile_from_config` alone validates a tile, the
-outline it traces at the hat included, and raises ConfigError for every
-fault.  At hat parameters (a=1, b=sqrt(3)) each hat covers exactly 8
-kites of the hexagon grid with edge 2.  This module places hats on that
+or b) with headings at multiples of 30 degrees, the unit at heading h being
+zeta^h, so the vertices are Q(zeta) ints over one denominator; `is_simple`
+tests them, only where two edges' exact integer boxes meet, and
+`shoelace_area` sums their int crosses.  `tile_from_config` alone
+validates a tile, the outline it traces at the hat included, and raises
+ConfigError for every fault.  At hat parameters (a=1, b=sqrt(3)) each hat
+covers exactly 8 kites of the hexagon grid with edge 2.  This module places hats on that
 grid (`hat_kite_cells`), keeps a flat per-hat disjointness check
 (`disjoint_cells`, an oracle the supertile check does not call), and
 packs a patch's cells into one int (`packing_width`), the form that
@@ -21,8 +23,7 @@ the contact rule (`cells_connected`) reads.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import NamedTuple
 
 from .configfile import ConfigError, parse_config, value_int, value_ints
@@ -30,12 +31,10 @@ from .exactnum import (
     QSqrt3,
     VEC_ZERO,
     VecE,
+    _reduced,
     _sign,
     reduced_coords,
-    reflect_y_axis,
-    rotate60,
     zeta_coords,
-    zeta_points,
     zeta_vector,
 )
 from .supervectors import TileParams, hat_params
@@ -56,22 +55,22 @@ class LatticeError(GeometryError):
 #
 # A placement's linear part is one of 12 orientations o = rotation_k +
 # 6*reflected, and its translation is a Q(zeta) point (see exactnum), so
-# turning a point is an integer 4x4 map (`moved`), built from exactnum's
-# rotate60 and reflect_y_axis.
+# turning a point is an integer 4x4 map (`moved`), read off the powers of
+# zeta: a turn by 60 degrees multiplies by zeta^2, and the mirror across
+# the y axis takes zeta^j to -conj(zeta^j) = zeta^(6 - j).
 
-def _orientation_matrix(o: int) -> tuple[int, ...]:
-    """Row-major 4x4 integer matrix of orientation o on Q(zeta)
-    coordinates, read off the images of the basis 1, zeta, zeta^2, zeta^3."""
-    columns = []
-    for j in range(4):
-        v = zeta_vector(tuple(int(i == j) for i in range(4)), 1)
-        if o >= 6:
-            v = reflect_y_axis(v)
-        columns.append(zeta_coords(rotate60(v, o % 6))[0])
-    return tuple(columns[j][i] for i in range(4) for j in range(4))
-
-
-_MATRICES = tuple(_orientation_matrix(o) for o in range(12))
+# _ZETA[k]: zeta^k in the basis 1, zeta, zeta^2, zeta^3; each is zeta times
+# the one before, zeta*(c0, c1, c2, c3) = (-c3, c0, c1 + c3, c2), since
+# zeta^4 = zeta^2 - 1
+_ZETA = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+         (-1, 0, 1, 0), (0, -1, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0),
+         (0, 0, -1, 0), (0, 0, 0, -1), (1, 0, -1, 0), (0, 1, 0, -1))
+# _MATRICES[o]: orientation o's row-major 4x4 matrix, whose column j is
+# the image of the basis point zeta^j
+_MATRICES = tuple(
+    tuple(_ZETA[(2 * (o % 6) + (6 - j if o >= 6 else j)) % 12][i]
+          for i in range(4) for j in range(4))
+    for o in range(12))
 # _PRODUCT[o][p]: the orientation of applying p first, then o
 _PRODUCT = tuple(
     tuple((o % 6 + (-(p % 6) if o >= 6 else p % 6)) % 6
@@ -159,15 +158,6 @@ IDENTITY = Placement()
 
 EDGE_A = "A"
 EDGE_B = "B"
-# headings 2j and 2j + 1 turn (1, 0) and (sqrt3/2, 1/2) by j*60 degrees
-_UNITS = tuple(rotate60(v, j) for j in range(6) for v in (
-    VecE(QSqrt3(1), QSqrt3(0)),
-    VecE(QSqrt3(0, Fraction(1, 2)), QSqrt3(Fraction(1, 2)))))
-
-
-def unit_k30(k: int) -> VecE:
-    """Unit vector at heading 30*k degrees, exact."""
-    return _UNITS[k % 12]
 
 
 class TurtleStep(NamedTuple):
@@ -175,37 +165,47 @@ class TurtleStep(NamedTuple):
     turn_after_k30: int  # signed turn after the edge, in 30-degree units
 
 
-Outline = tuple  # cyclic tuple of VecE vertices
+Outline = tuple  # (points, d): Q(zeta) int vertices over one d, cyclic
 
 
 def outline_from_turtle(steps, p: TileParams, heading_k30: int) -> Outline:
     """Trace the walk of TurtleSteps from the origin with the first edge at
-    `heading_k30`.
+    `heading_k30`, as Q(zeta) ints over d = lcm of a's and b's
+    denominators, the form `exactnum.zeta_points` gives.
 
     Edge symbols map to exact lengths a and b; `tile_from_config` has
-    checked the steps.  Raises GeometryError with the residual vector if
-    the walk does not return to the origin.
+    checked the steps.  The unit at heading h is zeta^h, and sqrt3 is
+    zeta + zeta^-1, so an edge (r + s*sqrt3)/d long adds r*zeta^h +
+    s*(zeta^(h+1) + zeta^(h-1)).  Raises GeometryError with the residual
+    vector if the walk does not return to the origin.
     """
-    verts = [VEC_ZERO]
-    pos = VEC_ZERO
-    h = heading_k30
+    d = lcm(p.a.d, p.b.d)
+    points, c, h = [], (0, 0, 0, 0), heading_k30
     for sym, turn in steps:
-        length = p.a if sym == EDGE_A else p.b
-        pos = pos + unit_k30(h) * length
-        verts.append(pos)
+        x = p.a if sym == EDGE_A else p.b
+        r, s = x.a * (d // x.d), x.b * (d // x.d)
+        points.append(c)
+        c = tuple(ci + r * u + s * (v + w) for ci, u, v, w in zip(
+            c, _ZETA[h % 12], _ZETA[(h + 1) % 12], _ZETA[(h - 1) % 12]))
         h += turn
-    end = verts.pop()
-    if end != VEC_ZERO:
-        raise GeometryError(f"outline does not close; residual {end!r}")
-    return tuple(verts)
+    if any(c):
+        raise GeometryError(
+            f"outline does not close; residual {zeta_vector(c, d)!r}")
+    return tuple(points), d
 
 
 def shoelace_area(o: Outline) -> QSqrt3:
-    """Exact signed area; positive for counterclockwise orientation."""
-    total = QSqrt3(0)
-    for i, v in enumerate(o):
-        total = total + v.cross(o[(i + 1) % len(o)])
-    return total / 2
+    """Exact signed area; positive for counterclockwise orientation.  Each
+    vertex's `xy_parts` are over 2d, so the cross sum is over 4d^2, and
+    halved over 8d^2."""
+    points, d = o
+    pts = [xy_parts(c) for c in points]
+    a = b = 0
+    for (x, xr, y, yr), (u, ur, v, vr) in zip(pts, pts[1:] + pts[:1]):
+        # (x + xr*sqrt3)(v + vr*sqrt3) - (y + yr*sqrt3)(u + ur*sqrt3)
+        a += x * v + 3 * xr * vr - y * u - 3 * yr * ur
+        b += x * vr + xr * v - y * ur - yr * u
+    return _reduced(a, b, 8 * d * d)
 
 
 def xy_parts(c) -> tuple[int, int, int, int]:
@@ -248,12 +248,12 @@ def is_simple(o: Outline) -> bool:
     """Exact check that no two non-adjacent edges intersect and adjacent
     edges share only their common vertex.
 
-    The vertices are put once over one denominator as `xy_parts`, and
+    The traced vertices, over one denominator, are read as `xy_parts`, and
     each edge gets the integer box of its ends' `_bounds`; the side tests,
     each the sign of an integer combination, run only for edge pairs whose
     boxes meet.
     """
-    pts = [xy_parts(c) for c in zeta_points(o)[0]]
+    pts = [xy_parts(c) for c in o[0]]
     n = len(pts)
     nxt = pts[1:] + pts[:1]
     ends = [(*_bounds(x, xr), *_bounds(y, yr)) for x, xr, y, yr in pts]
@@ -433,7 +433,8 @@ class TileData:
         self._outlines = {}
 
     def outline(self, p: TileParams) -> Outline:
-        """The tile boundary at p, traced once per TileData and shape.
+        """The tile boundary at p as (points, d), traced once per TileData
+        and shape.
         Raises GeometryError if the walk does not close at p or is not
         simple there, the only checks a shape can fail: each edge is a
         unit vector times a or b, and a simple walk whose turns sum to
@@ -491,32 +492,25 @@ def tile_from_config(text: str) -> TileData:
         raise ConfigError("duplicate kite cells")
     if len(cells) != 8:
         raise ConfigError(f"expected 8 kite cells, got {len(cells)}")
-    qs, rs = [c.hex_q for c in cells], [c.hex_r for c in cells]
-    q_lo, r_lo = min(qs), min(rs)
-    width = packing_width(max(rs) - r_lo)
-    # eight edge-connected kites span at most 7 hexagon steps each way; a
-    # wider box is refused before its cells are packed into ints
-    if max(qs) - q_lo > 7 or max(rs) - r_lo > 7 or not cells_connected(
-            [1 << 6 * ((q - q_lo) * width + r - r_lo) + k
-             for q, r, k in cells], width):
-        raise ConfigError("kite cells do not form a connected patch")
 
     tile = TileData(tuple(steps), heading, frozenset(cells))
     try:
-        outline = tile.outline(hat_params())
+        points, _ = tile.outline(hat_params())  # over d = 1
     except GeometryError as e:
         raise ConfigError(str(e)) from None
-    # each outline edge is one kite edge at the hat: the outline must be the
-    # 8 kites' boundary, the edges no two of them share
+    # each outline edge is one kite edge at the hat: the simple outline must
+    # be the 8 kites' boundary, the edges no two of them share, and so the
+    # kites are the inside of one simple polygon, one edge-connected patch
     boundary = set()
     for q, r, k in cells:
         cx, cy = 6 * q, 2 * (q + 2 * r)
         boundary ^= {(x1 + cx, y1 + cy, x2 + cx, y2 + cy)
                      for x1, y1, x2, y2 in _KITE_EDGES[k]}
-    # the vertices that are kite corners (X/2, Y*sqrt3/2), X and Y ints
-    pts = [(2 * v.x.a // v.x.d, 2 * v.y.b // v.y.d) for v in outline
-           if not (v.x.b or v.y.a or 2 * v.x.a % v.x.d or 2 * v.y.b % v.y.d)]
-    if len(pts) < len(outline) or boundary != _edges(pts):
+    # the vertices that are kite corners (X/2, Y*sqrt3/2): x3 = y = 0 in
+    # their `xy_parts` (x, x3, y, y3), and then X = x and Y = y3
+    pts = [(x, y3) for x, x3, y, y3 in map(xy_parts, points)
+           if not (x3 or y)]
+    if len(pts) < len(points) or boundary != _edges(pts):
         raise ConfigError("tile outline is not the boundary of its 8 kite "
                           "cells at hat proportions")
     return tile

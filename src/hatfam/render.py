@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from .exactnum import zeta_points
 from .geometry import (
     IDENTITY,
     KITE_OFFSETS,
@@ -250,7 +249,7 @@ def _columns(shapes, axis: slice, vd: int, texts: _Memo,
 
 def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
                fx: _Memo, fy: _Memo) -> list[str]:
-    pts, vd = zeta_points(outline)
+    pts, vd = outline
     shapes = [[xy_parts(moved(o, c, (0, 0, 0, 0))) for c in pts]
               for o in range(12)]
     # as in `_svg_floats`, a hat's x column depends only on its

@@ -1,12 +1,62 @@
-"""Exact pointwise oracles for tests: the action of a placement, the
-motion that `Placement.compose` composes and the renderer's integer turns
-apply, and the corners of a kite cell, which `geometry.KITE_OFFSETS`
-holds as ints."""
+"""Exact pointwise oracles for tests, on VecE points: the 60-degree turn
+and the mirror that orientations are made of, the action of a placement
+(the motion that `Placement.compose` composes and the renderer's integer
+turns apply), the corners of a kite cell, which `geometry.KITE_OFFSETS`
+holds as ints, and the turtle walk that `geometry.outline_from_turtle`
+traces on Q(zeta) ints."""
 
 from fractions import Fraction
 
-from hatfam.exactnum import QSqrt3, VecE, reflect_y_axis, rotate60
-from hatfam.geometry import U1, U2, KiteCell, Placement
+from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE
+from hatfam.geometry import EDGE_A, U1, U2, GeometryError, KiteCell, \
+    Placement
+
+# signs (c, s) of cos = c/2 and sin = s*sqrt(3)/2 at 60*k degrees, k = 1, 2,
+# 4, 5; k = 0 and k = 3 are the identity and the negation
+_ROT60_SIGNS = {1: (1, 1), 2: (-1, 1), 4: (-1, -1), 5: (1, -1)}
+
+
+def rotate60(v: VecE, k: int) -> VecE:
+    """Rotate v counterclockwise by k steps of 60 degrees (k may be
+    negative): x' = (c*x - s*sqrt3*y)/2 and y' = (s*sqrt3*x + c*y)/2."""
+    k %= 6
+    if k == 0:
+        return v
+    if k == 3:
+        return -v
+    c, s = _ROT60_SIGNS[k]
+    r3 = QSqrt3(0, s)
+    return VecE((v.x * c - v.y * r3) / 2, (v.x * r3 + v.y * c) / 2)
+
+
+def reflect_y_axis(v: VecE) -> VecE:
+    """Mirror across the y axis: (x, y) -> (-x, y)."""
+    return VecE(-v.x, v.y)
+
+
+def unit_k30(k: int) -> VecE:
+    """Unit vector at heading 30*k degrees: (1, 0) or (sqrt3/2, 1/2),
+    turned by k // 2 steps of 60 degrees."""
+    half = Fraction(1, 2)
+    v = (VecE(QSqrt3(1), QSqrt3(0)) if k % 2 == 0
+         else VecE(QSqrt3(0, half), QSqrt3(half)))
+    return rotate60(v, k // 2)
+
+
+def trace_outline(steps, p, heading_k30: int) -> tuple:
+    """The VecE vertices of the turtle walk from the origin, first edge at
+    `heading_k30`; raises GeometryError with the residual vector, in the
+    words `outline_from_turtle` uses, if the walk does not close."""
+    verts = [VEC_ZERO]
+    h = heading_k30
+    for sym, turn in steps:
+        verts.append(verts[-1] + unit_k30(h) * (p.a if sym == EDGE_A
+                                                  else p.b))
+        h += turn
+    end = verts.pop()
+    if end != VEC_ZERO:
+        raise GeometryError(f"outline does not close; residual {end!r}")
+    return tuple(verts)
 
 
 def apply(q: Placement, v: VecE) -> VecE:

@@ -17,9 +17,8 @@ from hatfam.exactnum import (
     VEC_ZERO,
     VecE,
     parse_scalar,
-    reflect_y_axis,
-    rotate60,
     zeta_coords,
+    zeta_points,
     zeta_vector,
 )
 from hatfam.geometry import (
@@ -35,6 +34,8 @@ from hatfam.geometry import (
     TurtleStep,
     U1,
     U2,
+    _MATRICES,
+    _ZETA,
     cells_connected,
     disjoint_cells,
     hat_kite_cells,
@@ -43,13 +44,13 @@ from hatfam.geometry import (
     packing_width,
     shoelace_area,
     tile_from_config,
-    unit_k30,
 )
 from hatfam.substitution import HAT, THC, SupertileNode, build, \
     check_kites, expand
 from hatfam.supervectors import hat_params, make_params
 
-from placements import apply, kite_corners
+from placements import apply, kite_corners, reflect_y_axis, rotate60, \
+    trace_outline, unit_k30
 
 # a hand-made node's anchors, as Q(zeta) coordinates
 ORIGIN = (0, 0, 0, 0)
@@ -124,18 +125,30 @@ def test_compose_identity_and_associativity():
 def test_unit_k30():
     half = Fraction(1, 2)
     # every heading, past 12 and below 0: unit length, and 30 degrees from
-    # the next, whose sine is 1/2 and cosine sqrt(3)/2
+    # the next, whose sine is 1/2 and cosine sqrt(3)/2; zeta^k is the unit
+    # at heading 30*k degrees
     for k in range(-13, 25):
         u, w = unit_k30(k), unit_k30(k + 1)
-        assert u.dot(u) == QSqrt3(1)
-        assert u.cross(w) == QSqrt3(half)
-        assert u.dot(w) == QSqrt3(0, half)
+        assert u.x * u.x + u.y * u.y == QSqrt3(1)
+        assert u.x * w.y - u.y * w.x == QSqrt3(half)
+        assert u.x * w.x + u.y * w.y == QSqrt3(0, half)
         assert unit_k30(k + 12) == u
+        assert zeta_vector(_ZETA[k % 12], 1) == u
     assert unit_k30(0) == VecE(QSqrt3(1), QSqrt3(0))
     assert unit_k30(3) == VecE(QSqrt3(0), QSqrt3(1))
     assert unit_k30(6) == VecE(QSqrt3(-1), QSqrt3(0))
     # 30 degrees: (sqrt(3)/2, 1/2)
     assert unit_k30(1) == VecE(QSqrt3(0, half), QSqrt3(half))
+
+
+@pytest.mark.parametrize("o", range(12))
+def test_orientation_matrices_are_the_exact_turns(o):
+    # column j of orientation o's matrix is zeta^j reflected across the y
+    # axis if o >= 6, then turned by o % 6 steps of 60 degrees
+    for j in range(4):
+        v = zeta_vector(_ZETA[j], 1)
+        want = rotate60(reflect_y_axis(v) if o >= 6 else v, o % 6)
+        assert zeta_vector(_MATRICES[o][j::4], 1) == want
 
 
 # The reference below keeps a placement as (rotation_k, reflected, VecE)
@@ -241,7 +254,7 @@ def test_turtle_square():
     assert tile.steps == steps
     o = tile.outline(_p(1, 2))
     assert o == outline_from_turtle(steps, _p(1, 2), 0)
-    assert len(o) == 4
+    assert o == (tuple(zeta_points(SQUARE)[0]), 1)
     assert shoelace_area(o) == QSqrt3(1)
     assert is_simple(o)
 
@@ -290,24 +303,78 @@ def test_traced_edges_are_a_or_b_long_and_the_area_is_positive(tile, a, b):
     # vector times a or b, and a simple walk whose exterior turns sum to
     # +360 runs counterclockwise
     p = make_params(a, b)
-    o = tile.outline(p)
+    pts, d = tile.outline(p)
+    o = [zeta_vector(c, d) for c in pts]
     lengths = {p.a * p.a, p.b * p.b}
     for u, v in zip(o, o[1:] + o[:1]):
-        assert (v - u).dot(v - u) in lengths
+        w = v - u
+        assert w.x * w.x + w.y * w.y in lengths
     assert tile.area(p).sign() > 0
 
 
+def _same_trace(steps, p, heading_k30):
+    """The int trace and the VecE oracle's, asserted to be the same points,
+    or None when both refuse an open walk in the same words."""
+    try:
+        want = trace_outline(steps, p, heading_k30)
+    except GeometryError as e:
+        with pytest.raises(GeometryError) as got:
+            outline_from_turtle(steps, p, heading_k30)
+        assert str(got.value) == str(e)
+        return None
+    got = outline_from_turtle(steps, p, heading_k30)
+    pts, d = got
+    assert [zeta_vector(c, d) for c in pts] == list(want)
+    return got, want
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_SHAPE_SCALARS, _SHAPE_SCALARS, st.integers(-13, 13))
+def test_int_trace_matches_the_vece_oracle_on_the_tile(tile, a, b, heading):
+    # the tile's walk closes at every shape, over d = lcm of a's and b's
+    # denominators: the points zeta_points gives for the oracle's vectors
+    got, want = _same_trace(tile.steps, make_params(a, b), heading)
+    pts, d = zeta_points(want)
+    assert got == (tuple(pts), d)
+
+
+@_PROPERTY
+@given(_SHAPE_SCALARS, _SHAPE_SCALARS, st.integers(-13, 13),
+       st.lists(st.tuples(st.sampled_from((EDGE_A, EDGE_B)),
+                          st.integers(-5, 5)), min_size=1, max_size=8),
+       st.booleans())
+def test_int_trace_matches_the_vece_oracle_on_any_walk(a, b, heading, walk,
+                                                      closed):
+    # an open walk, refused in the oracle's words, or one made to close:
+    # the walk twice, turned by 180 degrees the second time
+    steps = [TurtleStep(sym, turn) for sym, turn in walk]
+    if closed:
+        last = steps.pop()
+        steps.append(TurtleStep(last.symbol, 6 - sum(t for _, t in steps)))
+        steps += steps
+    got = _same_trace(steps, make_params(a, b), heading)
+    assert got is not None or not closed
+
+
 def test_is_simple():
-    assert is_simple(SQUARE)
-    assert not is_simple(BOWTIE)
-    assert not is_simple(PINCHED)
+    assert is_simple(zeta_points(SQUARE))
+    assert not is_simple(zeta_points(BOWTIE))
+    assert not is_simple(zeta_points(PINCHED))
     spike = _poly((0, 0), (2, 0), (1, 0), (1, 1))
-    assert not is_simple(spike)
+    assert not is_simple(zeta_points(spike))
 
 
 # The QSqrt3 segment test and simplicity check that `is_simple` replaced,
 # kept as the oracle for the integer version; QSqrt3 has no ordering, so
 # it compares by the sign of a difference.
+
+def _cross(u: VecE, v: VecE) -> QSqrt3:
+    return u.x * v.y - u.y * v.x
+
+
+def _dot(u: VecE, v: VecE) -> QSqrt3:
+    return u.x * v.x + u.y * v.y
+
 
 def _between(lo: QSqrt3, x: QSqrt3, hi: QSqrt3) -> bool:
     if (hi - lo).sign() < 0:
@@ -319,15 +386,15 @@ def _segments_cross(a: VecE, b: VecE, c: VecE, d: VecE) -> bool:
     """Exact test: do closed segments ab and cd share any point?"""
     ab = b - a
     cd = d - c
-    d1 = ab.cross(c - a).sign()
-    d2 = ab.cross(d - a).sign()
-    d3 = cd.cross(a - c).sign()
-    d4 = cd.cross(b - c).sign()
+    d1 = _cross(ab, c - a).sign()
+    d2 = _cross(ab, d - a).sign()
+    d3 = _cross(cd, a - c).sign()
+    d4 = _cross(cd, b - c).sign()
     if d1 * d2 < 0 and d3 * d4 < 0:
         return True
     for p, (u, v) in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))):
         uv = v - u
-        if uv.cross(p - u).sign() == 0 and \
+        if _cross(uv, p - u).sign() == 0 and \
                 _between(u.x, p.x, v.x) and _between(u.y, p.y, v.y):
             return True
     return False
@@ -345,7 +412,7 @@ def _oracle_is_simple(o) -> bool:
         # and reversed; straight-through (turn 0) is fine
         c = o[(i + 2) % n]
         e1, e2 = b - a, c - b
-        if e1.cross(e2).sign() == 0 and e1.dot(e2).sign() < 0:
+        if _cross(e1, e2).sign() == 0 and _dot(e1, e2).sign() < 0:
             return False
         for j in range(i + 2, n):
             if i == 0 and j == n - 1:
@@ -402,7 +469,7 @@ def _polygons(draw):
 @example(BOWTIE)
 @example(SQUARE)
 def test_is_simple_matches_the_qsqrt3_oracle(poly):
-    assert is_simple(poly) == _oracle_is_simple(poly)
+    assert is_simple(zeta_points(poly)) == _oracle_is_simple(poly)
 
 
 @pytest.mark.parametrize("a,b", [
@@ -411,27 +478,29 @@ def test_is_simple_matches_the_qsqrt3_oracle(poly):
 ], ids=["hat", "2-3", "1-1", "turtle", "5-2", "7/3-1/2", "irrational"])
 def test_is_simple_matches_the_oracle_on_the_tile(tile, a, b):
     p = make_params(parse_scalar(a), parse_scalar(b))
-    o = outline_from_turtle(tile.steps, p, tile.heading_k30)
-    assert is_simple(o) and _oracle_is_simple(o)
+    o = trace_outline(tile.steps, p, tile.heading_k30)
+    assert is_simple(outline_from_turtle(tile.steps, p, tile.heading_k30))
+    assert _oracle_is_simple(o)
     # moving a vertex onto the vertex two before it folds the walk back
     for bad in (o[:3] + (o[1],) + o[4:], o[:2] + (o[0],) + o[3:]):
-        assert not is_simple(bad) and not _oracle_is_simple(bad)
+        assert not is_simple(zeta_points(bad)) and not _oracle_is_simple(bad)
 
 
 def test_apply_placement_preserves_area():
     q = Placement(2, False, VecE(QSqrt3(5), QSqrt3(0, -3)))
-    assert shoelace_area(tuple(apply(q, v) for v in SQUARE)) == QSqrt3(1)
+    assert shoelace_area(zeta_points(apply(q, v) for v in SQUARE)) == \
+        QSqrt3(1)
     mirrored = Placement(0, True, VEC_ZERO)
-    assert shoelace_area(tuple(apply(mirrored, v) for v in SQUARE)) == \
-        QSqrt3(-1)
+    assert shoelace_area(zeta_points(apply(mirrored, v) for v in SQUARE)) \
+        == QSqrt3(-1)
 
 
 # ------------------------------------------------------------ canonical tile
 
 def test_canonical_outline_shape(tile, hat_p):
-    o = tile.outline(hat_p)
-    assert len(o) == 14
-    assert o[0] == VEC_ZERO
+    pts, d = tile.outline(hat_p)
+    assert len(pts) == 14 and d == 1
+    assert pts[0] == ORIGIN
     symbols = [step.symbol for step in tile.steps]
     assert symbols.count(EDGE_A) == 8
     assert symbols.count(EDGE_B) == 6
@@ -463,7 +532,8 @@ def test_canonical_outline_simple_at_many_shapes(tile):
 def test_cells_match_outline_by_centroid(tile, hat_p):
     """The 8 configured cells are exactly the kites whose centroids fall
     inside the outline, over a generous window of candidates."""
-    poly = tile.outline(hat_p)
+    pts, d = tile.outline(hat_p)
+    poly = [zeta_vector(c, d) for c in pts]
     inside = set()
     for q in range(-4, 5):
         for r in range(-4, 5):
@@ -791,13 +861,16 @@ def test_tile_from_config_refuses_cells_the_outline_does_not_bound(items):
 
 @pytest.mark.parametrize("far", ["3,0,3", "2000,2000,3"])
 def test_tile_from_config_refuses_a_disconnected_cell_at_once(far):
-    # eight connected kites span at most 7 hexagon steps, so a cell 2000
-    # steps away is refused before any int the size of its box is made
+    # the simple outline is not the boundary of a cut patch, so a cell
+    # away from the rest, 2000 steps away too, is refused by the boundary
+    # check, which makes no int the size of the cells' box
     text = load_text("tile.cfg").replace("1,0,3", far)
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
-        with pytest.raises(ConfigError, match="connected patch"):
+        with pytest.raises(ConfigError,
+                           match="is not the boundary of its 8 kite cells "
+                                 "at hat proportions"):
             tile_from_config(text)
         seconds = time.perf_counter() - t0
         peak = tracemalloc.get_traced_memory()[1]

@@ -5,9 +5,9 @@ placements held integer Q(zeta12) coordinates.  Build JSON, SVG figures
 and the verify items (without their timings) must stay identical to
 them.  Grid renders at a != 1 are not recorded here: they draw the kite
 grid at scale a^2, a known fault.  Their bytes, with every other figure the
-benchmark's render workload can draw, are checked against the benchmark's
-own references in `perfbench/refs.json`, read without changing anything
-under `perfbench/`.
+benchmark's render workload can draw and every build its build-hat
+workload runs, are checked against the benchmark's own references in
+`perfbench/refs.json`, read without changing anything under `perfbench/`.
 """
 
 import hashlib
@@ -177,6 +177,18 @@ def test_benchmark_render_bytes(argv, tmp_path, capsys):
     assert main([*argv[:i], str(out), *argv[i + 1:]]) == 0
     want = workloads.load_refs()["outputs"][workloads.key(argv)]
     assert _sha256(out.read_bytes()) == want
+
+
+# every argv of the build-hat workload, at the timed and at the smoke sizes
+BENCH_BUILDS = [argv for smoke in (False, True)
+                for argv in workloads.all_argvs("build-hat", smoke)]
+
+
+@pytest.mark.parametrize("argv", BENCH_BUILDS, ids=workloads.key)
+def test_benchmark_build_bytes(argv, capsys):
+    assert main(argv) == 0
+    want = workloads.load_refs()["outputs"][workloads.key(argv)]
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == want
 
 
 @pytest.mark.skipif(sys.version_info[:2] not in CLI_SURFACE,

@@ -6,7 +6,7 @@ import pytest
 
 from hatfam import render
 from hatfam.cli import main
-from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE, parse_scalar, zeta_points
+from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE, parse_scalar, zeta_vector
 from hatfam.geometry import (
     KiteCell,
     Placement,
@@ -173,7 +173,8 @@ def _check_hat_vertices(kind, gen, a, b, layout, tile, monkeypatch):
     node = build(kind, gen, p, layout)
     monkeypatch.setattr(render, "_fmt", float.hex)
     svg = render_supertile(node, p, RenderOptions(), tile)
-    outline = tile.outline(p)
+    coords, den = tile.outline(p)
+    outline = [zeta_vector(c, den) for c in coords]
     want = []
     for q, _ in expand(node):
         pts = [apply(q, v).to_floats() for v in outline]
@@ -202,9 +203,9 @@ def test_placed_floats_are_the_exact_floats(o, tile):
     # hats use them, give the floats of the exactly placed points, also
     # with denominators in the points and in the translation
     p = make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))
-    pts = tile.outline(p)
-    coords, den = zeta_points(pts)
+    coords, den = tile.outline(p)
     assert den == 6
+    pts = [zeta_vector(c, den) for c in coords]
     for t in [VEC_ZERO, VecE(QSqrt3(Fraction(5, 6), Fraction(-1, 4)),
                              QSqrt3(Fraction(-2, 9), 3))]:
         q = Placement(o % 6, o >= 6, t)

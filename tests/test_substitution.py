@@ -16,7 +16,6 @@ from hatfam.exactnum import (
     QSqrt3,
     VecE,
     render_scalar,
-    rotate60,
     zeta_coords,
     zeta_vector,
 )
@@ -51,7 +50,7 @@ from hatfam.substitution import (
 )
 from hatfam.supervectors import hat_params, make_params, v_closed
 
-from placements import apply, kite_corners
+from placements import apply, kite_corners, rotate60
 
 # a hand-made node's anchors, as Q(zeta) coordinates
 ORIGIN = (0, 0, 0, 0)
