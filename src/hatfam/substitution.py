@@ -18,9 +18,10 @@ kite disjointness and contact on the same DAG in ints, in one pass: each
 edge is one lattice step, turned per orientation by `LATTICE_TURNS`; each
 (node, orientation) keeps its cells as one int, the OR of its children's
 shifted ints, whose bit count shows whether they overlap; touching
-connected pieces make a connected node; a failure's path is joined as it
-unwinds.  The pass takes supertiles in order, at one packing width, and
-names the first that fails: `layout_from_config` checks the eight of
+connected pieces make a connected node.  The pass only decides; a root
+that fails is walked once more, from the root, to word its fault.  The
+pass takes supertiles in order, at one packing width, and names the
+first that fails: `layout_from_config` checks the eight of
 generations 1-4 in one pass, and hands that chain to the call.  `expand`
 walks every single hat, only to draw: on Q(zeta) int steps, which it
 turns once per (node, orientation), making a Placement per hat and none
@@ -345,24 +346,14 @@ def expand(node: SupertileNode) -> Iterator[tuple[Placement, bool]]:
                   for child, co, s0, s1, s2, s3 in steps]
 
 
-class _Fault(Exception):
-    """A kite check failure at one node: args are the wording before and
-    after its label path, which `labels` gathers deepest first as the walk
-    unwinds, lifting a clash's kite `bit` into each ancestor's int."""
-
-    def __init__(self, before: str, after: str, bit=None):
-        super().__init__(before, after)
-        self.labels, self.bit = [], bit
-
-
 def _kite_box(node: SupertileNode, o: int, base_cells):
     """(box, parts) for `node` at orientation o about its own origin: box
     = (q_lo, q_hi, r_lo, r_hi) bounds its kite cells' hex coordinates, and
     parts holds each child's label, node, orientation and placed (q_lo,
-    r_lo), or a single hat's cells.  Memoized on the node with its "steps",
-    each child's lattice step from one `lattice_shift`, which
-    `LATTICE_TURNS[o]` turns; a miss raises _Fault where the walk reaches
-    it."""
+    r_lo), or a single hat's cells; None if a hat under it is off the
+    kite lattice.  Memoized on the node with its "steps", each child's
+    lattice step from one `lattice_shift`, which `LATTICE_TURNS[o]`
+    turns."""
     memo = node._kites
     key = o, base_cells
     if key not in memo:
@@ -380,20 +371,15 @@ def _kite_box(node: SupertileNode, o: int, base_cells):
                         steps.append((label, child, q, None, None))
             (a, c), (b, d) = LATTICE_TURNS[o]
             turn, parts, spans = _PRODUCT[o], [], []
-            try:
-                for label, child, co, m, n in memo["steps"]:
-                    if m is None:  # co is the placement
-                        v = Placement(o % 6, o >= 6).compose(co).translation
-                        raise _Fault("piece ", f" is off the kite lattice: "
-                                     f"{v!r} is not on the hexagon lattice")
-                    co = turn[co]
-                    (q0, q1, r0, r1), _ = _kite_box(child, co, base_cells)
-                    m, n = a * m + b * n, c * m + d * n
-                    parts.append((label, child, co, q0 + m, r0 + n))
-                    spans.append((q0 + m, q1 + m, r0 + n, r1 + n))
-            except _Fault as e:
-                e.labels.append(label)
-                raise
+            for label, child, co, m, n in memo["steps"]:
+                box = m is not None and _kite_box(child, turn[co], base_cells)
+                if not box:  # a miss at this step or under the piece
+                    memo[key] = None
+                    return None
+                co, (q0, q1, r0, r1) = turn[co], box[0]
+                m, n = a * m + b * n, c * m + d * n
+                parts.append((label, child, co, q0 + m, r0 + n))
+                spans.append((q0 + m, q1 + m, r0 + n, r1 + n))
         q_lo, q_hi, r_lo, r_hi = zip(*spans)
         memo[key] = (min(q_lo), max(q_hi), min(r_lo), max(r_hi)), parts
     return memo[key]
@@ -407,121 +393,119 @@ def _kite_bits(node: SupertileNode, o: int, width: int, base_cells,
     (a single hat's pieces are its kites); memoized on the node.  Each
     piece's own bits are distinct, so the pieces share no kite exactly
     when the OR keeps all of them: one `bit_count` against the node's
-    hats per node, and only on a shortfall, or on a fault inside a later
-    piece, does `_name_clash` look for the clash piece by piece.  If
-    `connected`, the same pass also tests, once per node and tile since a
-    rigid motion keeps it, that the pieces touch as one patch, and
-    memoizes whether this node and every node under it do; a
-    disconnection raises nothing, so an overlap anywhere is still found
-    first."""
+    hats.  If `connected`, the same pass also decides, once per node and
+    tile since a rigid motion keeps it, whether this node and every node
+    under it are one edge-connected patch; a node whose OR lost bits
+    fails without a flood, since its overlap is named first."""
     memo = node._kites
     key = o, width, base_cells
     contact = connected and base_cells not in memo
     if key not in memo or contact:
         (q_lo, _, r_lo, _), parts = _kite_box(node, o, base_cells)
         if node.children:
-            acc, pieces = 0, []
+            pieces = (_kite_bits(child, co, width, base_cells, connected)
+                      << 6 * ((cq - q_lo) * width + cr - r_lo)
+                      for _, child, co, cq, cr in parts)
         else:  # a single hat: its kites are its pieces, distinct bits
-            pieces = [1 << 6 * ((q - q_lo) * width + r - r_lo) + k
-                      for q, r, k in parts]
-            acc, parts = sum(pieces), ()
-        for i, (label, child, co, cq, cr) in enumerate(parts):
-            shift = 6 * ((cq - q_lo) * width + cr - r_lo)
-            try:
-                bits = _kite_bits(child, co, width, base_cells,
-                                  connected) << shift
-            except _Fault as e:  # a clash among the earlier pieces is first
-                _name_clash(parts[:i], q_lo, r_lo, width, base_cells)
-                e.labels.append(label)
-                e.bit = None if e.bit is None else e.bit + shift
-                raise
+            pieces = (1 << 6 * ((q - q_lo) * width + r - r_lo) + k
+                      for q, r, k in parts)
+        if contact:  # else each shifted int is dropped once ORed
+            pieces = list(pieces)
+        acc = 0
+        for bits in pieces:
             acc |= bits
-            if contact:  # else each shifted int is dropped once ORed
-                pieces.append(bits)
-        if acc.bit_count() != len(base_cells) * node.hats:
-            _name_clash(parts, q_lo, r_lo, width, base_cells)
         if contact:
             memo[base_cells] = (
-                all(child._kites[base_cells] for _, child, *_ in parts)
+                acc.bit_count() == len(base_cells) * node.hats
+                and all(child._kites[base_cells] for child, _ in node.children)
                 and cells_connected(pieces, width))
         memo[key] = acc
     return memo[key]
 
 
-def _name_clash(parts, q_lo: int, r_lo: int, width: int,
-                base_cells) -> None:
-    """Raise _Fault at the first of `parts`, whose ints are made, that
-    meets the ones before it, naming the first piece that holds the
-    lowest kite they share; return if no two meet."""
-    placed = [(label, _kite_bits(child, co, width, base_cells)
-               << 6 * ((cq - q_lo) * width + cr - r_lo))
-              for label, child, co, cq, cr in parts]
-    acc = 0
-    for label, bits in placed:
-        if clash := acc & bits:
-            bit = (clash & -clash).bit_length() - 1
-            first = next(lab for lab, other in placed if other >> bit & 1)
-            raise _Fault("", f": pieces {first} and {label} overlap on "
-                         "kite", bit)
-        acc |= bits
-
-
-def _disconnected_path(node: SupertileNode, base_cells) -> list[str]:
-    """The labels from `node`, whose memoized contact verdict failed, down
-    to the node `_kite_bits` found disconnected first: each step enters
-    the first piece whose verdict failed, and the walk stops at a node
-    whose pieces all passed."""
-    labels = []
-    while step := next(((label, child) for label, (child, _)
-                        in zip(node.labels, node.children)
-                        if not child._kites[base_cells]), None):
-        label, node = step
-        labels.append(label)
-    return labels
-
-
-def _worded(name: str, e: _Fault, q_lo=0, r_lo=0, width=1) -> str:
-    """The detail of a fault under the root `name`, whose kite int, if
-    made, was packed about (q_lo, r_lo) at `width`."""
-    (before, after), where = e.args, "/".join([name, *e.labels[::-1]])
-    if e.bit is not None:
-        v, k = divmod(e.bit, 6)
-        after += f" {KiteCell(q_lo + v // width, r_lo + v % width, k)}"
-    return f"{before}{where}{after}"
+def _fault(name: str, root: SupertileNode, base_cells, width: int) -> str:
+    """The detail of the kite fault the pass at `width` found in `root`,
+    named `name`: one walk from the root into the first piece that holds
+    the fault.  At each node a lattice miss (no box) comes first; then a
+    clash (its int lost bits): the first piece that meets the earlier
+    ones, with the first that holds the lowest kite they share, unless a
+    piece before it lost bits; else the first piece whose contact verdict
+    failed, or the node, is disconnected."""
+    node, o, where, lift = root, 0, name, 0
+    while True:
+        box = _kite_box(node, o, base_cells)
+        if box is None:
+            for label, child, co, m, _ in node._kites["steps"]:
+                if m is None:  # co is the placement
+                    v = Placement(o % 6, o >= 6).compose(co).translation
+                    return (f"piece {where}/{label} is off the kite lattice: "
+                            f"{v!r} is not on the hexagon lattice")
+                co = _PRODUCT[o][co]
+                if _kite_box(child, co, base_cells) is None:
+                    break
+        elif (node._kites[o, width, base_cells].bit_count()
+              != len(base_cells) * node.hats):
+            (q_lo, _, r_lo, _), parts = box
+            acc, placed = 0, []
+            for label, child, co, cq, cr in parts:
+                shift = 6 * ((cq - q_lo) * width + cr - r_lo)
+                bits = child._kites[co, width, base_cells]
+                if bits.bit_count() != len(base_cells) * child.hats:
+                    lift += shift
+                    break
+                bits <<= shift
+                if clash := acc & bits:
+                    bit = (clash & -clash).bit_length() - 1
+                    first = next(lab for lab, other in placed
+                                 if other >> bit & 1)
+                    (q0, _, r0, _), _ = _kite_box(root, 0, base_cells)
+                    v, k = divmod(bit + lift, 6)
+                    cell = KiteCell(q0 + v // width, r0 + v % width, k)
+                    return (f"{where}: pieces {first} and {label} overlap "
+                            f"on kite {cell}")
+                acc |= bits
+                placed.append((label, bits))
+        else:
+            for label, (child, q) in zip(node.labels, node.children):
+                if not child._kites[base_cells]:
+                    co = _PRODUCT[o][q.orientation]
+                    break
+            else:
+                return f"{where}: patch is disconnected"
+        node, o, where = child, co, f"{where}/{label}"
 
 
 def _first_kite_fault(roots, tile: TileData, connected: bool):
     """(root, detail) for the first of `roots` that fails the kite check,
     worded as `check_kites(root)` words it, else (None, the last root's
     detail).  Each root's box and size guard are taken in turn, up to the
-    first lattice miss or refusal; the roots before it are then checked in
-    turn at one packing width, the widest their boxes need, so no int is
-    made for a refused patch and the nodes they share make each int once."""
+    first lattice miss or refusal; the roots before it are then decided
+    in turn at one packing width, the widest their boxes need, so no int
+    is made for a refused patch and the nodes they share make each int
+    once.  A root fails on its box, its int's bit count against its
+    hats, or, with `connected`, its contact verdict; only then does
+    `_fault` walk it for the wording."""
     cells, boxes, stop = tile.cells, [], None
     for root in roots:
         name = f"{root.kind}-{root.generation}"
-        try:
-            (q_lo, q_hi, r_lo, r_hi), _ = _kite_box(root, 0, cells)
-        except _Fault as e:
-            stop = root, _worded(name, e)
+        box = _kite_box(root, 0, cells)
+        if box is None:
+            stop = root, _fault(name, root, cells, 0)  # a miss needs no width
             break
+        (q_lo, q_hi, r_lo, r_hi), _ = box
         size = 6 * (q_hi - q_lo + 1) * packing_width(r_hi - r_lo)
         if size > _MAX_BITS_PER_HAT * root.hats:
             stop = root, (f"{name}: patch too sparse for the kite check: "
                           f"{size} bits for {root.hats} hats, over "
                           f"{_MAX_BITS_PER_HAT} per hat")
             break
-        boxes.append((name, q_lo, r_lo, r_hi))
-    width = packing_width(max((r_hi - r_lo for *_, r_lo, r_hi in boxes),
-                              default=0))
-    for root, (name, q_lo, r_lo, _) in zip(roots, boxes):
-        try:
-            bits = _kite_bits(root, 0, width, cells, connected)
-        except _Fault as e:
-            return root, _worded(name, e, q_lo, r_lo, width)
-        if connected and not root._kites[cells]:
-            where = "/".join([name, *_disconnected_path(root, cells)])
-            return root, f"{where}: patch is disconnected"
+        boxes.append((name, r_hi - r_lo))
+    width = packing_width(max((span for _, span in boxes), default=0))
+    for root, (name, _) in zip(roots, boxes):
+        bits = _kite_bits(root, 0, width, cells, connected)
+        if (bits.bit_count() != len(cells) * root.hats
+                or connected and not root._kites[cells]):
+            return root, _fault(name, root, cells, width)
     return stop or (None, f"{bits.bit_count()} kite cells, no overlap")
 
 
@@ -533,8 +517,9 @@ def check_kites(node: SupertileNode, tile: TileData,
     detail).
 
     The cells are one int per (node, orientation) (see `_kite_bits`),
-    made in one pass that also tests contact.  A failure names the label
-    path from the root, as in `hat-3/T/P4`: of a piece off the kite
+    made in one pass that decides overlap and contact and words nothing.
+    Only a failure is then walked once from the root (see `_fault`), to
+    name the label path, as in `hat-3/T/P4`: of a piece off the kite
     lattice, else of the node where a piece meets the earlier ones, with
     the lowest kite they share, else of the first disconnected node.  A
     patch over _MAX_BITS_PER_HAT bits per hat is refused before any int

@@ -5,7 +5,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hatfam import substitution
@@ -469,7 +469,7 @@ def test_a_passing_check_looks_for_no_clash(layout, tile, hat_p,
     # one bit count per int decides a pass: no piece is ANDed
     def never(*args):
         raise AssertionError("a passing check looked for a clash")
-    monkeypatch.setattr(substitution, "_name_clash", never)
+    monkeypatch.setattr(substitution, "_fault", never)
     for connected in (False, True):
         assert check_kites(build(HAT, 6, hat_p, layout), tile, connected) \
             == (True, "141688 kite cells, no overlap")
@@ -831,6 +831,37 @@ def test_search_builds_each_candidate_on_one_generation_one(
     assert [cand.p4_gen2 for cand in found] == [layout.p4_gen2]
 
 
+def test_search_floods_no_overlapping_candidate(tile, hat_p, monkeypatch):
+    # a candidate whose int lost bits fails on its overlap, so the contact
+    # test grows a patch only for nodes whose int kept every bit
+    chains = {}
+    layout = layout_from_config(load_text("layout.cfg"), tile, chains)
+    want = search_layout(hat_p, layout, tile, 1)
+    stack, flooded, short = [], [], []
+    bits_of = substitution._kite_bits
+    connected_of = substitution.cells_connected
+
+    def spied_bits(node, *args):
+        stack.append(node)
+        bits = bits_of(node, *args)
+        stack.pop()
+        if bits.bit_count() != len(tile.cells) * node.hats:
+            short.append(node)
+        return bits
+
+    def spied_connected(parts, width):
+        whole = 0
+        for bits in parts:
+            whole |= bits
+        flooded.append(whole.bit_count() == len(tile.cells) * stack[-1].hats)
+        return connected_of(parts, width)
+
+    monkeypatch.setattr(substitution, "_kite_bits", spied_bits)
+    monkeypatch.setattr(substitution, "cells_connected", spied_connected)
+    assert search_layout(hat_p, layout, tile, 1, chains) == want
+    assert short and flooded and all(flooded)
+
+
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_search_on_the_call_chain_reuses_its_generation_one(
         tile, hat_p, window, monkeypatch):
@@ -1053,6 +1084,69 @@ def test_far_compound_matches_the_flat_check(tile, monkeypatch, m, n):
         assert not ok and re.fullmatch(
             r"thc-1: patch too sparse for the kite check: \d+ bits for 2 "
             r"hats, over 256 per hat", detail)
+
+
+# about one placement in 20 is moved half a step off the hexagon lattice
+_NUDGES = [VEC_ZERO] * 57 + [_half_step(1, 0), _half_step(0, 1),
+                             _half_step(1, 1)]
+
+
+@st.composite
+def _lattice_dags(draw):
+    """The nodes of a hand-made DAG of 2-4 levels over one hat, the hat
+    first and the root last: each node holds 1-4 shared earlier nodes,
+    each placed by a random orientation and a lattice step m*U1 + n*U2
+    with |m|, |n| <= 3, now and then nudged off the lattice."""
+    nodes, step = [SupertileNode(HAT, 1, (), (), ORIGIN, ORIGIN)], \
+        st.integers(-3, 3)
+    for gen in range(2, draw(st.integers(3, 5)) + 1):
+        pieces = draw(st.lists(st.tuples(
+            st.sampled_from(nodes), st.integers(0, 5), st.booleans(), step,
+            step, st.sampled_from(_NUDGES)), min_size=1, max_size=4))
+        nodes.append(SupertileNode(HAT, gen, tuple(
+            (child, Placement(k, reflected, U1 * m + U2 * n + nudge))
+            for child, k, reflected, m, n, nudge in pieces),
+            tuple(f"P{i}" for i in range(len(pieces))), ORIGIN, ORIGIN))
+    return nodes
+
+
+def _has_a_hat_off_the_lattice(node) -> bool:
+    try:
+        for q, _ in expand(node):
+            lattice_shift(q)
+    except LatticeError:
+        return True
+    return False
+
+
+def _clear_kite_memos(nodes):
+    for node in nodes:
+        vars(node).pop("_kites", None)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(nodes=_lattice_dags(), data=st.data())
+def test_random_lattice_dags_match_the_flat_check(tile, nodes, data):
+    # passes, clashes and disconnections agree with the flat check, and a
+    # hat off the lattice anywhere is named before any clash, which the
+    # flat check, hat by hat, may meet first; the wording reads the ints
+    # of failing nodes, so a root's detail must not depend on what an
+    # earlier check of an inner node left in the memos.  A refused sparse
+    # patch has no flat counterpart.
+    root = nodes[-1]
+    assume("too sparse" not in check_kites(root, tile)[1])
+    inner = data.draw(st.sampled_from(nodes[1:-1]))
+    missed = _has_a_hat_off_the_lattice(root)
+    for connected in (False, True):
+        _clear_kite_memos(nodes)
+        if missed:
+            want = check_kites(root, tile, connected)
+            assert not want[0] and _kind(want[1]) == "off the kite lattice"
+        else:
+            want = _matches_flat(root, tile, connected)
+        _clear_kite_memos(nodes)
+        check_kites(inner, tile, connected)
+        assert check_kites(root, tile, connected) == want
 
 
 # ------------------------------------------ integer assembly against VecE
