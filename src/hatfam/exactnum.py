@@ -14,7 +14,7 @@ Nothing here ever rounds; floats only appear on explicit conversion at
 the edges (angle evaluation, SVG emission).  QSqrt3(r, s) is the one
 constructor and takes only ints and Fractions, so no float or string
 enters the field.  There is no ordering: x < y is written
-(x - y).sign() < 0.  A VecE is a point at the edges (configs, closed
+(x - y).sign() < 0.  A VecE is a point at the edges (config text, closed
 forms, error texts); inside, points are Q(zeta) ints (`zeta_coords`).
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Union
 
 _RationalLike = Union[int, Fraction]
@@ -361,14 +361,6 @@ def zeta_coords(v: VecE) -> tuple[tuple[int, int, int, int], int]:
         xa, xb, ya, yb = xa * yd, xb * yd, ya * xd, yb * xd
         xd *= yd
     return reduced_coords(xa - yb, 2 * xb, 2 * yb, ya - xb, xd)
-
-
-def zeta_points(vs) -> tuple[list[tuple[int, int, int, int]], int]:
-    """The Q(zeta) coordinates of the vectors vs, unreduced over their one
-    common denominator d > 0, and d."""
-    points = [zeta_coords(v) for v in vs]
-    den = lcm(*(d for _, d in points))
-    return [tuple(x * (den // d) for x in c) for c, d in points], den
 
 
 def reduced_coords(c0: int, c1: int, c2: int, c3: int,

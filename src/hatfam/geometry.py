@@ -24,6 +24,7 @@ the contact rule (`cells_connected`) reads.
 from __future__ import annotations
 
 from math import isqrt, lcm
+from operator import add
 from typing import NamedTuple
 
 from .configfile import ConfigError, parse_config, value_int, value_ints
@@ -89,6 +90,15 @@ def moved(o: int, c, t) -> tuple:
             t1 + m10 * c0 + m11 * c1 + m12 * c2 + m13 * c3,
             t2 + m20 * c0 + m21 * c1 + m22 * c2 + m23 * c3,
             t3 + m30 * c0 + m31 * c1 + m32 * c2 + m33 * c3)
+
+
+def scaled(c, x: QSqrt3, k: int) -> tuple:
+    """c*x over x.d*k for the Q(zeta) point c and the Q(sqrt3) scalar x:
+    c*k*(x.a + x.b*sqrt3) on x's stored ints, sqrt3 = zeta + zeta^-1."""
+    c0, c1, c2, c3 = c
+    r, s = x.a * k, x.b * k
+    return (r * c0 + s * (c1 - c3), r * c1 + s * (2 * c0 + c2),
+            r * c2 + s * (c1 + 2 * c3), r * c3 + s * (c2 - c0))
 
 
 def _placement(o: int, coords: tuple, den: int) -> "Placement":
@@ -171,22 +181,19 @@ Outline = tuple  # (points, d): Q(zeta) int vertices over one d, cyclic
 def outline_from_turtle(steps, p: TileParams, heading_k30: int) -> Outline:
     """Trace the walk of TurtleSteps from the origin with the first edge at
     `heading_k30`, as Q(zeta) ints over d = lcm of a's and b's
-    denominators, the form `exactnum.zeta_points` gives.
+    denominators, the shape's one denominator.
 
     Edge symbols map to exact lengths a and b; `tile_from_config` has
-    checked the steps.  The unit at heading h is zeta^h, and sqrt3 is
-    zeta + zeta^-1, so an edge (r + s*sqrt3)/d long adds r*zeta^h +
-    s*(zeta^(h+1) + zeta^(h-1)).  Raises GeometryError with the residual
-    vector if the walk does not return to the origin.
+    checked the steps.  The unit at heading h is zeta^h, so an edge of
+    length x adds `scaled(zeta^h, x, d // x.d)`.  Raises GeometryError
+    with the residual vector if the walk does not return to the origin.
     """
     d = lcm(p.a.d, p.b.d)
     points, c, h = [], (0, 0, 0, 0), heading_k30
     for sym, turn in steps:
         x = p.a if sym == EDGE_A else p.b
-        r, s = x.a * (d // x.d), x.b * (d // x.d)
         points.append(c)
-        c = tuple(ci + r * u + s * (v + w) for ci, u, v, w in zip(
-            c, _ZETA[h % 12], _ZETA[(h + 1) % 12], _ZETA[(h - 1) % 12]))
+        c = tuple(map(add, c, scaled(_ZETA[h % 12], x, d // x.d)))
         h += turn
     if any(c):
         raise GeometryError(
@@ -377,12 +384,12 @@ def lattice_shift(q: Placement) -> tuple[int, int]:
         f"{zeta_vector(c, q.den)!r} is not on the hexagon lattice")
 
 
+LATTICE_BASIS = tuple(zeta_coords(u)[0] for u in (U1, U2))
 # LATTICE_TURNS[o]: U1 and U2 turned by orientation o, as lattice steps
 # (a, c) and (b, d); o turns a step (m, n) to (a*m + b*n, c*m + d*n)
 LATTICE_TURNS = tuple(
-    tuple(lattice_shift(_placement(0, moved(o, zeta_coords(u)[0],
-                                            (0, 0, 0, 0)), 1))
-          for u in (U1, U2))
+    tuple(lattice_shift(_placement(0, moved(o, u, (0, 0, 0, 0)), 1))
+          for u in LATTICE_BASIS)
     for o in range(12))
 
 

@@ -64,17 +64,13 @@ def g_recurrence(count: int) -> list[int]:
 
 
 def tile_counts(kind: str, n: int) -> int:
-    """Number of hats in the generation-n supertile.
-
-    kind 'hat': h(1) = 1, h(n) = 6*h(n-1) + c(n-1).
-    kind 'thc': c(1) = 2, c(n) = 5*h(n-1) + c(n-1).
+    """Number of hats in the generation-n supertile: fib(4n - 2) for kind
+    'hat' and lucas(4n - 4) for 'thc', the closed forms of h(1) = 1,
+    c(1) = 2, h(n) = 6*h(n-1) + c(n-1) and c(n) = 5*h(n-1) + c(n-1).
     """
     if kind not in ("hat", "thc"):
         raise ValueError(f"kind must be 'hat' or 'thc', got {kind!r}")
     if n < 1:
         raise ValueError(f"generation must be >= 1, got {n}")
-    h, c = 1, 2
-    for _ in range(n - 1):
-        h, c = 6 * h + c, 5 * h + c
-    return h if kind == "hat" else c
+    return fib(4 * n - 2) if kind == "hat" else lucas(4 * n - 4)
 

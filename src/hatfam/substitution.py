@@ -9,11 +9,12 @@ slot left by the core's missing piece.  Tail and head anchor vertices are
 traced for the first two generations and propagate by a fixed interior
 coincidence from then on, so every generation's head minus tail can be
 checked against the closed-form supervector.  A `Chain` holds the
-generations of one layout at one shape, in Q(zeta) integers over one
-denominator, and a command keeps its chains for the call, so each
-supertile is assembled once per call; `search_layout`'s candidates share
-one chain's generation 1 (`Chain.moved_p4`) and its kite memos.  Hat
-counts sum over the children, once per shared node.  `check_kites` decides
+generations of one layout at one shape, in Q(zeta) integers over the
+shape's denominator, from forms that load as Z[zeta] points; a command
+keeps its chains for the call, so each supertile is assembled once per
+call; `search_layout`'s candidates share one chain's generation 1
+(`Chain.moved_p4`) and its kite memos.  Hat counts sum over the
+children, once per shared node.  `check_kites` decides
 kite disjointness and contact on the same DAG in ints, in one pass: each
 edge is one lattice step, turned per orientation by `LATTICE_TURNS`; each
 (node, orientation) keeps its cells as one int, the OR of its children's
@@ -23,16 +24,16 @@ that fails is walked once more, from the root, to word its fault.  The
 pass takes supertiles in order, at one packing width, and names the
 first that fails: `layout_from_config` checks the eight of
 generations 1-4 in one pass, and hands that chain to the call.  `expand`
-walks every single hat, only to draw: on Q(zeta) int steps, which it
-turns once per (node, orientation), making a Placement per hat and none
-per edge.  Every turn here is geometry's `moved`.
+walks every single hat, only to draw: on Q(zeta) int steps over the
+root's denominator, which it turns once per (node, orientation), making a
+Placement per hat and none per edge.  Every turn here is geometry's `moved`.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import lcm
-from operator import sub
+from operator import add, sub
 from typing import Iterator, NamedTuple
 
 from .configfile import (
@@ -44,16 +45,15 @@ from .configfile import (
     value_vector,
 )
 from .exactnum import (VecE, reduced_coords, render_scalar, zeta_coords,
-                       zeta_points, zeta_vector)
+                       zeta_vector)
 from .geometry import (
     IDENTITY,
     KiteCell,
+    LATTICE_BASIS,
     LATTICE_TURNS,
     LatticeError,
     Placement,
     TileData,
-    U1,
-    U2,
     _PRODUCT,
     _placement,
     cells_connected,
@@ -61,6 +61,7 @@ from .geometry import (
     lattice_shift,
     moved,
     packing_width,
+    scaled,
 )
 from .supervectors import TileParams, hat_params, v_closed
 
@@ -80,13 +81,10 @@ class ConstructionError(ValueError):
 
 
 class FormVec(NamedTuple):
-    """Vector depending linearly on the edge lengths: a*u + b*w."""
+    """Vector a*u + b*w in the edge lengths, u and w Q(zeta) int points."""
 
-    u: VecE
-    w: VecE
-
-    def at(self, p: TileParams) -> VecE:
-        return self.u * p.a + self.w * p.b
+    u: tuple
+    w: tuple
 
 
 class LayoutTable(NamedTuple):
@@ -131,12 +129,16 @@ class SupertileNode:
     in O(generation) space.  A single hat is the only leaf: the
     generation-1 compound holds two of it, labelled hat and partner.
     tail and head, the anchor vertices, are Q(zeta) coordinates (see
-    `exactnum.zeta_coords`) over den, unreduced.  Nodes compare by
-    identity.
+    `exactnum.zeta_coords`) over den, unreduced; den is a multiple of each
+    child's den and placement's (ValueError if not), so of every den below
+    the node.  Nodes compare by identity.
     """
 
     def __init__(self, kind: str, generation: int, children: tuple,
                  labels: tuple, tail: tuple, head: tuple, den: int = 1):
+        if any(den % child.den or den % q.den for child, q in children):
+            raise ValueError(f"{kind}-{generation}: den {den} is not a "
+                             f"multiple of every child's and placement's")
         self.kind = kind
         self.generation = generation
         self.children = children
@@ -174,24 +176,26 @@ class Chain:
     """The supertiles of one layout at one shape p: `pairs[n - 1]` is
     (hat, thc) of generation n, each generation assembled from the last
     once, when first asked for.  Anchors and translations are Q(zeta)
-    coordinates over `den`, one denominator for the chain, so assembly is
-    int sums and `moved` turns; the layout's six forms are evaluated
-    at p once, here, where generation 1 is made.  A command holds its
-    chains for one call, by shape (see `chain_at`)."""
+    coordinates over `den` = lcm(a.d, b.d), the outline's, so assembly is
+    int sums and `moved` turns; the layout's six forms are evaluated at p
+    once, here, where generation 1 is made, by `scaled`.  A command holds
+    its chains for one call, by shape (see `chain_at`)."""
 
     def __init__(self, p: TileParams, layout: LayoutTable):
         self.p, self.layout = p, layout
-        points, self.den = zeta_points(form.at(p) for form in (
-            layout.tail1, layout.head1, layout.partner_offset,
-            layout.p4_gen2, layout.tail2, layout.head2))
-        tail, head, partner, self.p4_gen2, self.tail2, self.head2 = points
+        den = self.den = lcm(p.a.d, p.b.d)
+        tail, head, partner, self.p4_gen2, self.tail2, self.head2 = (
+            tuple(map(add, scaled(form.u, p.a, den // p.a.d),
+                      scaled(form.w, p.b, den // p.b.d)))
+            for form in (layout.tail1, layout.head1, layout.partner_offset,
+                         layout.p4_gen2, layout.tail2, layout.head2))
         _check_anchor(1, tail, head, self)
-        hat = SupertileNode(HAT, 1, (), (), tail, head, self.den)
+        hat = SupertileNode(HAT, 1, (), (), tail, head, den)
         partner = _placement(layout.partner_rotation_k % 6
                              + 6 * layout.partner_reflected,
-                             *reduced_coords(*partner, self.den))
+                             *reduced_coords(*partner, den))
         thc = SupertileNode(THC, 1, ((hat, IDENTITY), (hat, partner)),
-                            ("hat", "partner"), tail, head, self.den)
+                            ("hat", "partner"), tail, head, den)
         self.pairs = [(hat, thc)]
 
     def moved_p4(self, layout: LayoutTable, shift: tuple) -> "Chain":
@@ -310,22 +314,13 @@ def expand(node: SupertileNode) -> Iterator[tuple[Placement, bool]]:
     """Yield (placement, is_reflected) for every hat, depth first, with
     `node` at the identity.
 
-    Translations are Q(zeta) ints over one denominator, the lcm of the
-    placements' in the DAG, so a hat's is the sum of one step per edge on
-    its path: each (node, orientation) turns its children's steps once per
-    call, and each edge costs four int adds.  A Placement is made only for
-    each hat."""
-    den, seen, todo = 1, set(), [node]
-    while todo:
-        cur = todo.pop()
-        if id(cur) not in seen:
-            seen.add(id(cur))
-            for child, q in cur.children:
-                den = lcm(den, q.den)
-                todo.append(child)
-    # per node, its children last first with their translations over den;
-    # per (node, orientation), the same with each translation turned
-    over, turned = {}, {}
+    Translations are Q(zeta) ints over `node.den`, which every placement
+    in the DAG divides (see SupertileNode), so a hat's is the sum of one
+    step per edge on its path: each (node, orientation) turns its
+    children's steps once per call, and each edge costs four int adds.  A
+    Placement is made only for each hat."""
+    # per (node, orientation), its children's steps over den, last first
+    den, turned = node.den, {}
     stack = [(node, 0, 0, 0, 0, 0)]
     while stack:
         node, o, t0, t1, t2, t3 = stack.pop()
@@ -335,13 +330,11 @@ def expand(node: SupertileNode) -> Iterator[tuple[Placement, bool]]:
             continue
         steps = turned.get((node, o))
         if steps is None:
-            if node not in over:
-                over[node] = [(child, q.orientation, _over(q, den))
-                              for child, q in reversed(node.children)]
             turn = _PRODUCT[o]
             steps = turned[node, o] = [
-                (child, turn[co], *moved(o, c, (0, 0, 0, 0)))
-                for child, co, c in over[node]]
+                (child, turn[q.orientation], *moved(o, _over(q, den),
+                                                    (0, 0, 0, 0)))
+                for child, q in reversed(node.children)]
         stack += [(child, co, t0 + s0, t1 + s1, t2 + s2, t3 + s3)
                   for child, co, s0, s1, s2, s3 in steps]
 
@@ -530,8 +523,17 @@ def check_kites(node: SupertileNode, tile: TileData,
 
 
 def _value_form(cfg, section: str, stem: str) -> FormVec:
-    return FormVec(value_vector(cfg.get(section, stem + "_u")),
-                   value_vector(cfg.get(section, stem + "_w")))
+    """The form of keys stem_u and stem_w, each a point of Z[zeta], so its
+    value is over the shape's denominator; else ConfigError names the key."""
+    parts = []
+    for key in (stem + "_u", stem + "_w"):
+        v = value_vector(cfg.get(section, key))
+        c, d = zeta_coords(v)
+        if d != 1:
+            raise ConfigError(f"key {key!r} in [{section}]: {v!r} does not "
+                              f"lie in Z[zeta12]")
+        parts.append(c)
+    return FormVec(*parts)
 
 
 def _rotation_k(deg: int) -> int:
@@ -608,11 +610,11 @@ def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
     found, base = [], chain_at(p, layout, chains)
     for dm in range(-window, window + 1):
         for dn in range(-window, window + 1):
-            shift = U1 * dm + U2 * dn
-            cand = layout._replace(
-                p4_gen2=FormVec(layout.p4_gen2.u + shift, layout.p4_gen2.w))
+            shift = tuple(dm * u + dn * v for u, v in zip(*LATTICE_BASIS))
+            cand = layout._replace(p4_gen2=FormVec(
+                tuple(map(add, layout.p4_gen2.u, shift)), layout.p4_gen2.w))
             # a = 1, so the form's value moves by shift, a lattice point
-            chain = base.moved_p4(cand, zeta_coords(shift)[0])
+            chain = base.moved_p4(cand, shift)
             if check_kites(build(HAT, 2, p, cand, {p: chain}), tile,
                            connected=True)[0]:
                 found.append(cand)

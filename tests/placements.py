@@ -3,11 +3,13 @@ and the mirror that orientations are made of, the action of a placement
 (the motion that `Placement.compose` composes and the renderer's integer
 turns apply), the corners of a kite cell, which `geometry.KITE_OFFSETS`
 holds as ints, and the turtle walk that `geometry.outline_from_turtle`
-traces on Q(zeta) ints."""
+traces on Q(zeta) ints; and `zeta_points`, VecE points as the Q(zeta)
+ints over one denominator that `geometry` takes."""
 
 from fractions import Fraction
+from math import lcm
 
-from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE
+from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE, zeta_coords
 from hatfam.geometry import EDGE_A, U1, U2, GeometryError, KiteCell, \
     Placement
 
@@ -78,3 +80,11 @@ def kite_corners(cell: KiteCell) -> tuple[VecE, VecE, VecE, VecE]:
     mid = VecE(QSqrt3(3 * half), QSqrt3(0, half))
     return (c, c + rotate60(mid, k - 1),
             c + rotate60(VecE(QSqrt3(2), QSqrt3(0)), k), c + rotate60(mid, k))
+
+
+def zeta_points(vs) -> tuple[list[tuple[int, int, int, int]], int]:
+    """The Q(zeta) coordinates of the vectors vs, unreduced over their one
+    common denominator d > 0, and d."""
+    points = [zeta_coords(v) for v in vs]
+    den = lcm(*(d for _, d in points))
+    return [tuple(x * (den // d) for x in c) for c, d in points], den

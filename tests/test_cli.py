@@ -532,6 +532,45 @@ def test_verify_fails_on_one_wrong_rotation_tangent(monkeypatch, capsys):
     assert lines[-1] == "11/12 items passed"
 
 
+def test_verify_checks_kites_once_and_names_a_clash_from_the_top(
+        monkeypatch, capsys):
+    # generation 5 assembled with P2 on P1's placement, past layout
+    # validation's generations 1-4: the one kite pass, on hat-6, names the
+    # clash by its path from hat-6, inside its first piece, T
+    real = substitution._assemble
+
+    def clashing(n, chain):
+        nodes = real(n, chain)
+        if n != 5:
+            return nodes
+        moved = []
+        for node in nodes:
+            children = list(node.children)
+            children[2] = children[2][0], children[1][1]
+            moved.append(substitution.SupertileNode(
+                node.kind, n, tuple(children), node.labels, node.tail,
+                node.head, node.den))
+        return tuple(moved)
+
+    checked = []
+
+    def spied(node, *args):
+        checked.append(f"{node.kind}-{node.generation}")
+        return check_kites(node, *args)
+
+    monkeypatch.setattr(substitution, "_assemble", clashing)
+    monkeypatch.setattr(checks, "check_kites", spied)
+    assert main(["verify", "--max-gen", "6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert checked == ["hat-6"]
+    [fail] = [line for line in lines if line.startswith("FAIL")]
+    assert re.fullmatch(re.escape(
+        "FAIL non-overlap: generation 6: hat-6/T: pieces P1 and P2 overlap "
+        "on kite KiteCell(hex_q=-8, hex_r=-17, corner_k=0)") + r" \(.*\)",
+        fail)
+    assert lines[-1] == "11/12 items passed"
+
+
 def test_verify_rejects_small_max_gen(capsys):
     assert main(["verify", "--max-gen", "1"]) == 2
     assert "--max-gen" in capsys.readouterr().err
@@ -605,6 +644,35 @@ def test_a_tile_fault_is_a_config_error(argv, old, new, error, tmp_path,
     assert main(argv + ["--data-dir", str(work)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: " + error)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "hat", "2"],
+    ["render", "hat", "2"],
+    ["verify", "--max-gen", "2"],
+])
+@pytest.mark.parametrize("old,new,error", [
+    ("offset_u = 3/2, 3/2*r3", "offset_u = 3/4, 3/2*r3",
+     "key 'offset_u' in [partner]: VecE(3/4, 3/2*r3) does not lie in "
+     "Z[zeta12]\n"),
+    ("head2_w = 3/2*r3, 3/2", "head2_w = 3/2*r3, 1",
+     "key 'head2_w' in [anchors]: VecE(3/2*r3, 1) does not lie in "
+     "Z[zeta12]\n"),
+], ids=["partner-u", "head2-w"])
+def test_a_form_outside_z_zeta_is_a_config_error(argv, old, new, error,
+                                                  tmp_path, capsys):
+    # a layout form must be a point of Z[zeta], zeta = e^(i*pi/6), so that
+    # its value at a shape is over the shape's denominator
+    work = tmp_path / "data"
+    shutil.copytree(SHIPPED_DATA, work)
+    cfg = work / "layout.cfg"
+    text = cfg.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(argv + ["--data-dir", str(work)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: " + error
     assert captured.out == ""
 
 

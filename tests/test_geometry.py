@@ -18,7 +18,6 @@ from hatfam.exactnum import (
     VecE,
     parse_scalar,
     zeta_coords,
-    zeta_points,
     zeta_vector,
 )
 from hatfam.geometry import (
@@ -42,6 +41,7 @@ from hatfam.geometry import (
     is_simple,
     outline_from_turtle,
     packing_width,
+    scaled,
     shoelace_area,
     tile_from_config,
 )
@@ -50,7 +50,7 @@ from hatfam.substitution import HAT, THC, SupertileNode, build, \
 from hatfam.supervectors import hat_params, make_params
 
 from placements import apply, kite_corners, reflect_y_axis, rotate60, \
-    trace_outline, unit_k30
+    trace_outline, unit_k30, zeta_points
 
 # a hand-made node's anchors, as Q(zeta) coordinates
 ORIGIN = (0, 0, 0, 0)
@@ -354,6 +354,15 @@ def test_int_trace_matches_the_vece_oracle_on_any_walk(a, b, heading, walk,
         steps += steps
     got = _same_trace(steps, make_params(a, b), heading)
     assert got is not None or not closed
+
+
+@_PROPERTY
+@given(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 4),
+       st.builds(QSqrt3, _SCALAR, _SCALAR), st.integers(1, 12))
+def test_scaled_is_the_vece_product(c, x, k):
+    # c times k*(x.a + x.b*sqrt3) is c times x over x.d*k: sqrt3 acts as
+    # zeta + zeta^-1
+    assert zeta_vector(scaled(c, x, k), x.d * k) == zeta_vector(c, 1) * x
 
 
 def test_is_simple():

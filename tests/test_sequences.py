@@ -92,17 +92,24 @@ def test_tile_counts_table():
 
 
 def test_tile_counts_recurrence():
-    for n in range(2, 12):
-        assert tile_counts("hat", n) == \
-            6 * tile_counts("hat", n - 1) + tile_counts("thc", n - 1)
-        assert tile_counts("thc", n) == \
-            5 * tile_counts("hat", n - 1) + tile_counts("thc", n - 1)
+    # the oracle: h(1) = 1, c(1) = 2, h(n) = 6h(n-1) + c(n-1) and c(n) =
+    # 5h(n-1) + c(n-1), one hat and one compound per ring piece and core
+    h, c = 1, 2
+    for n in range(1, 60):
+        assert (tile_counts("hat", n), tile_counts("thc", n)) == (h, c)
+        h, c = 6 * h + c, 5 * h + c
 
 
 def test_hat_counts_are_fibonacci():
     # the hat column walks every fourth Fibonacci number
     for n in range(1, 10):
         assert tile_counts("hat", n) == fib(4 * n - 2)
+
+
+def test_thc_counts_are_lucas():
+    # the compound column walks every fourth Lucas number
+    for n in range(1, 10):
+        assert tile_counts("thc", n) == lucas(4 * n - 4)
 
 
 def test_counts_reject_bad_input():

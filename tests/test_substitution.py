@@ -2,6 +2,8 @@ import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import NamedTuple
 
 import pytest
@@ -62,6 +64,19 @@ VARIED = [
 ]
 
 
+def _plus(form, v) -> FormVec:
+    """`form` with the VecE v, a point of Z[zeta], added to its a-part."""
+    c, d = zeta_coords(v)
+    assert d == 1
+    return form._replace(u=tuple(map(add, form.u, c)))
+
+
+def _at(form, p) -> VecE:
+    """The value of `form` at p in VecE arithmetic: the oracle of the
+    chain's int evaluation."""
+    return zeta_vector(form.u, 1) * p.a + zeta_vector(form.w, 1) * p.b
+
+
 def _ring_with(layout, index, rotation_k):
     ring = list(layout.ring)
     ring[index] = rotation_k
@@ -76,15 +91,24 @@ def test_layout_table_shape(layout):
     assert layout.partner_rotation_k == 3
 
 
-def test_form_vec():
-    form = FormVec(VecE(QSqrt3(1), QSqrt3(2)), VecE(QSqrt3(0), QSqrt3(0, 1)))
-    p = make_params(QSqrt3(5), QSqrt3(7))
-    assert form.at(p) == VecE(QSqrt3(5), QSqrt3(10, 7))
+def test_form_vec(layout):
+    # the forms load as Q(zeta) ints, and a chain evaluates them at its
+    # shape over the shape's denominator, as VecE arithmetic does
+    form = FormVec(zeta_coords(VecE(QSqrt3(1), QSqrt3(2)))[0],
+                   zeta_coords(VecE(QSqrt3(0), QSqrt3(0, 1)))[0])
+    assert _at(form, make_params(QSqrt3(5), QSqrt3(7))) == \
+        VecE(QSqrt3(5), QSqrt3(10, 7))
+    assert layout.p4_gen2 == FormVec((3, 0, 0, 0), (0, 2, 0, -1))
+    for a, b in VARIED:
+        p = make_params(a, b)
+        chain = Chain(p, layout._replace(p4_gen2=form))
+        assert chain.den == lcm(a.d, b.d)
+        assert zeta_vector(chain.p4_gen2, chain.den) == _at(form, p)
 
 
 def test_layout_round_trips_through_replace(layout):
     form = layout.p4_gen2
-    moved = form._replace(u=form.u + U1)
+    moved = _plus(form, U1)
     assert moved != form and moved.w == form.w
     assert moved._replace(u=form.u) == form
     cand = layout._replace(p4_gen2=moved)
@@ -98,6 +122,22 @@ def test_supertile_nodes_compare_by_identity(layout, hat_p):
                          node.labels, node.tail, node.head, node.den)
     assert twin != node and len({node, twin}) == 2
     assert twin.hats == node.hats
+
+
+def test_a_node_den_is_a_multiple_of_every_den_below_it():
+    # expand walks on the root's den, so a node whose den does not cover a
+    # child's or a placement's is refused when it is made
+    hat = SupertileNode(HAT, 1, (), (), ORIGIN, ORIGIN, 3)
+    half = Placement(0, False, VecE(QSqrt3(Fraction(1, 2)), QSqrt3(0)))
+    assert half.den == 2
+    for den, children in ((2, ((hat, IDENTITY),)), (3, ((hat, half),)),
+                          (1, ((hat, IDENTITY),))):
+        with pytest.raises(ValueError, match=(
+                f"^hat-2: den {den} is not a multiple of every child's "
+                f"and placement's$")):
+            SupertileNode(HAT, 2, children, ("T",), ORIGIN, ORIGIN, den)
+    node = SupertileNode(HAT, 2, ((hat, half),), ("T",), ORIGIN, ORIGIN, 6)
+    assert _fields(expand(node)) == _fields(_ref_expand(node))
 
 
 def test_generation_one(layout, hat_p):
@@ -159,7 +199,7 @@ def test_compound_drops_the_third_piece(layout, hat_p):
 def _under(node, q) -> SupertileNode:
     """A hand-made node holding `node` alone, placed by q."""
     return SupertileNode(node.kind, node.generation + 1, ((node, q),),
-                         ("T",), ORIGIN, ORIGIN)
+                         ("T",), ORIGIN, ORIGIN, lcm(node.den, q.den))
 
 
 def test_expand_rerooted(layout, hat_p):
@@ -230,9 +270,10 @@ def _hand_made_dag(draw):
         picks = draw(st.lists(st.tuples(st.sampled_from(nodes),
                                         _HAND_PLACEMENTS),
                               min_size=1, max_size=3))
+        den = lcm(*(d for child, q in picks for d in (child.den, q.den)))
         nodes.append(SupertileNode(HAT, gen, tuple(picks),
                                    tuple(map(str, range(len(picks)))),
-                                   ORIGIN, ORIGIN))
+                                   ORIGIN, ORIGIN, den))
     return nodes[-1]
 
 
@@ -270,8 +311,8 @@ def test_meeting_slot_mismatch(layout, hat_p):
 
 def test_anchor_mismatch(layout):
     # the integer anchors are worded as the VecE they stand for
-    shifted = layout._replace(tail2=FormVec(
-        layout.tail2.u + VecE(QSqrt3(1), QSqrt3(0)), layout.tail2.w))
+    shifted = layout._replace(
+        tail2=_plus(layout.tail2, VecE(QSqrt3(1), QSqrt3(0))))
     for (a, b), got, want in zip(VARIED, [
             "VecE(2, 7*r3)", "VecE(-5+9/2*r3, 21/2+7*r3)",
             "VecE(-35/6+3/4*r3, 7/4+49/6*r3)"], [
@@ -340,8 +381,8 @@ def test_offset_perturbation_messages(tile, offset, message):
 def _lattice_miss_layout(layout):
     """The configured layout with the generation-2 fourth piece pushed off
     the hexagon lattice by (1, 0)."""
-    return layout._replace(p4_gen2=FormVec(
-        layout.p4_gen2.u + VecE(QSqrt3(1), QSqrt3(0)), layout.p4_gen2.w))
+    return layout._replace(
+        p4_gen2=_plus(layout.p4_gen2, VecE(QSqrt3(1), QSqrt3(0))))
 
 
 def test_lattice_miss_names_the_piece(layout, tile, hat_p):
@@ -433,8 +474,7 @@ def test_two_clashes_are_named_in_piece_order(layout, tile, hat_p):
     # the generation-2 fourth piece moved by U1 - U2 meets P3, and the
     # ring's last piece meets the core: the clash named is the one a
     # check piece by piece meets first, on either kind
-    cand = layout._replace(p4_gen2=FormVec(
-        layout.p4_gen2.u + U1 - U2, layout.p4_gen2.w))
+    cand = layout._replace(p4_gen2=_plus(layout.p4_gen2, U1 - U2))
     for connected in (False, True):
         assert check_kites(build(HAT, 2, hat_p, cand), tile, connected) == (
             False, "hat-2: pieces P3 and P4 overlap on kite "
@@ -574,7 +614,7 @@ def test_a_compound_clash_is_named_before_a_later_lattice_miss(
     # first, as it would checking each supertile in turn
     case = _lattice_miss_layout(layout)._replace(
         partner_rotation_k=0, partner_reflected=False,
-        partner_offset=FormVec(VEC_ZERO, VEC_ZERO))
+        partner_offset=FormVec(ORIGIN, ORIGIN))
     assert check_kites(build(HAT, 2, hat_p, case), tile)[1].startswith(
         "piece hat-2/P4 is off the kite lattice")
     with pytest.raises(ConstructionError) as caught:
@@ -593,8 +633,8 @@ def test_a_clash_is_named_before_a_later_anchor_mismatch(
         n, p) + (U1 if n == 3 else VEC_ZERO))
     offset, message = PERTURBED[0]
     assert offset == "6, 1*r3"
-    shifted = layout._replace(p4_gen2=FormVec(
-        VecE(QSqrt3(6), QSqrt3(0, 1)), layout.p4_gen2.w))
+    shifted = layout._replace(p4_gen2=layout.p4_gen2._replace(
+        u=zeta_coords(VecE(QSqrt3(6), QSqrt3(0, 1)))[0]))
     for case in (layout, shifted):
         with pytest.raises(ConstructionError,
                            match="^generation 3: anchor mismatch"):
@@ -642,7 +682,7 @@ def _layout_text(layout) -> str:
     """`layout` written as a layout config."""
     def form(key, value):
         return [f"{key}_{part} = {render_scalar(v.x)}, {render_scalar(v.y)}"
-                for part, v in zip("uw", value)]
+                for part, v in zip("uw", (zeta_vector(c, 1) for c in value))]
     return "\n".join([
         "version = 1", "[partner]",
         f"rotation = {layout.partner_rotation_k * 60}",
@@ -705,8 +745,8 @@ def test_validation_words_a_fault_as_a_check_of_each_supertile(
     # checking each in turn, assembling each generation after the last
     # passed, finds first
     case = layout._replace(**{
-        key: FormVec(getattr(layout, key).u + v, getattr(layout, key).w)
-        if isinstance(v, VecE) else v for key, v in edits.items()})
+        key: _plus(getattr(layout, key), v) if isinstance(v, VecE) else v
+        for key, v in edits.items()})
     want = _reference_fault(case, tile)
     if want is None:
         assert layout_from_config(_layout_text(case), tile) == case
@@ -720,7 +760,7 @@ def test_validation_words_a_fault_as_a_check_of_each_supertile(
 
 def test_search_recovers_configured_offset(layout, tile, hat_p):
     found = search_layout(hat_p, layout, tile, window=2)
-    assert {cand.p4_gen2.u for cand in found} == {
+    assert {zeta_vector(cand.p4_gen2.u, 1) for cand in found} == {
         VecE(QSqrt3(-3), QSqrt3(0, -4)),
         VecE(QSqrt3(0), QSqrt3(0, 3)),
         VecE(QSqrt3(3), QSqrt3(0)),
@@ -751,8 +791,7 @@ def test_search_guards(layout, tile):
 
 
 def test_search_reports_empty_window(layout, tile, hat_p):
-    nudged = layout._replace(
-        p4_gen2=FormVec(layout.p4_gen2.u + U1, layout.p4_gen2.w))
+    nudged = layout._replace(p4_gen2=_plus(layout.p4_gen2, U1))
     with pytest.raises(ConstructionError, match="no workable"):
         search_layout(hat_p, nudged, tile, window=0)
 
@@ -764,8 +803,7 @@ def _reference_search(p, layout, tile, window):
     for dm in range(-window, window + 1):
         for dn in range(-window, window + 1):
             shift = U1 * dm + U2 * dn
-            cand = layout._replace(
-                p4_gen2=FormVec(layout.p4_gen2.u + shift, layout.p4_gen2.w))
+            cand = layout._replace(p4_gen2=_plus(layout.p4_gen2, shift))
             if check_kites(build(HAT, 2, p, cand), tile, connected=True)[0]:
                 found.append(cand)
     if not found:
@@ -796,7 +834,7 @@ def test_search_on_a_shared_generation_one_matches_a_build_per_offset(
         layout, tile, hat_p, key, move):
     if key:
         form = getattr(layout, key)
-        layout = layout._replace(**{key: FormVec(form.u + move, form.w)})
+        layout = layout._replace(**{key: _plus(form, move)})
     got = _outcome(search_layout, hat_p, layout, tile, 2)
     assert got == _outcome(_reference_search, hat_p, layout, tile, 2)
 
@@ -900,8 +938,7 @@ def test_search_on_the_call_chain_reuses_its_generation_one(
 
 
 def test_chain_at_refuses_a_chain_of_another_layout(layout, hat_p):
-    other = layout._replace(
-        p4_gen2=FormVec(layout.p4_gen2.u + U1, layout.p4_gen2.w))
+    other = layout._replace(p4_gen2=_plus(layout.p4_gen2, U1))
     chains = {hat_p: Chain(hat_p, layout)}
     for ask in (lambda: chain_at(hat_p, other, chains),
                 lambda: build(HAT, 2, hat_p, other, chains)):
@@ -1052,8 +1089,7 @@ def test_search_candidates_match_the_flat_check(layout, tile, hat_p):
     shifts += [VecE(QSqrt3(1), QSqrt3(0)), VecE(QSqrt3(0), QSqrt3(0, 1))]
     verdicts = set()
     for shift in shifts:
-        cand = layout._replace(p4_gen2=FormVec(
-            layout.p4_gen2.u + shift, layout.p4_gen2.w))
+        cand = layout._replace(p4_gen2=_plus(layout.p4_gen2, shift))
         for gen in (2, 3, 4):
             try:
                 node = build(HAT, gen, hat_p, cand)
@@ -1175,13 +1211,13 @@ def _ref_assemble(n, prev_hat, prev_thc, p, layout):
         elif i != 3:
             tau = head_world - rotate60(prev_hat.v_tail, k)
         elif n == 2:
-            tau = layout.p4_gen2.at(p)
+            tau = _at(layout.p4_gen2, p)
         else:
             tau = prev_hat.children[3][1].translation
         placements.append(Placement(k, False, tau))
         head_world = tau + rotate60(prev_hat.v_head, k)
     if n == 2:
-        tail, head = layout.tail2.at(p), layout.head2.at(p)
+        tail, head = _at(layout.tail2, p), _at(layout.head2, p)
     else:
         sub, sub_q = prev_hat.children[3]
         point = apply(sub_q, sub.v_head)
@@ -1194,11 +1230,11 @@ def _ref_assemble(n, prev_hat, prev_thc, p, layout):
 
 
 def _ref_generations(n, p, layout):
-    tail, head = layout.tail1.at(p), layout.head1.at(p)
+    tail, head = _at(layout.tail1, p), _at(layout.head1, p)
     assert head - tail == v_closed(1, p)
     hat = _RefNode((), tail, head, 1)
     partner = Placement(layout.partner_rotation_k, layout.partner_reflected,
-                        layout.partner_offset.at(p))
+                        _at(layout.partner_offset, p))
     out = [(hat, _ref_node(((hat, IDENTITY), (hat, partner)), tail, head))]
     for gen in range(2, n + 1):
         out.append(_ref_assemble(gen, *out[-1], p, layout))
