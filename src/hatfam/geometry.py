@@ -295,8 +295,7 @@ def is_simple(o: Outline) -> bool:
 # ---------------------------------------------------------------------------
 # kite-cell lattice (hat parameters: hexagon edge 2, kite = 1/6 hexagon)
 
-U1 = VecE(QSqrt3(3), QSqrt3(0, 1))  # hexagon lattice basis (3, sqrt3)
-U2 = VecE(QSqrt3(0), QSqrt3(0, 2))  # (0, 2*sqrt3)
+LATTICE_BASIS = ((2, 0, 2, 0), (-2, 0, 4, 0))  # (3, sqrt3), (0, 2*sqrt3)
 
 # axial step d corresponds to direction 30 + 60*d degrees
 _HEX_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
@@ -314,7 +313,7 @@ _CORNERS = ((4, 0), (2, 2), (-2, 2), (-4, 0), (-2, -2), (2, -2))
 _MIDS = ((3, 1), (0, 2), (-3, 1), (-3, -1), (0, -2), (3, -1))
 # the corners of cell (0, 0, k), counterclockwise: centre, midpoint k - 1,
 # corner k, midpoint k; cell (q, r, k) adds its hexagon centre (6q, 2(q +
-# 2r)), which is q*U1 + r*U2
+# 2r)), which is q*(3, sqrt3) + r*(0, 2*sqrt3) on the lattice basis
 KITE_OFFSETS = [((0, 0), _MIDS[k - 1], _CORNERS[k], _MIDS[k])
                 for k in range(6)]
 
@@ -371,9 +370,9 @@ def cells_connected(parts, width: int) -> bool:
 
 
 def lattice_shift(q: Placement) -> tuple[int, int]:
-    """(m, n) with q's translation = m*U1 + n*U2, or raise LatticeError."""
-    # m*U1 + n*U2 = (3m, (m + 2n)*sqrt3) has c1 = c3 = 0, c2 = 2(m + 2n)
-    # and c0 = 2(m - n), so 2 c0 + c2 = 6m and c2/2 - m = 2n
+    """(m, n) of q's translation on LATTICE_BASIS, or raise LatticeError."""
+    # (3m, (m + 2n)*sqrt3) = m*(3, sqrt3) + n*(0, 2*sqrt3) has c1 = c3 = 0,
+    # c2 = 2(m + 2n) and c0 = 2(m - n), so 2 c0 + c2 = 6m and c2/2 - m = 2n
     c0, c1, c2, c3 = c = q.coords
     if q.den == 1 and not c1 and not c3 and not c2 % 2:
         m, r = divmod(2 * c0 + c2, 6)
@@ -384,8 +383,7 @@ def lattice_shift(q: Placement) -> tuple[int, int]:
         f"{zeta_vector(c, q.den)!r} is not on the hexagon lattice")
 
 
-LATTICE_BASIS = tuple(zeta_coords(u)[0] for u in (U1, U2))
-# LATTICE_TURNS[o]: U1 and U2 turned by orientation o, as lattice steps
+# LATTICE_TURNS[o]: the basis turned by orientation o, as lattice steps
 # (a, c) and (b, d); o turns a step (m, n) to (a*m + b*n, c*m + d*n)
 LATTICE_TURNS = tuple(
     tuple(lattice_shift(_placement(0, moved(o, u, (0, 0, 0, 0)), 1))

@@ -5,10 +5,10 @@ surrounded by a ring of six generation-(n-1) hat supertiles.  The compound
 supertile is the same cluster minus its third ring piece.  Ring pieces are
 placed by three rules: the first shares the core's tail vertex, most chain
 head-to-tail onto their predecessor, and the fourth drops into the open
-slot left by the core's missing piece.  Tail and head anchor vertices are
-traced for the first two generations and propagate by a fixed interior
-coincidence from then on, so every generation's head minus tail can be
-checked against the closed-form supervector.  A `Chain` holds the
+slot left by the core's missing piece.  The tail anchors of the first two
+generations are traced, each head is its tail plus the closed-form
+supervector V_n, and from generation 3 on both anchors propagate by a
+fixed interior coincidence, checked against V_n.  A `Chain` holds the
 generations of one layout at one shape, in Q(zeta) integers over the
 shape's denominator, from forms that load as Z[zeta] points; a command
 keeps its chains for the call, so each supertile is assembled once per
@@ -98,7 +98,7 @@ class LayoutTable(NamedTuple):
     relative to the first.
     p4_gen2: translation of the fourth piece at generation 2, where no
     smaller compound exists to dictate it.
-    tail1/head1/tail2/head2: traced anchor vertices of generations 1 and 2.
+    tail1/tail2: traced tail anchors of generations 1 and 2 (see `Chain`).
     """
 
     ring: tuple[int, ...]
@@ -107,9 +107,7 @@ class LayoutTable(NamedTuple):
     partner_offset: FormVec
     p4_gen2: FormVec
     tail1: FormVec
-    head1: FormVec
     tail2: FormVec
-    head2: FormVec
 
     def validate_structure(self) -> None:
         if len(self.ring) != 6:
@@ -177,19 +175,19 @@ class Chain:
     (hat, thc) of generation n, each generation assembled from the last
     once, when first asked for.  Anchors and translations are Q(zeta)
     coordinates over `den` = lcm(a.d, b.d), the outline's, so assembly is
-    int sums and `moved` turns; the layout's six forms are evaluated at p
-    once, here, where generation 1 is made, by `scaled`.  A command holds
-    its chains for one call, by shape (see `chain_at`)."""
+    int sums and `moved` turns; the layout's four forms are evaluated at p
+    once, here, by `scaled`, and heads 1 and 2 are their tails plus V_n.
+    A command holds its chains for one call, by shape (see `chain_at`)."""
 
     def __init__(self, p: TileParams, layout: LayoutTable):
         self.p, self.layout = p, layout
         den = self.den = lcm(p.a.d, p.b.d)
-        tail, head, partner, self.p4_gen2, self.tail2, self.head2 = (
+        tail, partner, self.p4_gen2, self.tail2 = (
             tuple(map(add, scaled(form.u, p.a, den // p.a.d),
                       scaled(form.w, p.b, den // p.b.d)))
-            for form in (layout.tail1, layout.head1, layout.partner_offset,
-                         layout.p4_gen2, layout.tail2, layout.head2))
-        _check_anchor(1, tail, head, self)
+            for form in (layout.tail1, layout.partner_offset,
+                         layout.p4_gen2, layout.tail2))
+        head, self.head2 = _head(1, tail, self), _head(2, self.tail2, self)
         hat = SupertileNode(HAT, 1, (), (), tail, head, den)
         partner = _placement(layout.partner_rotation_k % 6
                              + 6 * layout.partner_reflected,
@@ -221,13 +219,18 @@ class Chain:
         return hat if kind == HAT else thc
 
 
+def _head(n: int, tail: tuple, chain: Chain) -> tuple:
+    """tail + V_n over the chain's den, which covers V_n (a Z[zeta] form)."""
+    c, d = zeta_coords(v_closed(n, chain.p))
+    return tuple(t + x * (chain.den // d) for t, x in zip(tail, c))
+
+
 def _check_anchor(n: int, tail: tuple, head: tuple, chain: Chain) -> None:
-    want = v_closed(n, chain.p)
-    got = reduced_coords(*map(sub, head, tail), chain.den)
-    if got != zeta_coords(want):
+    if head != _head(n, tail, chain):
+        got = zeta_vector(tuple(map(sub, head, tail)), chain.den)
         raise ConstructionError(
             f"generation {n}: anchor mismatch: {HAT} head minus tail is "
-            f"{zeta_vector(*got)}, closed form gives {want}")
+            f"{got}, closed form gives {v_closed(n, chain.p)}")
 
 
 def _assemble(n: int, chain: Chain):
@@ -265,7 +268,7 @@ def _assemble(n: int, chain: Chain):
         point = moved(sub_q.orientation, sub_node.head, _over(sub_q, den))
         tail = moved(ring[0] % 6, point, taus[0])
         head = moved(ring[4] % 6, point, taus[4])
-    _check_anchor(n, tail, head, chain)
+        _check_anchor(n, tail, head, chain)
 
     children = tuple((prev_thc if i == 0 else prev_hat, q)
                      for i, q in enumerate(placements))
@@ -548,7 +551,7 @@ def layout_from_config(text: str, tile: TileData,
 
     Validation is structural (ring size, rotation multiples) and then
     constructive: generations 1 through 4 are assembled at hat proportions,
-    each anchor checked against the closed-form supervector, and their
+    anchors from generation 3 on checked against the closed form, and their
     eight supertiles, hat-1, thc-1, ..., thc-4, are checked for kite
     disjointness and connectivity in that order, in one pass (see
     `_first_kite_fault`).  The first fault is raised, worded as by
@@ -567,9 +570,7 @@ def layout_from_config(text: str, tile: TileData,
         partner_offset=_value_form(cfg, "partner", "offset"),
         p4_gen2=_value_form(cfg, "gen2", "p4_offset"),
         tail1=_value_form(cfg, "anchors", "tail1"),
-        head1=_value_form(cfg, "anchors", "head1"),
         tail2=_value_form(cfg, "anchors", "tail2"),
-        head2=_value_form(cfg, "anchors", "head2"),
     )
     layout.validate_structure()
     # the constructive half: generations 1..4 at hat proportions

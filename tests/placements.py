@@ -3,15 +3,18 @@ and the mirror that orientations are made of, the action of a placement
 (the motion that `Placement.compose` composes and the renderer's integer
 turns apply), the corners of a kite cell, which `geometry.KITE_OFFSETS`
 holds as ints, and the turtle walk that `geometry.outline_from_turtle`
-traces on Q(zeta) ints; and `zeta_points`, VecE points as the Q(zeta)
-ints over one denominator that `geometry` takes."""
+traces on Q(zeta) ints; `zeta_points`, VecE points as the Q(zeta) ints
+over one denominator that `geometry` takes; and U1 and U2, the hexagon
+lattice basis that `geometry.LATTICE_BASIS` holds as Q(zeta) ints."""
 
 from fractions import Fraction
 from math import lcm
 
 from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE, zeta_coords
-from hatfam.geometry import EDGE_A, U1, U2, GeometryError, KiteCell, \
-    Placement
+from hatfam.geometry import EDGE_A, GeometryError, KiteCell, Placement
+
+U1 = VecE(QSqrt3(3), QSqrt3(0, 1))  # hexagon lattice basis (3, sqrt3)
+U2 = VecE(QSqrt3(0), QSqrt3(0, 2))  # (0, 2*sqrt3)
 
 # signs (c, s) of cos = c/2 and sin = s*sqrt(3)/2 at 60*k degrees, k = 1, 2,
 # 4, 5; k = 0 and k = 3 are the identity and the negation

@@ -656,10 +656,10 @@ def test_a_tile_fault_is_a_config_error(argv, old, new, error, tmp_path,
     ("offset_u = 3/2, 3/2*r3", "offset_u = 3/4, 3/2*r3",
      "key 'offset_u' in [partner]: VecE(3/4, 3/2*r3) does not lie in "
      "Z[zeta12]\n"),
-    ("head2_w = 3/2*r3, 3/2", "head2_w = 3/2*r3, 1",
-     "key 'head2_w' in [anchors]: VecE(3/2*r3, 1) does not lie in "
+    ("tail2_w = 0, -2", "tail2_w = 0, -3/2",
+     "key 'tail2_w' in [anchors]: VecE(0, -3/2) does not lie in "
      "Z[zeta12]\n"),
-], ids=["partner-u", "head2-w"])
+], ids=["partner-u", "tail2-w"])
 def test_a_form_outside_z_zeta_is_a_config_error(argv, old, new, error,
                                                   tmp_path, capsys):
     # a layout form must be a point of Z[zeta], zeta = e^(i*pi/6), so that

@@ -27,12 +27,11 @@ from hatfam.geometry import (
     IDENTITY,
     KITE_OFFSETS,
     KiteCell,
+    LATTICE_BASIS,
     LatticeError,
     Placement,
     TileData,
     TurtleStep,
-    U1,
-    U2,
     _MATRICES,
     _ZETA,
     cells_connected,
@@ -49,8 +48,8 @@ from hatfam.substitution import HAT, THC, SupertileNode, build, \
     check_kites, expand
 from hatfam.supervectors import hat_params, make_params
 
-from placements import apply, kite_corners, reflect_y_axis, rotate60, \
-    trace_outline, unit_k30, zeta_points
+from placements import U1, U2, apply, kite_corners, reflect_y_axis, \
+    rotate60, trace_outline, unit_k30, zeta_points
 
 # a hand-made node's anchors, as Q(zeta) coordinates
 ORIGIN = (0, 0, 0, 0)
@@ -743,6 +742,12 @@ def test_cells_connected_matches_the_edge_oracle(cells, rnd):
     assert all(_edge_connected(part) for part in parts)
     assert cells_connected([sum(bits[c] for c in part) for part in parts],
                            width) == want
+
+
+def test_lattice_basis_is_u1_and_u2():
+    # the literal Q(zeta) ints of the basis are the VecE oracle's points
+    assert LATTICE_BASIS == (zeta_coords(U1)[0], zeta_coords(U2)[0])
+    assert zeta_coords(U1)[1] == zeta_coords(U2)[1] == 1
 
 
 def test_lattice_decompose_round_trip(tile):

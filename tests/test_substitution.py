@@ -3,15 +3,15 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, sub
 from typing import NamedTuple
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hatfam import substitution
-from hatfam.configfile import load_text
+from hatfam.configfile import load_text, value_vector
 from hatfam.exactnum import (
     SQRT3,
     VEC_ZERO,
@@ -26,13 +26,12 @@ from hatfam.geometry import (
     LATTICE_TURNS,
     LatticeError,
     Placement,
-    U1,
-    U2,
     _PRODUCT,
     disjoint_cells,
     hat_kite_cells,
     lattice_shift,
     packing_width,
+    scaled,
 )
 from hatfam.sequences import tile_counts
 from hatfam.substitution import (
@@ -52,7 +51,7 @@ from hatfam.substitution import (
 )
 from hatfam.supervectors import hat_params, make_params, v_closed
 
-from placements import apply, kite_corners, rotate60
+from placements import U1, U2, apply, kite_corners, rotate60
 
 # a hand-made node's anchors, as Q(zeta) coordinates
 ORIGIN = (0, 0, 0, 0)
@@ -310,18 +309,22 @@ def test_meeting_slot_mismatch(layout, hat_p):
 
 
 def test_anchor_mismatch(layout):
-    # the integer anchors are worded as the VecE they stand for
+    # a moved tail2 moves head2 with it, so generation 2 holds, but P1 and
+    # P5, which carry hat-3's tail and head, move by different steps; the
+    # integer anchors are worded as the VecE they stand for
     shifted = layout._replace(
         tail2=_plus(layout.tail2, VecE(QSqrt3(1), QSqrt3(0))))
     for (a, b), got, want in zip(VARIED, [
-            "VecE(2, 7*r3)", "VecE(-5+9/2*r3, 21/2+7*r3)",
-            "VecE(-35/6+3/4*r3, 7/4+49/6*r3)"], [
-            "VecE(3, 7*r3)", "VecE(-3+9/2*r3, 21/2+7*r3)",
-            "VecE(-7/2+3/4*r3, 7/4+49/6*r3)"]):
+            "VecE(7, 17*r3)", "VecE(-10+12*r3, 27+16*r3)",
+            "VecE(-35/3+2*r3, 9/2+56/3*r3)"], [
+            "VecE(8, 18*r3)", "VecE(-8+12*r3, 27+18*r3)",
+            "VecE(-28/3+2*r3, 9/2+21*r3)"]):
+        p = make_params(a, b)
+        build(HAT, 2, p, shifted)
         with pytest.raises(ConstructionError) as caught:
-            build(HAT, 2, make_params(a, b), shifted)
+            build(HAT, 3, p, shifted)
         assert str(caught.value) == (
-            f"generation 2: anchor mismatch: hat head minus tail is {got}, "
+            f"generation 3: anchor mismatch: hat head minus tail is {got}, "
             f"closed form gives {want}")
 
 
@@ -678,20 +681,23 @@ def test_layout_validation_makes_each_kite_int_once(tile, monkeypatch):
 
 # ------------------------------------- validation against a check per node
 
+def _form_lines(key, value) -> list:
+    """The config lines key_u and key_w of the form `value`."""
+    return [f"{key}_{part} = {render_scalar(v.x)}, {render_scalar(v.y)}"
+            for part, v in zip("uw", (zeta_vector(c, 1) for c in value))]
+
+
 def _layout_text(layout) -> str:
-    """`layout` written as a layout config."""
-    def form(key, value):
-        return [f"{key}_{part} = {render_scalar(v.x)}, {render_scalar(v.y)}"
-                for part, v in zip("uw", (zeta_vector(c, 1) for c in value))]
+    """`layout` written as a layout config, [anchors] last."""
     return "\n".join([
         "version = 1", "[partner]",
         f"rotation = {layout.partner_rotation_k * 60}",
         f"reflected = {'yes' if layout.partner_reflected else 'no'}",
-        *form("offset", layout.partner_offset),
+        *_form_lines("offset", layout.partner_offset),
         "[ring]", "rotations = " + " ".join(str(k * 60) for k in layout.ring),
-        "[gen2]", *form("p4_offset", layout.p4_gen2),
-        "[anchors]", *(line for key in ("tail1", "head1", "tail2", "head2")
-                       for line in form(key, getattr(layout, key)))])
+        "[gen2]", *_form_lines("p4_offset", layout.p4_gen2),
+        "[anchors]", *(line for key in ("tail1", "tail2")
+                       for line in _form_lines(key, getattr(layout, key)))])
 
 
 def _reference_fault(layout, tile):
@@ -715,8 +721,20 @@ def _half_step(m, n) -> VecE:
     return VecE(QSqrt3(Fraction(3 * m, 2)), QSqrt3(0, Fraction(m + 2 * n, 2)))
 
 
+# the head anchors layout.cfg once carried, traced, as it wrote them; each
+# is now its tail plus V_n, and a head key is not read
+TRACED_HEADS = {"head1": ("1/2, 3/2*r3", "1/2*r3, 1/2"),
+                "head2": ("3/2, 5/2*r3", "3/2*r3, 3/2")}
+
+
+def _traced_head(key) -> FormVec:
+    return FormVec(*(zeta_coords(value_vector(text))[0]
+                     for text in TRACED_HEADS[key]))
+
+
 # (id, edits): fields of the shipped layout to replace, a form shifted by
-# the VecE given
+# the VecE given; a head key, not a field, is written into the text, as an
+# old layout carried it, at its traced form so shifted, and changes nothing
 _SWEEP = (
     [(f"p4({m},{n})", {"p4_gen2": _half_step(m, n)})
      for m in range(-4, 5) for n in range(-4, 5)]
@@ -731,8 +749,9 @@ _SWEEP = (
        for i in ((0,), (1,), (2, 3), (4,), (5,)) for k in range(6)]
     + [(f"{keys}+{v!r}", dict.fromkeys(keys.split("&"), v))
        for keys in ("tail1", "head1", "tail2", "head2", "tail1&head1",
-                    "tail2&head2")
+                    "tail2&head2", "head1&head2")
        for v in (VecE(QSqrt3(1), QSqrt3(0)), U1, U2)]
+    + [(f"head1&head2+{VEC_ZERO!r}", {"head1": VEC_ZERO, "head2": VEC_ZERO})]
     + [(f"far-partner({m},{n})", {"partner_offset": _half_step(m, n)})
        for m, n in ((10 ** 6, 0), (0, 10 ** 6), (2 * 10 ** 6, -10 ** 6))])
 
@@ -746,13 +765,16 @@ def test_validation_words_a_fault_as_a_check_of_each_supertile(
     # passed, finds first
     case = layout._replace(**{
         key: _plus(getattr(layout, key), v) if isinstance(v, VecE) else v
-        for key, v in edits.items()})
+        for key, v in edits.items() if key not in TRACED_HEADS})
+    text = "\n".join([_layout_text(case), *(
+        line for key, v in edits.items() if key in TRACED_HEADS
+        for line in _form_lines(key, _plus(_traced_head(key), v)))])
     want = _reference_fault(case, tile)
     if want is None:
-        assert layout_from_config(_layout_text(case), tile) == case
+        assert layout_from_config(text, tile) == case
     else:
         with pytest.raises(ConstructionError) as caught:
-            layout_from_config(_layout_text(case), tile)
+            layout_from_config(text, tile)
         assert str(caught.value) == want
 
 
@@ -827,9 +849,9 @@ def _outcome(search, *args):
     ("p4_gen2", VecE(QSqrt3(1), QSqrt3(0))),
     ("partner_offset", U1),
     ("tail1", U2),
-    ("head2", U1),
+    ("tail2", U1),
 ], ids=["shipped", "p4-off-lattice", "partner-moved", "tail1-moved",
-        "head2-moved"])
+        "tail2-moved"])
 def test_search_on_a_shared_generation_one_matches_a_build_per_offset(
         layout, tile, hat_p, key, move):
     if key:
@@ -865,7 +887,8 @@ def test_search_builds_each_candidate_on_one_generation_one(
         assert chain_at(hat_p, cand, chains) is chains[hat_p]
     assert len({id(chains[hat_p].pairs[0]) for *_, chains, _ in builds}) == 1
     assert len({id(node.children[0][0]) for *_, node in builds}) == 1
-    assert anchors == [1] + [2] * 9
+    # generations 1 and 2 hold their anchors by construction
+    assert anchors == []
     assert [cand.p4_gen2 for cand in found] == [layout.p4_gen2]
 
 
@@ -928,7 +951,7 @@ def test_search_on_the_call_chain_reuses_its_generation_one(
     monkeypatch.setattr(substitution, "_check_anchor", spied_check)
     got = search_layout(hat_p, layout, tile, window, chains)
     assert got == want
-    assert anchors == [2] * (2 * window + 1) ** 2
+    assert anchors == []  # generation 2 holds its anchors by construction
     # hat-2's core is thc-1, and its ring pieces hat-1
     assert all(node.children[0][0] is gen1[1]
                and node.children[1][0] is gen1[0] for node in builds)
@@ -1217,12 +1240,13 @@ def _ref_assemble(n, prev_hat, prev_thc, p, layout):
         placements.append(Placement(k, False, tau))
         head_world = tau + rotate60(prev_hat.v_head, k)
     if n == 2:
-        tail, head = _at(layout.tail2, p), _at(layout.head2, p)
+        tail = _at(layout.tail2, p)
+        head = tail + v_closed(2, p)
     else:
         sub, sub_q = prev_hat.children[3]
         point = apply(sub_q, sub.v_head)
         tail, head = apply(placements[1], point), apply(placements[5], point)
-    assert head - tail == v_closed(n, p)
+        assert head - tail == v_closed(n, p)
     children = tuple((prev_thc if i == 0 else prev_hat, q)
                      for i, q in enumerate(placements))
     return (_ref_node(children, tail, head),
@@ -1230,8 +1254,8 @@ def _ref_assemble(n, prev_hat, prev_thc, p, layout):
 
 
 def _ref_generations(n, p, layout):
-    tail, head = _at(layout.tail1, p), _at(layout.head1, p)
-    assert head - tail == v_closed(1, p)
+    tail = _at(layout.tail1, p)
+    head = tail + v_closed(1, p)
     hat = _RefNode((), tail, head, 1)
     partner = Placement(layout.partner_rotation_k, layout.partner_reflected,
                         _at(layout.partner_offset, p))
@@ -1266,3 +1290,36 @@ def test_integer_assembly_matches_the_vece_reference(layout, shape):
                     for child, q in node.children] == \
                 [(q.orientation, q.coords, q.den, child.hats)
                  for child, q in ref.children]
+
+
+def _v_form(n) -> FormVec:
+    """V_n as a form from Fibonacci numbers alone: a*(-F_(2n+1) +
+    L_2n*zeta^2) + b*(F_2n*zeta + F_(2n-1)*zeta^3), L_2n = F_(2n-1) +
+    F_(2n+1)."""
+    f = [0, 1]
+    while len(f) < 2 * n + 2:
+        f.append(f[-1] + f[-2])
+    return FormVec((-f[2 * n + 1], 0, f[2 * n - 1] + f[2 * n + 1], 0),
+                   (0, f[2 * n], 0, f[2 * n - 1]))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_SHAPES)
+@example((QSqrt3(1), QSqrt3(0, 1)))
+def test_derived_heads_are_the_tails_plus_v_n(layout, shape):
+    # generations 1 and 2 take each head as its tail plus V_n; the oracles
+    # are V_n's form and the heads layout.cfg once traced, each evaluated
+    # at the shape by `scaled`, not through `v_closed`
+    p = make_params(*shape)
+    chain = Chain(p, layout)
+    den = chain.den
+
+    def at(form):
+        return tuple(map(add, scaled(form.u, p.a, den // p.a.d),
+                         scaled(form.w, p.b, den // p.b.d)))
+
+    for n, pair in enumerate(chain.upto(2), 1):
+        for node in pair:
+            assert node.den == den
+            assert tuple(map(sub, node.head, node.tail)) == at(_v_form(n))
+            assert node.head == at(_traced_head(f"head{n}"))
