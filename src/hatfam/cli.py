@@ -216,7 +216,6 @@ def cmd_render(args) -> int:
     from .render import (  # only render loads the SVG writer
         RenderError,
         RenderOptions,
-        element_count,
         render_supertile,
     )
     p = _params(args)
@@ -237,12 +236,11 @@ def cmd_render(args) -> int:
         return 2
     out = args.out or f"{args.kind}-{args.gen}.svg"
     Path(out).write_text(svg, encoding="utf-8")
-    elements = element_count(svg)
     if args.format == "json":
-        print(json.dumps({"out": out, "svg_elements": elements,
+        print(json.dumps({"out": out, "svg_elements": svg.elements,
                           "hats": node.hats}, indent=2))
     else:
-        print(f"{out}: {elements} svg elements, {node.hats} hats")
+        print(f"{out}: {svg.elements} svg elements, {node.hats} hats")
     return 0
 
 

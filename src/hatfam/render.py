@@ -9,14 +9,17 @@ coordinates.
 
 Points are Q(zeta) ints (the outline over one denominator, translations,
 arrow anchors), turned by `geometry.moved` and read as x and y parts by
-`geometry.xy_parts`.  Each hat's path is one `str.join` of one
-`operator.itemgetter` pick from its orientation's constant pieces (class,
-fill, separators) and the x and y columns of texts, each made once per
-orientation and the matching part of the translation.
+`geometry.xy_parts`.  Every path is written into one list of pieces per
+figure, whose separators are set once: per hat, its head (class and
+fill) and its x and y columns of texts go into their slots, and the list
+is joined.  A column is made once per orientation and the matching part
+of the translation.
 The grid is one list of kite edges per orientation, moved by each hat's
 lattice step; only edges on the hat's boundary are checked against those
-already drawn, and a hat's lines are one join too, of a pick per
-orientation and set of boundary edges left to draw, from its corners.
+already drawn, and a hat's lines are one join of an `operator.itemgetter`
+pick per orientation and set of boundary edges left to draw, from its
+corners.  The renderer counts the elements it writes, so the document it
+returns carries that count and nothing parses it to learn it.
 """
 
 from __future__ import annotations
@@ -57,6 +60,13 @@ _LINE = ('<line x1="', '" y1="', '" x2="', '" y2="', '"/>\n<line x1="', '"/>')
 
 class RenderError(ValueError):
     """The requested figure cannot be drawn."""
+
+
+class SvgDocument(str):
+    """An SVG document's text, and in `elements` the number of elements
+    the renderer wrote into it, so that no caller parses it to count."""
+
+    elements: int
 
 
 class RenderOptions:
@@ -143,7 +153,8 @@ def _pick(groups) -> itemgetter:
 
 
 def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
-                fx: _Memo, fy: _Memo) -> list[str]:
+                fx: _Memo, fy: _Memo) -> tuple[list[str], int]:
+    """Each hat's grid lines as one text, and the number of lines."""
     # float(QSqrt3) of the corner scaled by a = (aa + ab*sqrt3)/ad: int /
     # int rounds correctly, so unreduced quotients give the same floats
     aa, ab, den = p.a.a, p.a.b, 2 * p.a.d
@@ -174,12 +185,13 @@ def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
     # since |Y1 + Y2| <= 2*(max |Y| + max |sy|) < width/2 in this figure
     width = 4 * (max(abs(Y) for _, ys, _ in shapes for Y in ys)
                  + max(abs(sy) for _, _, sy in steps)) + 1
-    outer, picks, xcols, ycols = [], [], [], []
+    outer, inner, picks, xcols, ycols = [], [], [], [], []
     for xs, ys, edges in shapes:
         n = 6 + len(xs)  # the pick's source: _LINE, X texts, Y texts
         groups = [(6 + u[0], 1, n + u[1], 2, 6 + v[0], 3, n + v[1], 4)
                   for u, v, _ in edges]
         bits = [(kites == 1) << b for b, (_, _, kites) in enumerate(edges)]
+        inner.append(bits.count(0))
         outer.append([(bit, (xs[x1] + xs[x2]) * width + ys[y1] + ys[y2])
                       for bit, ((x1, y1), (x2, y2), _) in zip(bits, edges)
                       if bit])
@@ -198,7 +210,8 @@ def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
                 mask |= bit
         lines.append("".join(picks[o][mask](_LINE + xcols[o][sx]
                                             + ycols[o][sy])))
-    return lines
+    # every inner edge is drawn, and each boundary edge once
+    return lines, len(seen) + sum(inner[o] for o, _, _ in steps)
 
 
 def _floats(t: int, t3: int, d: int, offsets, vd: int) -> list[float]:
@@ -257,27 +270,32 @@ def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
     # y column on the y parts (y, y3, d)
     xs = _columns(shapes, slice(0, 2), 2 * vd, fx, False)
     ys = _columns(shapes, slice(2, 4), 2 * vd, fy, True)
-    # per orientation, its paths' start (class and fill), separators and
-    # end; in the pick's source vertex i's x is at 4 + i, its y at 4 + n + i
     n = len(pts)
     fills = (_ROT_FILLS + _ROT_FILLS_DARK if scheme == SCHEME_ROTATION
              else (_PLAIN_FILL,) * 6 + (_PLAIN_FILL_DARK,) * 6)
-    heads = [(f'<path class="hat{" reflected" * (o >= 6)}" fill="{fills[o]}" '
-              'd="M ', " ", " L ", ' Z"/>') for o in range(12)]
-    pick = _pick((4 + i, 1, 4 + n + i, 2) for i in range(n))
+    heads = [f'<path class="hat{" reflected" * (o >= 6)}" fill="{fills[o]}" '
+             'd="M ' for o in range(12)]
+    # one path's pieces: its head (class and fill), then per vertex x, " ",
+    # y and the separator to the next vertex, or the end after the last.
+    # Only the head and the two columns change from hat to hat
+    buf = [None] + [None, " ", None, " L "] * n
+    buf[-1] = ' Z"/>'
     # expand flags a hat reflected exactly when its orientation is >= 6
     paths = []
     for q, _ in placed:
         o, den = q.orientation, q.den
         x, x3, y, y3 = xy_parts(q.coords)
-        paths.append("".join(pick(heads[o] + xs[o, x, x3, den]
-                                  + ys[o, y, y3, den])))
+        buf[0] = heads[o]
+        buf[1::4] = xs[o, x, x3, den]
+        buf[3::4] = ys[o, y, y3, den]
+        paths.append("".join(buf))
     return paths
 
 
 def _arrows(node: SupertileNode, opts: RenderOptions, fx: _Memo,
             fy: _Memo) -> list[str]:
     floor = node.generation - opts.show_supervectors + 1
+    width = _fmt(opts.stroke_width * 2)
     parts = []
     for sub, q in _arrow_nodes(node, IDENTITY, floor):
         (ax, ay), (bx, by) = _svg_floats(q, (sub.tail, sub.head), sub.den)
@@ -291,7 +309,6 @@ def _arrows(node: SupertileNode, opts: RenderOptions, fx: _Memo,
         c1 = base_x - uy * half, base_y + ux * half
         c2 = base_x + uy * half, base_y - ux * half
         color = _ARROW_COLORS[(sub.generation - 1) % len(_ARROW_COLORS)]
-        width = _fmt(opts.stroke_width * 2)
         parts.append(
             f'<line x1="{fx[ax]}" y1="{fy[ay]}" x2="{fx[base_x]}" '
             f'y2="{fy[base_y]}" stroke="{color}" stroke-width="{width}"/>')
@@ -302,9 +319,10 @@ def _arrows(node: SupertileNode, opts: RenderOptions, fx: _Memo,
 
 
 def render_supertile(node: SupertileNode, p: TileParams,
-                     opts: RenderOptions, tile: TileData) -> str:
+                     opts: RenderOptions, tile: TileData) -> SvgDocument:
     """Draw an assembled supertile as an SVG 1.1 document, each hat the
-    outline of `tile` (and its grid cells).
+    outline of `tile` (and its grid cells), with the number of elements
+    written.
 
     Raises RenderError when the expansion would exceed max_svg_nodes or
     the grid is requested off hat proportions.
@@ -329,8 +347,8 @@ def render_supertile(node: SupertileNode, p: TileParams,
     # +0.0 in x and -0.0 in y; arrow points, computed in floats, may hold
     # either
     fx, fy = _Memo(_fmt), _Memo(_fmt)
-    grid = (_grid_lines([q for q, _ in placed], p, tile, fx, fy)
-            if opts.show_grid else [])
+    grid, grid_lines = (_grid_lines([q for q, _ in placed], p, tile, fx, fy)
+                        if opts.show_grid else ([], 0))
     paths = _hat_paths(placed, outline, opts.scheme, fx, fy)
     arrows = _arrows(node, opts, fx, fy) if opts.show_supervectors else []
 
@@ -340,12 +358,14 @@ def render_supertile(node: SupertileNode, p: TileParams,
           max(fx) - min(fx) + 2 * m, max(fy) - min(fy) + 2 * m)
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
            f'viewBox="{" ".join(_fmt(v) for v in vb)}">']
+    elements = 2 + len(paths)  # the svg, the hats' group and their paths
     if grid:
         out.append(f'<g class="grid" stroke="#9a9a9a" '
                    f'stroke-width="{_fmt(opts.stroke_width / 2)}" '
                    f'stroke-linecap="round">')
         out.extend(grid)
         out.append('</g>')
+        elements += 1 + grid_lines
     out.append(f'<g class="hats" stroke="#2b2b2b" '
                f'stroke-width="{_fmt(opts.stroke_width)}" '
                f'stroke-linejoin="round">')
@@ -355,15 +375,8 @@ def render_supertile(node: SupertileNode, p: TileParams,
         out.append('<g class="supervectors">')
         out.extend(arrows)
         out.append('</g>')
+        elements += 1 + len(arrows)
     out.append('</svg>\n')
-    return "\n".join(out)
-
-
-def element_count(svg: str) -> int:
-    """The number of elements in a document made by `render_supertile`.
-
-    The renderer writes every element on a line of its own, empty or as a
-    start tag, and every end tag (`</g>`, `</svg>`) on another line, so the
-    count is the number of lines that are not end tags.
-    """
-    return svg.count("\n") - svg.count("\n</")
+    doc = SvgDocument("\n".join(out))
+    doc.elements = elements
+    return doc

@@ -397,7 +397,14 @@ def test_render_json_reports_the_text_line_counts(tmp_path, capsys):
 @pytest.mark.parametrize("argv,hats", [
     (["hat", "3", "--grid", "--supervectors", "2"], 55),
     (["thc", "3"], 47),
-], ids=["hat-grid-arrows", "thc"])
+    (["hat", "3", "--grid"], 55),
+    (["hat", "3", "--supervectors", "3"], 55),
+    (["hat", "3", "--scheme", "plain", "--margin", "0"], 55),
+    (["hat", "3", "-a", "7/3", "-b", "1/2", "--supervectors", "3"], 55),
+    # more generations of arrows than the supertile has
+    (["hat", "2", "--supervectors", "5"], 8),
+], ids=["hat-grid-arrows", "thc", "hat-grid", "hat-arrows",
+        "hat-plain-margin-0", "off-hat-arrows", "arrows-past-generation-1"])
 def test_render_counts_the_parsed_elements(tmp_path, capsys, argv, hats):
     out = tmp_path / "fig.svg"
     assert main(["render", *argv, "-o", str(out)]) == 0

@@ -259,11 +259,11 @@ def test_grid_corners_are_the_exact_floats_at_generation_4(
 ], ids=["grid", "supervectors", "both"])
 def test_element_count_is_the_parsed_element_count(gen, opts, layout, tile,
                                                    hat_p):
-    # a hat's grid lines are one string, and still one line each
+    # a hat's grid lines are one string, and each counts as an element
     svg = render_supertile(build(HAT, gen, hat_p, layout), hat_p,
                            RenderOptions(**opts), tile)
-    assert render.element_count(svg) == sum(
-        1 for _ in ET.fromstring(svg).iter())
+    assert isinstance(svg, str)
+    assert svg.elements == sum(1 for _ in ET.fromstring(svg).iter())
 
 
 def _extent(group: ET.Element, axis: int) -> tuple[float, float]:
