@@ -6,8 +6,10 @@ returns a detail line, or raises VerifyFailure.  `run` times each item
 and reports it as passed or failed.  Only `verify` imports this module,
 and with it `render`, which the renderer item draws with.
 
-`recurrence` and `angle-identity` compare on stored ints (`_same`), so
-no QSqrt3 is made only to be compared.
+`recurrence` and `angle-identity` read each shape's supervectors from one
+`v_table` pass and compare on stored ints (`_same`), so no QSqrt3 is made
+only to be compared.  A failure text with fields is formatted only once
+its check has failed.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .supervectors import (
     v3_buildup,
     v_closed,
     v_recurrence,
+    v_table,
 )
 
 _PHI = (1 + math.sqrt(5)) / 2
@@ -53,6 +56,8 @@ class VerifyFailure(Exception):
 
 
 def _require(cond: bool, detail: str) -> None:
+    """Fail with a fixed `detail`; a detail with fields is formatted in
+    an `if` of its own, only when the check fails."""
     if not cond:
         raise VerifyFailure(detail)
 
@@ -61,6 +66,15 @@ def _same(x: QSqrt3, a: int, b: int, d: int) -> bool:
     """x == (a + b*sqrt(3))/d for ints a, b and d > 0, cross-multiplied
     on x's stored ints: no gcd runs and no QSqrt3 is made."""
     return x.a * d == a * x.d and x.b * d == b * x.d
+
+
+def _is_3x_minus_y(c: QSqrt3, x: QSqrt3, y: QSqrt3) -> bool:
+    """c == 3x - y on stored ints: directly when all three share one
+    denominator, else cross-multiplied by `_same`."""
+    if c.d == x.d == y.d:
+        return c.a == 3 * x.a - y.a and c.b == 3 * x.b - y.b
+    return _same(c, 3 * x.a * y.d - y.a * x.d, 3 * x.b * y.d - y.b * x.d,
+                 x.d * y.d)
 
 
 def _sample_params(count: int, seed: int = 20230306) -> list[TileParams]:
@@ -87,9 +101,11 @@ def _check_closed_forms(max_gen: int, env) -> str:
     want = [(0, 2), (1, 3), (3, 7), (8, 18)]
     for n, (x, y3) in enumerate(want):
         v = v_closed(n, hp)
-        _require(v.x == QSqrt3(x) and v.y == QSqrt3(0, y3),
-                 f"V_{n} = ({render_scalar(v.x)}, {render_scalar(v.y)})")
-        _require(v_recurrence(n, hp) == v, f"recurrence V_{n} differs")
+        if not (v.x == QSqrt3(x) and v.y == QSqrt3(0, y3)):
+            raise VerifyFailure(
+                f"V_{n} = ({render_scalar(v.x)}, {render_scalar(v.y)})")
+        if v_recurrence(n, hp) != v:
+            raise VerifyFailure(f"recurrence V_{n} differs")
     for p in (hp, make_params(QSqrt3(2), QSqrt3(3))):
         _require(v3_buildup(p) == v_closed(3, p), "stepwise V_3 differs")
     return "V_0..V_3 exact, stepwise V_3 matches"
@@ -100,15 +116,11 @@ def _check_recurrence(max_gen: int, env) -> str:
             make_params(QSqrt3(1), QSqrt3(1)),
             make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))]
     for p in sets:
-        prev2, prev = v_closed(0, p), v_closed(1, p)
-        for n in range(2, 201):
-            cur = v_closed(n, p)
-            for c, x, y in ((cur.x, prev.x, prev2.x),
-                            (cur.y, prev.y, prev2.y)):  # c == 3x - y
-                _require(_same(c, 3 * x.a * y.d - y.a * x.d,
-                               3 * x.b * y.d - y.b * x.d, x.d * y.d),
-                         f"n={n} recurrence breaks")
-            prev2, prev = prev, cur
+        vs = v_table(200, p)
+        for n, (prev2, prev, cur) in enumerate(zip(vs, vs[1:], vs[2:]), 2):
+            if not (_is_3x_minus_y(cur.x, prev.x, prev2.x)
+                    and _is_3x_minus_y(cur.y, prev.y, prev2.y)):
+                raise VerifyFailure(f"n={n} recurrence breaks")
     return "V_n = 3V_(n-1) - V_(n-2) for n <= 200 at 4 parameter sets"
 
 
@@ -116,19 +128,23 @@ def _check_g_sequence(max_gen: int, env) -> str:
     listed = [3, 11, 67, 451, 3083, 21123, 144771, 992267, 6801091,
               46615363, 319506443, 2189929731, 15010001667]
     closed = [g_closed(i) for i in range(1, 14)]
-    _require(closed == listed, f"13-term table differs: {closed}")
-    # one pass over the Lucas numbers: after step i, cur = lucas(i), and
-    # at i = 4n - 2 the closed form g(n) = (8*cur + 21)/15
-    terms = []
-    cur, nxt = lucas(0), lucas(1)
-    for i in range(1, 4 * 1000 - 1):
-        cur, nxt = nxt, cur + nxt
-        if i % 4 == 2:
-            _require((8 * cur + 21) % 15 == 0,
-                     f"8*lucas({i}) + 21 not divisible by 15")
-            if i < 4 * 500:
-                terms.append((8 * cur + 21) // 15)
-    _require(g_recurrence(500) == terms,
+    if closed != listed:
+        raise VerifyFailure(f"13-term table differs: {closed}")
+    # one pass over the Lucas numbers, four plain steps per term: raws[n - 1]
+    # is 8*lucas(4n - 2) + 21, and g(n) = raw / 15 in closed form
+    raws = []
+    cur, nxt = lucas(2), lucas(3)  # lucas(4n - 2), lucas(4n - 1)
+    for _ in range(1000):
+        raws.append(8 * cur + 21)
+        l2 = cur + nxt
+        l3 = nxt + l2
+        cur = l2 + l3
+        nxt = l3 + cur
+    for n, raw in enumerate(raws, 1):
+        if raw % 15:
+            raise VerifyFailure(
+                f"8*lucas({4 * n - 2}) + 21 not divisible by 15")
+    _require(g_recurrence(500) == [raw // 15 for raw in raws[:500]],
              "closed form and recurrence disagree below n=500")
     return "13 listed terms, recurrence to n=500, divisibility to n=1000"
 
@@ -145,7 +161,7 @@ def _check_angle_identity(max_gen: int, env) -> str:
         # F_2n-2) == 2 t2 tb, with t2 and s2 put over one denominator d
         rhs, d = t2 * tb * 2, t2.d * s2.d
         ta, tr, sa, sr = t2.a * s2.d, t2.b * s2.d, s2.a * t2.d, s2.b * t2.d
-        vs = [v_closed(n, p) for n in range(51)]
+        vs = v_table(50, p)
         # (F_2n-2, L_2n-2, F_2n, L_2n), stepped by x_n = 3x_(n-1) - x_(n-2)
         f0, l0, f1, l1 = 0, 2, 1, 3
         for n in range(1, 51):
@@ -153,13 +169,14 @@ def _check_angle_identity(max_gen: int, env) -> str:
             if exact:  # X_n = (t^2 L_2n L_2n-2 + s^2 F_2n F_2n-2) / 2t^2
                 ll, ff = l1 * l0, f1 * f0
                 xa, xb = ta * ll + sa * ff, tr * ll + sr * ff
-                _require(_same(rhs, tan.a * xa + 3 * tan.b * xb,
-                               tan.a * xb + tan.b * xa, tan.d * d),
-                         f"exact factor identity fails at n={n}")
+                if not _same(rhs, tan.a * xa + 3 * tan.b * xb,
+                             tan.a * xb + tan.b * xa, tan.d * d):
+                    raise VerifyFailure(
+                        f"exact factor identity fails at n={n}")
             if hat_ratio:
                 g = g_closed(n)
-                _require(_same(tb, tan.a * g, tan.b * g, tan.d),
-                         f"g(n) identity fails at n={n}")
+                if not _same(tb, tan.a * g, tan.b * g, tan.d):
+                    raise VerifyFailure(f"g(n) identity fails at n={n}")
             f0, l0, f1, l1 = f1, l1, 3 * f1 - f0, 3 * l1 - l0
     return ("tan(alpha_n) times the exact factor is tan(beta) everywhere; "
             "the g(n) factor works at hat proportions")
@@ -170,9 +187,11 @@ def _check_angle_limit(max_gen: int, env) -> str:
     limit = math.asin(0.25)
     thetas = [tan_theta(n, hp) for n in range(41)]
     angles = [theta.to_float() for theta in thetas]
-    _require(abs(angles[40] - limit) < 1e-12, f"theta_40 = {angles[40]}")
-    _require(abs(total_rotation_float(hp) - limit) < 1e-12,
-             f"total rotation = {total_rotation_float(hp)}")
+    if not abs(angles[40] - limit) < 1e-12:
+        raise VerifyFailure(f"theta_40 = {angles[40]}")
+    total = total_rotation_float(hp)
+    if not abs(total - limit) < 1e-12:
+        raise VerifyFailure(f"total rotation = {total}")
     tans = [theta.value for theta in thetas]
     _require(all((b - a).sign() > 0 for a, b in zip(tans, tans[1:])),
              "exact tan(theta_n) is not strictly increasing")
@@ -186,9 +205,11 @@ def _check_scaling(max_gen: int, env) -> str:
     v20 = v_closed(20, hp).to_floats()
     v19 = v_closed(19, hp).to_floats()
     ratio = math.hypot(*v20) / math.hypot(*v19)
-    _require(abs(ratio - _PHI ** 2) < 1e-9, f"|V_20|/|V_19| = {ratio}")
+    if not abs(ratio - _PHI ** 2) < 1e-9:
+        raise VerifyFailure(f"|V_20|/|V_19| = {ratio}")
     r = (float(tan_alpha(10, hp).value) / float(tan_alpha(11, hp).value))
-    _require(abs(r - _PHI ** 4) < 1e-6, f"alpha ratio = {r}")
+    if not abs(r - _PHI ** 4) < 1e-6:
+        raise VerifyFailure(f"alpha ratio = {r}")
     return "supervector growth phi^2, angle decay phi^4"
 
 
@@ -199,8 +220,9 @@ def _check_supervector_construction(max_gen: int, env) -> str:
                           (p23, min(4, max_gen), "Tile(2,3)")):
         for n, nodes in enumerate(_chain(env, p, top), 1):
             for node in nodes:
-                _require(measured_supervector(node) == v_closed(n, p),
-                         f"{node.kind}-{n} supervector differs at {where}")
+                if measured_supervector(node) != v_closed(n, p):
+                    raise VerifyFailure(
+                        f"{node.kind}-{n} supervector differs at {where}")
     return (f"measured = closed form, both kinds, n <= {max_gen} "
             f"plus a rational shape")
 
@@ -208,8 +230,8 @@ def _check_supervector_construction(max_gen: int, env) -> str:
 def _check_tile_counts(max_gen: int, env) -> str:
     for n, nodes in enumerate(_chain(env, hat_params(), max_gen), 1):
         for node in nodes:
-            _require(node.hats == tile_counts(node.kind, n),
-                     f"{node.kind}-{n} has {node.hats} hats")
+            if node.hats != tile_counts(node.kind, n):
+                raise VerifyFailure(f"{node.kind}-{n} has {node.hats} hats")
     return f"expansion sizes match the count recurrence, n <= {max_gen}"
 
 
@@ -218,10 +240,12 @@ def _check_non_overlap(max_gen: int, env) -> str:
     # all its bits has no two hats on one kite below it: one pass covers all
     hat = _chain(env, hat_params(), max_gen)[-1][0]
     ok, detail = check_kites(hat, env["tile"])
-    _require(ok, f"generation {max_gen}: {detail}")
+    if not ok:
+        raise VerifyFailure(f"generation {max_gen}: {detail}")
     want = 8 * tile_counts(HAT, max_gen)
-    _require(detail == f"{want} kite cells, no overlap",
-             f"generation {max_gen} covers {detail}, expected {want} cells")
+    if detail != f"{want} kite cells, no overlap":
+        raise VerifyFailure(
+            f"generation {max_gen} covers {detail}, expected {want} cells")
     return f"all hats on distinct kites, 8 cells per hat, n <= {max_gen}"
 
 
@@ -236,8 +260,8 @@ def _check_outline(max_gen: int, env) -> str:
         tile.outline(p)
     for k in (1, 2, 3, 5, 7):
         p = make_params(QSqrt3(k), QSqrt3(0, k))
-        _require(tile.area(p) == p.a * p.b * 8,
-                 f"area != 8ab at a={k}")
+        if tile.area(p) != p.a * p.b * 8:
+            raise VerifyFailure(f"area != 8ab at a={k}")
     return "closes and stays simple at 5 shapes; area 8ab at hat proportions"
 
 
@@ -253,7 +277,8 @@ def _check_renderer(max_gen: int, env) -> str:
     _require(svg1 == svg2, "two renders differ")
     root = ET.fromstring(svg1)
     paths = sum(1 for _ in root.iter("{http://www.w3.org/2000/svg}path"))
-    _require(paths == tile_counts(HAT, gen), f"{paths} paths")
+    if paths != tile_counts(HAT, gen):
+        raise VerifyFailure(f"{paths} paths")
     return f"hat-{gen} SVG deterministic, {paths} paths, parses as XML"
 
 

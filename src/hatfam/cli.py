@@ -40,6 +40,7 @@ from .supervectors import (
     tan_between,
     total_rotation_float,
     v_closed,
+    v_table,
 )
 
 # build and verify refuse supertiles with more hats than this; the kite
@@ -132,7 +133,7 @@ def cmd_sequence(args) -> int:
 def cmd_vectors(args) -> int:
     p = _params(args)
     rows = []
-    vs = [v_closed(n, p) for n in range(args.max + 1)]
+    vs = v_table(args.max, p)
     for n, v in enumerate(vs):
         rows.append({
             "n": n,
@@ -291,20 +292,65 @@ def _add_common(sub, params=True):
                           "(or set HATFAM_DATA_DIR)")
 
 
-def _command_parser(parse: bool, **kwargs) -> argparse.ArgumentParser | None:
-    """The `parser_class` of the command subparsers.  argparse asks it for
-    one parser per command, but keeps each command's choice and help line
-    in a pseudo-action of its own, so a command that is not invoked, and
-    is never parsed or shown, gets None (`parse` is False) and no parser."""
-    return argparse.ArgumentParser(**kwargs) if parse else None
+def _sequence_arguments(seq):
+    seq.add_argument("kind", choices=("fib", "lucas", "g"))
+    seq.add_argument("count", type=_positive_int)
+    _add_common(seq, params=False)
+    seq.set_defaults(func=cmd_sequence)
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for `argv`: every command is listed, but only the one
-    argv names, its first item not starting with "-", gets a parser and
-    its arguments.  The top level takes no option with a value, so
-    argparse reads the command from that item or fails before any
-    command's arguments."""
+def _vectors_arguments(vec):
+    vec.add_argument("-n", "--max", type=_positive_int, default=8,
+                     help="largest generation to list (default 8)")
+    _add_common(vec)
+    vec.set_defaults(func=cmd_vectors)
+
+
+def _build_arguments(bld):
+    bld.add_argument("kind", choices=(HAT, THC))
+    bld.add_argument("gen", type=_positive_int)
+    _add_common(bld)
+    bld.set_defaults(func=cmd_build)
+
+
+def _render_arguments(ren):
+    ren.add_argument("kind", choices=(HAT, THC))
+    ren.add_argument("gen", type=_positive_int)
+    ren.add_argument("--grid", action="store_true",
+                     help="draw the kite grid under the hats")
+    ren.add_argument("--supervectors", type=int, default=0,
+                     metavar="LEVELS", help="draw anchor arrows for this "
+                                            "many top generations")
+    ren.add_argument("--scheme", choices=("rotation", "plain"),
+                     default="rotation")
+    ren.add_argument("--stroke-width", type=float, default=0.06)
+    ren.add_argument("--margin", type=float, default=1.0)
+    ren.add_argument("--max-nodes", type=_positive_int, default=20000,
+                     help="refuse figures expanding past this many hats")
+    _add_common(ren)
+    ren.set_defaults(func=cmd_render)
+
+
+def _verify_arguments(ver):
+    ver.add_argument("--max-gen", type=_positive_int, default=5,
+                     help="deepest generation the construction checks "
+                          "build")
+    _add_common(ver, params=False)
+    ver.set_defaults(func=cmd_verify)
+
+
+# each command's help line and the function that adds its arguments
+_COMMANDS = {
+    "sequence": ("print fib, lucas, or g terms", _sequence_arguments),
+    "vectors": ("supervector table with rotation angles", _vectors_arguments),
+    "build": ("assemble a supertile and check it", _build_arguments),
+    "render": ("write a supertile SVG figure", _render_arguments),
+    "verify": ("run the full invariant suite", _verify_arguments),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top level, with every command's parser."""
     parser = argparse.ArgumentParser(
         prog="hatfam",
         description="Supertiles, supervectors, and rotation angles of the "
@@ -312,60 +358,31 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     # prog is the prefix argparse would format from the top level's usage,
     # which has no positionals
     subs = parser.add_subparsers(dest="command", required=True,
-                                 prog=parser.prog,
-                                 parser_class=_command_parser)
-    invoked = next((arg for arg in argv if not arg.startswith("-")), None)
-
-    def command(name, text):
-        return subs.add_parser(name, help=text, parse=name == invoked)
-
-    if seq := command("sequence", "print fib, lucas, or g terms"):
-        seq.add_argument("kind", choices=("fib", "lucas", "g"))
-        seq.add_argument("count", type=_positive_int)
-        _add_common(seq, params=False)
-        seq.set_defaults(func=cmd_sequence)
-
-    if vec := command("vectors", "supervector table with rotation angles"):
-        vec.add_argument("-n", "--max", type=_positive_int, default=8,
-                         help="largest generation to list (default 8)")
-        _add_common(vec)
-        vec.set_defaults(func=cmd_vectors)
-
-    if bld := command("build", "assemble a supertile and check it"):
-        bld.add_argument("kind", choices=(HAT, THC))
-        bld.add_argument("gen", type=_positive_int)
-        _add_common(bld)
-        bld.set_defaults(func=cmd_build)
-
-    if ren := command("render", "write a supertile SVG figure"):
-        ren.add_argument("kind", choices=(HAT, THC))
-        ren.add_argument("gen", type=_positive_int)
-        ren.add_argument("--grid", action="store_true",
-                         help="draw the kite grid under the hats")
-        ren.add_argument("--supervectors", type=int, default=0,
-                         metavar="LEVELS", help="draw anchor arrows for this "
-                                                "many top generations")
-        ren.add_argument("--scheme", choices=("rotation", "plain"),
-                         default="rotation")
-        ren.add_argument("--stroke-width", type=float, default=0.06)
-        ren.add_argument("--margin", type=float, default=1.0)
-        ren.add_argument("--max-nodes", type=_positive_int, default=20000,
-                         help="refuse figures expanding past this many hats")
-        _add_common(ren)
-        ren.set_defaults(func=cmd_render)
-
-    if ver := command("verify", "run the full invariant suite"):
-        ver.add_argument("--max-gen", type=_positive_int, default=5,
-                         help="deepest generation the construction checks "
-                              "build")
-        _add_common(ver, params=False)
-        ver.set_defaults(func=cmd_verify)
+                                 prog=parser.prog)
+    for name, (text, add_arguments) in _COMMANDS.items():
+        add_arguments(subs.add_parser(name, help=text))
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed by the parser of the command its first item names
+    alone, the parser the full one would hand the rest of argv to.  With
+    no command named, or arguments left over, the full parser parses
+    argv, so every help, usage and error text and exit code is its own."""
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"hatfam {name}")
+        _COMMANDS[name][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = name
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, DomainError) as e:

@@ -6,9 +6,13 @@ generation-n supervector in closed form is
 
     V_n = (fib(2n) * s, lucas(2n) * t),
 
-which also satisfies V_n = 3*V_(n-1) - V_(n-2).  Angles are kept at the
-tangent level so everything stays in Q(sqrt(3)); floats appear only in
-the *_float helpers.
+which also satisfies V_n = 3*V_(n-1) - V_(n-2).  `_from_fib_lucas` is
+the one place that formula is written: `v_closed` feeds it fib(n) and
+lucas(n) from a fast-doubling pass for one n, and `v_table` from one
+plain Fibonacci and Lucas walk for every n up to a bound.  Neither builds
+V_n from earlier supervectors, so the recurrence checks them.  Angles are
+kept at the tangent level so everything stays in Q(sqrt(3)); floats
+appear only in the *_float helpers.
 """
 
 from __future__ import annotations
@@ -59,17 +63,38 @@ def has_hat_proportion(p: TileParams) -> bool:
     return p.t * p.t == 3 * p.s * p.s
 
 
+def _from_fib_lucas(n: int, fib_n: int, lucas_n: int, p: TileParams) -> VecE:
+    """V_n from fib(n) and lucas(n) by doubling: fib(2n) = fib(n)*lucas(n)
+    and lucas(2n) = lucas(n)^2 - 2(-1)^n, each scaling the stored ints of
+    s or t."""
+    fib_2n = fib_n * lucas_n
+    lucas_2n = lucas_n * lucas_n + (2 if n & 1 else -2)
+    return VecE(_reduced(p.s.a * fib_2n, p.s.b * fib_2n, p.s.d),
+                _reduced(p.t.a * lucas_2n, p.t.b * lucas_2n, p.t.d))
+
+
 def v_closed(n: int, p: TileParams) -> VecE:
-    """V_n = (fib(2n)*s, lucas(2n)*t), from one fast-doubling pass to n:
-    fib(2n) = fib(n)*lucas(n) and lucas(2n) = lucas(n)^2 - 2(-1)^n, each
-    scaling the stored ints of s or t."""
+    """V_n = (fib(2n)*s, lucas(2n)*t) for one n, from one fast-doubling
+    pass to n (not 2n) and `_from_fib_lucas`."""
     if n < 0:
         raise ValueError(f"generation must be >= 0, got {n}")
     f, g = _fib_pair(n)
-    lucas_n = 2 * g - f
-    fib_2n, lucas_2n = f * lucas_n, lucas_n * lucas_n + (2 if n & 1 else -2)
-    return VecE(_reduced(p.s.a * fib_2n, p.s.b * fib_2n, p.s.d),
-                _reduced(p.t.a * lucas_2n, p.t.b * lucas_2n, p.t.d))
+    return _from_fib_lucas(n, f, 2 * g - f, p)
+
+
+def v_table(n: int, p: TileParams) -> list[VecE]:
+    """[V_0, ..., V_n], equal to v_closed(k, p) for each k: one walk steps
+    fib(k) and lucas(k) by x_(k+1) = x_k + x_(k-1), and each V_k comes from
+    `_from_fib_lucas`, not from V_(k-1) and V_(k-2)."""
+    if n < 0:
+        raise ValueError(f"generation must be >= 0, got {n}")
+    table = []
+    fib_k, fib_next, lucas_k, lucas_next = 0, 1, 2, 1
+    for k in range(n + 1):
+        table.append(_from_fib_lucas(k, fib_k, lucas_k, p))
+        fib_k, fib_next = fib_next, fib_k + fib_next
+        lucas_k, lucas_next = lucas_next, lucas_k + lucas_next
+    return table
 
 
 def v_recurrence(n: int, p: TileParams) -> VecE:

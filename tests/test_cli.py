@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hatfam import checks, configfile, geometry, substitution
+from hatfam import checks, cli, configfile, geometry, substitution
 from hatfam.cli import main
 from hatfam.exactnum import QSqrt3, VecE
 from hatfam.sequences import g_closed, g_recurrence
@@ -26,6 +26,7 @@ from hatfam.supervectors import (
     make_params,
     tan_between,
     v_closed,
+    v_table,
 )
 
 SHIPPED_DATA = Path(configfile.__file__).with_name("data")
@@ -167,8 +168,8 @@ def test_a_call_adds_arguments_only_for_its_command(monkeypatch, capsys):
 
 
 def test_a_call_makes_a_parser_only_for_its_command(monkeypatch, capsys):
-    # the top level and build: the four commands not invoked get no
-    # parser object, and with one each a call made six
+    # build alone: no top-level parser and no parser for the four commands
+    # not invoked
     made = []
     init = argparse.ArgumentParser.__init__
 
@@ -179,7 +180,37 @@ def test_a_call_makes_a_parser_only_for_its_command(monkeypatch, capsys):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(["build", "hat", "1"]) == 0
     assert "PASS counts" in capsys.readouterr().out
-    assert made == ["hatfam", "hatfam build"]
+    assert made == ["hatfam build"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sequence", "g", "4", "--format", "json"],
+    ["vectors", "-n", "3", "-a", "7/3", "-b", "1/2", "-o", "v.txt"],
+    ["vectors", "--ma", "2"],
+    ["build", "thc", "2", "--data-dir", "d"],
+    ["build", "--", "hat", "1"],
+    ["render", "hat", "4", "--grid", "--supervectors", "2", "--scheme",
+     "plain", "--stroke-width", "0.1", "--margin", "2", "--max-nodes", "9"],
+    ["verify", "--max-gen", "3", "--format", "json"],
+])
+def test_a_command_parser_alone_reads_what_the_full_parser_reads(argv):
+    assert cli._parse_args(argv) == cli._build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv, left", [
+    (["build", "hat", "1", "extra"], "extra"),
+    (["vectors", "-n", "2", "--bogus", "x"], "--bogus x"),
+    (["verify", "--max-gen", "2", "zz"], "zz"),
+])
+def test_arguments_left_over_are_the_top_levels_error(argv, left, capsys):
+    # the command's parser leaves them, and the full parser reports them
+    # under the top level's usage
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: hatfam [-h] {sequence,vectors,build,render,verify} ...\n"
+        f"hatfam: error: unrecognized arguments: {left}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -457,16 +488,22 @@ def test_verify_json(capsys):
         assert isinstance(item["seconds"], float) and item["seconds"] >= 0
 
 
+def _moved_in_table(monkeypatch, p, k, by):
+    """Patch the tables the verify items read: V_k at p moved by `by`."""
+    def wrong(n, q):
+        vs = v_table(n, q)
+        if q == p and n >= k:
+            vs[k] = vs[k] + by
+        return vs
+
+    monkeypatch.setattr("hatfam.checks.v_table", wrong)
+
+
 def test_verify_fails_on_one_wrong_supervector(monkeypatch, capsys):
     # V_150 moved by (1, 0) at Tile(7/3, 1/2), a shape only the
     # recurrence item walks
     p = make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))
-
-    def wrong(n, q):
-        v = v_closed(n, q)
-        return v + VecE(QSqrt3(1), QSqrt3(0)) if (n, q) == (150, p) else v
-
-    monkeypatch.setattr("hatfam.checks.v_closed", wrong)
+    _moved_in_table(monkeypatch, p, 150, VecE(QSqrt3(1), QSqrt3(0)))
     assert main(["verify", "--max-gen", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("FAIL recurrence: n=150 recurrence breaks ")
@@ -478,15 +515,32 @@ def test_verify_fails_on_a_supervector_moved_in_y_only(monkeypatch,
     # the recurrence compares each component on its own ints, so a move of
     # V_150 in y alone at Tile(7/3, 1/2) fails there too
     p = make_params(QSqrt3(Fraction(7, 3)), QSqrt3(Fraction(1, 2)))
-
-    def wrong(n, q):
-        v = v_closed(n, q)
-        return v + VecE(QSqrt3(0), QSqrt3(1)) if (n, q) == (150, p) else v
-
-    monkeypatch.setattr("hatfam.checks.v_closed", wrong)
+    _moved_in_table(monkeypatch, p, 150, VecE(QSqrt3(0), QSqrt3(1)))
     assert main(["verify", "--max-gen", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("FAIL recurrence: n=150 recurrence breaks ")
+    assert lines[-1] == "11/12 items passed"
+
+
+def test_verify_fails_on_the_last_supervector_it_walks(monkeypatch, capsys):
+    # V_200, the last term the recurrence item reads, moved by (1, 0) at
+    # Tile(1, 1), where s and t carry a denominator
+    p = make_params(QSqrt3(1), QSqrt3(1))
+    _moved_in_table(monkeypatch, p, 200, VecE(QSqrt3(1), QSqrt3(0)))
+    assert main(["verify", "--max-gen", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("FAIL recurrence: n=200 recurrence breaks ")
+    assert lines[-1] == "11/12 items passed"
+
+
+def test_verify_fails_on_a_supervector_moved_at_the_hat(monkeypatch, capsys):
+    # at the hat every term has denominator 1, so the recurrence compares
+    # the stored ints directly; V_120 lies past the angle sweep's n <= 50
+    _moved_in_table(monkeypatch, hat_params(), 120,
+                    VecE(QSqrt3(0), QSqrt3(1)))
+    assert main(["verify", "--max-gen", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("FAIL recurrence: n=120 recurrence breaks ")
     assert lines[-1] == "11/12 items passed"
 
 
@@ -511,6 +565,22 @@ def test_verify_fails_on_one_wrong_g_term(monkeypatch, capsys):
         terms = g_recurrence(count)
         if count >= 400:
             terms[399] += 1
+        return terms
+
+    monkeypatch.setattr("hatfam.checks.g_recurrence", wrong)
+    assert main(["verify", "--max-gen", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("FAIL g-sequence: closed form and recurrence "
+                               "disagree below n=500 ")
+    assert lines[-1] == "11/12 items passed"
+
+
+def test_verify_fails_on_the_last_g_term(monkeypatch, capsys):
+    # g(500), the last term the recurrence is compared on, off by one
+
+    def wrong(count):
+        terms = g_recurrence(count)
+        terms[-1] += 1
         return terms
 
     monkeypatch.setattr("hatfam.checks.g_recurrence", wrong)

@@ -84,6 +84,23 @@ VECTORS = {
         "df69cce322b755815f0db845799147f4234329250a4a0f85ff432e1c124ba575"),
 }
 
+# `vectors` stdout as (text, json) by (a, b, -n), recorded at commit
+# d5a5d63, before the table came from one Fibonacci-Lucas walk
+VECTORS_BY_N = {
+    ("1", "r3", "1"): (
+        "4ec055ca0f534bb324955e6577bc22bc34197c3bcb36c4a3beb0e3990d8c96a7",
+        "cc9878024ef1985215eb86cdb48af8de15f414dc2213f27eee7537b6dde43a9b"),
+    ("1", "r3", "8"): (
+        "e13c4d9ef03d29b24ba0993a30c9504c5632c1eb3069ab932ff555becba61889",
+        "7a5119066806624fd48a0a7405d709d757cbc95f4618d1bdd35ba51132d68051"),
+    ("1", "r3", "60"): (
+        "6132336b226ba705d363f7da6c86861a82712c9cf6ac631f7348ef67e16b8ed3",
+        "21dfbe22167ff9762b80ece5a2bc56084368b39293e1de8651a413c812f74650"),
+    ("7/3", "1/2", "200"): (
+        "89018f97b6a5b0f78f69e233286f859442eb703ddad53d490bf37669fc928ace",
+        "8c6d93f745f5e324bcf7b2463fbe0b5087f93e2f26854f51f227209d40a075dc"),
+}
+
 
 # the CLI surface at COLUMNS=80 as (exit code, stdout, stderr) digests,
 # recorded at commit 278a451, before the parser gave arguments only to
@@ -156,6 +173,25 @@ def test_vectors_bytes(a, b, tmp_path):
         assert main(["vectors", "-n", "40", "-a", a, "-b", b,
                      "--format", fmt, "-o", str(out)]) == 0
         assert _sha256(out.read_bytes()) == want
+
+
+@pytest.mark.parametrize("a,b,n", sorted(VECTORS_BY_N))
+def test_vectors_bytes_by_generation(a, b, n, capsys):
+    for fmt, want in zip(("text", "json"), VECTORS_BY_N[(a, b, n)]):
+        assert main(["vectors", "-n", n, "-a", a, "-b", b,
+                     "--format", fmt]) == 0
+        assert _sha256(capsys.readouterr().out.encode("utf-8")) == want
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_vectors_refuses_generation_zero(fmt, capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["vectors", "-n", "0", "--format", fmt])
+    assert caught.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("hatfam vectors: error: argument -n/--max: "
+                        "must be >= 1, got 0\n")
 
 
 def test_benchmark_verify_items(capsys):

@@ -2,8 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hatfam.exactnum import QSqrt3, VecE
+from hatfam.exactnum import ONE, SQRT3, QSqrt3, VecE
 from hatfam.sequences import fib, g_closed, lucas
 from hatfam.supervectors import (
     DomainError,
@@ -17,6 +19,7 @@ from hatfam.supervectors import (
     v3_buildup,
     v_closed,
     v_recurrence,
+    v_table,
 )
 
 
@@ -64,6 +67,27 @@ def test_components_are_fib_lucas():
             v = v_closed(n, p)
             assert v.x == p.s * fib(2 * n)
             assert v.y == p.t * lucas(2 * n)
+
+
+_PART = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+_EDGE = st.one_of(
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 12)).map(QSqrt3),
+    st.builds(QSqrt3, _PART, _PART).filter(lambda x: x.sign() > 0))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_EDGE, _EDGE, st.integers(0, 300))
+@example(SQRT3, ONE, 300)  # the turtle, s = 0
+@example(QSqrt3(Fraction(5, 2)), QSqrt3(Fraction(5, 2)), 300)  # a = b
+@example(ONE, SQRT3, 0)
+def test_table_is_the_closed_form_at_every_n(a, b, n):
+    # the table walks fib and lucas once; v_closed doubles to each n on its
+    # own; and the sequences module gives fib(2k) and lucas(2k) directly
+    p = make_params(a, b)
+    table = v_table(n, p)
+    assert table == [v_closed(k, p) for k in range(n + 1)]
+    assert table == [VecE(p.s * fib(2 * k), p.t * lucas(2 * k))
+                     for k in range(n + 1)]
 
 
 def test_s_t_derivation():
@@ -171,5 +195,7 @@ def test_scaling_ratios(hat_p):
 def test_index_domains(hat_p):
     with pytest.raises(ValueError):
         v_closed(-1, hat_p)
+    with pytest.raises(ValueError):
+        v_table(-1, hat_p)
     with pytest.raises(ValueError):
         tan_alpha(0, hat_p)
