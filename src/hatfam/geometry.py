@@ -297,9 +297,6 @@ def is_simple(o: Outline) -> bool:
 
 LATTICE_BASIS = ((2, 0, 2, 0), (-2, 0, 4, 0))  # (3, sqrt3), (0, 2*sqrt3)
 
-# axial step d corresponds to direction 30 + 60*d degrees
-_HEX_DIRS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
-
 
 class KiteCell(NamedTuple):
     hex_q: int
@@ -340,32 +337,38 @@ def packing_width(r_span: int) -> int:
 
 def cells_connected(parts, width: int) -> bool:
     """True if the parts, one or more edge-connected ints of kite cells
-    packed about one box corner at `width`, form one edge-connected patch:
-    the patch grown from the first part by its edge-adjacent cells meets
-    further parts until none is left, or none is met."""
-    # per corner k, the bit steps to the four edge-adjacent kites: the two
-    # kites beside it in its own hexagon, and the two across its edges
-    steps = []
-    for k in range(6):
-        (dq, dr), (eq, er) = _HEX_DIRS[k], _HEX_DIRS[k - 1]
-        steps.append(((k + 1) % 6 - k, (k - 1) % 6 - k,
-                      6 * (dq * width + dr) + (k + 4) % 6 - k,
-                      6 * (eq * width + er) + (k + 2) % 6 - k))
+    packed about one box corner at `width` (2 or more, as `packing_width`
+    gives), form one edge-connected patch: the patch grown from the first
+    part meets further parts until none is left, or none is met, each
+    round taking the edge-adjacent cells of the parts that joined last."""
+    # bits 0, 6, 12, 18 of every 3 bytes, over every part: shifted up by k,
+    # it masks the cells at corner k
+    m0 = int.from_bytes(
+        b"\x41\x10\x04" * (max(parts).bit_length() // 24 + 1), "little")
+    m1, m2, m3, m4, m5 = (m0 << k for k in range(1, 6))
+    w = 6 * width  # the bit step of one hexagon in q
     patch, *todo = parts
-    # one bit in every 6: shifted up by k, it masks the cells at corner k
-    every6 = (1 << 6 * (max([patch, *todo]).bit_length() // 6 + 1)) // 63
+    near = 0
     while todo:
-        near = 0
-        for k, corner_steps in enumerate(steps):
-            at_k = patch & every6 << k
-            for step in corner_steps:
-                near |= at_k << step if step > 0 else at_k >> -step
-        touching = [bits for bits in todo if near & bits]
-        if not touching:
+        a0, a1, a2, a3, a4, a5 = (patch & m0, patch & m1, patch & m2,
+                                  patch & m3, patch & m4, patch & m5)
+        # kite k meets kites k + 1 and k - 1 of its hexagon (5 and 0 wrap)
+        # and, across its outer edges, kite k + 4 of the hexagon at 30 +
+        # 60k degrees and kite k + 2 of the one at 60k - 30: six pairs of
+        # kites one bit step apart, each met both ways
+        near |= ((patch ^ a5) << 1 | a5 >> 5 | (patch ^ a0) >> 1 | a0 << 5
+                 | a0 << w + 4 | a4 >> w + 4 | a0 << w - 4 | a2 >> w - 4
+                 | a1 << 10 | a5 >> 10 | a1 << w + 2 | a3 >> w + 2
+                 | a2 << 8 | a4 >> 8 | a5 << w - 8 | a3 >> w - 8)
+        patch, rest = 0, []
+        for bits in todo:
+            if near & bits:
+                patch |= bits
+            else:
+                rest.append(bits)
+        if not patch:
             return False
-        todo = [bits for bits in todo if not near & bits]
-        for bits in touching:
-            patch |= bits
+        todo = rest
     return True
 
 
@@ -389,6 +392,13 @@ LATTICE_TURNS = tuple(
     tuple(lattice_shift(_placement(0, moved(o, u, (0, 0, 0, 0)), 1))
           for u in LATTICE_BASIS)
     for o in range(12))
+# a hex patch's reach: how far its hexagons get along the sides q, -q, r,
+# -r, s = -q - r and -s; turned by o, it reaches as far along side i as it
+# did along side SIDE_TURNS[o][i], since the 12 turns permute the sides
+_SIDES = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))
+SIDE_TURNS = tuple(
+    tuple(_SIDES.index((u * a + v * c, u * b + v * d)) for u, v in _SIDES)
+    for (a, c), (b, d) in LATTICE_TURNS)
 
 
 def hat_kite_cells(q: Placement, base_cells) -> frozenset:

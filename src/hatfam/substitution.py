@@ -13,17 +13,14 @@ generations of one layout at one shape, in Q(zeta) integers over the
 shape's denominator, from forms that load as Z[zeta] points; a command
 keeps its chains for the call, so each supertile is assembled once per
 call; `search_layout`'s candidates share one chain's generation 1
-(`Chain.moved_p4`) and its kite memos.  Hat counts sum over the
-children, once per shared node.  `check_kites` decides
-kite disjointness and contact on the same DAG in ints, in one pass: each
-edge is one lattice step, turned per orientation by `LATTICE_TURNS`; each
-(node, orientation) keeps its cells as one int, the OR of its children's
-shifted ints, whose bit count shows whether they overlap; touching
-connected pieces make a connected node.  The pass only decides; a root
-that fails is walked once more, from the root, to word its fault.  The
-pass takes supertiles in order, at one packing width, and names the
-first that fails: `layout_from_config` checks the eight of
-generations 1-4 in one pass, and hands that chain to the call.  `expand`
+(`Chain.moved_p4`) and its kite states.  `check_kites` decides kite
+disjointness and contact on the DAG in one pass: each node's lattice
+steps and six-sided reach are taken once per call, and each (node,
+orientation) makes its cells once per pass as one int, the OR of its
+children's shifted ints, whose bit count shows an overlap; touching
+connected pieces make a connected node.  A root that fails is walked
+once more to word its fault.  `layout_from_config` checks generations
+1-4 in one pass, and `search_layout` all its candidates.  `expand`
 walks every single hat, only to draw: on Q(zeta) int steps over the
 root's denominator, which it turns once per (node, orientation), making a
 Placement per hat and none per edge.  Every turn here is geometry's `moved`.
@@ -31,7 +28,6 @@ Placement per hat and none per edge.  Every turn here is geometry's `moved`.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import lcm
 from operator import add, sub
 from typing import Iterator, NamedTuple
@@ -50,9 +46,9 @@ from .geometry import (
     IDENTITY,
     KiteCell,
     LATTICE_BASIS,
-    LATTICE_TURNS,
     LatticeError,
     Placement,
+    SIDE_TURNS,
     TileData,
     _PRODUCT,
     _placement,
@@ -129,7 +125,9 @@ class SupertileNode:
     tail and head, the anchor vertices, are Q(zeta) coordinates (see
     `exactnum.zeta_coords`) over den, unreduced; den is a multiple of each
     child's den and placement's (ValueError if not), so of every den below
-    the node.  Nodes compare by identity.
+    the node.  hats counts its single hats, summed once per shared node;
+    _kites keeps its kite states by tile cells (see `_kite_state`).  Nodes
+    compare by identity.
     """
 
     def __init__(self, kind: str, generation: int, children: tuple,
@@ -144,18 +142,8 @@ class SupertileNode:
         self.tail = tail
         self.head = head
         self.den = den
-
-    @cached_property
-    def _kites(self) -> dict:
-        """The memo of `_kite_box` and `_kite_bits` for this node."""
-        return {}
-
-    @cached_property
-    def hats(self) -> int:
-        """Number of single hats, summed once per shared node."""
-        if not self.children:
-            return 1
-        return sum(child.hats for child, _ in self.children)
+        self.hats = sum(child.hats for child, _ in children) if children else 1
+        self._kites = {}
 
 
 def measured_supervector(node: SupertileNode) -> VecE:
@@ -342,111 +330,111 @@ def expand(node: SupertileNode) -> Iterator[tuple[Placement, bool]]:
                   for child, co, s0, s1, s2, s3 in steps]
 
 
-def _kite_box(node: SupertileNode, o: int, base_cells):
-    """(box, parts) for `node` at orientation o about its own origin: box
-    = (q_lo, q_hi, r_lo, r_hi) bounds its kite cells' hex coordinates, and
-    parts holds each child's label, node, orientation and placed (q_lo,
-    r_lo), or a single hat's cells; None if a hat under it is off the
-    kite lattice.  Memoized on the node with its "steps", each child's
-    lattice step from one `lattice_shift`, which `LATTICE_TURNS[o]`
-    turns."""
-    memo = node._kites
-    key = o, base_cells
-    if key not in memo:
-        if not node.children:
-            parts = hat_kite_cells(Placement(o % 6, o >= 6), base_cells)
-            spans = [(q, q, r, r) for q, r, _ in parts]
-        else:
-            if "steps" not in memo:
-                memo["steps"] = steps = []
-                for label, (child, q) in zip(node.labels, node.children):
-                    try:
-                        steps.append((label, child, q.orientation,
-                                      *lattice_shift(q)))
-                    except LatticeError:  # off the lattice at every turn
-                        steps.append((label, child, q, None, None))
-            (a, c), (b, d) = LATTICE_TURNS[o]
-            turn, parts, spans = _PRODUCT[o], [], []
-            for label, child, co, m, n in memo["steps"]:
-                box = m is not None and _kite_box(child, turn[co], base_cells)
-                if not box:  # a miss at this step or under the piece
-                    memo[key] = None
-                    return None
-                co, (q0, q1, r0, r1) = turn[co], box[0]
-                m, n = a * m + b * n, c * m + d * n
-                parts.append((label, child, co, q0 + m, r0 + n))
-                spans.append((q0 + m, q1 + m, r0 + n, r1 + n))
-        q_lo, q_hi, r_lo, r_hi = zip(*spans)
-        memo[key] = (min(q_lo), max(q_hi), min(r_lo), max(r_hi)), parts
-    return memo[key]
+class _Kites:
+    """A node's kite state for one tile's cells, made with its children's
+    and kept on the node: size, 8 bits per hat; steps, per child up to the
+    first off the kite lattice, (label, state, orientation, m, n) with (m,
+    n) its lattice step, or (label, state, placement, None, None); reach,
+    how far its hexagons get along the six sides at orientation 0 (see
+    `SIDE_TURNS`), False if a hat under it is off the lattice; parts, per
+    child (label, state, orientation, gaps), gaps[i] how far short of the
+    node's reach along side i the placed child stops, or a single hat's
+    cells; contact, a connected pass's verdict; ints, in a pass, per turn."""
+
+    __slots__ = "size", "steps", "reach", "parts", "ints", "contact"
+
+    def __init__(self, node: SupertileNode, cells):
+        self.size = len(cells) * node.hats
+        self.steps, self.ints, self.contact = [], [None] * 12, None
+        if not node.children:  # a single hat
+            self.parts, self.reach = cells, tuple(map(max, zip(*[
+                (q, -q, r, -r, -q - r, q + r) for q, r, _ in cells])))
+            return
+        self.reach, self.parts, reaches = False, False, []
+        for label, (child, q) in zip(node.labels, node.children):
+            child = _kite_state(child, cells)
+            try:
+                m, n = lattice_shift(q)
+            except LatticeError:  # off the lattice at every turn
+                self.steps.append((label, child, q, None, None))
+                return
+            self.steps.append((label, child, q.orientation, m, n))
+            if not child.reach:  # a miss under the piece
+                return
+            g, s = child.reach, SIDE_TURNS[q.orientation]
+            reaches.append((g[s[0]] + m, g[s[1]] - m, g[s[2]] + n,
+                            g[s[3]] - n, g[s[4]] - m - n, g[s[5]] + m + n))
+        self.reach = tuple(map(max, zip(*reaches)))
+        self.parts = [(*step[:3], tuple(map(sub, self.reach, g)))
+                      for step, g in zip(self.steps, reaches)]
 
 
-def _kite_bits(node: SupertileNode, o: int, width: int, base_cells,
-               connected: bool = False) -> int:
-    """The kite cells of `node` at orientation o about its own origin as
-    one int, packed about the low corner of the node's box (see
-    `packing_width`): the OR of its pieces' ints, each shifted into place
-    (a single hat's pieces are its kites); memoized on the node.  Each
-    piece's own bits are distinct, so the pieces share no kite exactly
-    when the OR keeps all of them: one `bit_count` against the node's
-    hats.  If `connected`, the same pass also decides, once per node and
-    tile since a rigid motion keeps it, whether this node and every node
-    under it are one edge-connected patch; a node whose OR lost bits
-    fails without a flood, since its overlap is named first."""
-    memo = node._kites
-    key = o, width, base_cells
-    contact = connected and base_cells not in memo
-    if key not in memo or contact:
-        (q_lo, _, r_lo, _), parts = _kite_box(node, o, base_cells)
-        if node.children:
-            pieces = (_kite_bits(child, co, width, base_cells, connected)
-                      << 6 * ((cq - q_lo) * width + cr - r_lo)
-                      for _, child, co, cq, cr in parts)
-        else:  # a single hat: its kites are its pieces, distinct bits
-            pieces = (1 << 6 * ((q - q_lo) * width + r - r_lo) + k
-                      for q, r, k in parts)
-        if contact:  # else each shifted int is dropped once ORed
-            pieces = list(pieces)
-        acc = 0
-        for bits in pieces:
+def _kite_state(node: SupertileNode, cells) -> _Kites:
+    """The kite state of `node` for `cells`, kept on the node."""
+    if cells not in node._kites:
+        node._kites[cells] = _Kites(node, cells)
+    return node._kites[cells]
+
+
+def _kite_bits(kites: _Kites, o: int, width: int, made: list,
+               connected: bool) -> int:
+    """Fill `kites.ints[o]`, each child's first, listing it in `made` for
+    the pass to free: the node's cells at orientation o packed about its
+    box's low corner at `width` (see `packing_width`), the OR of its
+    pieces' ints shifted by their gaps (a single hat's pieces are its
+    kites), which share no kite exactly when the OR keeps every bit.  If
+    `connected` and its contact verdict is open, the node passes when it
+    kept every bit, each child passes and the pieces touch as one patch."""
+    _, iq, _, ir, *_ = SIDE_TURNS[o]  # the sides -q and -r at the turn
+    keep = connected and kites.contact is None
+    if kites.steps:
+        turn, acc, pieces = _PRODUCT[o], 0, []
+        for _, child, co, gaps in kites.parts:
+            bits = (child.ints[turn[co]] or _kite_bits(
+                child, turn[co], width, made, connected)) << 6 * (
+                    gaps[iq] * width + gaps[ir])
             acc |= bits
-        if contact:
-            memo[base_cells] = (
-                acc.bit_count() == len(base_cells) * node.hats
-                and all(child._kites[base_cells] for child, _ in node.children)
-                and cells_connected(pieces, width))
-        memo[key] = acc
-    return memo[key]
+            if keep:  # else each shifted int is dropped once ORed
+                pieces.append(bits)
+    else:  # a single hat: its kites are its pieces, distinct bits
+        q0, r0 = kites.reach[iq], kites.reach[ir]
+        pieces = [1 << 6 * ((q + q0) * width + r + r0) + k for q, r, k
+                  in hat_kite_cells(_placement(o, (0,) * 4, 1), kites.parts)]
+        acc = sum(pieces)
+    if keep:
+        kites.contact = (
+            acc.bit_count() == kites.size
+            and all(child.contact for _, child, *_ in kites.steps)
+            and cells_connected(pieces, width))
+    kites.ints[o] = acc
+    made.append((kites.ints, o))
+    return acc
 
 
-def _fault(name: str, root: SupertileNode, base_cells, width: int) -> str:
+def _fault(name: str, root: _Kites, width: int) -> str:
     """The detail of the kite fault the pass at `width` found in `root`,
-    named `name`: one walk from the root into the first piece that holds
-    the fault.  At each node a lattice miss (no box) comes first; then a
-    clash (its int lost bits): the first piece that meets the earlier
-    ones, with the first that holds the lowest kite they share, unless a
-    piece before it lost bits; else the first piece whose contact verdict
-    failed, or the node, is disconnected."""
-    node, o, where, lift = root, 0, name, 0
+    named `name`, walking from the root into the first piece that holds
+    it: at each node a lattice miss first; then a clash (the int lost
+    bits), the first piece to meet the earlier ones, with the first that
+    holds their lowest shared kite, unless a piece before it lost bits;
+    else the first piece whose contact failed, or the node, disconnects."""
+    kites, o, where, lift = root, 0, name, 0
     while True:
-        box = _kite_box(node, o, base_cells)
-        if box is None:
-            for label, child, co, m, _ in node._kites["steps"]:
+        turn = _PRODUCT[o]
+        if not kites.reach:
+            for label, child, co, m, _ in kites.steps:
                 if m is None:  # co is the placement
                     v = Placement(o % 6, o >= 6).compose(co).translation
                     return (f"piece {where}/{label} is off the kite lattice: "
                             f"{v!r} is not on the hexagon lattice")
-                co = _PRODUCT[o][co]
-                if _kite_box(child, co, base_cells) is None:
-                    break
-        elif (node._kites[o, width, base_cells].bit_count()
-              != len(base_cells) * node.hats):
-            (q_lo, _, r_lo, _), parts = box
+            co = turn[co]  # the last step's piece holds the miss
+        elif kites.ints[o].bit_count() != kites.size:
+            _, iq, _, ir, *_ = SIDE_TURNS[o]
             acc, placed = 0, []
-            for label, child, co, cq, cr in parts:
-                shift = 6 * ((cq - q_lo) * width + cr - r_lo)
-                bits = child._kites[co, width, base_cells]
-                if bits.bit_count() != len(base_cells) * child.hats:
+            for label, child, co, gaps in kites.parts:
+                shift, co = 6 * (gaps[iq] * width + gaps[ir]), turn[co]
+                bits = child.ints[co]
+                if bits.bit_count() != child.size:
                     lift += shift
                     break
                 bits <<= shift
@@ -454,55 +442,61 @@ def _fault(name: str, root: SupertileNode, base_cells, width: int) -> str:
                     bit = (clash & -clash).bit_length() - 1
                     first = next(lab for lab, other in placed
                                  if other >> bit & 1)
-                    (q0, _, r0, _), _ = _kite_box(root, 0, base_cells)
                     v, k = divmod(bit + lift, 6)
-                    cell = KiteCell(q0 + v // width, r0 + v % width, k)
+                    cell = KiteCell(v // width - root.reach[1],
+                                    v % width - root.reach[3], k)
                     return (f"{where}: pieces {first} and {label} overlap "
                             f"on kite {cell}")
                 acc |= bits
                 placed.append((label, bits))
         else:
-            for label, (child, q) in zip(node.labels, node.children):
-                if not child._kites[base_cells]:
-                    co = _PRODUCT[o][q.orientation]
+            for label, child, co, _ in kites.parts:
+                if not child.contact:
+                    co = turn[co]
                     break
             else:
                 return f"{where}: patch is disconnected"
-        node, o, where = child, co, f"{where}/{label}"
+        kites, o, where = child, co, f"{where}/{label}"
 
 
-def _first_kite_fault(roots, tile: TileData, connected: bool):
-    """(root, detail) for the first of `roots` that fails the kite check,
-    worded as `check_kites(root)` words it, else (None, the last root's
-    detail).  Each root's box and size guard are taken in turn, up to the
-    first lattice miss or refusal; the roots before it are then decided
-    in turn at one packing width, the widest their boxes need, so no int
-    is made for a refused patch and the nodes they share make each int
-    once.  A root fails on its box, its int's bit count against its
-    hats, or, with `connected`, its contact verdict; only then does
-    `_fault` walk it for the wording."""
-    cells, boxes, stop = tile.cells, [], None
+def _kite_pass(roots, tile: TileData, connected: bool) -> tuple[list, str]:
+    """(verdicts, detail): whether each of `roots` passes the kite check,
+    and the first failure's detail as `check_kites(root)` words it, else
+    the last root's cell count.  A root off the kite lattice fails, as does
+    one whose box would take over _MAX_BITS_PER_HAT bits per hat, with no
+    int made; the rest are decided at the widest packing width their boxes
+    need, so shared nodes make each int once, and the ints die on return."""
+    screened, spans = [], []
     for root in roots:
-        name = f"{root.kind}-{root.generation}"
-        box = _kite_box(root, 0, cells)
-        if box is None:
-            stop = root, _fault(name, root, cells, 0)  # a miss needs no width
-            break
-        (q_lo, q_hi, r_lo, r_hi), _ = box
-        size = 6 * (q_hi - q_lo + 1) * packing_width(r_hi - r_lo)
-        if size > _MAX_BITS_PER_HAT * root.hats:
-            stop = root, (f"{name}: patch too sparse for the kite check: "
-                          f"{size} bits for {root.hats} hats, over "
-                          f"{_MAX_BITS_PER_HAT} per hat")
-            break
-        boxes.append((name, r_hi - r_lo))
-    width = packing_width(max((span for _, span in boxes), default=0))
-    for root, (name, _) in zip(roots, boxes):
-        bits = _kite_bits(root, 0, width, cells, connected)
-        if (bits.bit_count() != len(cells) * root.hats
-                or connected and not root._kites[cells]):
-            return root, _fault(name, root, cells, width)
-    return stop or (None, f"{bits.bit_count()} kite cells, no overlap")
+        kites = _kite_state(root, tile.cells)
+        name, refusal = f"{root.kind}-{root.generation}", None
+        if kites.reach:  # a side's reach plus the opposite one's: a span
+            q_span, r_span = map(add, kites.reach[:4:2], kites.reach[1:4:2])
+            size = 6 * (q_span + 1) * packing_width(r_span)
+            if size > _MAX_BITS_PER_HAT * root.hats:
+                refusal = (f"{name}: patch too sparse for the kite check: "
+                           f"{size} bits for {root.hats} hats, over "
+                           f"{_MAX_BITS_PER_HAT} per hat")
+            else:
+                spans.append(r_span)
+        screened.append((name, kites, refusal))
+    width = packing_width(max(spans, default=0))
+    verdicts, detail, made = [], None, []
+    try:
+        for name, kites, refusal in screened:
+            ok = bool(kites.reach) and not refusal
+            if ok:
+                bits = kites.ints[0] or _kite_bits(kites, 0, width, made,
+                                                   connected)
+                ok = bits.bit_count() == kites.size and (
+                    not connected or kites.contact)
+            if not ok and detail is None:
+                detail = refusal or _fault(name, kites, width)
+            verdicts.append(ok)
+    finally:
+        for ints, o in made:
+            ints[o] = None
+    return verdicts, detail or f"{bits.bit_count()} kite cells, no overlap"
 
 
 def check_kites(node: SupertileNode, tile: TileData,
@@ -510,19 +504,13 @@ def check_kites(node: SupertileNode, tile: TileData,
     """Check that the hats of a supertile built at the hat itself (a = 1,
     b = sqrt(3)) lie on distinct kites (and, if `connected`, that each
     supertile of its DAG is one edge-connected patch); returns (passed,
-    detail).
-
-    The cells are one int per (node, orientation) (see `_kite_bits`),
-    made in one pass that decides overlap and contact and words nothing.
-    Only a failure is then walked once from the root (see `_fault`), to
-    name the label path, as in `hat-3/T/P4`: of a piece off the kite
-    lattice, else of the node where a piece meets the earlier ones, with
-    the lowest kite they share, else of the first disconnected node.  A
-    patch over _MAX_BITS_PER_HAT bits per hat is refused before any int
-    is made.  `_first_kite_fault` checks several supertiles in one pass.
+    detail).  One pass decides (see `_kite_pass`); a failure names its
+    label path, as in `hat-3/T/P4` (see `_fault`): of a piece off the
+    kite lattice, else of the node where a piece meets the earlier ones,
+    with the lowest kite they share, else of the first disconnected node.
     """
-    failed, detail = _first_kite_fault([node], tile, connected)
-    return failed is None, detail
+    (ok,), detail = _kite_pass([node], tile, connected)
+    return ok, detail
 
 
 def _value_form(cfg, section: str, stem: str) -> FormVec:
@@ -554,7 +542,7 @@ def layout_from_config(text: str, tile: TileData,
     anchors from generation 3 on checked against the closed form, and their
     eight supertiles, hat-1, thc-1, ..., thc-4, are checked for kite
     disjointness and connectivity in that order, in one pass (see
-    `_first_kite_fault`).  The first fault is raised, worded as by
+    `_kite_pass`).  The first fault is raised, worded as by
     `check_kites` on its supertile; an assembly fault at generation n
     only once the generations below n pass.  `chains`, if given, keeps
     the checked chain under its shape (see `chain_at`), for the call to
@@ -581,8 +569,9 @@ def layout_from_config(text: str, tile: TileData,
             nodes += pair
     except ConstructionError as e:
         late = e
-    failed, detail = _first_kite_fault(nodes, tile, connected=True)
-    if failed:
+    verdicts, detail = _kite_pass(nodes, tile, connected=True)
+    if not all(verdicts):
+        failed = nodes[verdicts.index(False)]
         raise ConstructionError(f"generation {failed.generation}: {detail}")
     if late:
         raise late
@@ -599,26 +588,27 @@ def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
     Candidate translations sweep a (2*window+1)^2 patch of the hexagon
     lattice around the configured offset.  A candidate survives when every
     assembled hat lies on the kite lattice, on kites of its own, and the
-    hats form one connected patch.  Runs on hat proportions only, where
-    the kite decomposition exists; offsets are recorded on the a-edge
-    component of the form.  The candidates share the checked generation 1
-    of `chain_at(p, layout, chains)`; each `build` adds a generation 2.
+    hats form one connected patch.  Runs on hat proportions only, where the
+    kite decomposition exists; offsets are recorded on the a-edge component
+    of the form.  The candidates share the checked generation 1 of
+    `chain_at(p, layout, chains)`; each `build` adds a generation 2, and one
+    kite pass decides them all.
     """
     if p != hat_params():
         raise ConstructionError(
             "the fourth-piece search needs hat proportions (kite cells "
             "exist only there)")
-    found, base = [], chain_at(p, layout, chains)
+    cands, roots, base = [], [], chain_at(p, layout, chains)
     for dm in range(-window, window + 1):
         for dn in range(-window, window + 1):
             shift = tuple(dm * u + dn * v for u, v in zip(*LATTICE_BASIS))
-            cand = layout._replace(p4_gen2=FormVec(
-                tuple(map(add, layout.p4_gen2.u, shift)), layout.p4_gen2.w))
+            cands.append(layout._replace(p4_gen2=FormVec(
+                tuple(map(add, layout.p4_gen2.u, shift)), layout.p4_gen2.w)))
             # a = 1, so the form's value moves by shift, a lattice point
-            chain = base.moved_p4(cand, shift)
-            if check_kites(build(HAT, 2, p, cand, {p: chain}), tile,
-                           connected=True)[0]:
-                found.append(cand)
+            chain = base.moved_p4(cands[-1], shift)
+            roots.append(build(HAT, 2, p, cands[-1], {p: chain}))
+    verdicts, _ = _kite_pass(roots, tile, connected=True)
+    found = [cand for cand, ok in zip(cands, verdicts) if ok]
     if not found:
         raise ConstructionError(
             f"no workable fourth-piece offset within {window} lattice "

@@ -30,6 +30,7 @@ from hatfam.geometry import (
     LATTICE_BASIS,
     LatticeError,
     Placement,
+    SIDE_TURNS,
     TileData,
     TurtleStep,
     _MATRICES,
@@ -781,6 +782,24 @@ def test_transform_cells_matches_centroid_action(tile):
 
 def test_hat_kite_cells_identity(tile):
     assert hat_kite_cells(IDENTITY, tile.cells) == tile.cells
+
+
+def _reach(cells) -> tuple:
+    """How far the cells' hexagons get along q, -q, r, -r, s and -s."""
+    return tuple(max(u * q + v * r for q, r, _ in cells)
+                 for u, v in ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1),
+                              (1, 1)))
+
+
+@given(cells=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5),
+                                st.integers(0, 5)), min_size=1, max_size=8))
+def test_side_turns_permute_a_patch_reach(cells):
+    # a patch turned by o reaches along side i as far as the unturned one
+    # did along side SIDE_TURNS[o][i]
+    reach = _reach(cells)
+    for o in range(12):
+        turned = hat_kite_cells(Placement(o % 6, o >= 6), frozenset(cells))
+        assert _reach(turned) == tuple(reach[i] for i in SIDE_TURNS[o])
 
 
 def test_disjoint_cells_reports_first_clash(tile):

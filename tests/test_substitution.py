@@ -659,24 +659,72 @@ def test_layout_validation_assembles_each_generation_once(tile, monkeypatch):
     assert calls == [2, 3, 4]
 
 
-def test_layout_validation_makes_each_kite_int_once(tile, monkeypatch):
+def _spy_kite_ints(monkeypatch) -> list:
+    """The (kite state, orientation, width) of each kite int a pass makes,
+    in the order made, while the test runs."""
+    made, real = [], substitution._kite_bits
+
+    def spied(kites, o, width, *args):
+        made.append((kites, o, width))
+        return real(kites, o, width, *args)
+
+    monkeypatch.setattr(substitution, "_kite_bits", spied)
+    return made
+
+
+def _spy_builds(monkeypatch) -> list:
+    """Each node `substitution.build` returns while the test runs."""
+    built, real = [], substitution.build
+
+    def spied(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(substitution, "build", spied)
+    return built
+
+
+def _node_of(roots, tile) -> dict:
+    """The node of each kite state for the tile under `roots`, by id."""
+    return {id(node._kites[tile.cells]): node for root in roots
+            for node in _distinct_nodes(root) if tile.cells in node._kites}
+
+
+def _made_once_at_one_width(made) -> bool:
+    return (len({(id(kites), o) for kites, o, _ in made}) == len(made)
+            and len({width for *_, width in made}) == 1)
+
+
+def test_layout_validation_makes_each_kite_int_once(tile, hat_p,
+                                                    monkeypatch):
     # one ordered pass over the eight supertiles of generations 1-4, at
     # one packing width, tests overlap and contact together: each (node,
-    # orientation) int is stored once
-    stored = []
+    # orientation) int is made once
+    made, chains = _spy_kite_ints(monkeypatch), {}
+    layout_from_config(load_text("layout.cfg"), tile, chains)
+    assert made and _made_once_at_one_width(made)
+    node_of = _node_of(chains[hat_p].pairs[3], tile)
+    assert {node_of[id(kites)].generation for kites, _, _ in made} == \
+        {1, 2, 3, 4}
 
-    class Stores(dict):
-        def __setitem__(self, key, value):
-            stored.append((self, key))
-            super().__setitem__(key, value)
 
-    monkeypatch.setattr(SupertileNode, "_kites", property(
-        lambda node: node.__dict__.setdefault("_stores", Stores())))
-    layout_from_config(load_text("layout.cfg"), tile)
-    ints = [(id(memo), key) for memo, key in stored
-            if isinstance(key, tuple) and len(key) == 3]  # (o, width, cells)
-    assert ints and len(set(ints)) == len(ints)
-    assert len({width for _, (_, width, _) in ints}) == 1
+def test_search_makes_each_kite_int_once(tile, hat_p, monkeypatch):
+    # the candidates are decided in one pass at one packing width, so the
+    # generation-1 nodes they share make each (node, orientation) int once
+    chains = {}
+    layout = layout_from_config(load_text("layout.cfg"), tile, chains)
+    want = _reference_search(hat_p, layout, tile, 2)
+    made, built = _spy_kite_ints(monkeypatch), _spy_builds(monkeypatch)
+    assert search_layout(hat_p, layout, tile, 2, chains) == want
+    assert len(built) == 25 and _made_once_at_one_width(made)
+    node_of = _node_of(built, tile)
+    # each candidate makes one int, its own at the root's orientation, and
+    # every other int is of the generation 1 they share
+    ints = [(node_of[id(kites)], o) for kites, o, _ in made]
+    assert sorted((id(node), o) for node, o in ints if node in built) == \
+        sorted((id(node), 0) for node in built)
+    assert {id(node) for node, _ in ints if node not in built} == \
+        {id(node) for node in chains[hat_p].pairs[0]}
 
 
 # ------------------------------------- validation against a check per node
@@ -898,29 +946,34 @@ def test_search_floods_no_overlapping_candidate(tile, hat_p, monkeypatch):
     chains = {}
     layout = layout_from_config(load_text("layout.cfg"), tile, chains)
     want = search_layout(hat_p, layout, tile, 1)
-    stack, flooded, short = [], [], []
+    stack, made, floods = [], [], []
     bits_of = substitution._kite_bits
     connected_of = substitution.cells_connected
 
-    def spied_bits(node, *args):
-        stack.append(node)
-        bits = bits_of(node, *args)
+    def spied_bits(kites, *args):
+        stack.append(kites)
+        made.append((kites, bits_of(kites, *args)))
         stack.pop()
-        if bits.bit_count() != len(tile.cells) * node.hats:
-            short.append(node)
-        return bits
+        return made[-1][1]
 
     def spied_connected(parts, width):
         whole = 0
         for bits in parts:
             whole |= bits
-        flooded.append(whole.bit_count() == len(tile.cells) * stack[-1].hats)
+        floods.append((stack[-1], whole))
         return connected_of(parts, width)
 
     monkeypatch.setattr(substitution, "_kite_bits", spied_bits)
     monkeypatch.setattr(substitution, "cells_connected", spied_connected)
+    built = _spy_builds(monkeypatch)
     assert search_layout(hat_p, layout, tile, 1, chains) == want
-    assert short and flooded and all(flooded)
+    node_of = _node_of(built, tile)
+
+    def whole(kites, bits) -> bool:
+        return bits.bit_count() == len(tile.cells) * node_of[id(kites)].hats
+
+    assert floods and all(whole(*flood) for flood in floods)
+    assert not all(whole(*int_made) for int_made in made)
 
 
 @pytest.mark.parametrize("window", [1, 2, 3])
@@ -1075,10 +1128,16 @@ def _matches_flat(node, tile, connected):
 
 def _root_cells(node, tile):
     """The root's kite bitset decoded to (hex_q, hex_r, corner_k) cells:
-    bit 6*(q*width + r) + k is the cell (q_lo + q, r_lo + r, k)."""
-    (q_lo, _, r_lo, r_hi), _ = substitution._kite_box(node, 0, tile.cells)
+    bit 6*(q*width + r) + k is the cell (q_lo + q, r_lo + r, k), where the
+    root's reach along -q and -r is -q_lo and -r_lo."""
+    kites = substitution._kite_state(node, tile.cells)
+    _, q_lo, r_hi, r_lo, *_ = kites.reach
+    q_lo, r_lo = -q_lo, -r_lo
     width = packing_width(r_hi - r_lo)
-    bits = substitution._kite_bits(node, 0, width, tile.cells)
+    made = []
+    bits = substitution._kite_bits(kites, 0, width, made, False)
+    for ints, o in made:  # freed, as a pass frees them
+        ints[o] = None
     out = set()
     for i, bit in enumerate(reversed(bin(bits)[2:])):
         if bit == "1":
@@ -1180,7 +1239,7 @@ def _has_a_hat_off_the_lattice(node) -> bool:
 
 def _clear_kite_memos(nodes):
     for node in nodes:
-        vars(node).pop("_kites", None)
+        node._kites.clear()
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
