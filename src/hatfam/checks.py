@@ -7,9 +7,9 @@ and reports it as passed or failed.  Only `verify` imports this module,
 and with it `render`, which the renderer item draws with.
 
 `recurrence` and `angle-identity` read each shape's supervectors from one
-`v_table` pass and compare on stored ints (`_same`), so no QSqrt3 is made
-only to be compared.  A failure text with fields is formatted only once
-its check has failed.
+`v_table` pass and compare on stored ints (`_same`, `_same_products`), so
+no QSqrt3 is made only to be compared.  A failure text with fields is
+formatted only once its check has failed.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from .substitution import (
 )
 from .supervectors import (
     TileParams,
+    cross_dot,
     hat_params,
     make_params,
     tan_alpha,
-    tan_between,
     tan_theta,
     total_rotation_float,
     turtle_params,
@@ -66,6 +66,14 @@ def _same(x: QSqrt3, a: int, b: int, d: int) -> bool:
     """x == (a + b*sqrt(3))/d for ints a, b and d > 0, cross-multiplied
     on x's stored ints: no gcd runs and no QSqrt3 is made."""
     return x.a * d == a * x.d and x.b * d == b * x.d
+
+
+def _same_products(x: QSqrt3, r: tuple, p: tuple, q: tuple) -> bool:
+    """x*r == p*q, each of r, p, q ints (a, b, d) as `_same` takes them."""
+    (ra, rb, rd), (pa, pb, pd), (qa, qb, qd) = r, p, q
+    dx, dp = x.d * rd, pd * qd
+    return ((x.a * ra + 3 * x.b * rb) * dp == (pa * qa + 3 * pb * qb) * dx
+            and (x.a * rb + x.b * ra) * dp == (pa * qb + pb * qa) * dx)
 
 
 def _is_3x_minus_y(c: QSqrt3, x: QSqrt3, y: QSqrt3) -> bool:
@@ -157,26 +165,24 @@ def _check_angle_identity(max_gen: int, env) -> str:
              (make_params(QSqrt3(5), QSqrt3(0, 5)), False, True)]
     for p, exact, hat_ratio in walks:
         tb, s2, t2 = p.s / p.t, p.s * p.s, p.t * p.t
-        # tan * X_n == tb times 2t^2 is tan * (t2 L_2n L_2n-2 + s2 F_2n
-        # F_2n-2) == 2 t2 tb, with t2 and s2 put over one denominator d
+        # tan(alpha_n) = cross/dot, so tan * X_n == tb, times 2t2 * dot,
+        # is rhs * dot == cross * (t2 L_2n L_2n-2 + s2 F_2n F_2n-2), with
+        # t2 and s2 put over one denominator d; tan * g(n) == tb is tb *
+        # dot == cross * g(n).  No quotient is made.
         rhs, d = t2 * tb * 2, t2.d * s2.d
         ta, tr, sa, sr = t2.a * s2.d, t2.b * s2.d, s2.a * t2.d, s2.b * t2.d
         vs = v_table(50, p)
         # (F_2n-2, L_2n-2, F_2n, L_2n), stepped by x_n = 3x_(n-1) - x_(n-2)
         f0, l0, f1, l1 = 0, 2, 1, 3
         for n in range(1, 51):
-            tan = tan_between(vs[n - 1], vs[n]).value
-            if exact:  # X_n = (t^2 L_2n L_2n-2 + s^2 F_2n F_2n-2) / 2t^2
-                ll, ff = l1 * l0, f1 * f0
-                xa, xb = ta * ll + sa * ff, tr * ll + sr * ff
-                if not _same(rhs, tan.a * xa + 3 * tan.b * xb,
-                             tan.a * xb + tan.b * xa, tan.d * d):
-                    raise VerifyFailure(
-                        f"exact factor identity fails at n={n}")
-            if hat_ratio:
-                g = g_closed(n)
-                if not _same(tb, tan.a * g, tan.b * g, tan.d):
-                    raise VerifyFailure(f"g(n) identity fails at n={n}")
+            cross, dot = cross_dot(vs[n - 1], vs[n])
+            ll, ff = l1 * l0, f1 * f0
+            if exact and not _same_products(rhs, dot, cross, (
+                    ta * ll + sa * ff, tr * ll + sr * ff, d)):
+                raise VerifyFailure(f"exact factor identity fails at n={n}")
+            if hat_ratio and not _same_products(tb, dot, cross,
+                                                (g_closed(n), 0, 1)):
+                raise VerifyFailure(f"g(n) identity fails at n={n}")
             f0, l0, f1, l1 = f1, l1, 3 * f1 - f0, 3 * l1 - l0
     return ("tan(alpha_n) times the exact factor is tan(beta) everywhere; "
             "the g(n) factor works at hat proportions")
@@ -310,7 +316,7 @@ _VERIFY_ITEMS = (
 def run(max_gen: int, tile, layout,
         chains: dict) -> list[tuple[str, bool, str, float]]:
     """Run every item; return (name, passed, detail, seconds) for each.
-    `chains`, the call's chains of `layout` by shape (see
+    `chains`, the call's chains by layout and shape (see
     `substitution.chain_at`), is read and extended."""
     env = {"tile": tile, "layout": layout, "chains": chains}
     items = []

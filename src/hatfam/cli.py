@@ -82,8 +82,8 @@ def _params(args) -> TileParams:
 
 
 def _load_tile_layout(args):
-    """The tile, the validated layout, and the call's chains of it by
-    shape (see `substitution.chain_at`), which hold the one layout
+    """The tile, the validated layout, and the call's chains by layout
+    and shape (see `substitution.chain_at`), which hold the one layout
     validation checked at hat proportions."""
     tile = tile_from_config(load_text("tile.cfg", args.data_dir))
     chains = {}

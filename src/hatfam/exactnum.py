@@ -6,8 +6,8 @@ d > 0 and gcd(a, b, d) = 1, so each value has exactly one stored form.
 At hat scale d is 1 or 2: sums of equal denominators skip the
 cross-multiplication, products skip the gcd when d = 1, and signs compare
 a^2 with 3 b^2 on ints.  `_pair` is the fused kernel p*q +- r*u on the
-stored ints, unreduced: `supervectors.tan_between` makes a cross and a
-dot with it and divides those ints (`_quotient`), reduced once.  The
+stored ints, unreduced: `supervectors.cross_dot` makes a cross and a
+dot with it, which `tan_between` divides (`_quotient`), reduced once.  The
 rational parts r = a/d and s = b/d are Fractions, made on request for the
 render edge; `parse_scalar` reads its text straight to (a, b, d).
 Nothing here ever rounds; floats only appear on explicit conversion at

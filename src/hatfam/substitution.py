@@ -11,19 +11,20 @@ supervector V_n, and from generation 3 on both anchors propagate by a
 fixed interior coincidence, checked against V_n.  A `Chain` holds the
 generations of one layout at one shape, in Q(zeta) integers over the
 shape's denominator, from forms that load as Z[zeta] points; a command
-keeps its chains for the call, so each supertile is assembled once per
-call; `search_layout`'s candidates share one chain's generation 1
-(`Chain.moved_p4`) and its kite states.  `check_kites` decides kite
-disjointness and contact on the DAG in one pass: each node's lattice
-steps and six-sided reach are taken once per call, and each (node,
-orientation) makes its cells once per pass as one int, the OR of its
-children's shifted ints, whose bit count shows an overlap; touching
-connected pieces make a connected node.  A root that fails is walked
-once more to word its fault.  `layout_from_config` checks generations
-1-4 in one pass, and `search_layout` all its candidates.  `expand`
-walks every single hat, only to draw: on Q(zeta) int steps over the
-root's denominator, which it turns once per (node, orientation), making a
-Placement per hat and none per edge.  Every turn here is geometry's `moved`.
+keeps its chains for the call by layout and shape, so each supertile is
+assembled once per call; `search_layout`'s candidates share one chain's
+generation 1 (`Chain.moved_p4`) and its kite states.  `check_kites`
+decides kite disjointness and contact on the DAG in one pass: each
+node's lattice steps and six-sided reach are taken once per call, and
+each (node, orientation) makes its cells once per pass as one int held
+by the pass, the OR of its children's shifted ints, whose bit count
+shows an overlap; touching connected pieces make a connected node.  A
+root that fails is walked once more to word its fault.
+`layout_from_config` checks generations 1-4 in one pass, and
+`search_layout` all its candidates.  `expand` walks every single hat,
+only to draw: on Q(zeta) int steps over the root's denominator, which it
+turns once per (node, orientation), making a Placement per hat and none
+per edge.  Every turn here is geometry's `moved`.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from .configfile import (
     value_ints,
     value_vector,
 )
-from .exactnum import (VecE, reduced_coords, render_scalar, zeta_coords,
-                       zeta_vector)
+from .exactnum import VecE, reduced_coords, zeta_coords, zeta_vector
 from .geometry import (
     IDENTITY,
     KiteCell,
@@ -165,7 +165,7 @@ class Chain:
     coordinates over `den` = lcm(a.d, b.d), the outline's, so assembly is
     int sums and `moved` turns; the layout's four forms are evaluated at p
     once, here, by `scaled`, and heads 1 and 2 are their tails plus V_n.
-    A command holds its chains for one call, by shape (see `chain_at`)."""
+    A call's chains are keyed by layout and shape (see `chain_at`)."""
 
     def __init__(self, p: TileParams, layout: LayoutTable):
         self.p, self.layout = p, layout
@@ -272,23 +272,19 @@ def _assemble(n: int, chain: Chain):
 
 def chain_at(p: TileParams, layout: LayoutTable,
              chains: dict | None = None) -> Chain:
-    """The chain of `layout` at p: the one `chains`, a call's chains of
-    this layout by shape, holds, else a new one, which `chains` keeps.
-    A held chain of another layout raises ValueError."""
+    """The chain of `layout` at p: the one `chains`, a call's chains by
+    layout and shape, holds, else a new one, which `chains` keeps."""
     if chains is None:
         return Chain(p, layout)
-    if p not in chains:
-        chains[p] = Chain(p, layout)
-    elif chains[p].layout != layout:
-        raise ValueError(f"the chain held at Tile({render_scalar(p.a)}, "
-                         f"{render_scalar(p.b)}) is of another layout")
-    return chains[p]
+    if (layout, p) not in chains:
+        chains[layout, p] = Chain(p, layout)
+    return chains[layout, p]
 
 
 def build(kind: str, n: int, p: TileParams, layout: LayoutTable,
           chains: dict | None = None) -> SupertileNode:
     """Assemble the generation-n supertile of the given kind, extending
-    the chain at p that `chains` holds, if given (see `chain_at`).
+    the chain of `layout` at p that `chains` holds, if given (`chain_at`).
 
     Raises ConstructionError when the layout produces anchors that
     disagree with the closed-form supervector or a meeting-rule slot the
@@ -339,13 +335,13 @@ class _Kites:
     `SIDE_TURNS`), False if a hat under it is off the lattice; parts, per
     child (label, state, orientation, gaps), gaps[i] how far short of the
     node's reach along side i the placed child stops, or a single hat's
-    cells; contact, a connected pass's verdict; ints, in a pass, per turn."""
+    cells; contact, a connected pass's verdict; its ints live in a pass."""
 
-    __slots__ = "size", "steps", "reach", "parts", "ints", "contact"
+    __slots__ = "size", "steps", "reach", "parts", "contact"
 
     def __init__(self, node: SupertileNode, cells):
         self.size = len(cells) * node.hats
-        self.steps, self.ints, self.contact = [], [None] * 12, None
+        self.steps, self.contact = [], None
         if not node.children:  # a single hat
             self.parts, self.reach = cells, tuple(map(max, zip(*[
                 (q, -q, r, -r, -q - r, q + r) for q, r, _ in cells])))
@@ -376,23 +372,24 @@ def _kite_state(node: SupertileNode, cells) -> _Kites:
     return node._kites[cells]
 
 
-def _kite_bits(kites: _Kites, o: int, width: int, made: list,
+def _kite_bits(kites: _Kites, o: int, width: int, ints: dict,
                connected: bool) -> int:
-    """Fill `kites.ints[o]`, each child's first, listing it in `made` for
-    the pass to free: the node's cells at orientation o packed about its
+    """`ints[kites, o]`, made first if the pass's `ints` lacks it, each
+    child's before it: the node's cells at orientation o packed about its
     box's low corner at `width` (see `packing_width`), the OR of its
     pieces' ints shifted by their gaps (a single hat's pieces are its
     kites), which share no kite exactly when the OR keeps every bit.  If
     `connected` and its contact verdict is open, the node passes when it
     kept every bit, each child passes and the pieces touch as one patch."""
+    if acc := ints.get((kites, o)):
+        return acc
     _, iq, _, ir, *_ = SIDE_TURNS[o]  # the sides -q and -r at the turn
     keep = connected and kites.contact is None
     if kites.steps:
         turn, acc, pieces = _PRODUCT[o], 0, []
         for _, child, co, gaps in kites.parts:
-            bits = (child.ints[turn[co]] or _kite_bits(
-                child, turn[co], width, made, connected)) << 6 * (
-                    gaps[iq] * width + gaps[ir])
+            bits = _kite_bits(child, turn[co], width, ints,
+                              connected) << 6 * (gaps[iq] * width + gaps[ir])
             acc |= bits
             if keep:  # else each shifted int is dropped once ORed
                 pieces.append(bits)
@@ -406,18 +403,17 @@ def _kite_bits(kites: _Kites, o: int, width: int, made: list,
             acc.bit_count() == kites.size
             and all(child.contact for _, child, *_ in kites.steps)
             and cells_connected(pieces, width))
-    kites.ints[o] = acc
-    made.append((kites.ints, o))
+    ints[kites, o] = acc
     return acc
 
 
-def _fault(name: str, root: _Kites, width: int) -> str:
-    """The detail of the kite fault the pass at `width` found in `root`,
-    named `name`, walking from the root into the first piece that holds
-    it: at each node a lattice miss first; then a clash (the int lost
-    bits), the first piece to meet the earlier ones, with the first that
-    holds their lowest shared kite, unless a piece before it lost bits;
-    else the first piece whose contact failed, or the node, disconnects."""
+def _fault(name: str, root: _Kites, width: int, ints: dict) -> str:
+    """The detail of the kite fault the pass at `width`, with `ints`, found
+    in `root`, named `name`, walking from it into the first piece that
+    holds it: at each node a lattice miss first; then a clash (the int
+    lost bits), the first piece to meet the earlier ones, with the first
+    that holds their lowest shared kite, unless a piece before it lost
+    bits; else the first piece, or the node, that is not one patch."""
     kites, o, where, lift = root, 0, name, 0
     while True:
         turn = _PRODUCT[o]
@@ -428,12 +424,12 @@ def _fault(name: str, root: _Kites, width: int) -> str:
                     return (f"piece {where}/{label} is off the kite lattice: "
                             f"{v!r} is not on the hexagon lattice")
             co = turn[co]  # the last step's piece holds the miss
-        elif kites.ints[o].bit_count() != kites.size:
+        elif ints[kites, o].bit_count() != kites.size:
             _, iq, _, ir, *_ = SIDE_TURNS[o]
             acc, placed = 0, []
             for label, child, co, gaps in kites.parts:
                 shift, co = 6 * (gaps[iq] * width + gaps[ir]), turn[co]
-                bits = child.ints[co]
+                bits = ints[child, co]
                 if bits.bit_count() != child.size:
                     lift += shift
                     break
@@ -465,7 +461,7 @@ def _kite_pass(roots, tile: TileData, connected: bool) -> tuple[list, str]:
     the last root's cell count.  A root off the kite lattice fails, as does
     one whose box would take over _MAX_BITS_PER_HAT bits per hat, with no
     int made; the rest are decided at the widest packing width their boxes
-    need, so shared nodes make each int once, and the ints die on return."""
+    need, so shared nodes make each int once, into a dict freed on return."""
     screened, spans = [], []
     for root in roots:
         kites = _kite_state(root, tile.cells)
@@ -481,21 +477,16 @@ def _kite_pass(roots, tile: TileData, connected: bool) -> tuple[list, str]:
                 spans.append(r_span)
         screened.append((name, kites, refusal))
     width = packing_width(max(spans, default=0))
-    verdicts, detail, made = [], None, []
-    try:
-        for name, kites, refusal in screened:
-            ok = bool(kites.reach) and not refusal
-            if ok:
-                bits = kites.ints[0] or _kite_bits(kites, 0, width, made,
-                                                   connected)
-                ok = bits.bit_count() == kites.size and (
-                    not connected or kites.contact)
-            if not ok and detail is None:
-                detail = refusal or _fault(name, kites, width)
-            verdicts.append(ok)
-    finally:
-        for ints, o in made:
-            ints[o] = None
+    verdicts, detail, ints = [], None, {}
+    for name, kites, refusal in screened:
+        ok = bool(kites.reach) and not refusal
+        if ok:
+            bits = _kite_bits(kites, 0, width, ints, connected)
+            ok = bits.bit_count() == kites.size and (
+                not connected or kites.contact)
+        if not ok and detail is None:
+            detail = refusal or _fault(name, kites, width, ints)
+        verdicts.append(ok)
     return verdicts, detail or f"{bits.bit_count()} kite cells, no overlap"
 
 
@@ -544,9 +535,8 @@ def layout_from_config(text: str, tile: TileData,
     disjointness and connectivity in that order, in one pass (see
     `_kite_pass`).  The first fault is raised, worded as by
     `check_kites` on its supertile; an assembly fault at generation n
-    only once the generations below n pass.  `chains`, if given, keeps
-    the checked chain under its shape (see `chain_at`), for the call to
-    extend.
+    only once the generations below n pass.  `chains`, if given, holds
+    the chain it checks (see `chain_at`), for the call to extend.
     """
     cfg = parse_config(text)
     layout = LayoutTable(
@@ -563,7 +553,7 @@ def layout_from_config(text: str, tile: TileData,
     layout.validate_structure()
     # the constructive half: generations 1..4 at hat proportions
     p = hat_params()
-    chain, nodes, late = Chain(p, layout), [], None
+    chain, nodes, late = chain_at(p, layout, chains), [], None
     try:
         for pair in chain.upto(4):
             nodes += pair
@@ -575,8 +565,6 @@ def layout_from_config(text: str, tile: TileData,
         raise ConstructionError(f"generation {failed.generation}: {detail}")
     if late:
         raise late
-    if chains is not None:
-        chains[p] = chain
     return layout
 
 
@@ -591,8 +579,8 @@ def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
     hats form one connected patch.  Runs on hat proportions only, where the
     kite decomposition exists; offsets are recorded on the a-edge component
     of the form.  The candidates share the checked generation 1 of
-    `chain_at(p, layout, chains)`; each `build` adds a generation 2, and one
-    kite pass decides them all.
+    `chain_at(p, layout, chains)`; each `build` adds a generation 2 on a
+    chain held under its candidate, and one kite pass decides them all.
     """
     if p != hat_params():
         raise ConstructionError(
@@ -606,7 +594,7 @@ def search_layout(p: TileParams, layout: LayoutTable, tile: TileData,
                 tuple(map(add, layout.p4_gen2.u, shift)), layout.p4_gen2.w)))
             # a = 1, so the form's value moves by shift, a lattice point
             chain = base.moved_p4(cands[-1], shift)
-            roots.append(build(HAT, 2, p, cands[-1], {p: chain}))
+            roots.append(build(HAT, 2, p, cands[-1], {(cands[-1], p): chain}))
     verdicts, _ = _kite_pass(roots, tile, connected=True)
     found = [cand for cand, ok in zip(cands, verdicts) if ok]
     if not found:

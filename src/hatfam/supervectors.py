@@ -134,12 +134,17 @@ def tan_theta(n: int, p: TileParams) -> AngleTan:
     return AngleTan(v.x / v.y)
 
 
+def cross_dot(v: VecE, w: VecE) -> tuple[tuple, tuple]:
+    """(w x v, w . v), each the unreduced ints (a, b, d) of `_pair`."""
+    return _pair(w.x, v.y, w.y, v.x, -1), _pair(w.x, v.x, w.y, v.y, 1)
+
+
 def tan_between(v: VecE, w: VecE) -> AngleTan:
     """Exact tangent of the clockwise angle from v to w, (w x v)/(w . v):
     tan(alpha_n) for consecutive supervectors v = V_(n-1) and w = V_n.
-    Cross and dot stay unreduced ints, divided with one reduction."""
-    return AngleTan(_quotient(*_pair(w.x, v.y, w.y, v.x, -1),
-                              *_pair(w.x, v.x, w.y, v.y, 1)))
+    Cross and dot (`cross_dot`) are divided with one reduction."""
+    cross, dot = cross_dot(v, w)
+    return AngleTan(_quotient(*cross, *dot))
 
 
 def tan_alpha(n: int, p: TileParams) -> AngleTan:

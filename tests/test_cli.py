@@ -20,11 +20,10 @@ from hatfam.exactnum import QSqrt3, VecE
 from hatfam.sequences import g_closed, g_recurrence
 from hatfam.substitution import check_kites, expand, measured_supervector
 from hatfam.supervectors import (
-    AngleTan,
     TileParams,
+    cross_dot,
     hat_params,
     make_params,
-    tan_between,
     v_closed,
     v_table,
 )
@@ -598,10 +597,13 @@ def test_verify_fails_on_one_wrong_rotation_tangent(monkeypatch, capsys):
     v36, v37 = v_closed(36, q), v_closed(37, q)
 
     def wrong(v, w):
-        tan = tan_between(v, w)
-        return AngleTan(tan.value + 1) if (v, w) == (v36, v37) else tan
+        cross, dot = cross_dot(v, w)
+        if (v, w) == (v36, v37):  # (cross + dot)/dot is the tangent plus 1
+            (ca, cb, cd), (da, db, dd) = cross, dot
+            cross = (ca * dd + da * cd, cb * dd + db * cd, cd * dd)
+        return cross, dot
 
-    monkeypatch.setattr("hatfam.checks.tan_between", wrong)
+    monkeypatch.setattr("hatfam.checks.cross_dot", wrong)
     assert main(["verify", "--max-gen", "2"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[3].startswith(

@@ -661,12 +661,14 @@ def test_layout_validation_assembles_each_generation_once(tile, monkeypatch):
 
 def _spy_kite_ints(monkeypatch) -> list:
     """The (kite state, orientation, width) of each kite int a pass makes,
-    in the order made, while the test runs."""
+    in the order made, while the test runs: a call whose int the pass
+    already holds only reads it."""
     made, real = [], substitution._kite_bits
 
-    def spied(kites, o, width, *args):
-        made.append((kites, o, width))
-        return real(kites, o, width, *args)
+    def spied(kites, o, width, ints, *args):
+        if (kites, o) not in ints:
+            made.append((kites, o, width))
+        return real(kites, o, width, ints, *args)
 
     monkeypatch.setattr(substitution, "_kite_bits", spied)
     return made
@@ -701,9 +703,9 @@ def test_layout_validation_makes_each_kite_int_once(tile, hat_p,
     # one packing width, tests overlap and contact together: each (node,
     # orientation) int is made once
     made, chains = _spy_kite_ints(monkeypatch), {}
-    layout_from_config(load_text("layout.cfg"), tile, chains)
+    layout = layout_from_config(load_text("layout.cfg"), tile, chains)
     assert made and _made_once_at_one_width(made)
-    node_of = _node_of(chains[hat_p].pairs[3], tile)
+    node_of = _node_of(chains[layout, hat_p].pairs[3], tile)
     assert {node_of[id(kites)].generation for kites, _, _ in made} == \
         {1, 2, 3, 4}
 
@@ -724,7 +726,7 @@ def test_search_makes_each_kite_int_once(tile, hat_p, monkeypatch):
     assert sorted((id(node), o) for node, o in ints if node in built) == \
         sorted((id(node), 0) for node in built)
     assert {id(node) for node, _ in ints if node not in built} == \
-        {id(node) for node in chains[hat_p].pairs[0]}
+        {id(node) for node in chains[layout, hat_p].pairs[0]}
 
 
 # ------------------------------------- validation against a check per node
@@ -927,13 +929,14 @@ def test_search_builds_each_candidate_on_one_generation_one(
     monkeypatch.setattr(substitution, "_check_anchor", spied_check)
     found = search_layout(hat_p, layout, tile, window=1)
     assert len(builds) == 9
-    # one candidate chain per build, held under the shape as `chain_at`
-    # reads it, all on the search's one generation 1
+    # one candidate chain per build, held under its layout and the shape
+    # as `chain_at` reads it, all on the search's one generation 1
     for kind, n, cand, chains, node in builds:
-        assert (kind, n, list(chains)) == (HAT, 2, [hat_p])
-        assert chains[hat_p].layout is cand
-        assert chain_at(hat_p, cand, chains) is chains[hat_p]
-    assert len({id(chains[hat_p].pairs[0]) for *_, chains, _ in builds}) == 1
+        assert (kind, n, list(chains)) == (HAT, 2, [(cand, hat_p)])
+        assert chains[cand, hat_p].layout is cand
+        assert chain_at(hat_p, cand, chains) is chains[cand, hat_p]
+    assert len({id(chains[cand, hat_p].pairs[0])
+                for _, _, cand, chains, _ in builds}) == 1
     assert len({id(node.children[0][0]) for *_, node in builds}) == 1
     # generations 1 and 2 hold their anchors by construction
     assert anchors == []
@@ -986,7 +989,7 @@ def test_search_on_the_call_chain_reuses_its_generation_one(
     want = search_layout(hat_p, layout_from_config(text, tile), tile, window)
     chains = {}
     layout = layout_from_config(text, tile, chains)
-    held = chains[hat_p]
+    held = chains[layout, hat_p]
     gen1 = held.pairs[0]
     builds, anchors = [], []
     real_build, real_check = substitution.build, substitution._check_anchor
@@ -1009,27 +1012,39 @@ def test_search_on_the_call_chain_reuses_its_generation_one(
     assert all(node.children[0][0] is gen1[1]
                and node.children[1][0] is gen1[0] for node in builds)
     # the call's chain is left as validation made it
-    assert chains == {hat_p: held} and held.layout is layout
+    assert chains == {(layout, hat_p): held} and held.layout is layout
     assert len(held.pairs) == 4 and held.pairs[0] is gen1
 
 
-def test_chain_at_refuses_a_chain_of_another_layout(layout, hat_p):
+def _same_assembly(got, want) -> bool:
+    """Whether two generation-n nodes hold the same placements and
+    anchors."""
+    return ([q for _, q in got.children] == [q for _, q in want.children]
+            and (got.tail, got.head, got.den) == (want.tail, want.head,
+                                                  want.den))
+
+
+def test_one_dict_holds_each_layouts_chain(layout, hat_p):
+    # the chains are keyed by layout and shape, so two layouts' chains at
+    # one shape share a dict, and each is got back unchanged as its own
     other = layout._replace(p4_gen2=_plus(layout.p4_gen2, U1))
-    chains = {hat_p: Chain(hat_p, layout)}
-    for ask in (lambda: chain_at(hat_p, other, chains),
-                lambda: build(HAT, 2, hat_p, other, chains)):
-        with pytest.raises(ValueError, match=re.escape(
-                "the chain held at Tile(1, 1*r3) is of another layout")):
-            ask()
-    assert chain_at(hat_p, layout, chains) is chains[hat_p]
-    # a chain moved to the other layout is read as its own, and assembles
-    # what a fresh chain of it does
-    moved = chains[hat_p].moved_p4(other, zeta_coords(U1)[0])
-    assert chain_at(hat_p, other, {hat_p: moved}) is moved
-    got, want = moved.node(HAT, 2), Chain(hat_p, other).node(HAT, 2)
-    assert got.children[0][0] is chains[hat_p].node(THC, 1)
-    assert [q for _, q in got.children] == [q for _, q in want.children]
-    assert (got.tail, got.head, got.den) == (want.tail, want.head, want.den)
+    chains = {}
+    mine, theirs = (chain_at(hat_p, lay, chains) for lay in (layout, other))
+    assert chains == {(layout, hat_p): mine, (other, hat_p): theirs}
+    assert build(HAT, 2, hat_p, other, chains) is theirs.node(HAT, 2)
+    assert build(HAT, 2, hat_p, layout, chains) is mine.node(HAT, 2)
+    for lay, chain in ((layout, mine), (other, theirs)):
+        assert chain_at(hat_p, lay, chains) is chain and chain.layout is lay
+        assert len(chain.pairs) == 2 and _same_assembly(
+            chain.node(HAT, 2), Chain(hat_p, lay).node(HAT, 2))
+    assert len(chains) == 2
+    # a chain moved to the other layout is held under it, and assembles
+    # what a fresh chain of it does on the first chain's generation 1
+    moved = mine.moved_p4(other, zeta_coords(U1)[0])
+    assert chain_at(hat_p, other, {(other, hat_p): moved}) is moved
+    got = moved.node(HAT, 2)
+    assert got.children[0][0] is mine.node(THC, 1)
+    assert _same_assembly(got, Chain(hat_p, other).node(HAT, 2))
 
 
 # ------------------------------------------------ bitset against flat check
@@ -1134,10 +1149,7 @@ def _root_cells(node, tile):
     _, q_lo, r_hi, r_lo, *_ = kites.reach
     q_lo, r_lo = -q_lo, -r_lo
     width = packing_width(r_hi - r_lo)
-    made = []
-    bits = substitution._kite_bits(kites, 0, width, made, False)
-    for ints, o in made:  # freed, as a pass frees them
-        ints[o] = None
+    bits = substitution._kite_bits(kites, 0, width, {}, False)
     out = set()
     for i, bit in enumerate(reversed(bin(bits)[2:])):
         if bit == "1":
@@ -1155,6 +1167,33 @@ def test_packed_cells_equal_the_flat_cells(layout, tile, hat_p, kind):
         assert ok and len(flat) == 8 * tile_counts(kind, gen)
         assert _root_cells(node, tile) == set(flat)
         assert check_kites(node, tile) == _flat_check(node, tile, False)
+
+
+def test_pass_order_on_one_chain_gives_a_fresh_chains_verdicts(
+        layout, tile, hat_p):
+    # each pass keeps its ints to itself: on one chain, a pass without
+    # contact then one with it, on a wide root and then on a narrow one
+    # under it, each give what the same pass gives on a fresh chain.  The
+    # fourth piece at generation 2 stays, moves to clash at generations 2
+    # and 3, to disconnect hat-2, and off the lattice.
+    kinds = set()
+    for move in (VEC_ZERO, U1, VecE(QSqrt3(-3), QSqrt3(0, 3)), U2,
+                 VecE(QSqrt3(1), QSqrt3(0))):
+        case = layout._replace(p4_gen2=_plus(layout.p4_gen2, move))
+        chain = Chain(hat_p, case)
+        wide, narrow = chain.node(HAT, 4), chain.node(HAT, 2)
+        reach = [substitution._kite_state(node, tile.cells).reach
+                 for node in (wide, narrow)]
+        if all(reach):  # packed at the widths their r spans need
+            assert packing_width(sum(reach[0][2:4])) > \
+                packing_width(sum(reach[1][2:4]))
+        for node in (wide, narrow):
+            for connected in (False, True):
+                got = check_kites(node, tile, connected)
+                assert got == check_kites(Chain(hat_p, case).node(
+                    HAT, node.generation), tile, connected)
+                kinds.add(_kind(got[1]) if not got[0] else "ok")
+    assert kinds == {"ok", *_KINDS}
 
 
 def test_root_clash_matches_the_flat_check(layout, tile, hat_p):
