@@ -4,7 +4,9 @@ trihexagonal kite-cell lattice.
 Points are Q(zeta) ints, zeta = e^(i*pi/6).  Every turn in the package
 is one of 12 orientations, applied to them by `moved`, whose matrices are
 read off the powers of zeta (`_ZETA`); the kite lattice's turns
-(`LATTICE_TURNS`) are read off its basis turned by it.
+(`LATTICE_TURNS`) are read off its basis turned by it, and the renderer
+reads a turned outline off its values in the 12 directions zeta^k, which
+an orientation permutes.
 
 Outlines are traced by walking edges of the two tile edge classes (length a
 or b) with headings at multiples of 30 degrees, the unit at heading h being

@@ -4,16 +4,23 @@ One path per hat, colored by rotation class with reflected hats darkened,
 optional kite-grid layer, and supervector arrows for the top generations.
 All geometry stays exact until the final float formatting, and identical
 inputs produce byte-identical documents.  Every distinct coordinate is
-formatted once per figure and axis, and the viewBox spans those
-coordinates.
+formatted once per figure and axis.
 
 Points are Q(zeta) ints (the outline over one denominator, translations,
-arrow anchors), turned by `geometry.moved` and read as x and y parts by
-`geometry.xy_parts`.  Every path is written into one list of pieces per
-figure, whose separators are set once: per hat, its head (class and
-fill) and its x and y columns of texts go into their slots, and the list
-is joined.  A column is made once per orientation and the matching part
-of the translation.
+arrow anchors), read as x and y parts by `geometry.xy_parts`; arrows and
+grid turn theirs by `geometry.moved`.  The outline's vertices are read
+once in each of the 12 directions zeta^k (`_dots`), and an orientation
+only permutes the directions (`SUPPORT_TURNS`), so a turned vertex's x
+is its value in an even direction and its y in an odd one.  Every path
+is written into one list of pieces per figure, whose separators are set
+once: per hat, its head (class and fill) and its x and y columns of
+texts go into their slots, and the list is joined.  Per axis, each part
+of a translation has one list of texts, over every offset of the axis,
+and a hat's column is one `operator.itemgetter` pick from its part's.
+The viewBox spans the grid and arrow coordinates drawn and the hats'
+exact supports, taken on the DAG (`_support_walk`): each node's greatest
+<v, zeta^k> over its hats' vertices, from its children's, permuted, and
+their translations.
 The grid is one list of kite edges per orientation, moved by each hat's
 lattice step; only edges on the hat's boundary are checked against those
 already drawn, and a hat's lines are one join of an `operator.itemgetter`
@@ -25,8 +32,11 @@ returns carries that count and nothing parses it to learn it.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from functools import cmp_to_key
+from math import lcm
+from operator import add, itemgetter, mul, neg
 
+from .exactnum import _sign
 from .geometry import (
     IDENTITY,
     KITE_OFFSETS,
@@ -56,6 +66,18 @@ _ARROW_COLORS = ("#1d3557", "#9d0208", "#1b4332", "#6a040f", "#3c096c",
 _SQRT3 = 3.0 ** 0.5
 # a hat's grid lines: these pieces around each line's x1, y1, x2 and y2
 _LINE = ('<line x1="', '" y1="', '" x2="', '" y2="', '"/>\n<line x1="', '"/>')
+# cos and sin of the directions zeta^k at 30k degrees, k = 0..5, to
+# order supports in floats; zeta^(k + 6) = -zeta^k
+_COS_SIN = [(math.cos(k * math.pi / 6), math.sin(k * math.pi / 6))
+            for k in range(6)]
+# SUPPORT_TURNS[o][k]: the direction of a piece's own whose support is
+# its support in direction k once turned by orientation o, which takes
+# direction j to j + 2*(o % 6), after the y-axis mirror takes it to 6 - j
+# if o >= 6; _TURN_PICKS[o] picks them all
+SUPPORT_TURNS = tuple(tuple((6 + 2 * (o % 6) - k if o >= 6
+                             else k - 2 * (o % 6)) % 12 for k in range(12))
+                      for o in range(12))
+_TURN_PICKS = [itemgetter(*turn) for turn in SUPPORT_TURNS]
 
 
 class RenderError(ValueError):
@@ -236,41 +258,64 @@ def _svg_floats(q: Placement, pts, den: int) -> list[tuple[float, float]]:
     return [(x, -y) for x, y in zip(xs, ys)]
 
 
-def _columns(shapes, axis: slice, vd: int, texts: _Memo,
-             negate: bool) -> _Memo:
-    """The texts of one axis of a hat's vertices, per key (orientation,
-    t, t3, d): the axis's coordinate is the vertex's, from `shapes` over
-    vd, plus the translation part (t + t3*sqrt3)/2d, negated for y.
-
-    The floats are computed once per part and distinct vertex offset, and
-    each key's texts are looked up in `texts` once: only drawn
-    coordinates reach it, and its keys span the viewBox.
-    """
-    column = [[v[axis] for v in shape] for shape in shapes]
-    offsets = sorted({u for c in column for u in c})
-    at = {u: i for i, u in enumerate(offsets)}
-    picks = [itemgetter(*map(at.__getitem__, c)) for c in column]
-
-    def floats(part):
-        fs = _floats(*part, offsets, vd)
-        return [-f for f in fs] if negate else fs
-
-    parts = _Memo(floats)
-    return _Memo(lambda k: tuple(map(texts.__getitem__,
-                                     picks[k[0]](parts[k[1:]]))))
+def _dots(pts) -> list[list[tuple[int, int]]]:
+    """Per direction zeta^k, k = 0..11, <c, zeta^k> for each Q(zeta)
+    point c of pts over d, as (u, u3) of (u + u3*sqrt3)/2d: the x part of
+    zeta^-k*c, where zeta^-1*(c0, c1, c2, c3) = (c1, c0 + c2, c3, -c0)
+    and zeta^-6 = -1."""
+    dots = []
+    for _ in range(6):
+        dots.append([(2 * c0 + c2, c1) for c0, c1, c2, c3 in pts])
+        pts = [(c1, c0 + c2, c3, -c0) for c0, c1, c2, c3 in pts]
+    return dots + [[(-u, -u3) for u, u3 in col] for col in dots]
 
 
-def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
-               fx: _Memo, fy: _Memo) -> list[str]:
-    pts, vd = outline
-    shapes = [[xy_parts(moved(o, c, (0, 0, 0, 0))) for c in pts]
-              for o in range(12)]
+# _DOTS[k]: the int rows (alpha, beta) of <c, zeta^k>, (alpha.c +
+# beta.c*sqrt3)/2d, for a Q(zeta) point c over d
+_DOTS = [tuple(zip(*col))
+         for col in _dots([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                           (0, 0, 0, 1)])]
+
+
+def _hat_axes(pts) -> tuple[list, list]:
+    """(offsets, ids) of the outline's points, over vd: offsets[0] holds
+    the distinct <v, zeta^k> over its vertices v for even k, offsets[1] for
+    odd k, each in order of value, as (u, u3) over 2vd (see `_dots`), and
+    ids[k] the index of each vertex's in its k's offsets.  Turned by
+    orientation o, a vertex's x is its value in direction
+    SUPPORT_TURNS[o][0], which is even, and its y in SUPPORT_TURNS[o][3]."""
+    dots, offsets, ids = _dots(pts), [], [None] * 12
+    for axis in (0, 1):
+        # floats order the offsets and the ints check each step up:
+        # distinct offsets differ in value, since sqrt3 is irrational
+        values = sorted({u for col in dots[axis::2] for u in col},
+                        key=lambda u: u[0] + u[1] * _SQRT3)
+        if any(_sign(v[0] - u[0], v[1] - u[1]) < 1
+               for u, v in zip(values, values[1:])):
+            values.sort(key=cmp_to_key(
+                lambda u, v: _sign(u[0] - v[0], u[1] - v[1])))
+        at = {u: i for i, u in enumerate(values)}
+        offsets.append(values)
+        for k in range(axis, 12, 2):
+            ids[k] = [at[u] for u in dots[k]]
+    return offsets, ids
+
+
+def _hat_paths(placed: list[tuple[Placement, bool]], axes, vd: int,
+               scheme: str) -> list[str]:
     # as in `_svg_floats`, a hat's x column depends only on its
     # orientation and the x parts (x, x3, d) of its translation, and its
-    # y column on the y parts (y, y3, d)
-    xs = _columns(shapes, slice(0, 2), 2 * vd, fx, False)
-    ys = _columns(shapes, slice(2, 4), 2 * vd, fy, True)
-    n = len(pts)
+    # y column on the y parts (y, y3, d): per part, the texts of every
+    # offset of its axis are made once, each distinct float formatted
+    # once, and an orientation picks its vertices' texts from them
+    (x_offsets, y_offsets), ids = axes
+    x_texts, y_texts = _Memo(_fmt), _Memo(_fmt)
+    xs = _Memo(lambda part: list(map(x_texts.__getitem__,
+                                     _floats(*part, x_offsets, 2 * vd))))
+    ys = _Memo(lambda part: list(map(y_texts.__getitem__, map(
+        neg, _floats(*part, y_offsets, 2 * vd)))))
+    x_picks = [itemgetter(*ids[turn[0]]) for turn in SUPPORT_TURNS]
+    y_picks = [itemgetter(*ids[turn[3]]) for turn in SUPPORT_TURNS]
     fills = (_ROT_FILLS + _ROT_FILLS_DARK if scheme == SCHEME_ROTATION
              else (_PLAIN_FILL,) * 6 + (_PLAIN_FILL_DARK,) * 6)
     heads = [f'<path class="hat{" reflected" * (o >= 6)}" fill="{fills[o]}" '
@@ -278,7 +323,7 @@ def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
     # one path's pieces: its head (class and fill), then per vertex x, " ",
     # y and the separator to the next vertex, or the end after the last.
     # Only the head and the two columns change from hat to hat
-    buf = [None] + [None, " ", None, " L "] * n
+    buf = [None] + [None, " ", None, " L "] * len(ids[0])
     buf[-1] = ' Z"/>'
     # expand flags a hat reflected exactly when its orientation is >= 6
     paths = []
@@ -286,10 +331,89 @@ def _hat_paths(placed: list[tuple[Placement, bool]], outline, scheme: str,
         o, den = q.orientation, q.den
         x, x3, y, y3 = xy_parts(q.coords)
         buf[0] = heads[o]
-        buf[1::4] = xs[o, x, x3, den]
-        buf[3::4] = ys[o, y, y3, den]
+        buf[1::4] = x_picks[o](xs[x, x3, den])
+        buf[3::4] = y_picks[o](ys[y, y3, den])
         paths.append("".join(buf))
     return paths
+
+
+def _support_walk(root: SupertileNode, axes, vd: int):
+    """(support, den): support(node, k), for `root` and the nodes under
+    it, is the node's support at orientation 0 in the direction zeta^k,
+    the greatest <v, zeta^k> over the vertices v of its hats, as the ints
+    (A, B) of (A + B*sqrt3)/2den; a single hat's are the greatest of its
+    values in `axes`, its outline's `_hat_axes` over vd.
+
+    A piece's supports are its node's, permuted by SUPPORT_TURNS, plus
+    its translation's dot.  One walk orders each node's pieces per
+    direction in floats and keeps the winner, and the ints decide where a
+    runner-up comes within 1e-9 of the node's scale, a bound on each term
+    summed into its floats, whose rounding errors stay far below that.
+    The ints of a node and direction are summed when first asked for."""
+    (offsets, ids), den = axes, lcm(root.den, vd)
+    hat = [(a * (den // vd), b * (den // vd))
+           for a, b in (offsets[k % 2][max(ids[k])] for k in range(12))]
+    hat_floats = [(a + b * _SQRT3) / (2 * den) for a, b in hat]
+    walked, ints = {}, {}
+
+    def value(pieces, i, k):
+        child, turn, c = pieces[i]
+        a, b = support(child, turn[k])
+        alpha, beta = _DOTS[k]
+        return a + sum(map(mul, alpha, c)), b + sum(map(mul, beta, c))
+
+    def support(node, k):
+        if not node.children:
+            return hat[k]
+        if (node, k) not in ints:
+            pieces, wins, *_ = walked[node]
+            ints[node, k] = value(pieces, wins[k], k)
+        return ints[node, k]
+
+    def walk(node):
+        """The node's supports in floats, and its scale."""
+        if not node.children:
+            return hat_floats, max(map(abs, hat_floats))
+        if node in walked:
+            return walked[node][2:]
+        pieces, rows, scale = [], [], 0.0
+        for child, q in node.children:
+            c0, c1, c2, c3 = c = [t * (den // q.den) for t in q.coords]
+            x = (2 * c0 + c2 + c1 * _SQRT3) / (2 * den)
+            y = (c1 + 2 * c3 + c2 * _SQRT3) / (2 * den)
+            dots = [x * u + y * v for u, v in _COS_SIN]  # zeta^0..zeta^5
+            floats, bound = walk(child)
+            scale = max(scale, bound + abs(x) + abs(y))
+            pieces.append((child, SUPPORT_TURNS[q.orientation], c))
+            rows.append(map(add, _TURN_PICKS[q.orientation](floats),
+                            dots + [-f for f in dots]))
+        floats, wins, tie = [], [], 1e-9 * (1 + scale)
+        for k, col in enumerate(zip(*rows)):
+            near = max(col) - tie
+            best, *ties = [i for i, f in enumerate(col) if f >= near]
+            if ties:
+                a, b = value(pieces, best, k)
+                for i in ties:
+                    c, d = value(pieces, i, k)
+                    if _sign(c - a, d - b) > 0:
+                        best, a, b = i, c, d
+            floats.append(col[best])
+            wins.append(best)
+        walked[node] = pieces, wins, floats, scale
+        return floats, scale
+
+    walk(root)
+    return support, den
+
+
+def _hat_box(node: SupertileNode, axes, vd: int) -> list[float]:
+    """The least and greatest SVG x and y of the hats' vertices: the
+    root's supports at 180, 0, 90 and 270 degrees (SVG y is -y), each the
+    float that `_floats` makes of its exact value."""
+    support, den = _support_walk(node, axes, vd)
+    return [_floats(s * a, s * b, den, [(0, 0)], 1)[0]
+            for s, k in ((-1, 6), (1, 0), (-1, 3), (1, 9))
+            for a, b in [support(node, k)]]
 
 
 def _arrows(node: SupertileNode, opts: RenderOptions, fx: _Memo,
@@ -336,11 +460,13 @@ def render_supertile(node: SupertileNode, p: TileParams,
     if opts.show_grid and not has_hat_proportion(p):
         raise RenderError(
             "the kite grid exists only at hat proportions (b = sqrt(3)*a)")
-    outline = tile.outline(p)
+    pts, vd = tile.outline(p)
+    axes = _hat_axes(pts)
 
     placed = list(expand(node))
-    # each distinct coordinate is formatted once per figure and axis.  A
-    # float key takes -0.0 and 0.0 as one: `_fmt` prints both as 0, and a
+    # each distinct coordinate is formatted once per figure and axis, the
+    # hats' in `_hat_paths`, the grid's and arrows' here.  A float key
+    # takes -0.0 and 0.0 as one: `_fmt` prints both as 0, and a
     # formatter that tells them apart still sees the right zero for hats
     # and grid, where every coordinate is u + v or -(u + v), u and v each
     # an int over a positive int (v then times sqrt3), so an exact zero is
@@ -349,13 +475,17 @@ def render_supertile(node: SupertileNode, p: TileParams,
     fx, fy = _Memo(_fmt), _Memo(_fmt)
     grid, grid_lines = (_grid_lines([q for q, _ in placed], p, tile, fx, fy)
                         if opts.show_grid else ([], 0))
-    paths = _hat_paths(placed, outline, opts.scheme, fx, fy)
+    paths = _hat_paths(placed, axes, vd, opts.scheme)
     arrows = _arrows(node, opts, fx, fy) if opts.show_supervectors else []
 
-    # the memos' keys are every coordinate drawn, so they span the figure
+    # the memos' keys are every grid and arrow coordinate drawn, and the
+    # root's supports are the hats' extremes, so together they span the
+    # figure
+    x0, x1, y0, y1 = _hat_box(node, axes, vd)
+    x0, x1 = min(x0, min(fx, default=x0)), max(x1, max(fx, default=x1))
+    y0, y1 = min(y0, min(fy, default=y0)), max(y1, max(fy, default=y1))
     m = opts.margin
-    vb = (min(fx) - m, min(fy) - m,
-          max(fx) - min(fx) + 2 * m, max(fy) - min(fy) + 2 * m)
+    vb = (x0 - m, y0 - m, x1 - x0 + 2 * m, y1 - y0 + 2 * m)
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
            f'viewBox="{" ".join(_fmt(v) for v in vb)}">']
     elements = 2 + len(paths)  # the svg, the hats' group and their paths

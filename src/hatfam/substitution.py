@@ -374,22 +374,23 @@ def _kite_state(node: SupertileNode, cells) -> _Kites:
 
 def _kite_bits(kites: _Kites, o: int, width: int, ints: dict,
                connected: bool) -> int:
-    """`ints[kites, o]`, made first if the pass's `ints` lacks it, each
-    child's before it: the node's cells at orientation o packed about its
-    box's low corner at `width` (see `packing_width`), the OR of its
-    pieces' ints shifted by their gaps (a single hat's pieces are its
+    """Make `ints[kites, o]`, which the pass's `ints` lacks, each child's
+    before it, and return it: the node's cells at orientation o packed
+    about its box's low corner at `width` (see `packing_width`), the OR of
+    its pieces' ints shifted by their gaps (a single hat's pieces are its
     kites), which share no kite exactly when the OR keeps every bit.  If
     `connected` and its contact verdict is open, the node passes when it
-    kept every bit, each child passes and the pieces touch as one patch."""
-    if acc := ints.get((kites, o)):
-        return acc
+    kept every bit, each child passes and the pieces touch as one patch.
+    An int the pass holds is read at the call site, with no call."""
     _, iq, _, ir, *_ = SIDE_TURNS[o]  # the sides -q and -r at the turn
     keep = connected and kites.contact is None
     if kites.steps:
         turn, acc, pieces = _PRODUCT[o], 0, []
         for _, child, co, gaps in kites.parts:
-            bits = _kite_bits(child, turn[co], width, ints,
-                              connected) << 6 * (gaps[iq] * width + gaps[ir])
+            co = turn[co]
+            bits = (ints.get((child, co))
+                    or _kite_bits(child, co, width, ints, connected)
+                    ) << 6 * (gaps[iq] * width + gaps[ir])
             acc |= bits
             if keep:  # else each shifted int is dropped once ORed
                 pieces.append(bits)
@@ -481,7 +482,8 @@ def _kite_pass(roots, tile: TileData, connected: bool) -> tuple[list, str]:
     for name, kites, refusal in screened:
         ok = bool(kites.reach) and not refusal
         if ok:
-            bits = _kite_bits(kites, 0, width, ints, connected)
+            bits = (ints.get((kites, 0))
+                    or _kite_bits(kites, 0, width, ints, connected))
             ok = bits.bit_count() == kites.size and (
                 not connected or kites.contact)
         if not ok and detail is None:

@@ -1,8 +1,11 @@
 import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatfam import render
 from hatfam.cli import main
@@ -16,7 +19,7 @@ from hatfam.render import RenderError, RenderOptions, render_supertile
 from hatfam.substitution import HAT, THC, SupertileNode, build, expand
 from hatfam.supervectors import make_params
 
-from placements import apply, kite_corners
+from placements import apply, kite_corners, unit_k30
 
 FLOAT = re.compile(r"-?\d+\.\d+")
 # a hand-made node's anchors, as Q(zeta) coordinates
@@ -332,6 +335,120 @@ def test_viewbox_covers_the_figure(layout, tile, hat_p, monkeypatch):
                 max(ys) - min(ys) + 2 * m)
         got = ET.fromstring(svg).get("viewBox").split()
         assert tuple(map(float.fromhex, got)) == want
+
+
+def _drawn_lines(svg: str) -> list[tuple[float, float]]:
+    """The ends of every line (grid and arrow) and the corners of every
+    arrow head in a figure whose floats are written in hex."""
+    pts = []
+    for line in _tags(svg, "line"):
+        pts += [(float.fromhex(line.get(f"x{i}")),
+                 float.fromhex(line.get(f"y{i}"))) for i in (1, 2)]
+    for poly in _tags(svg, "polygon"):
+        pts += [tuple(map(float.fromhex, pt.split(",")))
+                for pt in poly.get("points").split()]
+    return pts
+
+
+@pytest.mark.parametrize("gen", [1, 2, 3, 4])
+@pytest.mark.parametrize("a,b,grid", [
+    ("1", "r3", True), ("2", "2*r3", True), ("7/3", "1/2", False),
+    ("2+r3", "3+2*r3", False), ("r3", "1", False),
+], ids=["hat", "2-2r3", "7/3-1/2", "2+r3", "turtle"])
+def test_viewbox_is_the_extremes_of_every_drawn_coordinate(
+        a, b, grid, gen, layout, tile, monkeypatch):
+    # at margin 0 the viewBox is the least x and y drawn and their spans:
+    # the hats' from their exactly placed vertices, not from the file,
+    # and the grid's and arrows' as written
+    p = make_params(parse_scalar(a), parse_scalar(b))
+    node = build(HAT, gen, p, layout)
+    coords, den = tile.outline(p)
+    outline = [zeta_vector(c, den) for c in coords]
+    hats = {(x, -y) for q, _ in expand(node)
+            for x, y in (apply(q, v).to_floats() for v in outline)}
+    monkeypatch.setattr(render, "_fmt", float.hex)
+    figures = [RenderOptions(margin=0),
+               RenderOptions(margin=0, show_supervectors=gen)]
+    if grid:
+        figures.append(RenderOptions(margin=0, show_grid=True))
+    for opts in figures:
+        svg = render_supertile(node, p, opts, tile)
+        xs, ys = zip(*hats, *_drawn_lines(svg))
+        want = (min(xs), min(ys), max(xs) - min(xs), max(ys) - min(ys))
+        got = ET.fromstring(svg).get("viewBox").split()
+        assert tuple(map(float.fromhex, got)) == want
+
+
+_SCALAR = st.builds(QSqrt3, st.builds(Fraction, st.integers(-30, 30),
+                                      st.integers(1, 8)),
+                    st.builds(Fraction, st.integers(-30, 30),
+                              st.integers(1, 8))).filter(
+    lambda x: x.sign() > 0)
+
+
+def _exact_supports(root, tile, p):
+    """support(node, k) of the nodes under `root` (see
+    `render._support_walk`), as Q(sqrt3) values."""
+    coords, vd = tile.outline(p)
+    support, den = render._support_walk(root, render._hat_axes(coords), vd)
+    return lambda node, k: QSqrt3(*(Fraction(c, 2 * den)
+                                    for c in support(node, k)))
+
+
+@pytest.mark.parametrize("o", range(12))
+@settings(derandomize=True, database=None, max_examples=8, deadline=None)
+@given(a=_SCALAR, b=_SCALAR, kind=st.sampled_from([HAT, THC]),
+       gen=st.integers(1, 3))
+def test_supports_are_the_turned_expansion_extremes(layout, tile, o, a, b,
+                                                   kind, gen):
+    # a node's exact supports in the 12 directions zeta^k, permuted for
+    # orientation o, are the greatest <w, zeta^k> over the vertices w of
+    # its hats placed one by one and then turned by o; and so are those
+    # of a node whose one piece is it turned by o, an orientation the
+    # layout's own pieces may not take
+    p = make_params(a, b)
+    node = build(kind, gen, p, layout)
+    turned = SupertileNode(kind, gen + 1, ((node, Placement(o % 6, o >= 6)),),
+                           ("turned",), ORIGIN, ORIGIN, node.den)
+    exact = _exact_supports(turned, tile, p)
+    coords, vd = tile.outline(p)
+    pts = {apply(q, zeta_vector(c, vd))
+           for q, _ in expand(turned) for c in coords}
+    by_value = cmp_to_key(lambda u, v: (u - v).sign())
+    want = [max((w.x * u.x + w.y * u.y for w in pts), key=by_value)
+            for u in map(unit_k30, range(12))]
+    assert [exact(node, k) for k in render.SUPPORT_TURNS[o]] == want
+    assert [exact(turned, k) for k in range(12)] == want
+
+
+def test_supports_decide_near_ties_exactly(tile, hat_p):
+    # two hats 10^-17 apart, closer than floats near the hat can tell:
+    # the compound's support in each direction is the farther hat's
+    eps = Fraction(1, 10 ** 17)
+    t = VecE(QSqrt3(eps), QSqrt3(0, -eps))
+    hat = SupertileNode(HAT, 1, (), (), ORIGIN, ORIGIN)
+    node = SupertileNode(THC, 1, ((hat, Placement()),
+                                  (hat, Placement(0, False, t))),
+                         ("hat", "partner"), ORIGIN, ORIGIN, 10 ** 17)
+    exact = _exact_supports(node, tile, hat_p)
+    for k in range(12):
+        dot = t.x * unit_k30(k).x + t.y * unit_k30(k).y
+        assert exact(node, k) == exact(hat, k) + (dot if dot.sign() > 0
+                                                  else 0)
+
+
+def test_offsets_keep_their_exact_order_when_floats_misorder(
+        tile, monkeypatch):
+    # the offsets of each axis are in order of value even where the
+    # floats that sort them first get it wrong: here sqrt3 as -sqrt3
+    coords, _ = tile.outline(make_params(parse_scalar("7/3"),
+                                         parse_scalar("1/2")))
+    want = render._hat_axes(coords)
+    for values in want[0]:
+        assert all((QSqrt3(*v) - QSqrt3(*u)).sign() > 0
+                   for u, v in zip(values, values[1:]))
+    monkeypatch.setattr(render, "_SQRT3", -render._SQRT3)
+    assert render._hat_axes(coords) == want
 
 
 @pytest.mark.parametrize("figure", [("hat", "5", "--supervectors", "3"),

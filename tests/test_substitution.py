@@ -661,8 +661,9 @@ def test_layout_validation_assembles_each_generation_once(tile, monkeypatch):
 
 def _spy_kite_ints(monkeypatch) -> list:
     """The (kite state, orientation, width) of each kite int a pass makes,
-    in the order made, while the test runs: a call whose int the pass
-    already holds only reads it."""
+    in the order made, while the test runs: an int the pass already holds
+    is read where it is needed, and a call that found one would only read
+    it."""
     made, real = [], substitution._kite_bits
 
     def spied(kites, o, width, ints, *args):
