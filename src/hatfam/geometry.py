@@ -4,9 +4,11 @@ trihexagonal kite-cell lattice.
 Points are Q(zeta) ints, zeta = e^(i*pi/6).  Every turn in the package
 is one of 12 orientations, applied to them by `moved`, whose matrices are
 read off the powers of zeta (`_ZETA`); the kite lattice's turns
-(`LATTICE_TURNS`) are read off its basis turned by it, and the renderer
-reads a turned outline off its values in the 12 directions zeta^k, which
-an orientation permutes.
+(`LATTICE_TURNS`) are read off its basis turned by it.  An orientation
+permutes the 12 directions zeta^k, all by one table (`SUPPORT_TURNS`):
+the renderer reads a turned outline's and supertile's supports off it,
+and the kite check a turned patch's reach along the six lattice sides,
+its even directions (`SIDE_TURNS`).
 
 Outlines are traced by walking edges of the two tile edge classes (length a
 or b) with headings at multiples of 30 degrees, the unit at heading h being
@@ -79,6 +81,13 @@ _PRODUCT = tuple(
     tuple((o % 6 + (-(p % 6) if o >= 6 else p % 6)) % 6
           + 6 * ((o >= 6) != (p >= 6)) for p in range(12))
     for o in range(12))
+# SUPPORT_TURNS[o][k]: the direction j whose zeta^j orientation o turns
+# to zeta^k, so a set's greatest <v, zeta^j> is its turned copy's greatest
+# <v, zeta^k>: o takes zeta^j to zeta^(j + 2*(o % 6)), after the y-axis
+# mirror takes it to zeta^(6 - j) if o >= 6
+SUPPORT_TURNS = tuple(tuple((6 + 2 * (o % 6) - k if o >= 6
+                             else k - 2 * (o % 6)) % 12 for k in range(12))
+                      for o in range(12))
 
 
 def moved(o: int, c, t) -> tuple:
@@ -395,12 +404,13 @@ LATTICE_TURNS = tuple(
           for u in LATTICE_BASIS)
     for o in range(12))
 # a hex patch's reach: how far its hexagons get along the sides q, -q, r,
-# -r, s = -q - r and -s; turned by o, it reaches as far along side i as it
-# did along side SIDE_TURNS[o][i], since the 12 turns permute the sides
-_SIDES = ((1, 0), (-1, 0), (0, 1), (0, -1), (-1, -1), (1, 1))
+# -r, s = -q - r and -s, a third of its centres' supports in the
+# directions zeta^0, zeta^6, zeta^4, zeta^10, zeta^8 and zeta^2; turned by
+# o, it reaches as far along side i as it did along side SIDE_TURNS[o][i],
+# SUPPORT_TURNS read on the sides, as the 12 turns permute even directions
 SIDE_TURNS = tuple(
-    tuple(_SIDES.index((u * a + v * c, u * b + v * d)) for u, v in _SIDES)
-    for (a, c), (b, d) in LATTICE_TURNS)
+    tuple((0, 6, 4, 10, 8, 2).index(turn[k]) for k in (0, 6, 4, 10, 8, 2))
+    for turn in SUPPORT_TURNS)
 
 
 def hat_kite_cells(q: Placement, base_cells) -> frozenset:

@@ -10,7 +10,7 @@ Points are Q(zeta) ints (the outline over one denominator, translations,
 arrow anchors), read as x and y parts by `geometry.xy_parts`; arrows and
 grid turn theirs by `geometry.moved`.  The outline's vertices are read
 once in each of the 12 directions zeta^k (`_dots`), and an orientation
-only permutes the directions (`SUPPORT_TURNS`), so a turned vertex's x
+only permutes the directions (`geometry.SUPPORT_TURNS`), so a turned vertex's x
 is its value in an even direction and its y in an odd one.  Every path
 is written into one list of pieces per figure, whose separators are set
 once: per hat, its head (class and fill) and its x and y columns of
@@ -18,9 +18,9 @@ texts go into their slots, and the list is joined.  Per axis, each part
 of a translation has one list of texts, over every offset of the axis,
 and a hat's column is one `operator.itemgetter` pick from its part's.
 The viewBox spans the grid and arrow coordinates drawn and the hats'
-exact supports, taken on the DAG (`_support_walk`): each node's greatest
-<v, zeta^k> over its hats' vertices, from its children's, permuted, and
-their translations.
+exact supports, taken on the DAG in one pass per node (`_support_walk`):
+each node's greatest <v, zeta^k> over its hats' vertices, the greatest
+of its children's, permuted, plus their translations', compared in ints.
 The grid is one list of kite edges per orientation, moved by each hat's
 lattice step; only edges on the hat's boundary are checked against those
 already drawn, and a hat's lines are one join of an `operator.itemgetter`
@@ -34,13 +34,14 @@ from __future__ import annotations
 import math
 from functools import cmp_to_key
 from math import lcm
-from operator import add, itemgetter, mul, neg
+from operator import itemgetter, neg
 
 from .exactnum import _sign
 from .geometry import (
     IDENTITY,
     KITE_OFFSETS,
     Placement,
+    SUPPORT_TURNS,
     TileData,
     hat_kite_cells,
     lattice_shift,
@@ -66,18 +67,8 @@ _ARROW_COLORS = ("#1d3557", "#9d0208", "#1b4332", "#6a040f", "#3c096c",
 _SQRT3 = 3.0 ** 0.5
 # a hat's grid lines: these pieces around each line's x1, y1, x2 and y2
 _LINE = ('<line x1="', '" y1="', '" x2="', '" y2="', '"/>\n<line x1="', '"/>')
-# cos and sin of the directions zeta^k at 30k degrees, k = 0..5, to
-# order supports in floats; zeta^(k + 6) = -zeta^k
-_COS_SIN = [(math.cos(k * math.pi / 6), math.sin(k * math.pi / 6))
-            for k in range(6)]
-# SUPPORT_TURNS[o][k]: the direction of a piece's own whose support is
-# its support in direction k once turned by orientation o, which takes
-# direction j to j + 2*(o % 6), after the y-axis mirror takes it to 6 - j
-# if o >= 6; _TURN_PICKS[o] picks them all
-SUPPORT_TURNS = tuple(tuple((6 + 2 * (o % 6) - k if o >= 6
-                             else k - 2 * (o % 6)) % 12 for k in range(12))
-                      for o in range(12))
-_TURN_PICKS = [itemgetter(*turn) for turn in SUPPORT_TURNS]
+# orders the ints (u, u3) of (u + u3*sqrt3)/n over one n by value, exactly
+_BY_VALUE = cmp_to_key(lambda u, v: _sign(u[0] - v[0], u[1] - v[1]))
 
 
 class RenderError(ValueError):
@@ -270,13 +261,6 @@ def _dots(pts) -> list[list[tuple[int, int]]]:
     return dots + [[(-u, -u3) for u, u3 in col] for col in dots]
 
 
-# _DOTS[k]: the int rows (alpha, beta) of <c, zeta^k>, (alpha.c +
-# beta.c*sqrt3)/2d, for a Q(zeta) point c over d
-_DOTS = [tuple(zip(*col))
-         for col in _dots([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-                           (0, 0, 0, 1)])]
-
-
 def _hat_axes(pts) -> tuple[list, list]:
     """(offsets, ids) of the outline's points, over vd: offsets[0] holds
     the distinct <v, zeta^k> over its vertices v for even k, offsets[1] for
@@ -292,8 +276,7 @@ def _hat_axes(pts) -> tuple[list, list]:
                         key=lambda u: u[0] + u[1] * _SQRT3)
         if any(_sign(v[0] - u[0], v[1] - u[1]) < 1
                for u, v in zip(values, values[1:])):
-            values.sort(key=cmp_to_key(
-                lambda u, v: _sign(u[0] - v[0], u[1] - v[1])))
+            values.sort(key=_BY_VALUE)
         at = {u: i for i, u in enumerate(values)}
         offsets.append(values)
         for k in range(axis, 12, 2):
@@ -344,66 +327,29 @@ def _support_walk(root: SupertileNode, axes, vd: int):
     (A, B) of (A + B*sqrt3)/2den; a single hat's are the greatest of its
     values in `axes`, its outline's `_hat_axes` over vd.
 
-    A piece's supports are its node's, permuted by SUPPORT_TURNS, plus
-    its translation's dot.  One walk orders each node's pieces per
-    direction in floats and keeps the winner, and the ints decide where a
-    runner-up comes within 1e-9 of the node's scale, a bound on each term
-    summed into its floats, whose rounding errors stay far below that.
-    The ints of a node and direction are summed when first asked for."""
+    One pass per node, exact: a piece's supports are its node's, permuted
+    by SUPPORT_TURNS, plus its translation's `_dots`, and the node's are,
+    per direction, the greatest of its pieces' by `_sign`."""
     (offsets, ids), den = axes, lcm(root.den, vd)
     hat = [(a * (den // vd), b * (den // vd))
            for a, b in (offsets[k % 2][max(ids[k])] for k in range(12))]
-    hat_floats = [(a + b * _SQRT3) / (2 * den) for a, b in hat]
-    walked, ints = {}, {}
-
-    def value(pieces, i, k):
-        child, turn, c = pieces[i]
-        a, b = support(child, turn[k])
-        alpha, beta = _DOTS[k]
-        return a + sum(map(mul, alpha, c)), b + sum(map(mul, beta, c))
-
-    def support(node, k):
-        if not node.children:
-            return hat[k]
-        if (node, k) not in ints:
-            pieces, wins, *_ = walked[node]
-            ints[node, k] = value(pieces, wins[k], k)
-        return ints[node, k]
+    supports = {}
 
     def walk(node):
-        """The node's supports in floats, and its scale."""
         if not node.children:
-            return hat_floats, max(map(abs, hat_floats))
-        if node in walked:
-            return walked[node][2:]
-        pieces, rows, scale = [], [], 0.0
-        for child, q in node.children:
-            c0, c1, c2, c3 = c = [t * (den // q.den) for t in q.coords]
-            x = (2 * c0 + c2 + c1 * _SQRT3) / (2 * den)
-            y = (c1 + 2 * c3 + c2 * _SQRT3) / (2 * den)
-            dots = [x * u + y * v for u, v in _COS_SIN]  # zeta^0..zeta^5
-            floats, bound = walk(child)
-            scale = max(scale, bound + abs(x) + abs(y))
-            pieces.append((child, SUPPORT_TURNS[q.orientation], c))
-            rows.append(map(add, _TURN_PICKS[q.orientation](floats),
-                            dots + [-f for f in dots]))
-        floats, wins, tie = [], [], 1e-9 * (1 + scale)
-        for k, col in enumerate(zip(*rows)):
-            near = max(col) - tie
-            best, *ties = [i for i, f in enumerate(col) if f >= near]
-            if ties:
-                a, b = value(pieces, best, k)
-                for i in ties:
-                    c, d = value(pieces, i, k)
-                    if _sign(c - a, d - b) > 0:
-                        best, a, b = i, c, d
-            floats.append(col[best])
-            wins.append(best)
-        walked[node] = pieces, wins, floats, scale
-        return floats, scale
+            return hat
+        if node not in supports:
+            turned = zip(*[map(walk(child).__getitem__,
+                               SUPPORT_TURNS[q.orientation])
+                           for child, q in node.children])
+            dots = _dots([[t * (den // q.den) for t in q.coords]
+                          for _, q in node.children])
+            supports[node] = [max([(a + u, b + u3) for (a, b), (u, u3)
+                                   in zip(sups, col)], key=_BY_VALUE)
+                              for sups, col in zip(turned, dots)]
+        return supports[node]
 
-    walk(root)
-    return support, den
+    return lambda node, k: walk(node)[k], den
 
 
 def _hat_box(node: SupertileNode, axes, vd: int) -> list[float]:

@@ -31,14 +31,17 @@ from hatfam.geometry import (
     LatticeError,
     Placement,
     SIDE_TURNS,
+    SUPPORT_TURNS,
     TileData,
     TurtleStep,
     _MATRICES,
+    _PRODUCT,
     _ZETA,
     cells_connected,
     disjoint_cells,
     hat_kite_cells,
     is_simple,
+    moved,
     outline_from_turtle,
     packing_width,
     scaled,
@@ -800,6 +803,18 @@ def test_side_turns_permute_a_patch_reach(cells):
     for o in range(12):
         turned = hat_kite_cells(Placement(o % 6, o >= 6), frozenset(cells))
         assert _reach(turned) == tuple(reach[i] for i in SIDE_TURNS[o])
+
+
+def test_support_turns_are_the_orientations_on_directions():
+    # orientation o turns zeta^SUPPORT_TURNS[o][k] to zeta^k, and the table
+    # composes as the orientations do: p, then o, turns zeta^j to zeta^k
+    # when p turns it to zeta^SUPPORT_TURNS[o][k]
+    for o in range(12):
+        for k in range(12):
+            j = SUPPORT_TURNS[o][k]
+            assert moved(o, _ZETA[j], (0, 0, 0, 0)) == _ZETA[k]
+            for p in range(12):
+                assert SUPPORT_TURNS[_PRODUCT[o][p]][k] == SUPPORT_TURNS[p][j]
 
 
 def test_disjoint_cells_reports_first_clash(tile):

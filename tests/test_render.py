@@ -4,15 +4,17 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatfam import render
 from hatfam.cli import main
-from hatfam.exactnum import QSqrt3, VEC_ZERO, VecE, parse_scalar, zeta_vector
+from hatfam.exactnum import SQRT3, QSqrt3, VEC_ZERO, VecE, parse_scalar, \
+    zeta_vector
 from hatfam.geometry import (
     KiteCell,
     Placement,
+    SUPPORT_TURNS,
     hat_kite_cells,
 )
 from hatfam.render import RenderError, RenderOptions, render_supertile
@@ -399,13 +401,18 @@ def _exact_supports(root, tile, p):
 @settings(derandomize=True, database=None, max_examples=8, deadline=None)
 @given(a=_SCALAR, b=_SCALAR, kind=st.sampled_from([HAT, THC]),
        gen=st.integers(1, 3))
+@example(a=SQRT3, b=QSqrt3(1), kind=HAT, gen=3)
+@example(a=QSqrt3(1), b=QSqrt3(1), kind=THC, gen=3)
+@example(a=QSqrt3(1), b=SQRT3, kind=HAT, gen=4)
 def test_supports_are_the_turned_expansion_extremes(layout, tile, o, a, b,
                                                    kind, gen):
     # a node's exact supports in the 12 directions zeta^k, permuted for
     # orientation o, are the greatest <w, zeta^k> over the vertices w of
     # its hats placed one by one and then turned by o; and so are those
     # of a node whose one piece is it turned by o, an orientation the
-    # layout's own pieces may not take
+    # layout's own pieces may not take.  At the turtle, Tile(sqrt3, 1),
+    # and at Tile(1, 1) many pieces' supports tie exactly; the hat at
+    # generation 4 is the deepest case
     p = make_params(a, b)
     node = build(kind, gen, p, layout)
     turned = SupertileNode(kind, gen + 1, ((node, Placement(o % 6, o >= 6)),),
@@ -417,7 +424,7 @@ def test_supports_are_the_turned_expansion_extremes(layout, tile, o, a, b,
     by_value = cmp_to_key(lambda u, v: (u - v).sign())
     want = [max((w.x * u.x + w.y * u.y for w in pts), key=by_value)
             for u in map(unit_k30, range(12))]
-    assert [exact(node, k) for k in render.SUPPORT_TURNS[o]] == want
+    assert [exact(node, k) for k in SUPPORT_TURNS[o]] == want
     assert [exact(turned, k) for k in range(12)] == want
 
 
