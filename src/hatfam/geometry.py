@@ -3,12 +3,11 @@ trihexagonal kite-cell lattice.
 
 Points are Q(zeta) ints, zeta = e^(i*pi/6).  Every turn in the package
 is one of 12 orientations, applied to them by `moved`, whose matrices are
-read off the powers of zeta (`_ZETA`); the kite lattice's turns
-(`LATTICE_TURNS`) are read off its basis turned by it.  An orientation
-permutes the 12 directions zeta^k, all by one table (`SUPPORT_TURNS`):
-the renderer reads a turned outline's and supertile's supports off it,
-and the kite check a turned patch's reach along the six lattice sides,
-its even directions (`SIDE_TURNS`).
+read off the powers of zeta (`_ZETA`).  An orientation permutes the 12
+directions zeta^k, all by one table (`SUPPORT_TURNS`): the renderer
+reads a turned outline's and supertile's supports off it, and the kite
+lattice reads it on the six sides, its even directions (`SIDE_TURNS`),
+both to turn a hexagon and a patch's reach along them.
 
 Outlines are traced by walking edges of the two tile edge classes (length a
 or b) with headings at multiples of 30 degrees, the unit at heading h being
@@ -397,12 +396,6 @@ def lattice_shift(q: Placement) -> tuple[int, int]:
         f"{zeta_vector(c, q.den)!r} is not on the hexagon lattice")
 
 
-# LATTICE_TURNS[o]: the basis turned by orientation o, as lattice steps
-# (a, c) and (b, d); o turns a step (m, n) to (a*m + b*n, c*m + d*n)
-LATTICE_TURNS = tuple(
-    tuple(lattice_shift(_placement(0, moved(o, u, (0, 0, 0, 0)), 1))
-          for u in LATTICE_BASIS)
-    for o in range(12))
 # a hex patch's reach: how far its hexagons get along the sides q, -q, r,
 # -r, s = -q - r and -s, a third of its centres' supports in the
 # directions zeta^0, zeta^6, zeta^4, zeta^10, zeta^8 and zeta^2; turned by
@@ -417,17 +410,20 @@ def hat_kite_cells(q: Placement, base_cells) -> frozenset:
     """The kite cells of a hat placed by q, from the canonical cell set;
     raises LatticeError when q's translation is off the hexagon lattice.
 
-    Each hexagon is turned by `LATTICE_TURNS`, and each corner k reflected
-    to 3 - k for a reflected orientation, then turned o % 6 times.  The
+    Each hexagon (q, r) is turned by reading its sides (q, -q, r, -r,
+    -q - r, q + r) through `SIDE_TURNS`: its new q is side SIDE_TURNS[o][0]
+    and its new r side SIDE_TURNS[o][2].  Each corner k is reflected to
+    3 - k for a reflected orientation, then turned o % 6 times.  The
     cells come back as plain (hex_q, hex_r, corner_k) tuples, which
     compare and hash as the equal KiteCells and cost half as much to make.
     """
     m, n = lattice_shift(q)
     o = q.orientation
-    (a, c), (b, d) = LATTICE_TURNS[o]
-    return frozenset([(a * hq + b * hr + m, c * hq + d * hr + n,
+    iq, _, ir, *_ = SIDE_TURNS[o]
+    return frozenset([(s[iq] + m, s[ir] + n,
                        ((3 - k if o >= 6 else k) + o) % 6)
-                      for hq, hr, k in base_cells])
+                      for hq, hr, k in base_cells
+                      for s in [(hq, -hq, hr, -hr, -hq - hr, hq + hr)]])
 
 
 def disjoint_cells(placements, base_cells):

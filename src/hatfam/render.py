@@ -36,7 +36,7 @@ from functools import cmp_to_key
 from math import lcm
 from operator import itemgetter, neg
 
-from .exactnum import _sign
+from .exactnum import _SQRT3_FLOAT, _sign
 from .geometry import (
     IDENTITY,
     KITE_OFFSETS,
@@ -64,7 +64,6 @@ _PLAIN_FILL_DARK = "#6f6f6f"
 # arrow color cycles with the supertile generation
 _ARROW_COLORS = ("#1d3557", "#9d0208", "#1b4332", "#6a040f", "#3c096c",
                  "#7f4f24")
-_SQRT3 = 3.0 ** 0.5
 # a hat's grid lines: these pieces around each line's x1, y1, x2 and y2
 _LINE = ('<line x1="', '" y1="', '" x2="', '" y2="', '"/>\n<line x1="', '"/>')
 # orders the ints (u, u3) of (u + u3*sqrt3)/n over one n by value, exactly
@@ -170,9 +169,9 @@ def _grid_lines(placed: list[Placement], p: TileParams, tile: TileData,
     """Each hat's grid lines as one text, and the number of lines."""
     # float(QSqrt3) of the corner scaled by a = (aa + ab*sqrt3)/ad: int /
     # int rounds correctly, so unreduced quotients give the same floats
-    aa, ab, den = p.a.a, p.a.b, 2 * p.a.d
-    x_text = _Memo(lambda X: fx[X * aa / den + X * ab / den * _SQRT3])
-    y_text = _Memo(lambda Y: fy[-(3 * Y * ab / den + Y * aa / den * _SQRT3)])
+    aa, ab, den, r3 = p.a.a, p.a.b, 2 * p.a.d, _SQRT3_FLOAT
+    x_text = _Memo(lambda X: fx[X * aa / den + X * ab / den * r3])
+    y_text = _Memo(lambda Y: fy[-(3 * Y * ab / den + Y * aa / den * r3)])
     # per orientation, the hat's distinct corner X and Y, and its edges [u,
     # v, kites that have it] from corner u to v, each a pair of X and Y
     # indices, as first met in its sorted cells, which a lattice step keeps.
@@ -236,7 +235,7 @@ def _floats(t: int, t3: int, d: int, offsets, vd: int) -> list[float]:
     """
     td = 2 * d
     den, t, t3 = vd * td, t * vd, t3 * vd
-    return [(u * td + t) / den + (u3 * td + t3) / den * _SQRT3
+    return [(u * td + t) / den + (u3 * td + t3) / den * _SQRT3_FLOAT
             for u, u3 in offsets]
 
 
@@ -264,19 +263,15 @@ def _dots(pts) -> list[list[tuple[int, int]]]:
 def _hat_axes(pts) -> tuple[list, list]:
     """(offsets, ids) of the outline's points, over vd: offsets[0] holds
     the distinct <v, zeta^k> over its vertices v for even k, offsets[1] for
-    odd k, each in order of value, as (u, u3) over 2vd (see `_dots`), and
-    ids[k] the index of each vertex's in its k's offsets.  Turned by
-    orientation o, a vertex's x is its value in direction
-    SUPPORT_TURNS[o][0], which is even, and its y in SUPPORT_TURNS[o][3]."""
+    odd k, each as (u, u3) over 2vd (see `_dots`) and sorted exactly by
+    value (`_BY_VALUE`), and ids[k] the index of each vertex's in its k's
+    offsets.  Turned by orientation o, a vertex's x is its value in
+    direction SUPPORT_TURNS[o][0], which is even, and its y in
+    SUPPORT_TURNS[o][3]."""
     dots, offsets, ids = _dots(pts), [], [None] * 12
     for axis in (0, 1):
-        # floats order the offsets and the ints check each step up:
-        # distinct offsets differ in value, since sqrt3 is irrational
         values = sorted({u for col in dots[axis::2] for u in col},
-                        key=lambda u: u[0] + u[1] * _SQRT3)
-        if any(_sign(v[0] - u[0], v[1] - u[1]) < 1
-               for u, v in zip(values, values[1:])):
-            values.sort(key=_BY_VALUE)
+                        key=_BY_VALUE)
         at = {u: i for i, u in enumerate(values)}
         offsets.append(values)
         for k in range(axis, 12, 2):

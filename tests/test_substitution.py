@@ -23,7 +23,7 @@ from hatfam.exactnum import (
 )
 from hatfam.geometry import (
     IDENTITY,
-    LATTICE_TURNS,
+    SIDE_TURNS,
     LatticeError,
     Placement,
     _PRODUCT,
@@ -404,13 +404,17 @@ _STEPS = st.integers(-10 ** 40, 10 ** 40) | st.integers(-3, 3)
        n=_STEPS)
 def test_turn_table_matches_the_composed_placement(o, rotation_k, reflected,
                                                    m, n):
-    # the kite check turns a child's lattice step by LATTICE_TURNS and its
-    # orientation by _PRODUCT, in place of composing the placement
+    # orientation o turns a lattice step (m, n) as hat_kite_cells turns a
+    # hexagon, by reading its sides (m, -m, n, -n, -m - n, m + n) through
+    # SIDE_TURNS: the new m is side SIDE_TURNS[o][0] and the new n side
+    # SIDE_TURNS[o][2]; and the kite pass turns a child's orientation by
+    # _PRODUCT, in place of composing the placement
     q = Placement(rotation_k, reflected, U1 * m + U2 * n)
     turned = Placement(o % 6, o >= 6).compose(q)
-    (a, c), (b, d) = LATTICE_TURNS[o]
+    sides = (m, -m, n, -n, -m - n, m + n)
     assert lattice_shift(q) == (m, n)
-    assert lattice_shift(turned) == (a * m + b * n, c * m + d * n)
+    assert lattice_shift(turned) == (sides[SIDE_TURNS[o][0]],
+                                     sides[SIDE_TURNS[o][2]])
     assert turned.orientation == _PRODUCT[o][q.orientation]
 
 
